@@ -313,8 +313,9 @@ ByteReader::u8Array()
     const std::uint64_t count = arrayCount(1);
     std::vector<std::int8_t> v(static_cast<std::size_t>(count));
     need(static_cast<std::size_t>(count));
-    std::memcpy(v.data(), data_.data() + pos_,
-                static_cast<std::size_t>(count));
+    if (count != 0)  // an empty vector's data() may be null
+        std::memcpy(v.data(), data_.data() + pos_,
+                    static_cast<std::size_t>(count));
     pos_ += static_cast<std::size_t>(count);
     return v;
 }

@@ -30,8 +30,6 @@ NetworkExecutor::run(const RunRequest &req) const
         throw std::invalid_argument("NetworkExecutor: batch must be >= 1");
     if (req.shape.layers.empty())
         throw std::invalid_argument("NetworkExecutor: empty shape");
-    if (preRunHook_)
-        preRunHook_(req);
 
     const char *kind = toString(req.plan.kind);
     gpu::Simulator sim(cfg_, req.plan.usesCrmHardware(), obs_, ledger_);

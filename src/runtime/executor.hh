@@ -16,8 +16,6 @@
 #ifndef MFLSTM_RUNTIME_EXECUTOR_HH
 #define MFLSTM_RUNTIME_EXECUTOR_HH
 
-#include <functional>
-
 #include "gpu/simulator.hh"
 #include "runtime/lowering.hh"
 #include "runtime/plan.hh"
@@ -105,16 +103,6 @@ class NetworkExecutor
     obs::Observer *observer() const { return obs_; }
 
     /**
-     * Hook invoked at the top of every run(), before lowering. The
-     * serving layer's fault injector throws from here to model a
-     * transient device failure on the real execution path; exceptions
-     * propagate to the run() caller. Install before sharing the
-     * executor across threads — the hook itself must be thread-safe.
-     */
-    using PreRunHook = std::function<void(const RunRequest &)>;
-    void setPreRunHook(PreRunHook hook) { preRunHook_ = std::move(hook); }
-
-    /**
      * Attach a traffic-attribution ledger: every subsequent run() feeds
      * its simulated DRAM bytes into @p ledger (DESIGN.md §13). The
      * ledger must outlive the executor; nullptr detaches. Unlike the
@@ -141,7 +129,6 @@ class NetworkExecutor
     Lowering lowering_;
     obs::Observer *obs_ = nullptr;
     obs::TrafficLedger *ledger_ = nullptr;
-    PreRunHook preRunHook_;
 };
 
 } // namespace runtime

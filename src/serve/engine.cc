@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -94,14 +95,6 @@ recordLifecycle(obs::Observer *obs, int track, const Response &r)
     done.strArgs = {{"status", toString(r.status)}};
     tracer.record(std::move(done));
 }
-
-/**
- * The fault site the executor's pre-run hook consults. The worker
- * stamps it immediately before each executor_->run call, so the
- * injection decision happens on the real execution path without the
- * runtime layer depending on serve types.
- */
-thread_local FaultSite t_batchSite;
 
 } // anonymous namespace
 
@@ -291,18 +284,7 @@ InferenceEngine::finishInit(const core::MemoryFriendlyLstm &mf,
 
     executor_ = std::make_unique<runtime::NetworkExecutor>(
         mf.config().gpu, obs_);
-    if (opts_.faultInjector) {
-        executor_->setPreRunHook([this](const runtime::RunRequest &) {
-            if (opts_.faultInjector->shouldFail(t_batchSite)) {
-                obs_->metrics().counter("serve.faults_injected").add();
-                throw TransientFault(
-                    "injected batch-timing fault (batch " +
-                    std::to_string(t_batchSite.batchOrdinal) +
-                    ", attempt " +
-                    std::to_string(t_batchSite.attempt) + ")");
-            }
-        });
-    }
+    timing_.resize(ladder_.size() * opts_.maxBatch);
 
     // Touch the instruments once so quantile queries work even before
     // the first request completes.
@@ -314,6 +296,7 @@ InferenceEngine::finishInit(const core::MemoryFriendlyLstm &mf,
                               batchSizeEdges(opts_.maxBatch));
     obs_->metrics().histogram("serve.twin_rebuild_ms", serveMsEdges());
     obs_->metrics().counter("serve.precision_switch_total");
+    obs_->metrics().counter("serve.timing_sims");
 
     for (std::size_t w = 0; w < opts_.workers; ++w)
         obs_->tracer().setTrackName(obs::SpanTracer::kServePid,
@@ -542,6 +525,23 @@ InferenceEngine::backoff(int attempt) const
         std::chrono::duration<double, std::milli>(ms));
 }
 
+runtime::RunReport
+InferenceEngine::timingRun(std::size_t rung, std::size_t b)
+{
+    // The lock is held across a miss's simulation so that two workers
+    // missing the same slot simulate it once; a throwing run leaves the
+    // slot empty for the next attempt.
+    std::lock_guard<std::mutex> lock(timingMu_);
+    std::optional<runtime::RunReport> &slot =
+        timing_.at(rung * opts_.maxBatch + (b - 1));
+    if (!slot) {
+        slot = executor_->run(
+            runtime::RunRequest::network(shape_, plans_[rung], b));
+        obs_->metrics().counter("serve.timing_sims").add();
+    }
+    return *slot;
+}
+
 void
 InferenceEngine::workerLoop(std::size_t worker_index)
 {
@@ -598,7 +598,6 @@ InferenceEngine::serveBatch(std::vector<QueuedRequest> &batch,
     const std::size_t b = batch.size();
     const std::size_t rung = governor_ ? governor_->rung() : 0;
     core::ApproxRunner &runner = runners_[worker_index][rung];
-    const runtime::ExecutionPlan &plan = plans_[rung];
 
     // Governor precision switches are not free: crossing a quant
     // boundary re-pays this runner's twin rebuild (model copy +
@@ -641,18 +640,25 @@ InferenceEngine::serveBatch(std::vector<QueuedRequest> &batch,
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(brownout));
 
-    // Timing side: one batched lowering, weights charged once. A
-    // transient fault on the executor path is retried with backoff;
-    // an exhausted budget (or a non-transient error) fails the batch.
+    // Timing side: one batched lowering, weights charged once, looked
+    // up in the timing table. The injector is consulted before every
+    // lookup, hit or miss, so a transient fault is retried with backoff
+    // exactly as on a fresh run; an exhausted budget (or a
+    // non-transient error) fails the batch.
     runtime::RunReport report;
     bool timing_ok = false;
     std::string timing_err;
     for (int attempt = 0; attempt <= opts_.maxRetries; ++attempt) {
         try {
-            t_batchSite = FaultSite{FaultSite::Kind::BatchRun, ordinal,
-                                    0, attempt};
-            report = executor_->run(
-                runtime::RunRequest::network(shape_, plan, b));
+            if (inj && inj->shouldFail(FaultSite{FaultSite::Kind::BatchRun,
+                                                 ordinal, 0, attempt})) {
+                m.counter("serve.faults_injected").add();
+                throw TransientFault(
+                    "injected batch-timing fault (batch " +
+                    std::to_string(ordinal) + ", attempt " +
+                    std::to_string(attempt) + ")");
+            }
+            report = timingRun(rung, b);
             timing_ok = true;
             break;
         } catch (const TransientFault &e) {

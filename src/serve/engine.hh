@@ -11,7 +11,10 @@
  * sequence (bit-identical to serving each request alone), while the
  * timing side lowers the network once with the batch dimension, so the
  * simulator charges every recurrent weight matrix's DRAM traffic once
- * per batched kernel instead of once per sequence.
+ * per batched kernel instead of once per sequence. That timing run is
+ * a pure function of (rung plan, batch size), so the engine simulates
+ * each pair once, on its first batch, and serves every later batch of
+ * the same pair from a rungs × maxBatch timing table.
  *
  * Overload control (§10): the queue is optionally bounded with a
  * configurable admission policy; queued requests whose deadline has
@@ -26,8 +29,9 @@
  * Thread safety: submit() is safe from any thread; workers record
  * through the (thread-safe) obs sinks; each worker owns a private copy
  * of the calibrated ApproxRunner per ladder rung, so functional runs
- * never share mutable state. The model, observer and fault injector
- * (when supplied) must outlive the engine.
+ * never share mutable state; the timing table is guarded by one mutex.
+ * The model, observer and fault injector (when supplied) must outlive
+ * the engine.
  */
 
 #ifndef MFLSTM_SERVE_ENGINE_HH
@@ -37,6 +41,8 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -330,8 +336,8 @@ class InferenceEngine
 
   private:
     void initObserver();
-    /// shared tail of both constructors: governor, executor, fault
-    /// hook, instruments, per-worker runner copies, worker threads
+    /// shared tail of both constructors: governor, executor, empty
+    /// timing table, instruments, per-worker runner copies, workers
     void finishInit(const core::MemoryFriendlyLstm &mf,
                     std::vector<core::ApproxRunner> base_runners);
     void workerLoop(std::size_t worker_index);
@@ -346,6 +352,9 @@ class InferenceEngine
     std::vector<QueuedRequest>
     shedExpired(std::vector<QueuedRequest> batch);
     void backoff(int attempt) const;
+    /// the timing run of plans_[rung] at batch @p b: simulated on the
+    /// first call for that pair, copied from the table afterwards
+    runtime::RunReport timingRun(std::size_t rung, std::size_t b);
 
     Options opts_;
     runtime::NetworkShape shape_;
@@ -360,6 +369,14 @@ class InferenceEngine
     std::vector<core::ThresholdSet> ladder_;
     /// one execution plan per rung (index-aligned with ladder_)
     std::vector<runtime::ExecutionPlan> plans_;
+    /**
+     * Timing table: slot rung * maxBatch + (b - 1) holds the RunReport
+     * of plans_[rung] at batch b once a batch of that shape has run.
+     * Shape and backend are fixed per engine, so the slot is exact;
+     * its size bounds the executor runs over the engine's lifetime.
+     */
+    std::vector<std::optional<runtime::RunReport>> timing_;
+    std::mutex timingMu_;
     /// runners_[worker][rung]: private calibrated runner copies
     std::vector<std::vector<core::ApproxRunner>> runners_;
     /**

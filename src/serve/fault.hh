@@ -2,9 +2,9 @@
  * @file
  * Fault injection for the serving layer (DESIGN.md §10): a FaultInjector
  * decides, per site, whether to inject a transient failure. The engine
- * consults it at two sites — the batched timing run (threaded through
- * NetworkExecutor's pre-run hook, so the fault surfaces on the real
- * execution path) and each request's functional run — and retries with
+ * consults it at two sites — the batched timing run (before every
+ * timing-table lookup, whether the lookup simulates or copies a stored
+ * report) and each request's functional run — and retries with
  * exponential backoff up to its retry budget. A successful retry re-runs
  * the untouched functional dataflow, so its outputs are bit-identical
  * to a fault-free run; an exhausted budget resolves the request with
@@ -38,7 +38,7 @@ struct FaultSite
 {
     enum class Kind : std::uint8_t
     {
-        /// the batched timing run (NetworkExecutor::run)
+        /// the batched timing run (a timing-table lookup)
         BatchRun = 0,
         /// one request's functional run inside a batch
         RequestRun,
@@ -53,7 +53,7 @@ struct FaultSite
     int attempt = 0;
 };
 
-/** Thrown on the executor path to model a transient device fault. */
+/** Thrown at the batch-timing site to model a transient device fault. */
 class TransientFault : public std::runtime_error
 {
   public:

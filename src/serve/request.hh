@@ -84,7 +84,8 @@ struct Response
     /// wall ms spent queued before the batch started
     double queueMs = 0.0;
     /// wall ms from batch start until this request's own functional
-    /// run began (the shared batched timing run + earlier siblings)
+    /// run began (earlier siblings, plus the batched timing run on the
+    /// first batch of its (rung, batch) pair, or a timing-table copy)
     double batchWaitMs = 0.0;
     /// wall ms of this request's own functional run (incl. retries)
     double execMs = 0.0;

@@ -46,7 +46,10 @@ TEST_P(LoweringProperty, FlopConservationAcrossPlans)
         static_cast<std::size_t>(rng.integer(64, 640)),
         static_cast<std::size_t>(rng.integer(4, 60))};
 
-    runtime::Lowering low(gpu::GpuConfig::tegraX1());
+    // Lowering keeps a reference to its config, so the config must
+    // outlive it.
+    const gpu::GpuConfig cfg = gpu::GpuConfig::tegraX1();
+    runtime::Lowering low(cfg);
 
     // Baseline: exact conservation.
     {

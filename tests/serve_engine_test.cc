@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "serve/engine.hh"
@@ -122,6 +124,57 @@ TEST_F(EngineTest, WeightDramPerSequenceDecreasesMonotonically)
         }
         prev = per_seq;
     }
+}
+
+TEST_F(EngineTest, TimingRunSimulatedOncePerRungAndBatch)
+{
+    obs::Observer observer;
+    auto opts = engineOptions();
+    opts.observer = &observer;
+    serve::InferenceEngine engine(mf, opts);
+    const obs::MetricsRegistry &m = observer.metrics();
+    const auto count = [&m](const char *name) {
+        const obs::Counter *c = m.findCounter(name);
+        return c ? c->value() : 0.0;
+    };
+    // Planning in the constructor may already have run the executor.
+    const double runs_at_start = count("executor.runs");
+    ASSERT_NE(m.findCounter("serve.timing_sims"), nullptr);
+    EXPECT_EQ(count("serve.timing_sims"), 0.0);
+
+    // Bursts of mixed sizes, each drained before the next, so batch
+    // sizes repeat: more batches than there are (rung, batch) pairs.
+    std::vector<serve::Response> responses;
+    std::uint64_t seed = 100;
+    for (std::size_t burst : {3, 1, 5, 3, 8, 1, 2, 5, 3, 8, 1, 4}) {
+        std::vector<std::future<serve::Response>> futures;
+        for (const auto &s : seqs(burst, 10, seed++))
+            futures.push_back(engine.submit({s, 0, 0.0}));
+        for (auto &f : futures)
+            responses.push_back(f.get());
+    }
+
+    const runtime::NetworkExecutor fresh(mf.config().gpu);
+    std::set<std::pair<std::size_t, std::size_t>> distinct;
+    for (const serve::Response &r : responses) {
+        ASSERT_EQ(r.status, serve::Status::Ok);
+        distinct.insert({r.rung, r.batch});
+        const runtime::RunReport rep =
+            fresh.run(runtime::RunRequest::network(
+                mf.config().timingShape, engine.planAt(r.rung), r.batch));
+        EXPECT_EQ(r.simBatchMs, rep.result.timeUs / 1e3)
+            << "batch " << r.batch;
+        EXPECT_EQ(r.weightDramBytesPerSeq,
+                  rep.weightDramBytesPerSequence())
+            << "batch " << r.batch;
+    }
+
+    const double sims = count("serve.timing_sims");
+    const double batches = count("serve.batches");
+    EXPECT_EQ(sims, static_cast<double>(distinct.size()));
+    EXPECT_EQ(count("executor.runs") - runs_at_start,
+              static_cast<double>(distinct.size()));
+    EXPECT_LT(sims, batches);
 }
 
 TEST_F(EngineTest, BurstFillsBatchesAndCountsThem)

@@ -9,8 +9,10 @@
  *   - the retry bound is honoured exactly (attemptsSeen);
  *   - an exhausted budget resolves that request Status::Failed without
  *     stalling its batch siblings;
- *   - batch-timing faults retry the whole timing run, and exhausting
- *     them fails the whole batch while later batches still serve.
+ *   - batch-timing faults retry the whole timing run, whether it is
+ *     simulated or copied from the engine's timing table, and
+ *     exhausting them fails the whole batch while later batches still
+ *     serve.
  */
 
 #include <gtest/gtest.h>
@@ -156,7 +158,7 @@ TEST_F(FaultTest, ExhaustedRetriesFailWithoutStallingSiblings)
     EXPECT_EQ(st.completed, inputs.size());
 }
 
-TEST_F(FaultTest, BatchTimingFaultIsRetriedOnTheExecutorPath)
+TEST_F(FaultTest, BatchTimingFaultIsRetried)
 {
     serve::ScriptedFaultInjector inj;
     inj.failBatch(0, 2);  // first batch: fail 2 timing attempts
@@ -168,6 +170,33 @@ TEST_F(FaultTest, BatchTimingFaultIsRetriedOnTheExecutorPath)
     EXPECT_GT(r.simBatchMs, 0.0);  // the retried timing run completed
     EXPECT_EQ(inj.injected(), 2u);
     EXPECT_EQ(engine.stats().retries, 2u);
+}
+
+TEST_F(FaultTest, BatchTimingFaultOnATimingTableHitIsRetried)
+{
+    serve::ScriptedFaultInjector inj;
+    serve::InferenceEngine engine(mf, faultOptions(inj, 2));
+    serve::Session session = engine.session();
+    const auto inputs = seqs(2, 10, 43);
+
+    // Batch 0 simulates the batch-1 timing run and stores it.
+    const serve::Response first = session.infer(inputs[0]).get();
+    ASSERT_EQ(first.status, serve::Status::Ok);
+    EXPECT_EQ(inj.injected(), 0u);
+
+    // Batch 1 has the same size, so its timing run is a table hit; the
+    // injector is still consulted before the lookup on every attempt.
+    inj.failBatch(1, 2);
+    const serve::Response second = session.infer(inputs[1]).get();
+    EXPECT_EQ(second.status, serve::Status::Ok);
+    EXPECT_EQ(second.batch, first.batch);
+    EXPECT_EQ(second.simBatchMs, first.simBatchMs);
+    EXPECT_EQ(inj.injected(), 2u);
+    EXPECT_EQ(engine.stats().retries, 2u);
+    const obs::Counter *sims =
+        engine.observer().metrics().findCounter("serve.timing_sims");
+    ASSERT_NE(sims, nullptr);
+    EXPECT_EQ(sims->value(), 1.0);
 }
 
 TEST_F(FaultTest, ExhaustedBatchRetriesFailTheBatchButNotTheEngine)

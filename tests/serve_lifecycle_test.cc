@@ -124,6 +124,9 @@ TEST_F(LifecycleTest, TracerRecordsSpansOnServeTrack)
 {
     serve::InferenceEngine engine(mf, engineOptions());
     const auto responses = runRequests(engine, 8);
+    // spans() is for quiescent readers: a worker may still be closing
+    // its batch span after the last future resolved.
+    engine.shutdown();
 
     std::size_t queue = 0, exec = 0, complete = 0;
     for (const obs::TraceSpan &s :

@@ -50,20 +50,29 @@ seqs(std::size_t n, std::size_t len, std::uint64_t seed)
     return out;
 }
 
-std::vector<tensor::Vector>
-serveAll(serve::InferenceEngine &engine,
-         const std::vector<std::vector<std::int32_t>> &inputs)
+std::vector<serve::Response>
+serveResponses(serve::InferenceEngine &engine,
+               const std::vector<std::vector<std::int32_t>> &inputs)
 {
     serve::Session session = engine.session();
     std::vector<std::future<serve::Response>> futures;
     for (const auto &s : inputs)
         futures.push_back(session.infer(s));
-    std::vector<tensor::Vector> out;
+    std::vector<serve::Response> out;
     for (auto &f : futures) {
-        serve::Response r = f.get();
-        EXPECT_EQ(r.status, serve::Status::Ok);
-        out.push_back(std::move(r.logits));
+        out.push_back(f.get());
+        EXPECT_EQ(out.back().status, serve::Status::Ok);
     }
+    return out;
+}
+
+std::vector<tensor::Vector>
+serveAll(serve::InferenceEngine &engine,
+         const std::vector<std::vector<std::int32_t>> &inputs)
+{
+    std::vector<tensor::Vector> out;
+    for (serve::Response &r : serveResponses(engine, inputs))
+        out.push_back(std::move(r.logits));
     return out;
 }
 
@@ -109,8 +118,8 @@ TEST_F(WarmRestartTest, WarmStartServesBitIdenticallyToCold)
     const auto inputs = seqs(12, 10, 23);
 
     serve::InferenceEngine cold(mf, engineOptions());
-    const std::vector<tensor::Vector> expected =
-        serveAll(cold, inputs);
+    const std::vector<serve::Response> expected =
+        serveResponses(cold, inputs);
     serve::saveEngineState(cold, path_);
     cold.shutdown();
 
@@ -126,12 +135,27 @@ TEST_F(WarmRestartTest, WarmStartServesBitIdenticallyToCold)
     EXPECT_EQ(after.plans, warm.plans);
     EXPECT_EQ(after.shape, warm.shape);
 
-    // ...and the served logits are bit-identical.
-    const std::vector<tensor::Vector> actual =
-        serveAll(restarted, inputs);
+    // ...and the served logits and simulated batch times are
+    // bit-identical. Batch sizes depend on thread scheduling, so both
+    // engines' times are checked against a fresh run at each batch.
+    const runtime::NetworkExecutor fresh(mf.config().gpu);
+    const auto fresh_ms = [&](const serve::Response &r) {
+        return fresh
+                   .run(runtime::RunRequest::network(
+                       warm.shape, warm.plans.at(r.rung), r.batch))
+                   .result.timeUs /
+               1e3;
+    };
+    const std::vector<serve::Response> actual =
+        serveResponses(restarted, inputs);
     ASSERT_EQ(actual.size(), expected.size());
-    for (std::size_t i = 0; i < actual.size(); ++i)
-        EXPECT_EQ(actual[i], expected[i]) << "request " << i;
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+        EXPECT_EQ(actual[i].logits, expected[i].logits) << "request " << i;
+        EXPECT_EQ(expected[i].simBatchMs, fresh_ms(expected[i]))
+            << "cold request " << i;
+        EXPECT_EQ(actual[i].simBatchMs, fresh_ms(actual[i]))
+            << "warm request " << i;
+    }
 }
 
 TEST_F(WarmRestartTest, DrainAndSaveStatePersistsLoadableState)
