@@ -105,20 +105,20 @@ main()
     const auto aligned = core::alignTissues(sub_layers, mts);
 
     auto time_plan = [&](const std::vector<std::size_t> &tissues) {
-        runtime::ExecutionPlan plan;
-        plan.kind = runtime::PlanKind::InterCell;
-        runtime::LayerInterPlan ip;
         // Clamp formation's fat tissues at the hardware limit the way a
         // naive implementation would (split overflow into extra
         // tissues).
+        std::vector<std::size_t> sizes;
         for (std::size_t t : tissues) {
             while (t > mts) {
-                ip.tissueSizes.push_back(mts);
+                sizes.push_back(mts);
                 t -= mts;
             }
-            ip.tissueSizes.push_back(t);
+            sizes.push_back(t);
         }
-        plan.inter = {ip};
+        const runtime::ExecutionPlan plan = runtime::ExecutionPlan::preset(
+            runtime::PlanKind::InterCell, 1, quant::QuantMode::Fp32,
+            {sizes});
         return mf->executor()
             .runLayer({512, 512, 80}, plan, 0)
             .result.timeUs;

@@ -27,27 +27,24 @@ using namespace mflstm::bench;
 /**
  * The synthetic preset construction the conservation sweep uses:
  * aligned tissues of four cells per layer. The persistent preset
- * derives its per-layer schedules from the same inter plan, so the two
- * plans differ ONLY in the residency axis.
+ * takes the same tissue sizes, so the two plans differ ONLY in the
+ * residency axis.
  */
 runtime::ExecutionPlan
 tissuePlan(runtime::PlanKind kind, const runtime::NetworkShape &shape,
            quant::QuantMode qm)
 {
-    runtime::ExecutionPlan plan;
-    plan.kind = kind;
-    plan.quantMode = qm;
+    std::vector<std::vector<std::size_t>> tissues;
     for (const runtime::LstmLayerShape &layer : shape.layers) {
-        runtime::LayerInterPlan ip;
-        std::size_t left = layer.length;
-        while (left > 0) {
+        std::vector<std::size_t> &sizes = tissues.emplace_back();
+        for (std::size_t left = layer.length; left > 0;) {
             const std::size_t t = std::min<std::size_t>(4, left);
-            ip.tissueSizes.push_back(t);
+            sizes.push_back(t);
             left -= t;
         }
-        plan.inter.push_back(std::move(ip));
     }
-    return plan;
+    return runtime::ExecutionPlan::preset(kind, shape.layers.size(), qm,
+                                          tissues);
 }
 
 struct GateRow

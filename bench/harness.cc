@@ -191,10 +191,8 @@ evaluateScheme(core::MemoryFriendlyLstm &mf, const AppContext &app,
     SchemeCurve curve;
     curve.kind = kind;
 
-    runtime::ExecutionPlan probe;
-    probe.kind = kind;
-    const bool uses_inter = probe.usesInter();
-    const bool uses_intra = probe.usesIntra();
+    const bool uses_inter = runtime::presetUsesTissues(kind);
+    const bool uses_intra = runtime::presetUsesSkip(kind);
 
     for (std::size_t i = 0; i < ladder.size(); ++i) {
         // The quant mode rides along unconditionally: it is orthogonal

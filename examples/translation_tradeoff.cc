@@ -43,14 +43,14 @@ main()
                                        runtime::PlanKind::Combined};
 
     for (runtime::PlanKind kind : kinds) {
-        runtime::ExecutionPlan probe;
-        probe.kind = kind;
         std::printf("%-14s", runtime::toString(kind));
         std::vector<core::OperatingPoint> points;
         for (std::size_t i = 0; i < ladder.size(); ++i) {
             mf.setThresholds(
-                {probe.usesInter() ? ladder[i].alphaInter : 0.0,
-                 probe.usesIntra() ? ladder[i].alphaIntra : 0.0});
+                {runtime::presetUsesTissues(kind) ? ladder[i].alphaInter
+                                                  : 0.0,
+                 runtime::presetUsesSkip(kind) ? ladder[i].alphaIntra
+                                               : 0.0});
             core::OperatingPoint pt;
             pt.index = i;
             pt.accuracy = core::approxLmNextTokenAccuracy(

@@ -21,9 +21,7 @@ MemoryFriendlyLstm::MemoryFriendlyLstm(const nn::LstmModel &accuracy_model,
             "have the same layer count");
     }
 
-    runtime::ExecutionPlan base;
-    base.kind = runtime::PlanKind::Baseline;
-    baseline_ = executor_.run(cfg_.timingShape, base);
+    baseline_ = executor_.run(cfg_.timingShape, runtime::ExecutionPlan{});
 }
 
 const MemoryFriendlyLstm::Calibration &
@@ -87,45 +85,21 @@ MemoryFriendlyLstm::planFromStats(
     quant::QuantMode quant_mode, const runtime::NetworkExecutor &exec,
     obs::Observer *observer) const
 {
-    runtime::ExecutionPlan plan;
-    plan.kind = opts.kind;
-    // The lowering forces ZeroPruning back to fp32 (the CSR comparator
-    // is defined on full-precision weights); every other kind prices
-    // W/U traffic at this precision.
-    plan.quantMode = quant_mode;
+    if (opts.kind == runtime::PlanKind::Baseline ||
+        opts.kind == runtime::PlanKind::ZeroPruning)
+        return runtime::ExecutionPlan::preset(
+            opts.kind, cfg_.timingShape.layers.size(), quant_mode, {}, {},
+            opts.pruneFraction);
 
-    if (opts.kind == runtime::PlanKind::Baseline)
-        return plan;
-    if (opts.kind == runtime::PlanKind::ZeroPruning) {
-        plan.pruneFraction = opts.pruneFraction;
-        return plan;
-    }
-
-    const Calibration &cal = calibration();
     const std::size_t model_hidden =
         runner_.model().config().hiddenSize;
-
-    std::size_t mts = cal.mts;
-    if (opts.kind == runtime::PlanKind::Combined) {
-        // DRS relieves on-chip traffic inside the tissue GEMM, which
-        // raises the bandwidth-limited MTS; re-run the sweep with the
-        // measured mean skip fraction.
-        double skip = 0.0;
-        for (const LayerApproxStats &st : stats)
-            skip += st.skipFraction(model_hidden);
-        skip /= static_cast<double>(stats.size());
-        if (skip > 0.0) {
-            mts = findMts(exec, cfg_.timingShape.layers.front(), 12,
-                          skip)
-                      .mts;
-        }
-    }
+    const std::size_t mts =
+        presetMts(exec, opts.kind, stats, cfg_.timingShape.layers.front(),
+                  calibration().mts, model_hidden);
 
     auto ph = obs::Observer::phase(observer, "planning");
-    runtime::ExecutionPlan built =
-        buildPlan(opts.kind, stats, cfg_.timingShape, mts, model_hidden);
-    built.quantMode = quant_mode;
-    return built;
+    return buildPlan(opts.kind, stats, cfg_.timingShape, mts,
+                     model_hidden, quant_mode);
 }
 
 TimingOutcome
@@ -148,7 +122,9 @@ MemoryFriendlyLstm::evaluateTiming(const TimingOptions &opts) const
     if (opts.kind == runtime::PlanKind::Baseline &&
         thresholds_.quant == quant::QuantMode::Fp32) {
         out.report = baseline_;
-        out.plan.kind = opts.kind;
+        out.plan = runtime::ExecutionPlan::preset(
+            opts.kind, cfg_.timingShape.layers.size(),
+            quant::QuantMode::Fp32);
         out.speedup = 1.0;
         out.energySavingPct = 0.0;
         return out;

@@ -26,40 +26,47 @@ runtime::ExecutionPlan
 buildPlan(runtime::PlanKind kind,
           const std::vector<LayerApproxStats> &stats,
           const runtime::NetworkShape &shape, std::size_t mts,
-          std::size_t model_hidden)
+          std::size_t model_hidden, quant::QuantMode quant)
 {
     if (stats.size() != shape.layers.size())
         throw std::invalid_argument("buildPlan: stats/shape mismatch");
     if (model_hidden == 0)
         throw std::invalid_argument("buildPlan: zero model hidden");
 
-    runtime::ExecutionPlan plan;
-    plan.kind = kind;
-
-    const bool inter = plan.usesInter();
-    const bool intra = plan.usesIntra();
-
+    std::vector<std::vector<std::size_t>> tissues;
+    std::vector<double> skips;
     for (std::size_t l = 0; l < shape.layers.size(); ++l) {
         const std::size_t n = shape.layers[l].length;
 
-        if (inter) {
+        if (runtime::presetUsesTissues(kind)) {
             // Projected sub-layer count: the measured break rate applied
             // to this layer's (timing-shape) link count.
             const double rate = stats[l].breakRate();
             const auto parts = static_cast<std::size_t>(
                 std::round(rate * static_cast<double>(n - 1))) + 1;
-            runtime::LayerInterPlan ip;
-            ip.tissueSizes =
-                alignTissues(evenSubLayers(n, parts), mts);
-            plan.inter.push_back(std::move(ip));
+            tissues.push_back(alignTissues(evenSubLayers(n, parts), mts));
         }
 
-        if (intra) {
-            plan.intra.push_back(
-                {stats[l].skipFraction(model_hidden)});
-        }
+        if (runtime::presetUsesSkip(kind))
+            skips.push_back(stats[l].skipFraction(model_hidden));
     }
-    return plan;
+    return runtime::ExecutionPlan::preset(kind, shape.layers.size(), quant,
+                                          tissues, skips);
+}
+
+std::size_t
+presetMts(const runtime::NetworkExecutor &exec, runtime::PlanKind kind,
+          const std::vector<LayerApproxStats> &stats,
+          const runtime::LstmLayerShape &layer, std::size_t mts,
+          std::size_t model_hidden)
+{
+    if (kind != runtime::PlanKind::Combined || stats.empty())
+        return mts;
+    double skip = 0.0;
+    for (const LayerApproxStats &st : stats)
+        skip += st.skipFraction(model_hidden);
+    skip /= static_cast<double>(stats.size());
+    return skip > 0.0 ? findMts(exec, layer, 12, skip).mts : mts;
 }
 
 } // namespace core

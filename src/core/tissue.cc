@@ -94,20 +94,18 @@ findMts(const runtime::NetworkExecutor &executor,
     MtsResult res;
     double best = 0.0;
     for (std::size_t k = 1; k <= std::min(max_k, layer.length); ++k) {
-        runtime::ExecutionPlan plan;
-        plan.kind = skip_fraction > 0.0 ? runtime::PlanKind::Combined
-                                        : runtime::PlanKind::InterCell;
-
-        runtime::LayerInterPlan inter;
-        std::size_t left = layer.length;
-        while (left > 0) {
+        std::vector<std::size_t> sizes;
+        for (std::size_t left = layer.length; left > 0;) {
             const std::size_t t = std::min(k, left);
-            inter.tissueSizes.push_back(t);
+            sizes.push_back(t);
             left -= t;
         }
-        plan.inter = {inter};
-        if (skip_fraction > 0.0)
-            plan.intra = {{skip_fraction}};
+        // The probe keeps its preset label, so the executor's
+        // lower:/simulate: spans name the swept scheme.
+        const runtime::ExecutionPlan plan = runtime::ExecutionPlan::preset(
+            skip_fraction > 0.0 ? runtime::PlanKind::Combined
+                                : runtime::PlanKind::InterCell,
+            1, quant::QuantMode::Fp32, {sizes}, {skip_fraction});
 
         const runtime::RunReport report =
             executor.runLayer(layer, plan, 0);

@@ -64,24 +64,8 @@ fsckFile(const std::string &path, const ArtifactLimits &limits,
         return entry;
     }
 
-    // Not a container: hand it to the deep verifier (legacy formats),
-    // or reject when there is none to claim it.
-    if (deep) {
-        try {
-            deep(path, 0);
-            entry.format = "legacy";
-            entry.ok = true;
-        } catch (const ArtifactError &e) {
-            entry.detail = e.what();
-            entry.kind = e.kind();
-        } catch (const std::exception &e) {
-            entry.detail = e.what();
-            entry.kind = ErrorKind::Malformed;
-        }
-    } else {
-        entry.detail = "not an artifact container";
-        entry.kind = ErrorKind::BadMagic;
-    }
+    entry.detail = "not an artifact container";
+    entry.kind = ErrorKind::BadMagic;
     return entry;
 }
 

@@ -24,7 +24,7 @@ namespace io {
 struct FsckEntry
 {
     std::string path;
-    /// "container/<schema>", "legacy", or "unknown"
+    /// "container/<schema>" or "unknown"
     std::string format = "unknown";
     bool ok = false;
     /// chunk count for containers (diagnostic)
@@ -45,10 +45,10 @@ struct FsckReport
 };
 
 /**
- * Schema-aware deep check invoked after the container (or legacy file)
- * structure validated. Receives the file path and its detected schema
- * kind (0 for non-container files); throws ArtifactError (or any
- * std::exception) to report corruption. May ignore unknown schemas.
+ * Schema-aware deep check invoked after the container structure
+ * validated. Receives the file path and its schema kind; throws
+ * ArtifactError (or any std::exception) to report corruption. May
+ * ignore unknown schemas.
  */
 using DeepVerifier =
     std::function<void(const std::string &path, std::uint32_t schema)>;
@@ -56,9 +56,7 @@ using DeepVerifier =
 /**
  * Verify one file: container structure + every chunk CRC, then the
  * optional @p deep check. Files without the container magic are
- * classified "unknown" and passed to @p deep with schema 0 (so a
- * legacy-format loader can claim them); without a deep verifier they
- * report ok=false with BadMagic.
+ * classified "unknown" and report ok=false with BadMagic.
  */
 FsckEntry fsckFile(const std::string &path,
                    const ArtifactLimits &limits = {},

@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 
 #include "obs/observer.hh"
 
@@ -15,12 +13,7 @@ namespace {
 using io::ArtifactError;
 using io::ErrorKind;
 
-/// legacy v1: raw little-endian dump, magic + version + 7 header words
-constexpr std::uint32_t kLegacyMagic = 0x4d464c31;  // "MFL1"
-constexpr std::uint32_t kLegacyVersion = 1;
-constexpr std::size_t kLegacyHeaderBytes = 9 * 4;
-
-/// v2: artifact container chunks
+/// the artifact container schema version and chunks
 constexpr std::uint32_t kModelSchemaVersion = 2;
 constexpr std::uint32_t kChunkConfig = io::fourcc('M', 'C', 'F', 'G');
 constexpr std::uint32_t kChunkEmbedding = io::fourcc('M', 'E', 'M', 'B');
@@ -123,7 +116,7 @@ readTensor(io::ByteReader &r, float *dst, std::size_t expected,
 }
 
 LstmModel
-loadModelV2(const std::string &path, const io::ArtifactLimits &limits)
+readModel(const std::string &path, const io::ArtifactLimits &limits)
 {
     const io::ArtifactReader reader(path, io::kSchemaModel, limits);
     if (reader.schemaVersion() != kModelSchemaVersion)
@@ -182,113 +175,6 @@ loadModelV2(const std::string &path, const io::ArtifactLimits &limits)
     return model;
 }
 
-/**
- * Legacy v1 migration path: same byte layout as the original raw dump,
- * re-parsed with the full validation contract — dimensions checked
- * before allocation, the exact expected file size compared against the
- * bytes present, and a non-finite scan (v1 carries no checksum, so a
- * bit-flipped weight is only catchable when it decodes to NaN/Inf).
- */
-LstmModel
-loadModelLegacy(const std::string &path,
-                const io::ArtifactLimits &limits)
-{
-    std::error_code ec;
-    const std::uintmax_t file_size =
-        std::filesystem::file_size(path, ec);
-    if (ec)
-        throw ArtifactError(ErrorKind::Io, "loadModel: cannot stat " +
-                                               path + ": " +
-                                               ec.message());
-
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        throw ArtifactError(ErrorKind::Io,
-                            "loadModel: cannot open " + path);
-
-    const auto u32 = [&]() -> std::uint32_t {
-        std::uint8_t b[4];
-        is.read(reinterpret_cast<char *>(b), sizeof(b));
-        if (!is)
-            throw ArtifactError(ErrorKind::Truncated,
-                                "loadModel: truncated header in " +
-                                    path);
-        return static_cast<std::uint32_t>(b[0]) |
-               static_cast<std::uint32_t>(b[1]) << 8 |
-               static_cast<std::uint32_t>(b[2]) << 16 |
-               static_cast<std::uint32_t>(b[3]) << 24;
-    };
-
-    if (u32() != kLegacyMagic)
-        throw ArtifactError(ErrorKind::BadMagic,
-                            "loadModel: bad magic in " + path);
-    if (u32() != kLegacyVersion)
-        throw ArtifactError(ErrorKind::BadVersion,
-                            "loadModel: unsupported legacy version in " +
-                                path);
-
-    ModelConfig cfg;
-    const std::uint32_t task = u32();
-    cfg.vocab = u32();
-    cfg.embedSize = u32();
-    cfg.hiddenSize = u32();
-    cfg.numLayers = u32();
-    cfg.numClasses = u32();
-    const std::uint32_t sigmoid = u32();
-    if (task > 1 || sigmoid > 1)
-        throw ArtifactError(ErrorKind::Malformed,
-                            "loadModel: " + path +
-                                ": bad task/sigmoid enum value");
-    cfg.task = task ? TaskKind::LanguageModel : TaskKind::Classification;
-    cfg.sigmoid = sigmoid ? SigmoidKind::Hard : SigmoidKind::Logistic;
-
-    validateConfig(cfg, limits, path);
-
-    // v1 has no per-tensor framing: the only structural check is that
-    // the file holds exactly the bytes the header implies.
-    LstmModel model(cfg, 0);
-    const std::uint64_t expected = io::checkedAdd(
-        kLegacyHeaderBytes,
-        io::checkedMul(model.parameterCount(), 4, "legacy payload"),
-        "legacy file size");
-    if (file_size < expected)
-        throw ArtifactError(
-            ErrorKind::Truncated,
-            "loadModel: " + path + " holds " +
-                std::to_string(file_size) + " bytes, header implies " +
-                std::to_string(expected));
-    if (file_size > expected)
-        throw ArtifactError(
-            ErrorKind::Malformed,
-            "loadModel: " + path + " carries trailing bytes past the "
-                                   "declared tensors");
-
-    const auto tensor = [&](float *data, std::size_t n,
-                            const char *what) {
-        is.read(reinterpret_cast<char *>(data),
-                static_cast<std::streamsize>(n * sizeof(float)));
-        if (!is)
-            throw ArtifactError(ErrorKind::Truncated,
-                                "loadModel: truncated tensor in " +
-                                    path);
-        requireFinite(data, n, what, path);
-    };
-
-    tensor(model.embedding().table.data(),
-           model.embedding().table.size(), "embedding");
-    for (LstmLayerParams &p : model.layers()) {
-        for (tensor::Matrix *m :
-             {&p.wf, &p.wi, &p.wc, &p.wo, &p.uf, &p.ui, &p.uc, &p.uo})
-            tensor(m->data(), m->size(), "layer matrix");
-        for (tensor::Vector *v : {&p.bf, &p.bi, &p.bc, &p.bo})
-            tensor(v->data(), v->size(), "layer bias");
-    }
-    tensor(model.head().w.data(), model.head().w.size(),
-           "head weights");
-    tensor(model.head().b.data(), model.head().b.size(), "head bias");
-    return model;
-}
-
 } // anonymous namespace
 
 void
@@ -332,9 +218,7 @@ loadModel(const std::string &path, const io::ArtifactLimits &limits,
           obs::Observer *obs)
 {
     try {
-        if (io::isArtifactFile(path))
-            return loadModelV2(path, limits);
-        return loadModelLegacy(path, limits);
+        return readModel(path, limits);
     } catch (const ArtifactError &e) {
         io::recordRejection(obs, e.kind());
         throw;
@@ -352,21 +236,8 @@ bool
 isModelFile(const std::string &path)
 {
     std::uint32_t schema = 0;
-    if (io::isArtifactFile(path, &schema))
-        return schema == io::kSchemaModel;
-
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return false;
-    std::uint8_t b[4];
-    is.read(reinterpret_cast<char *>(b), sizeof(b));
-    if (!is)
-        return false;
-    const std::uint32_t magic = static_cast<std::uint32_t>(b[0]) |
-                                static_cast<std::uint32_t>(b[1]) << 8 |
-                                static_cast<std::uint32_t>(b[2]) << 16 |
-                                static_cast<std::uint32_t>(b[3]) << 24;
-    return magic == kLegacyMagic;
+    return io::isArtifactFile(path, &schema) &&
+           schema == io::kSchemaModel;
 }
 
 } // namespace nn

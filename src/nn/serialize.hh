@@ -2,8 +2,7 @@
  * @file
  * Binary model serialization on the crash-safe artifact layer
  * (DESIGN.md §11). saveModel writes the chunked, CRC32-checksummed v2
- * container atomically; loadModel reads v2 and migrates the legacy v1
- * raw dump (pre-artifact cache files), in both cases with strictly
+ * container atomically; loadModel reads it back with strictly
  * bounds-checked parsing: header dimensions are validated against
  * io::ArtifactLimits with checked multiplication *before* any tensor is
  * allocated, every payload is checked against the bytes actually
@@ -32,12 +31,12 @@ namespace nn {
 void saveModel(const LstmModel &model, const std::string &path);
 
 /**
- * Read a model from @p path — v2 artifact or legacy v1 dump. Either
- * returns a fully validated model or throws io::ArtifactError (a
- * std::runtime_error) with a typed reason; it never allocates from an
- * unvalidated header and never returns a partially-read model. When
- * @p obs is non-null a rejection bumps artifact_load_rejected_total
- * with the reason label before the error propagates.
+ * Read a v2 model artifact from @p path. Either returns a fully
+ * validated model or throws io::ArtifactError (a std::runtime_error)
+ * with a typed reason; it never allocates from an unvalidated header
+ * and never returns a partially-read model. When @p obs is non-null a
+ * rejection bumps artifact_load_rejected_total with the reason label
+ * before the error propagates.
  */
 LstmModel loadModel(const std::string &path,
                     const io::ArtifactLimits &limits = {},
@@ -50,7 +49,7 @@ LstmModel loadModel(const std::string &path,
 void verifyModelFile(const std::string &path,
                      const io::ArtifactLimits &limits = {});
 
-/** True when @p path exists and carries a model magic (v1 or v2). */
+/** True when @p path exists and is a model artifact container. */
 bool isModelFile(const std::string &path);
 
 } // namespace nn

@@ -583,9 +583,8 @@ Lowering::lowerLayer(const LstmLayerShape &shape,
 {
     checkedBatch(batch);
 
-    // Resolve the plan to this layer's explicit schedule (canonical
-    // preset derivation when the plan carries no decisions) and emit
-    // from it alone — the single dispatch path of DESIGN.md §14.
+    // Emit from this layer's schedule alone — the single dispatch path
+    // of DESIGN.md §14.
     LayerSchedule ls = plan.layerSchedule(layer_index);
     ls.validate();
     const std::size_t eff_batch = ls.batch ? ls.batch : batch;

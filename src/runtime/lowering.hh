@@ -19,12 +19,11 @@
  * per layer with the recurrent weights pinned in shared memory or the
  * register file across every wave of the sequence.
  *
- * Dispatch is decision-driven (DESIGN.md §14): lowerLayer resolves the
- * plan to a per-layer LayerSchedule (explicit decisions, or the
- * canonical preset derivation) and emits from that alone — the legacy
- * PlanKind presets lower bit-identically through this path, and the
- * src/sched search can compose points the enum never named (software
- * skip with a fused flag epilogue, per-layer precision).
+ * Dispatch is decision-driven (DESIGN.md §14): lowerLayer takes the
+ * layer's LayerSchedule from the plan and emits from that alone — the
+ * PlanKind presets are canonical decisions, and the src/sched search
+ * composes points the enum never named (software skip with a fused
+ * flag epilogue, per-layer precision).
  *
  * Traffic calibration (see DESIGN.md §5): Sgemv stages the input vector
  * in shared memory (4 B/MAC of on-chip traffic) and streams weights from

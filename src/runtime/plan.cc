@@ -1,7 +1,6 @@
 #include "runtime/plan.hh"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 namespace mflstm {
@@ -69,67 +68,21 @@ NetworkShape::stacked(std::size_t embed_size, std::size_t hidden_size,
     return shape;
 }
 
-std::size_t
-LayerInterPlan::totalCells() const
-{
-    return std::accumulate(tissueSizes.begin(), tissueSizes.end(),
-                           std::size_t{0});
-}
-
-std::size_t
-LayerInterPlan::maxTissue() const
-{
-    return tissueSizes.empty()
-               ? 0
-               : *std::max_element(tissueSizes.begin(), tissueSizes.end());
-}
-
 LayerSchedule
 ExecutionPlan::layerSchedule(std::size_t layer_index) const
 {
-    LayerSchedule ls;
-    if (hasExplicitDecisions()) {
-        if (layer_index < decisions.layers.size())
-            return decisions.layers[layer_index];
-        ls.quant = quantMode;
-        return ls;
-    }
-
-    // Canonical preset derivation: exactly the conventions the lowering
-    // hard-coded before the decisions existed.
-    ls.quant = kind == PlanKind::ZeroPruning ? quant::QuantMode::Fp32
-                                             : quantMode;
-    if (kind == PlanKind::ZeroPruning) {
-        ls.prunedCsr = true;
-        ls.pruneFraction = pruneFraction;
-        return ls;
-    }
-    if (usesInter() && layer_index < inter.size())
-        ls.tissueSizes = inter[layer_index].tissueSizes;
-    if (kind == PlanKind::Persistent) {
-        // The persistent preset targets the fast tier the persistent-
-        // RNN literature uses; the tuner also searches the shared tier.
-        ls.residency = WeightResidency::Regfile;
-        return ls;
-    }
-    if (usesIntra() && layer_index < intra.size()) {
-        ls.skipFraction = intra[layer_index].skipFraction;
-        ls.skipPath = usesCrmHardware() ? SkipPath::HwCrm
-                                        : SkipPath::Software;
-        ls.flagFusion = usesCrmHardware() ? FlagFusion::FusedEpilogue
-                                          : FlagFusion::Standalone;
-    }
-    return ls;
+    if (layer_index < decisions.layers.size())
+        return decisions.layers[layer_index];
+    return {};
 }
 
-ScheduleDecisions
-ExecutionPlan::explicitDecisions(std::size_t num_layers) const
+bool
+ExecutionPlan::usesCrmHardware() const
 {
-    ScheduleDecisions d;
-    d.layers.reserve(num_layers);
-    for (std::size_t l = 0; l < num_layers; ++l)
-        d.layers.push_back(layerSchedule(l));
-    return d;
+    return std::any_of(decisions.layers.begin(), decisions.layers.end(),
+                       [](const LayerSchedule &l) {
+                           return l.skipPath == SkipPath::HwCrm;
+                       });
 }
 
 ExecutionPlan
@@ -139,14 +92,63 @@ ExecutionPlan::fromDecisions(ScheduleDecisions d)
 
     ExecutionPlan plan;
     plan.kind = PlanKind::Tuned;
-    if (!d.layers.empty()) {
-        const quant::QuantMode q0 = d.layers.front().quant;
-        const bool uniform = std::all_of(
-            d.layers.begin(), d.layers.end(),
-            [&](const LayerSchedule &l) { return l.quant == q0; });
-        plan.quantMode = uniform ? q0 : quant::QuantMode::Fp32;
-    }
     plan.decisions = std::move(d);
+    return plan;
+}
+
+bool
+presetUsesTissues(PlanKind kind)
+{
+    return kind == PlanKind::InterCell || kind == PlanKind::Combined ||
+           kind == PlanKind::Persistent;
+}
+
+bool
+presetUsesSkip(PlanKind kind)
+{
+    return kind == PlanKind::IntraCellSw ||
+           kind == PlanKind::IntraCellHw || kind == PlanKind::Combined;
+}
+
+ExecutionPlan
+ExecutionPlan::preset(PlanKind kind, std::size_t num_layers,
+                      quant::QuantMode quant,
+                      const std::vector<std::vector<std::size_t>>
+                          &tissue_sizes,
+                      const std::vector<double> &skip_fractions,
+                      double prune_fraction)
+{
+    const bool crm =
+        kind == PlanKind::IntraCellHw || kind == PlanKind::Combined;
+
+    ExecutionPlan plan;
+    plan.kind = kind;
+    plan.decisions.layers.reserve(num_layers);
+    for (std::size_t l = 0; l < num_layers; ++l) {
+        LayerSchedule &ls = plan.decisions.layers.emplace_back();
+        if (kind == PlanKind::ZeroPruning) {
+            // The CSR comparator is defined on fp32 weights.
+            ls.prunedCsr = true;
+            ls.pruneFraction = prune_fraction;
+            continue;
+        }
+        ls.quant = quant;
+        if (presetUsesTissues(kind) && l < tissue_sizes.size())
+            ls.tissueSizes = tissue_sizes[l];
+        if (kind == PlanKind::Persistent) {
+            // The persistent preset targets the fast tier the
+            // persistent-RNN literature uses; the tuner also searches
+            // the shared tier.
+            ls.residency = WeightResidency::Regfile;
+            continue;
+        }
+        if (presetUsesSkip(kind) && l < skip_fractions.size()) {
+            ls.skipFraction = skip_fractions[l];
+            ls.skipPath = crm ? SkipPath::HwCrm : SkipPath::Software;
+            ls.flagFusion = crm ? FlagFusion::FusedEpilogue
+                                : FlagFusion::Standalone;
+        }
+    }
     return plan;
 }
 

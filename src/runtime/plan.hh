@@ -6,14 +6,10 @@
  * produced by the optimisation passes in src/core (or searched by
  * src/sched) and recorded here.
  *
- * Two equivalent surfaces coexist (DESIGN.md §14): the legacy preset
- * fields (kind + inter/intra/pruneFraction/quantMode) that every
- * existing call site and artifact schema speaks, and the explicit
- * per-layer ScheduleDecisions the lowering actually consumes. When
- * `decisions` is empty, layerSchedule() canonicalises the preset
- * fields on the fly — presets therefore lower bit-identically through
- * the decision path. A tuned plan (fromDecisions) carries explicit
- * decisions and reports PlanKind::Tuned.
+ * A plan is its per-layer ScheduleDecisions plus a display label
+ * (DESIGN.md §14). The paper's schemes are presets: named points of
+ * the decision space built by ExecutionPlan::preset(). A searched plan
+ * (fromDecisions) is labelled PlanKind::Tuned.
  */
 
 #ifndef MFLSTM_RUNTIME_PLAN_HH
@@ -75,135 +71,55 @@ struct NetworkShape
     bool operator==(const NetworkShape &) const = default;
 };
 
-/** Inter-cell decisions for one layer: the aligned tissue schedule. */
-struct LayerInterPlan
-{
-    /**
-     * Tissue sizes in execution order; sums to the layer length. A
-     * baseline layer is equivalent to all-ones. Produced by breakpoint
-     * search + tissue formation + alignment (src/core/tissue).
-     */
-    std::vector<std::size_t> tissueSizes;
-
-    std::size_t totalCells() const;
-    std::size_t maxTissue() const;
-
-    bool operator==(const LayerInterPlan &) const = default;
-};
-
-/** Intra-cell decisions for one layer. */
-struct LayerIntraPlan
-{
-    /**
-     * Mean fraction of U_{f,i,c} rows skipped per cell (from the
-     * functional DRS pass over the model, src/core/drs).
-     */
-    double skipFraction = 0.0;
-
-    bool operator==(const LayerIntraPlan &) const = default;
-};
-
-/** A full execution plan for one network. */
+/** A full execution plan for one network (DESIGN.md §14). */
 struct ExecutionPlan
 {
+    /// display label: the preset the plan was built from, or Tuned
     PlanKind kind = PlanKind::Baseline;
-    /// one entry per layer when inter-cell optimisation is active
-    std::vector<LayerInterPlan> inter;
-    /// one entry per layer when DRS is active
-    std::vector<LayerIntraPlan> intra;
-    /// element fraction pruned by the zero-pruning comparator
-    double pruneFraction = 0.0;
-    /**
-     * Weight precision the lowered kernels stream (DESIGN.md §12).
-     * Orthogonal to the dataflow kinds above: every kind except
-     * ZeroPruning (whose CSR comparator stays fp32) prices its
-     * W/U traffic at quant::bytesPerWeight(quantMode). For a plan with
-     * explicit per-layer decisions this is a reporting label (the
-     * uniform layer precision, Fp32 when layers disagree); the
-     * lowering reads LayerSchedule::quant.
-     */
-    quant::QuantMode quantMode = quant::QuantMode::Fp32;
-    /**
-     * Explicit per-layer schedule (DESIGN.md §14). Empty on preset
-     * plans: layerSchedule() then derives the canonical decisions from
-     * the legacy fields above. Non-empty decisions take precedence
-     * over the legacy fields everywhere (lowering and the predicate
-     * helpers below).
-     */
+    /// the per-layer schedule the lowering executes
     ScheduleDecisions decisions;
-
-    /** True when this plan carries explicit per-layer decisions. */
-    bool hasExplicitDecisions() const { return !decisions.empty(); }
 
     /**
      * The schedule the lowering executes for @p layer_index: the
-     * explicit decision when present (a dense layer at the plan's
-     * quantMode beyond the decision vector), else the canonical preset
-     * derivation of the legacy fields — exactly the conventions the
-     * pre-§14 lowering hard-coded, including the ZeroPruning fp32
-     * override and the skip path / flag fusion each kind implies.
+     * layer's decision, or a dense fp32 layer beyond the decision
+     * vector (so ExecutionPlan{} is the Algorithm 1 baseline).
      */
     LayerSchedule layerSchedule(std::size_t layer_index) const;
 
+    /** Lowering emits HW-compacted row-skip kernels (CRM available). */
+    bool usesCrmHardware() const;
+
     /**
-     * Compatibility constructor for searched schedules: wraps explicit
-     * @p d into a plan reporting PlanKind::Tuned. quantMode is set to
-     * the layers' uniform precision (Fp32 when mixed) as a display
-     * label. @throws std::invalid_argument via d.validate().
+     * Wrap searched decisions @p d into a plan labelled
+     * PlanKind::Tuned. @throws std::invalid_argument via d.validate().
      */
     static ExecutionPlan fromDecisions(ScheduleDecisions d);
 
     /**
-     * Materialise this plan's schedule for @p num_layers layers as
-     * explicit decisions (layerSchedule() per layer). Lowering the
-     * result via fromDecisions() is bit-identical to lowering this
-     * plan — how the tuner freezes a winning preset into the tuned-plan
-     * artifact.
+     * The canonical decisions of preset @p kind for @p num_layers
+     * layers at precision @p quant. Tissue-using kinds take layer l's
+     * schedule from @p tissue_sizes[l] and skip-using kinds its skip
+     * fraction from @p skip_fractions[l] (a layer beyond either vector
+     * stays dense). The per-kind rules: ZeroPruning is fp32 CSR at
+     * @p prune_fraction; Persistent pins U in the register file;
+     * IntraCellSw skips in software with standalone flags;
+     * IntraCellHw and Combined skip on the CRM with a fused epilogue.
      */
-    ScheduleDecisions explicitDecisions(std::size_t num_layers) const;
-
-    bool usesInter() const
-    {
-        if (hasExplicitDecisions()) {
-            for (const LayerSchedule &l : decisions.layers)
-                if (l.usesTissues())
-                    return true;
-            return false;
-        }
-        // The persistent preset rides the tissue schedule: its waves
-        // are the DRS-relaxed tissue waves, so the planner populates
-        // `inter` for it exactly as for the inter-cell preset.
-        return kind == PlanKind::InterCell ||
-               kind == PlanKind::Combined ||
-               kind == PlanKind::Persistent;
-    }
-    bool usesIntra() const
-    {
-        if (hasExplicitDecisions()) {
-            for (const LayerSchedule &l : decisions.layers)
-                if (l.skipPath != SkipPath::Off)
-                    return true;
-            return false;
-        }
-        return kind == PlanKind::IntraCellSw ||
-               kind == PlanKind::IntraCellHw ||
-               kind == PlanKind::Combined;
-    }
-    /** Lowering emits HW-compacted row-skip kernels (CRM available). */
-    bool usesCrmHardware() const
-    {
-        if (hasExplicitDecisions()) {
-            for (const LayerSchedule &l : decisions.layers)
-                if (l.skipPath == SkipPath::HwCrm)
-                    return true;
-            return false;
-        }
-        return kind == PlanKind::IntraCellHw ||
-               kind == PlanKind::Combined;
-    }
+    static ExecutionPlan
+    preset(PlanKind kind, std::size_t num_layers, quant::QuantMode quant,
+           const std::vector<std::vector<std::size_t>> &tissue_sizes = {},
+           const std::vector<double> &skip_fractions = {},
+           double prune_fraction = 0.0);
 
     bool operator==(const ExecutionPlan &) const = default;
 };
+
+/** Preset @p kind batches cells into tissues (InterCell, Combined,
+ *  Persistent — the persistent waves are the tissue waves). */
+bool presetUsesTissues(PlanKind kind);
+
+/** Preset @p kind skips rows with DRS (IntraCellSw/Hw, Combined). */
+bool presetUsesSkip(PlanKind kind);
 
 } // namespace runtime
 } // namespace mflstm

@@ -17,14 +17,12 @@
  *   - the zero-pruning CSR comparator flow (Section VI-B2);
  *   - an optional batch override (0 inherits the RunRequest batch).
  *
- * Legacy PlanKind values remain expressible as canonical presets:
- * ExecutionPlan::layerSchedule() derives exactly these decisions from
- * the old (kind, inter, intra, pruneFraction, quantMode) fields, and
- * the lowering consumes only LayerSchedule — so presets lower
- * bit-identically through the decision path (runtime_schedule_test
- * locks this in), while the src/sched search composes points the enum
+ * The PlanKind presets are canonical points of this space
+ * (ExecutionPlan::preset builds them), and the lowering consumes only
+ * LayerSchedule — so the src/sched search composes points the enum
  * could never name (e.g. software skip with a fused flag epilogue, or
- * per-layer fp32 fallback under a quantized plan).
+ * per-layer fp32 fallback under a quantized plan) through the same
+ * path.
  */
 
 #ifndef MFLSTM_RUNTIME_SCHEDULE_HH

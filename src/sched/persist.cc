@@ -10,20 +10,10 @@ namespace sched {
 namespace {
 
 /**
- * Schema history:
- *  v1 — initial tuned-plan artifact.
- *  v2 — appends a per-layer weight-residency tag to the decision chunk
- *       and the residency cost-model fields to the GpuConfig chunk.
- *  v3 — appends the hw registry backend id to the fingerprint chunk and
- *       the backend capability flags (int8 dot units, explicit weight
- *       memory) to the GpuConfig chunk.
- * Older files still load: v1's appended fields default to "no
- * residency", v2's to "no recorded backend" (the GpuConfig byte compare
- * remains the staleness guard there) and "no capability flags", which
- * is exactly what those writers simulated.
+ * The one schema version this build reads and writes. Files of any
+ * other version are rejected BadVersion and re-tuned (DESIGN.md §11).
  */
 constexpr std::uint32_t kVersion = 3;
-constexpr std::uint32_t kMinVersion = 1;
 
 const std::uint32_t kChunkFingerprint = io::fourcc('T', 'F', 'P', 'R');
 const std::uint32_t kChunkGpu = io::fourcc('T', 'G', 'P', 'U');
@@ -80,11 +70,11 @@ writeFingerprint(io::ByteWriter &w, const TunedPlanFingerprint &fp)
     w.u64(fp.batch);
     w.u64(fp.mts);
     w.u64(fp.modelHidden);
-    writeString(w, fp.backendId);  // v3
+    writeString(w, fp.backendId);
 }
 
 TunedPlanFingerprint
-readFingerprint(io::ByteReader &r, std::uint32_t version)
+readFingerprint(io::ByteReader &r)
 {
     TunedPlanFingerprint fp;
     fp.weightsCrc = r.u32();
@@ -94,8 +84,7 @@ readFingerprint(io::ByteReader &r, std::uint32_t version)
     fp.batch = r.u64();
     fp.mts = r.u64();
     fp.modelHidden = r.u64();
-    if (version >= 3)
-        fp.backendId = readString(r);
+    fp.backendId = readString(r);
     r.expectEnd();
     return fp;
 }
@@ -112,7 +101,7 @@ writeShape(io::ByteWriter &w, const runtime::NetworkShape &shape)
 }
 
 runtime::NetworkShape
-readShape(io::ByteReader &r)
+readShape(io::ByteReader &r, const io::ArtifactLimits &limits)
 {
     runtime::NetworkShape shape;
     const std::uint64_t count = r.u64();
@@ -120,82 +109,19 @@ readShape(io::ByteReader &r)
         fail(io::ErrorKind::Malformed, "implausible layer count");
     shape.layers.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
-        runtime::LstmLayerShape l;
-        l.inputSize = r.u64();
-        l.hiddenSize = r.u64();
-        l.length = r.u64();
-        shape.layers.push_back(l);
+        const std::uint64_t in = r.u64();
+        const std::uint64_t hid = r.u64();
+        const std::uint64_t len = r.u64();
+        // fsck lowers and simulates this shape: bound it first.
+        for (std::uint64_t dim : {in, hid, len})
+            if (dim == 0 || dim > limits.maxDim)
+                fail(io::ErrorKind::LimitExceeded, "absurd layer shape");
+        shape.layers.push_back({static_cast<std::size_t>(in),
+                                static_cast<std::size_t>(hid),
+                                static_cast<std::size_t>(len)});
     }
     r.expectEnd();
     return shape;
-}
-
-void
-writeDecisions(io::ByteWriter &w,
-               const runtime::ScheduleDecisions &decisions)
-{
-    w.u64(decisions.layers.size());
-    for (const runtime::LayerSchedule &ls : decisions.layers) {
-        std::vector<std::uint64_t> sizes(ls.tissueSizes.begin(),
-                                         ls.tissueSizes.end());
-        w.u64Array(sizes);
-        w.u32(static_cast<std::uint32_t>(ls.skipPath));
-        w.f64(ls.skipFraction);
-        w.u32(static_cast<std::uint32_t>(ls.flagFusion));
-        w.u32(static_cast<std::uint32_t>(ls.quant));
-        w.u32(ls.prunedCsr ? 1 : 0);
-        w.f64(ls.pruneFraction);
-        w.u64(ls.batch);
-        w.u32(static_cast<std::uint32_t>(ls.residency));  // v2
-    }
-}
-
-runtime::ScheduleDecisions
-readDecisions(io::ByteReader &r, std::uint32_t version)
-{
-    runtime::ScheduleDecisions decisions;
-    const std::uint64_t count = r.u64();
-    if (!count || count > 1024)
-        fail(io::ErrorKind::Malformed, "implausible decision count");
-    decisions.layers.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        runtime::LayerSchedule ls;
-        const std::vector<std::uint64_t> sizes = r.u64Array();
-        ls.tissueSizes.assign(sizes.begin(), sizes.end());
-        const std::uint32_t path = r.u32();
-        if (path > static_cast<std::uint32_t>(
-                       runtime::SkipPath::HwCrm))
-            fail(io::ErrorKind::Malformed, "unknown skip path");
-        ls.skipPath = static_cast<runtime::SkipPath>(path);
-        ls.skipFraction = r.f64();
-        const std::uint32_t fusion = r.u32();
-        if (fusion > static_cast<std::uint32_t>(
-                         runtime::FlagFusion::FusedEpilogue))
-            fail(io::ErrorKind::Malformed, "unknown flag fusion");
-        ls.flagFusion = static_cast<runtime::FlagFusion>(fusion);
-        const std::uint32_t qm = r.u32();
-        if (qm > static_cast<std::uint32_t>(quant::QuantMode::Int4))
-            fail(io::ErrorKind::Malformed, "unknown quant mode");
-        ls.quant = static_cast<quant::QuantMode>(qm);
-        ls.prunedCsr = r.u32() != 0;
-        ls.pruneFraction = r.f64();
-        ls.batch = r.u64();
-        if (version >= 2) {
-            const std::uint32_t res = r.u32();
-            if (res > static_cast<std::uint32_t>(
-                          runtime::WeightResidency::Regfile))
-                fail(io::ErrorKind::Malformed, "unknown residency");
-            ls.residency = static_cast<runtime::WeightResidency>(res);
-        }
-        decisions.layers.push_back(std::move(ls));
-    }
-    r.expectEnd();
-    try {
-        decisions.validate();
-    } catch (const std::invalid_argument &e) {
-        fail(io::ErrorKind::Malformed, e.what());
-    }
-    return decisions;
 }
 
 struct Parsed
@@ -205,7 +131,7 @@ struct Parsed
 };
 
 gpu::GpuConfig
-deserializeGpuConfig(io::ByteReader &r, std::uint32_t version)
+deserializeGpuConfig(io::ByteReader &r)
 {
     gpu::GpuConfig cfg;
     cfg.name = readString(r);
@@ -240,16 +166,12 @@ deserializeGpuConfig(io::ByteReader &r, std::uint32_t version)
     cfg.crmPipelineCycles = r.u32();
     cfg.crmPjPerThread = r.f64();
     cfg.crmStaticW = r.f64();
-    if (version >= 2) {
-        cfg.regFileBytesPerSm = r.u64();
-        cfg.sharedResidencyFraction = r.f64();
-        cfg.regfileResidencyFraction = r.f64();
-        cfg.residencyOccupancyPenalty = r.f64();
-    }
-    if (version >= 3) {
-        cfg.int8DotUnits = r.u32() != 0;
-        cfg.explicitWeightMemory = r.u32() != 0;
-    }
+    cfg.regFileBytesPerSm = r.u64();
+    cfg.sharedResidencyFraction = r.f64();
+    cfg.regfileResidencyFraction = r.f64();
+    cfg.residencyOccupancyPenalty = r.f64();
+    cfg.int8DotUnits = r.u32() != 0;
+    cfg.explicitWeightMemory = r.u32() != 0;
     r.expectEnd();
     return cfg;
 }
@@ -260,7 +182,7 @@ parse(const std::string &path, const io::ArtifactLimits &limits)
 {
     io::ArtifactReader reader(path, io::kSchemaTunedPlan, limits);
     const std::uint32_t version = reader.schemaVersion();
-    if (version < kMinVersion || version > kVersion)
+    if (version != kVersion)
         fail(io::ErrorKind::BadVersion,
              "schema version " + std::to_string(version) +
                  " unsupported");
@@ -268,20 +190,21 @@ parse(const std::string &path, const io::ArtifactLimits &limits)
     Parsed out;
     {
         io::ByteReader r = reader.chunk(kChunkFingerprint);
-        out.artifact.fingerprint = readFingerprint(r, version);
+        out.artifact.fingerprint = readFingerprint(r);
     }
     {
         io::ByteReader r = reader.chunk(kChunkGpu);
-        out.artifact.gpu = deserializeGpuConfig(r, version);
+        out.artifact.gpu = deserializeGpuConfig(r);
         out.gpuBytes = serializeGpuConfig(out.artifact.gpu);
     }
     {
         io::ByteReader r = reader.chunk(kChunkShape);
-        out.artifact.shape = readShape(r);
+        out.artifact.shape = readShape(r, limits);
     }
     {
         io::ByteReader r = reader.chunk(kChunkDecisions);
-        out.artifact.decisions = readDecisions(r, version);
+        out.artifact.decisions = readDecisions(r, limits);
+        r.expectEnd();
     }
     if (out.artifact.decisions.layers.size() !=
         out.artifact.shape.layers.size())
@@ -402,6 +325,99 @@ statsCrc(const std::vector<core::LayerApproxStats> &stats)
 
 namespace {
 
+[[noreturn]] void
+failDecisions(io::ErrorKind kind, const std::string &msg)
+{
+    throw io::ArtifactError(kind, "schedule decisions: " + msg);
+}
+
+template <typename Enum>
+Enum
+readEnum(io::ByteReader &r, Enum max, const char *what)
+{
+    const std::uint32_t v = r.u32();
+    if (v > static_cast<std::uint32_t>(max))
+        failDecisions(io::ErrorKind::Malformed,
+                      std::string("unknown ") + what);
+    return static_cast<Enum>(v);
+}
+
+double
+readFinite(io::ByteReader &r, const char *what)
+{
+    const double v = r.f64();
+    if (!std::isfinite(v))
+        failDecisions(io::ErrorKind::NonFinite,
+                      std::string("non-finite ") + what);
+    return v;
+}
+
+} // anonymous namespace
+
+void
+writeDecisions(io::ByteWriter &w,
+               const runtime::ScheduleDecisions &decisions)
+{
+    w.u64(decisions.layers.size());
+    for (const runtime::LayerSchedule &ls : decisions.layers) {
+        std::vector<std::uint64_t> sizes(ls.tissueSizes.begin(),
+                                         ls.tissueSizes.end());
+        w.u64Array(sizes);
+        w.u32(static_cast<std::uint32_t>(ls.skipPath));
+        w.f64(ls.skipFraction);
+        w.u32(static_cast<std::uint32_t>(ls.flagFusion));
+        w.u32(static_cast<std::uint32_t>(ls.quant));
+        w.u32(ls.prunedCsr ? 1 : 0);
+        w.f64(ls.pruneFraction);
+        w.u64(ls.batch);
+        w.u32(static_cast<std::uint32_t>(ls.residency));
+    }
+}
+
+runtime::ScheduleDecisions
+readDecisions(io::ByteReader &r, const io::ArtifactLimits &limits)
+{
+    runtime::ScheduleDecisions decisions;
+    const std::uint64_t count = r.u64();
+    if (!count || count > 1024)
+        failDecisions(io::ErrorKind::Malformed, "implausible layer count");
+    if (count > limits.maxDim)
+        failDecisions(io::ErrorKind::LimitExceeded, "absurd layer count");
+    decisions.layers.reserve(count);
+    for (std::uint64_t i = 0; i < count; ++i) {
+        runtime::LayerSchedule &ls = decisions.layers.emplace_back();
+        for (std::uint64_t t : r.u64Array()) {
+            if (t > limits.maxDim)
+                failDecisions(io::ErrorKind::LimitExceeded,
+                              "absurd tissue size");
+            ls.tissueSizes.push_back(static_cast<std::size_t>(t));
+        }
+        ls.skipPath =
+            readEnum(r, runtime::SkipPath::HwCrm, "skip path");
+        ls.skipFraction = readFinite(r, "skipFraction");
+        ls.flagFusion = readEnum(r, runtime::FlagFusion::FusedEpilogue,
+                                 "flag fusion");
+        ls.quant = readEnum(r, quant::QuantMode::Int4, "quant mode");
+        ls.prunedCsr = r.u32() != 0;
+        ls.pruneFraction = readFinite(r, "pruneFraction");
+        const std::uint64_t batch = r.u64();
+        if (batch > limits.maxDim)
+            failDecisions(io::ErrorKind::LimitExceeded,
+                          "absurd layer batch");
+        ls.batch = static_cast<std::size_t>(batch);
+        ls.residency = readEnum(r, runtime::WeightResidency::Regfile,
+                                "residency");
+    }
+    try {
+        decisions.validate();
+    } catch (const std::invalid_argument &e) {
+        failDecisions(io::ErrorKind::Malformed, e.what());
+    }
+    return decisions;
+}
+
+namespace {
+
 void
 serializeGpuConfigInto(io::ByteWriter &w, const gpu::GpuConfig &cfg)
 {
@@ -437,12 +453,10 @@ serializeGpuConfigInto(io::ByteWriter &w, const gpu::GpuConfig &cfg)
     w.u32(cfg.crmPipelineCycles);
     w.f64(cfg.crmPjPerThread);
     w.f64(cfg.crmStaticW);
-    // v2: residency cost-model fields
     w.u64(cfg.regFileBytesPerSm);
     w.f64(cfg.sharedResidencyFraction);
     w.f64(cfg.regfileResidencyFraction);
     w.f64(cfg.residencyOccupancyPenalty);
-    // v3: backend capability flags
     w.u32(cfg.int8DotUnits ? 1 : 0);
     w.u32(cfg.explicitWeightMemory ? 1 : 0);
 }
@@ -472,11 +486,7 @@ makeTunedPlanArtifact(const TuneRequest &req, std::uint32_t weights_crc,
     art.fingerprint.backendId = req.backendId;
     art.gpu = gpu;
     art.shape = req.shape;
-    art.decisions =
-        result.chosen.plan.hasExplicitDecisions()
-            ? result.chosen.plan.decisions
-            : result.chosen.plan.explicitDecisions(
-                  req.shape.layers.size());
+    art.decisions = result.chosen.plan.decisions;
     art.timeUs = result.chosen.timeUs;
     art.dramBytes = result.chosen.dramBytes;
     art.chosenLabel = result.chosen.label;
@@ -540,10 +550,6 @@ loadTunedPlan(const std::string &path, const gpu::GpuConfig &gpu,
         want.mts = req.mts;
         want.modelHidden = req.modelHidden;
         want.backendId = req.backendId;
-        // v1/v2 artifacts recorded no backend id; the GpuConfig byte
-        // compare below remains the staleness guard for those files.
-        if (art.fingerprint.backendId.empty())
-            want.backendId.clear();
         if (!(art.fingerprint == want))
             fail(io::ErrorKind::Stale,
                  "fingerprint does not match this model/request");

@@ -42,9 +42,7 @@ struct TunedPlanFingerprint
     std::uint64_t batch = 1;
     std::uint64_t mts = 1;
     std::uint64_t modelHidden = 0;
-    /// hw registry backend id (v3+; "" on files written before v3, in
-    /// which case the GpuConfig byte compare is the staleness guard)
-    std::string backendId;
+    std::string backendId;  ///< hw registry backend id
 
     bool operator==(const TunedPlanFingerprint &) const = default;
 };
@@ -82,6 +80,25 @@ statsCrc(const std::vector<core::LayerApproxStats> &stats);
 
 /** Deterministic byte serialization of @p cfg (also the staleness key). */
 std::vector<std::uint8_t> serializeGpuConfig(const gpu::GpuConfig &cfg);
+
+/**
+ * The per-layer LayerSchedule codec every artifact that stores
+ * decisions shares (the tuned plan and the engine warm state): a u64
+ * layer count, then one fixed record per layer.
+ */
+void writeDecisions(io::ByteWriter &w,
+                    const runtime::ScheduleDecisions &decisions);
+
+/**
+ * Read what writeDecisions wrote, trusting nothing: the layer count is
+ * bounded, enum tags must be known, fractions finite, tissue sizes and
+ * batch overrides within @p limits.maxDim, and the result must pass
+ * ScheduleDecisions::validate(). The caller checks the end of its
+ * chunk. @throws io::ArtifactError (Malformed, NonFinite or
+ * LimitExceeded).
+ */
+runtime::ScheduleDecisions readDecisions(io::ByteReader &r,
+                                         const io::ArtifactLimits &limits);
 
 /** Assemble the artifact for @p result tuned under @p req. */
 TunedPlanArtifact

@@ -53,8 +53,8 @@ TuneRequest::validate() const
 
 std::vector<LayerOption>
 enumerateLayerOptions(const TuneRequest &req, std::size_t layer_index,
-                      const std::vector<runtime::LayerInterPlan> &inter,
-                      const std::vector<runtime::LayerInterPlan>
+                      const std::vector<std::vector<std::size_t>> &inter,
+                      const std::vector<std::vector<std::size_t>>
                           &combined_inter,
                       const gpu::GpuConfig &cfg)
 {
@@ -113,28 +113,27 @@ enumerateLayerOptions(const TuneRequest &req, std::size_t layer_index,
         add("persistent-regfile", prf);
     }
 
-    if (layer_index < inter.size()) {
-        const auto &sizes = inter[layer_index].tissueSizes;
-        if (inter[layer_index].maxTissue() > 1) {
-            runtime::LayerSchedule tis = dense;
-            tis.tissueSizes = sizes;
-            add("tissues", tis);
+    const auto multi_cell = [&](const std::vector<std::size_t> &sizes) {
+        return std::any_of(sizes.begin(), sizes.end(),
+                           [](std::size_t t) { return t > 1; });
+    };
+    if (layer_index < inter.size() && multi_cell(inter[layer_index])) {
+        runtime::LayerSchedule tis = dense;
+        tis.tissueSizes = inter[layer_index];
+        add("tissues", tis);
 
-            runtime::LayerSchedule tp = tis;
-            tp.residency = runtime::WeightResidency::Regfile;
-            add("tissues+persistent", tp);
-        }
+        runtime::LayerSchedule tp = tis;
+        tp.residency = runtime::WeightResidency::Regfile;
+        add("tissues+persistent", tp);
     }
-    if (skip > 0.0 && layer_index < combined_inter.size()) {
-        const auto &sizes = combined_inter[layer_index].tissueSizes;
-        if (combined_inter[layer_index].maxTissue() > 1) {
-            runtime::LayerSchedule both = dense;
-            both.tissueSizes = sizes;
-            both.skipPath = runtime::SkipPath::HwCrm;
-            both.skipFraction = skip;
-            both.flagFusion = runtime::FlagFusion::FusedEpilogue;
-            add("tissues+skip", both);
-        }
+    if (skip > 0.0 && layer_index < combined_inter.size() &&
+        multi_cell(combined_inter[layer_index])) {
+        runtime::LayerSchedule both = dense;
+        both.tissueSizes = combined_inter[layer_index];
+        both.skipPath = runtime::SkipPath::HwCrm;
+        both.skipFraction = skip;
+        both.flagFusion = runtime::FlagFusion::FusedEpilogue;
+        add("tissues+skip", both);
     }
 
     if (req.pruneFraction > 0.0 && req.pruneFraction < 1.0) {

@@ -92,8 +92,8 @@ struct LayerOption
  */
 std::vector<LayerOption>
 enumerateLayerOptions(const TuneRequest &req, std::size_t layer_index,
-                      const std::vector<runtime::LayerInterPlan> &inter,
-                      const std::vector<runtime::LayerInterPlan>
+                      const std::vector<std::vector<std::size_t>> &inter,
+                      const std::vector<std::vector<std::size_t>>
                           &combined_inter,
                       const gpu::GpuConfig &cfg);
 

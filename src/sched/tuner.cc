@@ -19,15 +19,6 @@ constexpr runtime::PlanKind kPresets[] = {
     runtime::PlanKind::Persistent,
 };
 
-double
-meanSkip(const TuneRequest &req)
-{
-    double skip = 0.0;
-    for (const core::LayerApproxStats &st : req.stats)
-        skip += st.skipFraction(req.modelHidden);
-    return skip / static_cast<double>(req.stats.size());
-}
-
 /**
  * Cheap pre-simulation cost: total DRAM bytes of the lowered trace.
  * This is the byte-estimate prune of DESIGN.md §14 — it ranks layer
@@ -72,31 +63,17 @@ presetPlan(const runtime::NetworkExecutor &exec, const TuneRequest &req,
 {
     req.validate();
 
-    runtime::ExecutionPlan plan;
-    plan.kind = kind;
-    plan.quantMode = req.quant;
-    if (kind == runtime::PlanKind::Baseline)
-        return plan;
-    if (kind == runtime::PlanKind::ZeroPruning) {
-        plan.pruneFraction = req.pruneFraction;
-        return plan;
-    }
+    if (kind == runtime::PlanKind::Baseline ||
+        kind == runtime::PlanKind::ZeroPruning)
+        return runtime::ExecutionPlan::preset(
+            kind, req.shape.layers.size(), req.quant, {}, {},
+            req.pruneFraction);
 
-    std::size_t mts = req.mts;
-    if (kind == runtime::PlanKind::Combined) {
-        // DRS relieves on-chip traffic inside the tissue GEMM, which
-        // raises the bandwidth-limited MTS (same re-sweep the facade's
-        // planFromStats performs).
-        const double skip = meanSkip(req);
-        if (skip > 0.0)
-            mts = core::findMts(exec, req.shape.layers.front(), 12, skip)
-                      .mts;
-    }
-
-    runtime::ExecutionPlan built = core::buildPlan(
-        kind, req.stats, req.shape, mts, req.modelHidden);
-    built.quantMode = req.quant;
-    return built;
+    const std::size_t mts =
+        core::presetMts(exec, kind, req.stats, req.shape.layers.front(),
+                        req.mts, req.modelHidden);
+    return core::buildPlan(kind, req.stats, req.shape, mts,
+                           req.modelHidden, req.quant);
 }
 
 double
@@ -126,17 +103,24 @@ tune(const runtime::NetworkExecutor &exec, const TuneRequest &req)
         return result.candidates.back();
     };
 
-    // --- 1. The legacy presets, through the canonical construction ----
+    // --- 1. The presets, through the canonical construction ----------
     for (runtime::PlanKind kind : kPresets)
         score(std::string("preset:") + runtime::toString(kind),
               presetPlan(exec, req, kind));
     const std::size_t preset_count = result.candidates.size();
 
     // --- 2. Per-layer rule enumeration + byte prune + layer scoring ---
-    const std::vector<runtime::LayerInterPlan> inter =
-        presetPlan(exec, req, runtime::PlanKind::InterCell).inter;
-    const std::vector<runtime::LayerInterPlan> combined_inter =
-        presetPlan(exec, req, runtime::PlanKind::Combined).inter;
+    const auto tissues = [&](runtime::PlanKind kind) {
+        std::vector<std::vector<std::size_t>> sizes;
+        for (const runtime::LayerSchedule &ls :
+             presetPlan(exec, req, kind).decisions.layers)
+            sizes.push_back(ls.tissueSizes);
+        return sizes;
+    };
+    const std::vector<std::vector<std::size_t>> inter =
+        tissues(runtime::PlanKind::InterCell);
+    const std::vector<std::vector<std::size_t>> combined_inter =
+        tissues(runtime::PlanKind::Combined);
 
     std::vector<runtime::LayerSchedule> min_time, min_bytes;
     std::vector<std::string> time_labels, bytes_labels;
@@ -232,14 +216,8 @@ tune(const runtime::NetworkExecutor &exec, const TuneRequest &req)
             chosen = &c;
     }
 
-    // Freeze the winner as explicit decisions: lowering them is
-    // bit-identical to the winning candidate (plan-API §14 contract).
-    Candidate frozen = *chosen;
-    if (!frozen.plan.hasExplicitDecisions()) {
-        frozen.plan = runtime::ExecutionPlan::fromDecisions(
-            frozen.plan.explicitDecisions(req.shape.layers.size()));
-    }
-    result.chosen = std::move(frozen);
+    result.chosen = *chosen;
+    result.chosen.plan.kind = runtime::PlanKind::Tuned;
     result.chosenLayerLabels =
         chosen->label == "search:min-bytes" ? bytes_labels : time_labels;
     if (chosen->label.rfind("preset:", 0) == 0)

@@ -5,11 +5,11 @@
  * QuantMode) point: rule-driven enumeration per layer, a cheap
  * lowering-level byte-estimate prune, per-layer scoring by single-layer
  * simulation, then full-network simulation of the composed candidates
- * next to every legacy PlanKind preset. Selection is dominance-gated:
- * the chosen plan is never worse than the best preset on simulated
- * time *and* DRAM bytes, by construction (the best preset itself stays
- * eligible). The winner is frozen into explicit ScheduleDecisions
- * (PlanKind::Tuned), ready for the persist.hh cache artifact.
+ * next to every PlanKind preset. Selection is dominance-gated: the
+ * chosen plan is never worse than the best preset on simulated time
+ * *and* DRAM bytes, by construction (the best preset itself stays
+ * eligible). The winner is relabelled PlanKind::Tuned; its decisions
+ * go into the persist.hh cache artifact as they are.
  *
  * Everything here is deterministic: same request + same GpuConfig →
  * the same candidate table, the same chosen plan, byte-identical
@@ -41,7 +41,7 @@ struct Candidate
 /** The tuner's full output (everything the table/report prints). */
 struct TuneResult
 {
-    /// the winner, frozen as explicit decisions (PlanKind::Tuned)
+    /// the winning candidate, relabelled PlanKind::Tuned
     Candidate chosen;
     /// what the winner's decisions were composed from, per layer
     std::vector<std::string> chosenLayerLabels;

@@ -221,9 +221,7 @@ InferenceEngine::InferenceEngine(const core::MemoryFriendlyLstm &mf,
             ErrorKind::Stale,
             "InferenceEngine: warm state tuning mode does not match "
             "Options::tunePlans");
-    // Pre-v5 states recorded no backend; those load under any backend
-    // (the weights CRC and shape checks above still guard them).
-    if (!warm.backendId.empty() && warm.backendId != opts_.backendId)
+    if (warm.backendId != opts_.backendId)
         throw ArtifactError(
             ErrorKind::Stale,
             "InferenceEngine: warm state was saved under backend '" +

@@ -71,8 +71,7 @@ inline constexpr const char *kEngineKilledError = "engine killed";
 struct EngineWarmState
 {
     runtime::PlanKind plan = runtime::PlanKind::Combined;
-    /// hw registry backend id the plans were built under ("" on states
-    /// saved before schema v5; the restart check treats "" as wildcard)
+    /// hw registry backend id the plans were built under
     std::string backendId;
     double pruneFraction = 0.37;
     runtime::NetworkShape shape;
@@ -102,8 +101,7 @@ class InferenceEngine
          * hw registry id of the backend this engine simulates on
          * (DESIGN.md §17). Recorded in tuned-plan fingerprints and the
          * warm-state artifact, so a cache or warm state built under one
-         * backend is rejected as Stale under another. "" = unspecified
-         * (legacy callers; no backend check on restart).
+         * backend is rejected as Stale under another. "" = unspecified.
          */
         std::string backendId;
         /**

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "quant/qformat.hh"
+#include "sched/persist.hh"
 
 namespace mflstm {
 namespace serve {
@@ -13,22 +14,11 @@ using io::ArtifactError;
 using io::ErrorKind;
 
 /**
- * v1: thresholds are (alphaInter, alphaIntra) and plans carry no
- *     precision (everything implicitly fp32);
- * v2: adds a u32 QuantMode per ladder rung and per plan;
- * v3: plans may carry explicit ScheduleDecisions (PlanKind::Tuned,
- *     DESIGN.md §14) and the fingerprint records whether the engine
- *     was built with Options::tunePlans. v1/v2 files stay loadable —
- *     their plans carry no decisions and tunedPlans defaults to false;
- * v4: plans may use PlanKind::Persistent and per-layer decisions carry
- *     a weight-residency tag (DESIGN.md §15). v1-v3 files stay
- *     loadable — residency defaults to none.
- * v5: the fingerprint records the hw registry backend id the plans were
- *     built under (DESIGN.md §17). v1-v4 files stay loadable — their
- *     backend id is empty, which the warm constructor treats as a
- *     wildcard (weights CRC + shape still guard them).
+ * The one schema version this build reads and writes. Files of any
+ * other version are rejected BadVersion; the serve CLI and the fleet
+ * replica quarantine them and rebuild cold (DESIGN.md §11).
  */
-constexpr std::uint32_t kEngineSchemaVersion = 5;
+constexpr std::uint32_t kEngineSchemaVersion = 6;
 
 constexpr std::uint32_t kMaxQuantMode =
     static_cast<std::uint32_t>(quant::QuantMode::Int4);
@@ -48,15 +38,8 @@ constexpr std::uint32_t kChunkFingerprint = io::fourcc('E', 'F', 'P', 'R');
 constexpr std::uint32_t kChunkShape = io::fourcc('E', 'S', 'H', 'P');
 constexpr std::uint32_t kChunkLadder = io::fourcc('E', 'L', 'A', 'D');
 
-/** The newest plan kind each schema version can legitimately carry. */
-std::uint32_t
-maxPlanKindFor(std::uint32_t version)
-{
-    return static_cast<std::uint32_t>(
-        version >= 4   ? runtime::PlanKind::Persistent
-        : version >= 3 ? runtime::PlanKind::Tuned
-                       : runtime::PlanKind::ZeroPruning);
-}
+constexpr std::uint32_t kMaxPlanKind =
+    static_cast<std::uint32_t>(runtime::PlanKind::Persistent);
 
 std::uint32_t
 rungPlanTag(std::size_t rung)
@@ -73,167 +56,33 @@ requireFinite(double v, const char *what, const std::string &path)
                                 ": non-finite " + what);
 }
 
+/** A rung's plan chunk: the u32 PlanKind label, then its decisions. */
 void
 writePlan(io::ByteWriter &w, const runtime::ExecutionPlan &plan)
 {
     w.u32(static_cast<std::uint32_t>(plan.kind));
-    w.u32(static_cast<std::uint32_t>(plan.quantMode));
-    w.f64(plan.pruneFraction);
-    w.u64(plan.inter.size());
-    for (const runtime::LayerInterPlan &p : plan.inter) {
-        std::vector<std::uint64_t> sizes(p.tissueSizes.begin(),
-                                         p.tissueSizes.end());
-        w.u64Array(sizes);
-    }
-    w.u64(plan.intra.size());
-    for (const runtime::LayerIntraPlan &p : plan.intra)
-        w.f64(p.skipFraction);
-    // v3: explicit per-layer decisions (empty marker for preset plans).
-    w.u32(plan.hasExplicitDecisions() ? 1 : 0);
-    if (plan.hasExplicitDecisions()) {
-        w.u64(plan.decisions.layers.size());
-        for (const runtime::LayerSchedule &ls : plan.decisions.layers) {
-            std::vector<std::uint64_t> sizes(ls.tissueSizes.begin(),
-                                             ls.tissueSizes.end());
-            w.u64Array(sizes);
-            w.u32(static_cast<std::uint32_t>(ls.skipPath));
-            w.f64(ls.skipFraction);
-            w.u32(static_cast<std::uint32_t>(ls.flagFusion));
-            w.u32(static_cast<std::uint32_t>(ls.quant));
-            w.u32(ls.prunedCsr ? 1 : 0);
-            w.f64(ls.pruneFraction);
-            w.u64(ls.batch);
-            w.u32(static_cast<std::uint32_t>(ls.residency));  // v4
-        }
-    }
+    sched::writeDecisions(w, plan.decisions);
 }
 
-runtime::ScheduleDecisions
-readDecisions(io::ByteReader &r, std::uint32_t version,
-              const io::ArtifactLimits &limits, const std::string &path)
+runtime::PlanKind
+readPlanKind(io::ByteReader &r, const std::string &path)
 {
-    runtime::ScheduleDecisions decisions;
-    const std::uint64_t layers = r.u64();
-    if (layers == 0 || layers > limits.maxDim)
-        throw ArtifactError(ErrorKind::LimitExceeded,
-                            "loadEngineState: " + path +
-                                ": absurd decision layer count");
-    for (std::uint64_t l = 0; l < layers; ++l) {
-        runtime::LayerSchedule ls;
-        for (std::uint64_t s : r.u64Array()) {
-            if (s > limits.maxDim)
-                throw ArtifactError(ErrorKind::LimitExceeded,
-                                    "loadEngineState: " + path +
-                                        ": absurd tissue size");
-            ls.tissueSizes.push_back(static_cast<std::size_t>(s));
-        }
-        const std::uint32_t skip_path = r.u32();
-        if (skip_path >
-            static_cast<std::uint32_t>(runtime::SkipPath::HwCrm))
-            throw ArtifactError(ErrorKind::Malformed,
-                                "loadEngineState: " + path +
-                                    ": unknown skip path");
-        ls.skipPath = static_cast<runtime::SkipPath>(skip_path);
-        ls.skipFraction = r.f64();
-        requireFinite(ls.skipFraction, "skipFraction", path);
-        const std::uint32_t fusion = r.u32();
-        if (fusion > static_cast<std::uint32_t>(
-                         runtime::FlagFusion::FusedEpilogue))
-            throw ArtifactError(ErrorKind::Malformed,
-                                "loadEngineState: " + path +
-                                    ": unknown flag fusion");
-        ls.flagFusion = static_cast<runtime::FlagFusion>(fusion);
-        ls.quant = readQuantMode(r, path);
-        ls.prunedCsr = r.u32() != 0;
-        ls.pruneFraction = r.f64();
-        requireFinite(ls.pruneFraction, "pruneFraction", path);
-        const std::uint64_t batch = r.u64();
-        if (batch > limits.maxDim)
-            throw ArtifactError(ErrorKind::LimitExceeded,
-                                "loadEngineState: " + path +
-                                    ": absurd layer batch");
-        ls.batch = static_cast<std::size_t>(batch);
-        if (version >= 4) {
-            const std::uint32_t res = r.u32();
-            if (res > static_cast<std::uint32_t>(
-                          runtime::WeightResidency::Regfile))
-                throw ArtifactError(ErrorKind::Malformed,
-                                    "loadEngineState: " + path +
-                                        ": unknown residency");
-            ls.residency = static_cast<runtime::WeightResidency>(res);
-        }
-        decisions.layers.push_back(std::move(ls));
-    }
-    try {
-        decisions.validate();
-    } catch (const std::exception &e) {
-        throw ArtifactError(ErrorKind::Malformed,
-                            "loadEngineState: " + path + ": " +
-                                e.what());
-    }
-    return decisions;
-}
-
-runtime::ExecutionPlan
-readPlan(io::ByteReader &r, std::uint32_t version,
-         const io::ArtifactLimits &limits, const std::string &path)
-{
-    runtime::ExecutionPlan plan;
     const std::uint32_t kind = r.u32();
-    if (kind > maxPlanKindFor(version))
+    if (kind > kMaxPlanKind)
         throw ArtifactError(ErrorKind::Malformed,
                             "loadEngineState: " + path +
                                 ": unknown plan kind " +
                                 std::to_string(kind));
-    plan.kind = static_cast<runtime::PlanKind>(kind);
-    if (version >= 2)
-        plan.quantMode = readQuantMode(r, path);
-    plan.pruneFraction = r.f64();
-    requireFinite(plan.pruneFraction, "pruneFraction", path);
+    return static_cast<runtime::PlanKind>(kind);
+}
 
-    const std::uint64_t inter_count = r.u64();
-    if (inter_count > limits.maxDim)
-        throw ArtifactError(ErrorKind::LimitExceeded,
-                            "loadEngineState: " + path +
-                                ": absurd inter-plan layer count");
-    plan.inter.reserve(static_cast<std::size_t>(inter_count));
-    for (std::uint64_t l = 0; l < inter_count; ++l) {
-        runtime::LayerInterPlan p;
-        for (std::uint64_t s : r.u64Array()) {
-            if (s > limits.maxDim)
-                throw ArtifactError(ErrorKind::LimitExceeded,
-                                    "loadEngineState: " + path +
-                                        ": absurd tissue size");
-            p.tissueSizes.push_back(static_cast<std::size_t>(s));
-        }
-        plan.inter.push_back(std::move(p));
-    }
-
-    const std::uint64_t intra_count = r.u64();
-    if (intra_count > limits.maxDim)
-        throw ArtifactError(ErrorKind::LimitExceeded,
-                            "loadEngineState: " + path +
-                                ": absurd intra-plan layer count");
-    plan.intra.reserve(static_cast<std::size_t>(intra_count));
-    for (std::uint64_t l = 0; l < intra_count; ++l) {
-        runtime::LayerIntraPlan p;
-        p.skipFraction = r.f64();
-        requireFinite(p.skipFraction, "skipFraction", path);
-        if (p.skipFraction < 0.0 || p.skipFraction > 1.0)
-            throw ArtifactError(ErrorKind::Malformed,
-                                "loadEngineState: " + path +
-                                    ": skipFraction outside [0, 1]");
-        plan.intra.push_back(p);
-    }
-    if (version >= 3) {
-        const std::uint32_t has_decisions = r.u32();
-        if (has_decisions > 1)
-            throw ArtifactError(ErrorKind::Malformed,
-                                "loadEngineState: " + path +
-                                    ": bad decisions marker");
-        if (has_decisions)
-            plan.decisions = readDecisions(r, version, limits, path);
-    }
+runtime::ExecutionPlan
+readPlan(io::ByteReader &r, const io::ArtifactLimits &limits,
+         const std::string &path)
+{
+    runtime::ExecutionPlan plan;
+    plan.kind = readPlanKind(r, path);
+    plan.decisions = sched::readDecisions(r, limits);
     r.expectEnd();
     return plan;
 }
@@ -243,7 +92,7 @@ parseState(const io::ArtifactReader &reader,
            const io::ArtifactLimits &limits, const std::string &path)
 {
     const std::uint32_t version = reader.schemaVersion();
-    if (version < 1 || version > kEngineSchemaVersion)
+    if (version != kEngineSchemaVersion)
         throw ArtifactError(
             ErrorKind::BadVersion,
             "loadEngineState: " + path +
@@ -254,29 +103,19 @@ parseState(const io::ArtifactReader &reader,
     {
         io::ByteReader r = reader.chunk(kChunkFingerprint);
         state.modelWeightsCrc = r.u32();
-        const std::uint32_t kind = r.u32();
-        if (kind > maxPlanKindFor(version))
-            throw ArtifactError(ErrorKind::Malformed,
-                                "loadEngineState: " + path +
-                                    ": unknown plan kind");
-        state.plan = static_cast<runtime::PlanKind>(kind);
+        state.plan = readPlanKind(r, path);
         state.pruneFraction = r.f64();
         requireFinite(state.pruneFraction, "pruneFraction", path);
-        if (version >= 3) {
-            const std::uint32_t tuned = r.u32();
-            if (tuned > 1)
-                throw ArtifactError(ErrorKind::Malformed,
-                                    "loadEngineState: " + path +
-                                        ": bad tunedPlans flag");
-            state.tunedPlans = tuned != 0;
-        }
-        if (version >= 5) {
-            const std::vector<std::int8_t> raw = r.u8Array();
-            if (!raw.empty())
-                state.backendId.assign(
-                    reinterpret_cast<const char *>(raw.data()),
-                    raw.size());
-        }
+        const std::uint32_t tuned = r.u32();
+        if (tuned > 1)
+            throw ArtifactError(ErrorKind::Malformed,
+                                "loadEngineState: " + path +
+                                    ": bad tunedPlans flag");
+        state.tunedPlans = tuned != 0;
+        const std::vector<std::int8_t> raw = r.u8Array();
+        if (!raw.empty())
+            state.backendId.assign(
+                reinterpret_cast<const char *>(raw.data()), raw.size());
         r.expectEnd();
     }
     {
@@ -315,8 +154,7 @@ parseState(const io::ArtifactReader &reader,
             core::ThresholdSet set;
             set.alphaInter = r.f64();
             set.alphaIntra = r.f64();
-            if (version >= 2)
-                set.quant = readQuantMode(r, path);
+            set.quant = readQuantMode(r, path);
             requireFinite(set.alphaInter, "alphaInter", path);
             requireFinite(set.alphaIntra, "alphaIntra", path);
             if (set.alphaInter < 0.0 || set.alphaIntra < 0.0 ||
@@ -330,7 +168,7 @@ parseState(const io::ArtifactReader &reader,
     }
     for (std::size_t i = 0; i < state.ladder.size(); ++i) {
         io::ByteReader r = reader.chunk(rungPlanTag(i));
-        state.plans.push_back(readPlan(r, version, limits, path));
+        state.plans.push_back(readPlan(r, limits, path));
     }
     return state;
 }
@@ -349,7 +187,7 @@ saveEngineState(const EngineWarmState &state, const std::string &path)
     f.u32(state.tunedPlans ? 1 : 0);
     f.u8Array({reinterpret_cast<const std::int8_t *>(
                    state.backendId.data()),
-               state.backendId.size()});  // v5
+               state.backendId.size()});
 
     io::ByteWriter &s = w.chunk(kChunkShape);
     s.u64(state.shape.layers.size());

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "core/api.hh"
 #include "tensor/rng.hh"
 
@@ -97,7 +100,8 @@ TEST_F(ApiTest, ZeroPruningNeedsNoCalibration)
     const TimingOutcome out =
         mf.evaluateTiming(runtime::PlanKind::ZeroPruning, 0.37);
     EXPECT_LT(out.speedup, 1.0);  // Fig. 16: pruning degrades GPU perf
-    EXPECT_DOUBLE_EQ(out.plan.pruneFraction, 0.37);
+    for (const runtime::LayerSchedule &ls : out.plan.decisions.layers)
+        EXPECT_DOUBLE_EQ(ls.pruneFraction, 0.37);
 }
 
 TEST_F(ApiTest, IntraCellTimingImprovesWithSkips)
@@ -122,8 +126,8 @@ TEST_F(ApiTest, IntraCellTimingImprovesWithSkips)
         EXPECT_GT(sw.speedup, 0.9);
     }
     EXPECT_EQ(hw.plan.kind, runtime::PlanKind::IntraCellHw);
-    ASSERT_EQ(hw.plan.intra.size(), 2u);
-    EXPECT_NEAR(hw.plan.intra[0].skipFraction, skip, 1e-9);
+    ASSERT_EQ(hw.plan.decisions.layers.size(), 2u);
+    EXPECT_NEAR(hw.plan.layerSchedule(0).skipFraction, skip, 1e-9);
 }
 
 TEST_F(ApiTest, InterCellTimingUsesAlignedTissues)
@@ -136,11 +140,13 @@ TEST_F(ApiTest, InterCellTimingUsesAlignedTissues)
 
     const TimingOutcome out =
         mf.evaluateTiming(runtime::PlanKind::InterCell);
-    ASSERT_EQ(out.plan.inter.size(), 2u);
-    for (const auto &ip : out.plan.inter) {
-        EXPECT_EQ(ip.totalCells(), 40u);
-        EXPECT_LE(ip.maxTissue(), mf.calibration().mts);
-        EXPECT_EQ(ip.maxTissue(), mf.calibration().mts);
+    ASSERT_EQ(out.plan.decisions.layers.size(), 2u);
+    for (const runtime::LayerSchedule &ls : out.plan.decisions.layers) {
+        const std::vector<std::size_t> &t = ls.tissueSizes;
+        EXPECT_EQ(std::accumulate(t.begin(), t.end(), std::size_t{0}),
+                  40u);
+        EXPECT_EQ(*std::max_element(t.begin(), t.end()),
+                  mf.calibration().mts);
     }
     // Full division at H=512, n=40: big win.
     EXPECT_GT(out.speedup, 2.0);
@@ -206,7 +212,7 @@ TEST_F(ApiTest, QuantizedBaselineTimingIsNotShortCircuited)
     const TimingOutcome fp32 =
         mf.evaluateTiming(runtime::PlanKind::Baseline);
     EXPECT_DOUBLE_EQ(fp32.speedup, 1.0);
-    EXPECT_EQ(fp32.plan.quantMode, quant::QuantMode::Fp32);
+    EXPECT_EQ(fp32.plan.layerSchedule(0).quant, quant::QuantMode::Fp32);
 
     // ...but a quantized Baseline must actually run the executor: its
     // lighter weight stream beats the fp32 reference (the Fig. 16
@@ -214,7 +220,7 @@ TEST_F(ApiTest, QuantizedBaselineTimingIsNotShortCircuited)
     mf.setThresholds({0.0, 0.0, quant::QuantMode::Int8});
     const TimingOutcome q8 =
         mf.evaluateTiming(runtime::PlanKind::Baseline);
-    EXPECT_EQ(q8.plan.quantMode, quant::QuantMode::Int8);
+    EXPECT_EQ(q8.plan.layerSchedule(0).quant, quant::QuantMode::Int8);
     EXPECT_GT(q8.speedup, 1.0);
     EXPECT_LT(q8.report.result.weightDramBytes,
               mf.baseline().result.weightDramBytes / 3.0);
@@ -244,7 +250,8 @@ TEST_F(ApiTest, QuantModeReachesBuiltCombinedPlan)
     const TimingOutcome comb_q8 =
         mf.evaluateTiming(runtime::PlanKind::Combined);
 
-    EXPECT_EQ(comb_q8.plan.quantMode, quant::QuantMode::Int8);
+    EXPECT_EQ(comb_q8.plan.layerSchedule(0).quant,
+              quant::QuantMode::Int8);
     EXPECT_GT(comb_q8.speedup, 1.5);
     EXPECT_LT(comb_q8.report.result.weightDramBytes,
               comb.report.result.weightDramBytes / 3.0);

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "core/planner.hh"
 #include "core/thresholds.hh"
 
@@ -197,20 +200,25 @@ TEST(Planner, BuildPlanProjectsBreakRate)
 
     const auto shape = runtime::NetworkShape::stacked(512, 512, 2, 41);
     const auto plan = buildPlan(runtime::PlanKind::Combined, stats,
-                                shape, 5, 16);
+                                shape, 5, 16, quant::QuantMode::Int8);
 
-    ASSERT_EQ(plan.inter.size(), 2u);
+    ASSERT_EQ(plan.decisions.layers.size(), 2u);
+    const auto &t0 = plan.decisions.layers[0].tissueSizes;
+    const auto &t1 = plan.decisions.layers[1].tissueSizes;
     // Layer 0: 0.2 * 40 breaks -> 9 sub-layers -> tissues <= 5 covering
     // all 41 cells.
-    EXPECT_EQ(plan.inter[0].totalCells(), 41u);
-    EXPECT_LE(plan.inter[0].maxTissue(), 5u);
-    EXPECT_GT(plan.inter[0].maxTissue(), 1u);
+    EXPECT_EQ(std::accumulate(t0.begin(), t0.end(), std::size_t{0}), 41u);
+    EXPECT_LE(*std::max_element(t0.begin(), t0.end()), 5u);
+    EXPECT_TRUE(plan.decisions.layers[0].usesTissues());
     // Layer 1 never breaks: single sub-layer, all tissues of size 1.
-    EXPECT_EQ(plan.inter[1].maxTissue(), 1u);
+    EXPECT_EQ(*std::max_element(t1.begin(), t1.end()), 1u);
 
-    ASSERT_EQ(plan.intra.size(), 2u);
-    EXPECT_DOUBLE_EQ(plan.intra[0].skipFraction, 0.0);
-    EXPECT_DOUBLE_EQ(plan.intra[1].skipFraction, 0.5);
+    EXPECT_DOUBLE_EQ(plan.decisions.layers[0].skipFraction, 0.0);
+    EXPECT_DOUBLE_EQ(plan.decisions.layers[1].skipFraction, 0.5);
+    for (const runtime::LayerSchedule &ls : plan.decisions.layers) {
+        EXPECT_EQ(ls.skipPath, runtime::SkipPath::HwCrm);
+        EXPECT_EQ(ls.quant, quant::QuantMode::Int8);
+    }
 }
 
 TEST(Planner, BuildPlanValidatesInputs)
@@ -218,12 +226,12 @@ TEST(Planner, BuildPlanValidatesInputs)
     std::vector<LayerApproxStats> stats(1);
     const auto shape = runtime::NetworkShape::stacked(64, 64, 2, 10);
     EXPECT_THROW(buildPlan(runtime::PlanKind::InterCell, stats, shape,
-                           5, 16),
+                           5, 16, quant::QuantMode::Fp32),
                  std::invalid_argument);
 
     std::vector<LayerApproxStats> stats2(2);
     EXPECT_THROW(buildPlan(runtime::PlanKind::InterCell, stats2, shape,
-                           5, 0),
+                           5, 0, quant::QuantMode::Fp32),
                  std::invalid_argument);
 }
 
@@ -232,9 +240,10 @@ TEST(Planner, BaselineKindEmitsNoDecisions)
     std::vector<LayerApproxStats> stats(1);
     const auto shape = runtime::NetworkShape::stacked(64, 64, 1, 10);
     const auto plan = buildPlan(runtime::PlanKind::Baseline, stats,
-                                shape, 5, 16);
-    EXPECT_TRUE(plan.inter.empty());
-    EXPECT_TRUE(plan.intra.empty());
+                                shape, 5, 16, quant::QuantMode::Fp32);
+    // One dense layer: no tissue and no skip decision.
+    EXPECT_EQ(plan.decisions.layers,
+              std::vector<runtime::LayerSchedule>(1));
 }
 
 } // namespace

@@ -3,7 +3,7 @@
  * Backend identity in persisted artifacts (DESIGN.md §17): a tuned
  * plan or engine warm state recorded under one hw backend must be
  * rejected as Stale under another — even when the GpuConfigs happen to
- * agree — while pre-backend files ("" id) stay loadable as wildcards.
+ * agree.
  * Also locks in the governor's precision-switch instrumentation: a
  * mixed-quant ladder walk pays a visible twin rebuild, surfaced as
  * serve.precision_switch_total + serve.twin_rebuild_ms.
@@ -86,25 +86,6 @@ TEST(TunedPlanBackend, WrongBackendRejectedAsStale)
     std::remove(path.c_str());
 }
 
-TEST(TunedPlanBackend, PreBackendArtifactLoadsAsWildcard)
-{
-    // A file written with no backend id (the pre-v3 world) must keep
-    // loading under any requested backend; the GpuConfig byte compare
-    // remains its staleness guard.
-    const std::string path = tmpPath("tuned_wild");
-    const gpu::GpuConfig cfg = hw::registry().get("tx1").config;
-    const runtime::NetworkExecutor exec(cfg);
-
-    const sched::TuneRequest req = smallRequest("");
-    const sched::TuneResult res = sched::tune(exec, req);
-    sched::saveTunedPlan(
-        sched::makeTunedPlanArtifact(req, 0x1234, cfg, res), path);
-
-    EXPECT_NO_THROW(
-        sched::loadTunedPlan(path, cfg, smallRequest("tx1"), 0x1234));
-    std::remove(path.c_str());
-}
-
 // --- Engine warm state ----------------------------------------------
 
 nn::ModelConfig
@@ -182,18 +163,6 @@ TEST_F(BackendWarmStateTest, WrongBackendWarmStateRejectedAsStale)
     // The recorded backend adopts it.
     serve::InferenceEngine restarted(mf, engineOptions("tx1"), warm);
     EXPECT_EQ(restarted.exportWarmState().backendId, "tx1");
-}
-
-TEST_F(BackendWarmStateTest, PreBackendWarmStateLoadsAsWildcard)
-{
-    {
-        serve::InferenceEngine engine(mf, engineOptions(""));
-        serve::saveEngineState(engine, path_);
-    }
-    const serve::EngineWarmState warm = serve::loadEngineState(path_);
-    EXPECT_EQ(warm.backendId, "");
-    EXPECT_NO_THROW(
-        serve::InferenceEngine(mf, engineOptions("epur"), warm));
 }
 
 // --- Governor precision-switch accounting ---------------------------

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "core/api.hh"
 #include "study/study.hh"
 #include "workloads/datagen.hh"
@@ -124,13 +126,14 @@ TEST_F(PipelineTest, PlansAreInternallyConsistent)
     const core::TimingOutcome out =
         mf_->evaluateTiming(runtime::PlanKind::Combined);
     const auto &shape = mf_->config().timingShape;
-    ASSERT_EQ(out.plan.inter.size(), shape.layers.size());
-    ASSERT_EQ(out.plan.intra.size(), shape.layers.size());
+    ASSERT_EQ(out.plan.decisions.layers.size(), shape.layers.size());
     for (std::size_t l = 0; l < shape.layers.size(); ++l) {
-        EXPECT_EQ(out.plan.inter[l].totalCells(),
+        const runtime::LayerSchedule &ls = out.plan.decisions.layers[l];
+        EXPECT_EQ(std::accumulate(ls.tissueSizes.begin(),
+                                  ls.tissueSizes.end(), std::size_t{0}),
                   shape.layers[l].length);
-        EXPECT_GE(out.plan.intra[l].skipFraction, 0.0);
-        EXPECT_LE(out.plan.intra[l].skipFraction, 1.0);
+        EXPECT_GE(ls.skipFraction, 0.0);
+        EXPECT_LE(ls.skipFraction, 1.0);
     }
     EXPECT_GT(out.report.result.kernelCount, 0u);
     EXPECT_LT(out.report.result.dramBytes,

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the binary model serialization used by the bench cache:
- * round trips over the v2 artifact container, the legacy v1 migration
- * path, and the corruption matrix — every damaged input must raise a
- * typed io::ArtifactError before any dangerous allocation, never
- * produce a partial model.
+ * round trips over the v2 artifact container, rejection of the retired
+ * raw v1 dump, and the corruption matrix — every damaged input must
+ * raise a typed io::ArtifactError before any dangerous allocation,
+ * never produce a partial model.
  */
 
 #include <cmath>
@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "io/fsck.hh"
 #include "nn/serialize.hh"
 #include "obs/observer.hh"
 
@@ -316,7 +317,7 @@ TEST_F(SerializeTest, InfinityWeightRejected)
 }
 
 // ----------------------------------------------------------------------
-// Legacy v1 migration
+// The retired raw v1 dump
 
 void
 putU32(std::ofstream &os, std::uint32_t v)
@@ -365,70 +366,22 @@ writeLegacyV1(const LstmModel &m, const std::string &path)
     putTensor(os, m.head().b.data(), m.head().b.size());
 }
 
-TEST_F(SerializeTest, LegacyV1FilesStillLoad)
+TEST_F(SerializeTest, RawV1DumpRejectedAsBadMagic)
 {
-    const LstmModel original(someConfig(), 21);
-    writeLegacyV1(original, path_);
-
-    ASSERT_TRUE(isModelFile(path_));
-    const LstmModel migrated = loadModel(path_);
-    EXPECT_EQ(migrated.config().hiddenSize,
-              original.config().hiddenSize);
-    EXPECT_EQ(migrated.embedding().table, original.embedding().table);
-    EXPECT_EQ(migrated.layers()[1].uo, original.layers()[1].uo);
-    const std::int32_t toks[] = {3, 1, 4, 1, 5};
-    EXPECT_EQ(migrated.classify(toks), original.classify(toks));
-
-    // Re-saving migrates to the v2 container.
-    saveModel(migrated, path_);
-    EXPECT_TRUE(io::isArtifactFile(path_));
-    const LstmModel reloaded = loadModel(path_);
-    EXPECT_EQ(reloaded.classify(toks), original.classify(toks));
-}
-
-TEST_F(SerializeTest, LegacyV1TruncationRejected)
-{
+    // The pre-container raw dump is no longer a model format: both the
+    // loader and fsck (with the model deep verifier) see a file without
+    // the container magic.
     writeLegacyV1(LstmModel(someConfig(), 21), path_);
-    const std::uintmax_t full = std::filesystem::file_size(path_);
-    std::filesystem::resize_file(path_, full - 5);
-    EXPECT_EQ(loadKind(path_), io::ErrorKind::Truncated);
-}
+    EXPECT_FALSE(isModelFile(path_));
+    EXPECT_EQ(loadKind(path_), io::ErrorKind::BadMagic);
 
-TEST_F(SerializeTest, LegacyV1TrailingBytesRejected)
-{
-    writeLegacyV1(LstmModel(someConfig(), 21), path_);
-    {
-        std::ofstream os(path_, std::ios::binary | std::ios::app);
-        os << "extra";
-    }
-    EXPECT_EQ(loadKind(path_), io::ErrorKind::Malformed);
-}
-
-TEST_F(SerializeTest, LegacyV1NanRejected)
-{
-    LstmModel m(someConfig(), 21);
-    m.layers()[1].bc.data()[0] =
-        std::numeric_limits<float>::quiet_NaN();
-    writeLegacyV1(m, path_);
-    EXPECT_EQ(loadKind(path_), io::ErrorKind::NonFinite);
-}
-
-TEST_F(SerializeTest, LegacyV1HugeDimsRejectedBeforeAllocation)
-{
-    // Header demands ~10^18 parameters; the payload is absent. The
-    // dimension check must fire before the model is allocated.
-    std::ofstream os(path_, std::ios::binary | std::ios::trunc);
-    putU32(os, 0x4d464c31);
-    putU32(os, 1);
-    putU32(os, 0);
-    putU32(os, 0xFFFFFF);  // vocab
-    putU32(os, 0xFFFFFF);  // embedSize
-    putU32(os, 0xFFFFFF);  // hiddenSize
-    putU32(os, 64);        // numLayers
-    putU32(os, 2);
-    putU32(os, 0);
-    os.close();
-    EXPECT_EQ(loadKind(path_), io::ErrorKind::LimitExceeded);
+    const io::FsckEntry entry = io::fsckFile(
+        path_, {}, [](const std::string &p, std::uint32_t) {
+            verifyModelFile(p);
+        });
+    EXPECT_FALSE(entry.ok);
+    EXPECT_EQ(entry.kind, io::ErrorKind::BadMagic);
+    EXPECT_EQ(entry.format, "unknown");
 }
 
 } // namespace

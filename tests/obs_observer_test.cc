@@ -28,10 +28,8 @@ using mflstm::obs::SpanTracer;
 ExecutionPlan
 drsPlan()
 {
-    ExecutionPlan plan;
-    plan.kind = PlanKind::IntraCellHw;
-    plan.intra = {{0.5}};
-    return plan;
+    return ExecutionPlan::preset(PlanKind::IntraCellHw, 1,
+                                 mflstm::quant::QuantMode::Fp32, {}, {0.5});
 }
 
 const NetworkShape kShape = NetworkShape::stacked(256, 256, 1, 8);

@@ -65,16 +65,15 @@ TEST_P(LoweringProperty, FlopConservationAcrossPlans)
     // Inter-cell with full-size tissues: identical useful FLOPs plus
     // the small relevance-kernel overhead.
     {
-        runtime::ExecutionPlan plan;
-        plan.kind = runtime::PlanKind::InterCell;
-        runtime::LayerInterPlan ip;
-        std::size_t left = shape.length;
-        while (left) {
+        std::vector<std::size_t> sizes;
+        for (std::size_t left = shape.length; left;) {
             const std::size_t t = std::min<std::size_t>(4, left);
-            ip.tissueSizes.push_back(t);
+            sizes.push_back(t);
             left -= t;
         }
-        plan.inter = {ip};
+        const runtime::ExecutionPlan plan = runtime::ExecutionPlan::preset(
+            runtime::PlanKind::InterCell, 1, quant::QuantMode::Fp32,
+            {sizes});
         gpu::KernelTrace trace;
         low.lowerLayer(shape, plan, 0, trace);
         double flops = 0.0;
@@ -87,9 +86,9 @@ TEST_P(LoweringProperty, FlopConservationAcrossPlans)
     // DRS: useful FLOPs shrink by exactly the skipped share of U_fic.
     {
         const double skip = rng.uniform(0.1f, 0.9f);
-        runtime::ExecutionPlan plan;
-        plan.kind = runtime::PlanKind::IntraCellHw;
-        plan.intra = {{skip}};
+        const runtime::ExecutionPlan plan = runtime::ExecutionPlan::preset(
+            runtime::PlanKind::IntraCellHw, 1, quant::QuantMode::Fp32, {},
+            {skip});
         gpu::KernelTrace trace;
         low.lowerLayer(shape, plan, 0, trace);
         double gemv_flops = 0.0;
@@ -125,9 +124,9 @@ TEST_P(SkipMonotonicity, MoreSkipNeverSlowerOnHwPath)
 
     double prev = 1e18;
     for (double skip : {0.0, 0.2, 0.4, 0.6, 0.8}) {
-        runtime::ExecutionPlan plan;
-        plan.kind = runtime::PlanKind::IntraCellHw;
-        plan.intra = {{skip}};
+        const runtime::ExecutionPlan plan = runtime::ExecutionPlan::preset(
+            runtime::PlanKind::IntraCellHw, 1, quant::QuantMode::Fp32, {},
+            {skip});
         const double t = ex.run(shape, plan).result.timeUs;
         if (skip > 0.0) {
             EXPECT_LE(t, prev * 1.001) << "skip " << skip;
@@ -228,10 +227,8 @@ TEST(EnergyConsistency, ComponentsNonNegativeAndSumUp)
     runtime::NetworkExecutor ex(gpu::GpuConfig::tegraX1());
     for (runtime::PlanKind kind :
          {runtime::PlanKind::Baseline, runtime::PlanKind::IntraCellHw}) {
-        runtime::ExecutionPlan plan;
-        plan.kind = kind;
-        if (plan.usesIntra())
-            plan.intra = {{0.5}};
+        const runtime::ExecutionPlan plan = runtime::ExecutionPlan::preset(
+            kind, 1, quant::QuantMode::Fp32, {}, {0.5});
         const auto r =
             ex.run(runtime::NetworkShape::stacked(256, 256, 1, 10),
                    plan)

@@ -27,10 +27,8 @@ shape2x512()
 ExecutionPlan
 drsPlan(std::size_t layers, double skip, PlanKind kind)
 {
-    ExecutionPlan plan;
-    plan.kind = kind;
-    plan.intra.assign(layers, LayerIntraPlan{skip});
-    return plan;
+    return ExecutionPlan::preset(kind, layers, quant::QuantMode::Fp32, {},
+                                 std::vector<double>(layers, skip));
 }
 
 TEST(BatchedLowering, BaselineWeightBytesChargedOnce)

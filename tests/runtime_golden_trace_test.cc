@@ -59,27 +59,18 @@ ExecutionPlan
 planFor(PlanKind kind, const runtime::NetworkShape &shape,
         quant::QuantMode qm)
 {
-    ExecutionPlan plan;
-    plan.kind = kind;
-    plan.quantMode = qm;
-    if (plan.usesInter()) {
-        for (const runtime::LstmLayerShape &layer : shape.layers) {
-            runtime::LayerInterPlan ip;
-            std::size_t left = layer.length;
-            while (left > 0) {
-                const std::size_t t = std::min<std::size_t>(4, left);
-                ip.tissueSizes.push_back(t);
-                left -= t;
-            }
-            plan.inter.push_back(std::move(ip));
+    std::vector<std::vector<std::size_t>> tissues;
+    for (const runtime::LstmLayerShape &layer : shape.layers) {
+        std::vector<std::size_t> &sizes = tissues.emplace_back();
+        for (std::size_t left = layer.length; left > 0;) {
+            const std::size_t t = std::min<std::size_t>(4, left);
+            sizes.push_back(t);
+            left -= t;
         }
     }
-    if (plan.usesIntra())
-        plan.intra.assign(shape.layers.size(),
-                          runtime::LayerIntraPlan{0.35});
-    if (kind == PlanKind::ZeroPruning)
-        plan.pruneFraction = 0.3;
-    return plan;
+    return ExecutionPlan::preset(
+        kind, shape.layers.size(), qm, tissues,
+        std::vector<double>(shape.layers.size(), 0.35), 0.3);
 }
 
 std::string

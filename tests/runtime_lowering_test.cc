@@ -25,22 +25,34 @@ layer512()
     return {512, 512, 10};
 }
 
+/** Tissues of @p k cells covering @p length cells, per layer. */
+std::vector<std::vector<std::size_t>>
+uniformTissues(std::size_t layers, std::size_t length, std::size_t k)
+{
+    std::vector<std::size_t> sizes;
+    for (std::size_t left = length; left;) {
+        const std::size_t t = std::min(k, left);
+        sizes.push_back(t);
+        left -= t;
+    }
+    return std::vector<std::vector<std::size_t>>(layers, sizes);
+}
+
 ExecutionPlan
 uniformInterPlan(std::size_t layers, std::size_t length, std::size_t k)
 {
-    ExecutionPlan plan;
-    plan.kind = PlanKind::InterCell;
-    for (std::size_t l = 0; l < layers; ++l) {
-        LayerInterPlan ip;
-        std::size_t left = length;
-        while (left) {
-            const std::size_t t = std::min(k, left);
-            ip.tissueSizes.push_back(t);
-            left -= t;
-        }
-        plan.inter.push_back(ip);
-    }
-    return plan;
+    return ExecutionPlan::preset(PlanKind::InterCell, layers,
+                                 quant::QuantMode::Fp32,
+                                 uniformTissues(layers, length, k));
+}
+
+/** A one-layer preset plan at @p qm. */
+ExecutionPlan
+onePreset(PlanKind kind, quant::QuantMode qm = quant::QuantMode::Fp32,
+          const std::vector<std::vector<std::size_t>> &tissues = {},
+          const std::vector<double> &skips = {}, double prune = 0.0)
+{
+    return ExecutionPlan::preset(kind, 1, qm, tissues, skips, prune);
 }
 
 TEST(Plan, NetworkShapeStacked)
@@ -57,28 +69,36 @@ TEST(Plan, NetworkShapeStacked)
 
 TEST(Plan, InterPlanAccounting)
 {
-    LayerInterPlan ip;
-    ip.tissueSizes = {5, 5, 3, 1};
-    EXPECT_EQ(ip.totalCells(), 14u);
-    EXPECT_EQ(ip.maxTissue(), 5u);
+    // Tissue kinds take each layer's sizes; a layer beyond the tissue
+    // vector stays dense.
+    const ExecutionPlan p = ExecutionPlan::preset(
+        PlanKind::InterCell, 2, quant::QuantMode::Fp32, {{5, 5, 3, 1}});
+    ASSERT_EQ(p.decisions.layers.size(), 2u);
+    EXPECT_EQ(p.layerSchedule(0).tissueSizes,
+              (std::vector<std::size_t>{5, 5, 3, 1}));
+    EXPECT_TRUE(p.layerSchedule(0).usesTissues());
+    EXPECT_FALSE(p.layerSchedule(1).usesTissues());
 }
 
 TEST(Plan, KindPredicates)
 {
-    ExecutionPlan p;
-    p.kind = PlanKind::Combined;
-    EXPECT_TRUE(p.usesInter());
-    EXPECT_TRUE(p.usesIntra());
-    EXPECT_TRUE(p.usesCrmHardware());
+    EXPECT_TRUE(presetUsesTissues(PlanKind::Combined));
+    EXPECT_TRUE(presetUsesSkip(PlanKind::Combined));
+    EXPECT_TRUE(onePreset(PlanKind::Combined, quant::QuantMode::Fp32,
+                          {{2, 2}}, {0.3})
+                    .usesCrmHardware());
 
-    p.kind = PlanKind::IntraCellSw;
-    EXPECT_FALSE(p.usesInter());
-    EXPECT_TRUE(p.usesIntra());
-    EXPECT_FALSE(p.usesCrmHardware());
+    EXPECT_FALSE(presetUsesTissues(PlanKind::IntraCellSw));
+    EXPECT_TRUE(presetUsesSkip(PlanKind::IntraCellSw));
+    EXPECT_FALSE(onePreset(PlanKind::IntraCellSw, quant::QuantMode::Fp32,
+                           {}, {0.3})
+                     .usesCrmHardware());
 
-    p.kind = PlanKind::Baseline;
-    EXPECT_FALSE(p.usesInter());
-    EXPECT_FALSE(p.usesIntra());
+    EXPECT_TRUE(presetUsesTissues(PlanKind::Persistent));
+    EXPECT_FALSE(presetUsesSkip(PlanKind::Persistent));
+
+    EXPECT_FALSE(presetUsesTissues(PlanKind::Baseline));
+    EXPECT_FALSE(presetUsesSkip(PlanKind::Baseline));
 }
 
 TEST(Lowering, BaselineKernelCountsMatchAlgorithm1)
@@ -165,9 +185,8 @@ TEST(Lowering, AllOnesTissuesFallBackToPerCellFlow)
 TEST(Lowering, DrsFlowMatchesAlgorithm3)
 {
     Lowering low(kCfg);
-    ExecutionPlan plan;
-    plan.kind = PlanKind::IntraCellSw;
-    plan.intra = {{0.5}};
+    const ExecutionPlan plan =
+        onePreset(PlanKind::IntraCellSw, quant::QuantMode::Fp32, {}, {0.5});
     gpu::KernelTrace trace;
     low.lowerLayer(layer512(), plan, 0, trace);
 
@@ -186,9 +205,8 @@ TEST(Lowering, DrsFlowMatchesAlgorithm3)
 TEST(Lowering, CrmFlowFusesTheScanIntoTheGateEpilogue)
 {
     Lowering low(kCfg);
-    ExecutionPlan plan;
-    plan.kind = PlanKind::IntraCellHw;
-    plan.intra = {{0.5}};
+    const ExecutionPlan plan =
+        onePreset(PlanKind::IntraCellHw, quant::QuantMode::Fp32, {}, {0.5});
     gpu::KernelTrace trace;
     low.lowerLayer(layer512(), plan, 0, trace);
 
@@ -208,12 +226,8 @@ TEST(Lowering, CrmFlowFusesTheScanIntoTheGateEpilogue)
 TEST(Lowering, CombinedFlowSplitsTheTissueGemm)
 {
     Lowering low(kCfg);
-    ExecutionPlan plan;
-    plan.kind = PlanKind::Combined;
-    LayerInterPlan ip;
-    ip.tissueSizes = {5, 5};
-    plan.inter = {ip};
-    plan.intra = {{0.5}};
+    const ExecutionPlan plan = onePreset(
+        PlanKind::Combined, quant::QuantMode::Fp32, {{5, 5}}, {0.5});
 
     gpu::KernelTrace trace;
     low.lowerLayer({512, 512, 10}, plan, 0, trace);
@@ -243,10 +257,10 @@ TEST(Lowering, CombinedWeightTrafficBelowInterAlone)
     NetworkExecutor ex(kCfg);
     const auto shape = NetworkShape::stacked(512, 512, 1, 20);
 
-    ExecutionPlan inter = uniformInterPlan(1, 20, 5);
-    ExecutionPlan comb = inter;
-    comb.kind = PlanKind::Combined;
-    comb.intra = {{0.6}};
+    const ExecutionPlan inter = uniformInterPlan(1, 20, 5);
+    const ExecutionPlan comb =
+        onePreset(PlanKind::Combined, quant::QuantMode::Fp32,
+                  uniformTissues(1, 20, 5), {0.6});
 
     const RunReport ri = ex.run(shape, inter);
     const RunReport rc = ex.run(shape, comb);
@@ -285,9 +299,8 @@ TEST(Lowering, ZeroPruningPaysDivergenceAndCoalescing)
     const NetworkShape shape = NetworkShape::stacked(512, 512, 1, 20);
 
     ExecutionPlan base;
-    ExecutionPlan zp;
-    zp.kind = PlanKind::ZeroPruning;
-    zp.pruneFraction = 0.37;
+    const ExecutionPlan zp = onePreset(
+        PlanKind::ZeroPruning, quant::QuantMode::Fp32, {}, {}, 0.37);
 
     const RunReport rb = ex.run(shape, base);
     const RunReport rz = ex.run(shape, zp);
@@ -300,11 +313,11 @@ TEST(Lowering, QuantizedPlanShrinksWeightTraffic)
     NetworkExecutor ex(kCfg);
     const NetworkShape shape = NetworkShape::stacked(512, 512, 1, 20);
 
-    ExecutionPlan fp32;
-    ExecutionPlan q8;
-    q8.quantMode = quant::QuantMode::Int8;
-    ExecutionPlan q4;
-    q4.quantMode = quant::QuantMode::Int4;
+    const ExecutionPlan fp32;
+    const ExecutionPlan q8 =
+        onePreset(PlanKind::Baseline, quant::QuantMode::Int8);
+    const ExecutionPlan q4 =
+        onePreset(PlanKind::Baseline, quant::QuantMode::Int4);
 
     const RunReport rf = ex.run(shape, fp32);
     const RunReport r8 = ex.run(shape, q8);
@@ -330,8 +343,8 @@ TEST(Lowering, QuantizedPlanShrinksWeightTraffic)
 TEST(Lowering, QuantizedKernelsAreTagged)
 {
     Lowering low(kCfg);
-    ExecutionPlan plan;
-    plan.quantMode = quant::QuantMode::Int8;
+    const ExecutionPlan plan =
+        onePreset(PlanKind::Baseline, quant::QuantMode::Int8);
     gpu::KernelTrace trace;
     low.lowerLayer(layer512(), plan, 0, trace);
 
@@ -348,11 +361,10 @@ TEST(Lowering, ZeroPruningIgnoresQuantMode)
     NetworkExecutor ex(kCfg);
     const NetworkShape shape = NetworkShape::stacked(512, 512, 1, 20);
 
-    ExecutionPlan zp;
-    zp.kind = PlanKind::ZeroPruning;
-    zp.pruneFraction = 0.37;
-    ExecutionPlan zp_q8 = zp;
-    zp_q8.quantMode = quant::QuantMode::Int8;
+    const ExecutionPlan zp = onePreset(
+        PlanKind::ZeroPruning, quant::QuantMode::Fp32, {}, {}, 0.37);
+    const ExecutionPlan zp_q8 = onePreset(
+        PlanKind::ZeroPruning, quant::QuantMode::Int8, {}, {}, 0.37);
 
     const RunReport rz = ex.run(shape, zp);
     const RunReport rq = ex.run(shape, zp_q8);
@@ -369,14 +381,15 @@ TEST(Lowering, QuantComposesWithCombinedPlan)
     NetworkExecutor ex(kCfg);
     const NetworkShape shape = NetworkShape::stacked(512, 512, 1, 20);
 
-    ExecutionPlan base;
-    ExecutionPlan q8;
-    q8.quantMode = quant::QuantMode::Int8;
-    ExecutionPlan comb = uniformInterPlan(1, 20, 5);
-    comb.kind = PlanKind::Combined;
-    comb.intra = {{0.5}};
-    ExecutionPlan comb_q8 = comb;
-    comb_q8.quantMode = quant::QuantMode::Int8;
+    const ExecutionPlan base;
+    const ExecutionPlan q8 =
+        onePreset(PlanKind::Baseline, quant::QuantMode::Int8);
+    const ExecutionPlan comb =
+        onePreset(PlanKind::Combined, quant::QuantMode::Fp32,
+                  uniformTissues(1, 20, 5), {0.5});
+    const ExecutionPlan comb_q8 =
+        onePreset(PlanKind::Combined, quant::QuantMode::Int8,
+                  uniformTissues(1, 20, 5), {0.5});
 
     const RunReport rb = ex.run(shape, base);
     const RunReport r8 = ex.run(shape, q8);

@@ -39,11 +39,8 @@ TEST(Report, ComparisonShowsSpeedup)
     NetworkExecutor ex(gpu::GpuConfig::tegraX1());
     const auto shape = NetworkShape::stacked(256, 256, 1, 8);
     ExecutionPlan base;
-    ExecutionPlan inter;
-    inter.kind = PlanKind::InterCell;
-    LayerInterPlan ip;
-    ip.tissueSizes = {4, 4};
-    inter.inter = {ip};
+    const ExecutionPlan inter = ExecutionPlan::preset(
+        PlanKind::InterCell, 1, quant::QuantMode::Fp32, {{4, 4}});
 
     const RunReport rb = ex.run(shape, base);
     const RunReport ri = ex.run(shape, inter);

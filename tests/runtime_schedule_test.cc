@@ -1,7 +1,6 @@
 /**
  * ScheduleDecisions API (DESIGN.md §14): parser round-trips, the
- * per-layer validation rules, the preset -> explicit-decision
- * bit-identity guarantee the whole redesign rests on, the new
+ * per-layer validation rules, the preset decision rules, the new
  * searchable software+fused point, and the persistent weight-residency
  * schedule family (DESIGN.md §15).
  */
@@ -217,78 +216,24 @@ expectTraceEqual(const gpu::KernelTrace &a, const gpu::KernelTrace &b)
         expectKernelEqual(a[i], b[i], i);
 }
 
-/** A representative preset plan of @p kind for a 2-layer network. */
-ExecutionPlan
-presetFor(PlanKind kind, quant::QuantMode qm)
-{
-    ExecutionPlan plan;
-    plan.kind = kind;
-    plan.quantMode = qm;
-    if (plan.usesInter()) {
-        plan.inter.push_back({{4, 3, 3}});
-        plan.inter.push_back({{5, 5}});
-    }
-    if (plan.usesIntra())
-        plan.intra = {{0.3}, {0.45}};
-    if (kind == PlanKind::ZeroPruning)
-        plan.pruneFraction = 0.37;
-    return plan;
-}
-
-TEST(ScheduleBitIdentity, PresetsLowerIdenticallyAsExplicitDecisions)
-{
-    const gpu::GpuConfig cfg = gpu::GpuConfig::tegraX1();
-    const Lowering lowering(cfg);
-    const NetworkShape shape = NetworkShape::stacked(32, 64, 2, 10);
-
-    const PlanKind kinds[] = {
-        PlanKind::Baseline,    PlanKind::InterCell,
-        PlanKind::IntraCellSw, PlanKind::IntraCellHw,
-        PlanKind::Combined,    PlanKind::ZeroPruning,
-        PlanKind::Persistent,
-    };
-    const quant::QuantMode modes[] = {quant::QuantMode::Fp32,
-                                      quant::QuantMode::Int8,
-                                      quant::QuantMode::Int4};
-    for (PlanKind kind : kinds) {
-        for (quant::QuantMode qm : modes) {
-            for (std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
-                SCOPED_TRACE(std::string(toString(kind)) + "/" +
-                             quant::toString(qm) + "/b" +
-                             std::to_string(batch));
-                const ExecutionPlan preset = presetFor(kind, qm);
-                const ExecutionPlan tuned = ExecutionPlan::fromDecisions(
-                    preset.explicitDecisions(shape.layers.size()));
-                EXPECT_EQ(tuned.kind, PlanKind::Tuned);
-                expectTraceEqual(lowering.lower(shape, preset, batch),
-                                 lowering.lower(shape, tuned, batch));
-            }
-        }
-    }
-}
-
-TEST(ScheduleBitIdentity, ExplicitDecisionsMatchLayerSchedule)
-{
-    const ExecutionPlan plan = presetFor(PlanKind::Combined,
-                                         quant::QuantMode::Int8);
-    const ScheduleDecisions d = plan.explicitDecisions(3);
-    ASSERT_EQ(d.layers.size(), 3u);
-    for (std::size_t l = 0; l < 3; ++l)
-        EXPECT_EQ(d.layers[l], plan.layerSchedule(l));
-    // Beyond the preset vectors the derivation is a dense layer at the
-    // plan's quant mode.
-    EXPECT_FALSE(d.layers[2].usesTissues());
-    EXPECT_EQ(d.layers[2].quant, quant::QuantMode::Int8);
-}
-
 TEST(ScheduleBitIdentity, ZeroPruningForcesFp32Csr)
 {
-    const ExecutionPlan plan = presetFor(PlanKind::ZeroPruning,
-                                         quant::QuantMode::Int8);
+    const ExecutionPlan plan = ExecutionPlan::preset(
+        PlanKind::ZeroPruning, 2, quant::QuantMode::Int8, {}, {}, 0.37);
+    ASSERT_EQ(plan.decisions.layers.size(), 2u);
     const LayerSchedule ls = plan.layerSchedule(0);
     EXPECT_TRUE(ls.prunedCsr);
     EXPECT_EQ(ls.quant, quant::QuantMode::Fp32);
     EXPECT_EQ(ls.pruneFraction, 0.37);
+}
+
+TEST(ScheduleBitIdentity, LayersBeyondTheDecisionsAreDenseFp32)
+{
+    const ExecutionPlan plan = ExecutionPlan::preset(
+        PlanKind::Combined, 1, quant::QuantMode::Int8, {{4, 4}}, {0.3});
+    EXPECT_EQ(plan.layerSchedule(0).quant, quant::QuantMode::Int8);
+    EXPECT_EQ(plan.layerSchedule(1), LayerSchedule{});
+    EXPECT_EQ(ExecutionPlan{}.layerSchedule(0), LayerSchedule{});
 }
 
 // ---------------------------------------------------------------------
@@ -438,11 +383,9 @@ TEST(Residency, PersistentPresetMatchesTissuesPlusRegfile)
     const Lowering lowering(cfg);
     const NetworkShape shape = NetworkShape::stacked(32, 64, 2, 12);
 
-    ExecutionPlan preset;
-    preset.kind = PlanKind::Persistent;
-    preset.quantMode = quant::QuantMode::Int8;
-    preset.inter.push_back({{6, 6}});
-    preset.inter.push_back({{4, 4, 4}});
+    const ExecutionPlan preset =
+        ExecutionPlan::preset(PlanKind::Persistent, 2,
+                              quant::QuantMode::Int8, {{6, 6}, {4, 4, 4}});
 
     ScheduleDecisions d;
     d.layers.resize(2);

@@ -213,6 +213,29 @@ TEST_F(SchedPersistTest, RejectsBitFlipAndTruncation)
         io::ArtifactError);
 }
 
+TEST_F(SchedPersistTest, ShapeBeyondMaxDimRejectedBeforeSimulation)
+{
+    // fsck lowers and simulates the stored shape, so a dimension past
+    // the caller's limits must be rejected while parsing.
+    const runtime::NetworkExecutor exec(gpu::GpuConfig::tegraX1());
+    TuneRequest req = request();
+    req.shape = runtime::NetworkShape::stacked(32, 48, 2, 100);
+    const TuneResult res = tune(exec, req);
+    saveTunedPlan(
+        makeTunedPlanArtifact(req, kWeightsCrc, exec.config(), res),
+        path("t.bin"));
+    EXPECT_NO_THROW(verifyTunedPlanFile(path("t.bin")));
+
+    io::ArtifactLimits limits;
+    limits.maxDim = 64;
+    try {
+        verifyTunedPlanFile(path("t.bin"), limits);
+        FAIL() << "layer length 100 accepted under maxDim 64";
+    } catch (const io::ArtifactError &e) {
+        EXPECT_EQ(e.kind(), io::ErrorKind::LimitExceeded) << e.what();
+    }
+}
+
 TEST_F(SchedPersistTest, TuneCachedMissSavesThenHitsSkippingSearch)
 {
     const runtime::NetworkExecutor exec(gpu::GpuConfig::tegraX1());

@@ -122,7 +122,6 @@ TEST(Tune, ChosenDominatesEveryPreset)
 
     EXPECT_TRUE(res.dominatesReference);
     EXPECT_EQ(res.chosen.plan.kind, runtime::PlanKind::Tuned);
-    EXPECT_TRUE(res.chosen.plan.hasExplicitDecisions());
     EXPECT_EQ(res.chosen.plan.decisions.layers.size(),
               req.shape.layers.size());
     EXPECT_EQ(res.chosenLayerLabels.size(), req.shape.layers.size());

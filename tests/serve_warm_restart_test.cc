@@ -19,6 +19,7 @@
 
 #include "core/persist.hh"
 #include "serve/engine.hh"
+#include "sched/persist.hh"
 #include "serve/persist.hh"
 #include "tensor/rng.hh"
 
@@ -263,8 +264,8 @@ TEST_F(WarmRestartTest, TruncatedStateFileRejected)
 
 TEST_F(WarmRestartTest, QuantModesSurviveSaveLoad)
 {
-    // v2 state: the ladder's third coordinate and the per-plan
-    // precision both round-trip.
+    // The ladder's third coordinate and the per-layer precision of
+    // every rung's plan both round-trip.
     serve::EngineWarmState state;
     state.modelWeightsCrc = 0x1234u;
     state.plan = runtime::PlanKind::Combined;
@@ -273,13 +274,8 @@ TEST_F(WarmRestartTest, QuantModesSurviveSaveLoad)
     state.ladder.push_back({0.1, 0.2, quant::QuantMode::Int8});
     state.ladder.push_back({0.3, 0.4, quant::QuantMode::Int4});
     for (const core::ThresholdSet &set : state.ladder) {
-        runtime::ExecutionPlan plan;
-        plan.kind = runtime::PlanKind::Combined;
-        plan.quantMode = set.quant;
-        plan.inter.push_back({});
-        plan.inter[0].tissueSizes = {2, 2};
-        plan.intra.push_back({0.5});
-        state.plans.push_back(plan);
+        state.plans.push_back(runtime::ExecutionPlan::preset(
+            runtime::PlanKind::Combined, 1, set.quant, {{2, 2}}, {0.5}));
     }
     serve::saveEngineState(state, path_);
 
@@ -287,59 +283,17 @@ TEST_F(WarmRestartTest, QuantModesSurviveSaveLoad)
         serve::loadEngineState(path_);
     EXPECT_EQ(loaded.ladder, state.ladder);
     ASSERT_EQ(loaded.plans.size(), 3u);
-    EXPECT_EQ(loaded.plans[1].quantMode, quant::QuantMode::Int8);
-    EXPECT_EQ(loaded.plans[2].quantMode, quant::QuantMode::Int4);
+    EXPECT_EQ(loaded.plans[1].layerSchedule(0).quant,
+              quant::QuantMode::Int8);
+    EXPECT_EQ(loaded.plans[2].layerSchedule(0).quant,
+              quant::QuantMode::Int4);
     EXPECT_EQ(loaded.plans, state.plans);
-}
-
-TEST_F(WarmRestartTest, VersionOneStateLoadsWithFp32Defaults)
-{
-    // Handcrafted v1 container (pre-quantization layout: two f64 per
-    // ladder rung, no per-plan precision). It must still load, with
-    // every quant field defaulting to Fp32.
-    io::ArtifactWriter w(io::kSchemaEngineState, 1);
-    io::ByteWriter &f =
-        w.chunk(io::fourcc('E', 'F', 'P', 'R'));
-    f.u32(0xBEEFu);
-    f.u32(static_cast<std::uint32_t>(runtime::PlanKind::InterCell));
-    f.f64(0.0);
-    io::ByteWriter &s = w.chunk(io::fourcc('E', 'S', 'H', 'P'));
-    s.u64(1);
-    s.u64(8);
-    s.u64(8);
-    s.u64(4);
-    io::ByteWriter &l = w.chunk(io::fourcc('E', 'L', 'A', 'D'));
-    l.u64(2);
-    l.f64(0.0);
-    l.f64(0.0);
-    l.f64(0.25);
-    l.f64(0.5);
-    for (std::size_t i = 0; i < 2; ++i) {
-        io::ByteWriter &p = w.chunk(io::indexedTag('E', 'P', i));
-        p.u32(static_cast<std::uint32_t>(runtime::PlanKind::InterCell));
-        p.f64(0.0);           // pruneFraction
-        p.u64(1);             // one inter layer
-        const std::vector<std::uint64_t> tissues = {2, 2};
-        p.u64Array(tissues);
-        p.u64(0);             // no intra layers
-    }
-    w.commit(path_);
-
-    const serve::EngineWarmState state =
-        serve::loadEngineState(path_);
-    EXPECT_EQ(state.modelWeightsCrc, 0xBEEFu);
-    ASSERT_EQ(state.ladder.size(), 2u);
-    EXPECT_DOUBLE_EQ(state.ladder[1].alphaInter, 0.25);
-    for (const core::ThresholdSet &set : state.ladder)
-        EXPECT_EQ(set.quant, quant::QuantMode::Fp32);
-    for (const runtime::ExecutionPlan &plan : state.plans)
-        EXPECT_EQ(plan.quantMode, quant::QuantMode::Fp32);
 }
 
 TEST_F(WarmRestartTest, TunedPlansAndDecisionsSurviveSaveLoad)
 {
-    // v3 state: the tuning-mode flag and a plan carrying explicit
-    // per-layer ScheduleDecisions (a searched schedule) round-trip.
+    // The tuning-mode flag and a searched plan's per-layer
+    // ScheduleDecisions round-trip.
     serve::EngineWarmState state;
     state.modelWeightsCrc = 0x5678u;
     state.plan = runtime::PlanKind::Combined;
@@ -362,7 +316,6 @@ TEST_F(WarmRestartTest, TunedPlansAndDecisionsSurviveSaveLoad)
     EXPECT_TRUE(loaded.tunedPlans);
     ASSERT_EQ(loaded.plans.size(), 1u);
     EXPECT_EQ(loaded.plans[0].kind, runtime::PlanKind::Tuned);
-    ASSERT_TRUE(loaded.plans[0].hasExplicitDecisions());
     EXPECT_EQ(loaded.plans[0].decisions.layers, d.layers);
     EXPECT_EQ(loaded.plans, state.plans);
     EXPECT_NO_THROW(serve::verifyEngineStateFile(path_));
@@ -395,20 +348,24 @@ TEST_F(WarmRestartTest, FutureSchemaVersionRejected)
         serve::InferenceEngine engine(mf, engineOptions());
         serve::saveEngineState(engine, path_);
     }
-    // Re-wrap the valid payload under a version this build predates
-    // (one past the current v5 backend-id schema).
+    // Re-wrap the valid fingerprint under a version this build predates
+    // (one past the current v6) and under the retired v5: this build
+    // reads exactly one version.
     const serve::EngineWarmState good = serve::loadEngineState(path_);
-    io::ArtifactWriter w(io::kSchemaEngineState, 6);
-    io::ByteWriter &f = w.chunk(io::fourcc('E', 'F', 'P', 'R'));
-    f.u32(good.modelWeightsCrc);
-    f.u32(static_cast<std::uint32_t>(good.plan));
-    f.f64(good.pruneFraction);
-    w.commit(path_);
-    try {
-        (void)serve::loadEngineState(path_);
-        FAIL() << "future schema version accepted";
-    } catch (const io::ArtifactError &e) {
-        EXPECT_EQ(e.kind(), io::ErrorKind::BadVersion);
+    for (std::uint32_t version : {7u, 5u}) {
+        SCOPED_TRACE("version " + std::to_string(version));
+        io::ArtifactWriter w(io::kSchemaEngineState, version);
+        io::ByteWriter &f = w.chunk(io::fourcc('E', 'F', 'P', 'R'));
+        f.u32(good.modelWeightsCrc);
+        f.u32(static_cast<std::uint32_t>(good.plan));
+        f.f64(good.pruneFraction);
+        w.commit(path_);
+        try {
+            (void)serve::loadEngineState(path_);
+            FAIL() << "schema version " << version << " accepted";
+        } catch (const io::ArtifactError &e) {
+            EXPECT_EQ(e.kind(), io::ErrorKind::BadVersion);
+        }
     }
 }
 
@@ -419,15 +376,19 @@ TEST_F(WarmRestartTest, UnknownQuantModeRejected)
     state.plan = runtime::PlanKind::Baseline;
     state.shape.layers.push_back({8, 8, 4});
     state.ladder.push_back({0.0, 0.0, quant::QuantMode::Fp32});
-    state.plans.push_back({});
+    state.plans.push_back(runtime::ExecutionPlan::preset(
+        runtime::PlanKind::Baseline, 1, quant::QuantMode::Fp32));
     serve::saveEngineState(state, path_);
+    ASSERT_NO_THROW(serve::loadEngineState(path_));
 
     // Rewrite with an out-of-range mode in the ladder rung.
-    io::ArtifactWriter w(io::kSchemaEngineState, 2);
+    io::ArtifactWriter w(io::kSchemaEngineState, 6);
     io::ByteWriter &f = w.chunk(io::fourcc('E', 'F', 'P', 'R'));
     f.u32(1);
     f.u32(static_cast<std::uint32_t>(runtime::PlanKind::Baseline));
     f.f64(0.0);
+    f.u32(0);                       // not tuned
+    f.u8Array({});                  // no backend id
     io::ByteWriter &s = w.chunk(io::fourcc('E', 'S', 'H', 'P'));
     s.u64(1);
     s.u64(8);
@@ -440,10 +401,7 @@ TEST_F(WarmRestartTest, UnknownQuantModeRejected)
     l.u32(99);  // no such QuantMode
     io::ByteWriter &p = w.chunk(io::indexedTag('E', 'P', 0));
     p.u32(static_cast<std::uint32_t>(runtime::PlanKind::Baseline));
-    p.u32(0);
-    p.f64(0.0);
-    p.u64(0);
-    p.u64(0);
+    sched::writeDecisions(p, state.plans[0].decisions);
     w.commit(path_);
     try {
         (void)serve::loadEngineState(path_);

@@ -30,7 +30,6 @@
  *   --backend NAME     hardware backend from the registry (default
  *                      tx1; see `mflstm backends`); an unknown name
  *                      exits with status 2
- *   --gpu tx1|tx2      legacy alias for --backend (same registry)
  *   --csv              emit one CSV row instead of the table
  *   --trace-csv FILE   dump the lowered kernel trace as CSV
  *   --trace-out FILE   write a Chrome trace-event JSON timeline
@@ -154,7 +153,7 @@ struct Options
     runtime::PlanKind plan = runtime::PlanKind::Combined;
     std::optional<std::size_t> set;
     quant::QuantMode quantMode = quant::QuantMode::Fp32;
-    std::string gpuName = "tx1";
+    std::string backend = "tx1";
     bool csv = false;
     std::string traceCsv;
     std::string traceOut;
@@ -223,7 +222,6 @@ printUsage(std::FILE *to)
         "  --backend NAME     hardware backend from the registry\n"
         "                     (default tx1; list with `mflstm "
         "backends`)\n"
-        "  --gpu tx1|tx2      legacy alias for --backend\n"
         "  --csv              emit one CSV row instead of the table\n"
         "  --trace-csv FILE   dump the lowered kernel trace as CSV\n"
         "  --trace-out FILE   write a Chrome trace-event JSON timeline\n"
@@ -304,9 +302,20 @@ parsePlan(const std::string &s)
 }
 
 /**
- * Resolve a backend id through the hw registry. Both --backend and the
- * legacy --gpu alias validate at parse time, so get() cannot throw
- * here.
+ * The thresholds preset @p kind runs rung @p set at: the alphas of the
+ * mechanisms it does not use zeroed, at precision @p qm.
+ */
+core::ThresholdSet
+presetThresholds(runtime::PlanKind kind, const core::ThresholdSet &set,
+                 quant::QuantMode qm)
+{
+    return {runtime::presetUsesTissues(kind) ? set.alphaInter : 0.0,
+            runtime::presetUsesSkip(kind) ? set.alphaIntra : 0.0, qm};
+}
+
+/**
+ * Resolve a backend id through the hw registry. --backend validates at
+ * parse time, so get() cannot throw here.
  */
 gpu::GpuConfig
 gpuFor(const std::string &name)
@@ -399,7 +408,7 @@ cmdRun(const Options &opt)
     auto mf = std::make_unique<core::MemoryFriendlyLstm>(
         *app.model,
         core::MemoryFriendlyLstm::Config{
-            gpuFor(opt.gpuName), app.spec.timingShape(), obs});
+            gpuFor(opt.backend), app.spec.timingShape(), obs});
     mf->calibrate(app.data.calibrationSequences(kCalibrationSeqs));
     auto ladder = mf->calibration().ladder();
     for (core::ThresholdSet &set : ladder)
@@ -420,12 +429,8 @@ cmdRun(const Options &opt)
         rung = core::selectAo(curve.points, app.baselineAccuracy, 2.0);
     }
 
-    runtime::ExecutionPlan probe;
-    probe.kind = opt.plan;
     mf->setThresholds(
-        {probe.usesInter() ? ladder[rung].alphaInter : 0.0,
-         probe.usesIntra() ? ladder[rung].alphaIntra : 0.0,
-         opt.quantMode});
+        presetThresholds(opt.plan, ladder[rung], opt.quantMode));
     double acc = 0.0;
     {
         auto ph = obs::Observer::phase(obs, "accuracy-eval");
@@ -483,7 +488,7 @@ cmdSweep(const Options &opt)
     auto mf = std::make_unique<core::MemoryFriendlyLstm>(
         *app.model,
         core::MemoryFriendlyLstm::Config{
-            gpuFor(opt.gpuName), app.spec.timingShape(), obs});
+            gpuFor(opt.backend), app.spec.timingShape(), obs});
     mf->calibrate(app.data.calibrationSequences(kCalibrationSeqs));
     auto ladder = mf->calibration().ladder();
     for (core::ThresholdSet &set : ladder)
@@ -528,7 +533,7 @@ cmdMts(const Options &opt)
 
     const workloads::BenchmarkSpec &spec =
         workloads::benchmarkByName(opt.app);
-    runtime::NetworkExecutor ex(gpuFor(opt.gpuName), obs);
+    runtime::NetworkExecutor ex(gpuFor(opt.backend), obs);
     const core::MtsResult res = core::findMts(
         ex, {spec.hiddenSize, spec.hiddenSize, spec.length}, 10);
 
@@ -561,7 +566,7 @@ cmdProfile(const Options &opt)
     auto mf = std::make_unique<core::MemoryFriendlyLstm>(
         *app.model,
         core::MemoryFriendlyLstm::Config{
-            gpuFor(opt.gpuName), app.spec.timingShape(), obs});
+            gpuFor(opt.backend), app.spec.timingShape(), obs});
     mf->calibrate(app.data.calibrationSequences(kCalibrationSeqs));
     auto ladder = mf->calibration().ladder();
     for (core::ThresholdSet &set : ladder)
@@ -576,19 +581,15 @@ cmdProfile(const Options &opt)
                      ladder.size() - 1);
         return 2;
     }
-    runtime::ExecutionPlan probe;
-    probe.kind = opt.plan;
     mf->setThresholds(
-        {probe.usesInter() ? ladder[rung].alphaInter : 0.0,
-         probe.usesIntra() ? ladder[rung].alphaIntra : 0.0,
-         opt.quantMode});
+        presetThresholds(opt.plan, ladder[rung], opt.quantMode));
     // Populate the division/skip statistics the planner projects.
     evalAccuracy(*mf, app);
     const core::TimingOutcome out = mf->evaluateTiming(opt.plan);
 
     // Re-run the planned trace with the ledger attached: attribution
     // is a pure relabeling, so timing is identical to evaluateTiming.
-    runtime::NetworkExecutor ex(gpuFor(opt.gpuName), obs);
+    runtime::NetworkExecutor ex(gpuFor(opt.backend), obs);
     obs::TrafficLedger ledger;
     ex.setLedger(&ledger);
     const runtime::RunReport rep =
@@ -693,7 +694,7 @@ cmdTune(const Options &opt)
     auto mf = std::make_unique<core::MemoryFriendlyLstm>(
         *app.model,
         core::MemoryFriendlyLstm::Config{
-            gpuFor(opt.gpuName), app.spec.timingShape(), obs});
+            gpuFor(opt.backend), app.spec.timingShape(), obs});
     mf->calibrate(app.data.calibrationSequences(kCalibrationSeqs));
     auto ladder = mf->calibration().ladder();
     for (core::ThresholdSet &set : ladder)
@@ -715,7 +716,7 @@ cmdTune(const Options &opt)
 
     sched::TuneRequest treq;
     treq.shape = mf->config().timingShape;
-    treq.backendId = opt.gpuName;
+    treq.backendId = opt.backend;
     treq.stats = mf->runner().stats();
     treq.mts = mf->calibration().mts;
     treq.modelHidden = mf->runner().model().config().hiddenSize;
@@ -727,7 +728,7 @@ cmdTune(const Options &opt)
     std::error_code ec;
     std::filesystem::create_directories(opt.cacheDir, ec);
     const std::string cachePath =
-        opt.cacheDir + "/tuned_plan_" + opt.app + "_" + opt.gpuName +
+        opt.cacheDir + "/tuned_plan_" + opt.app + "_" + opt.backend +
         "_" + quant::toString(opt.quantMode) + "_set" +
         std::to_string(rung) + ".bin";
 
@@ -779,7 +780,7 @@ cmdTune(const Options &opt)
         w.key("schema").value("mflstm.tune");
         w.key("version").value(std::uint64_t{1});
         w.key("app").value(opt.app);
-        w.key("backend").value(opt.gpuName);
+        w.key("backend").value(opt.backend);
         w.key("gpu").value(mf->executor().config().name);
         w.key("quant").value(quant::toString(opt.quantMode));
         w.key("batch").value(static_cast<std::uint64_t>(treq.batch));
@@ -823,15 +824,13 @@ cmdTune(const Options &opt)
 /**
  * Schema-aware deep verification for fsck: the container layer has
  * already checked structure + checksums; this decodes the payload with
- * the same hardened loaders the runtime uses. Legacy (non-container)
- * files are tried as v1 models.
+ * the same hardened loaders the runtime uses.
  */
 void
 deepVerifyArtifact(const std::string &path, std::uint32_t schema)
 {
     switch (schema) {
     case io::kSchemaModel:
-    case 0:  // legacy / unknown: the model loader owns the v1 format
         nn::verifyModelFile(path);
         break;
     case io::kSchemaCalibration:
@@ -921,7 +920,7 @@ cmdServe(const Options &opt)
     auto mf = std::make_unique<core::MemoryFriendlyLstm>(
         *app.model,
         core::MemoryFriendlyLstm::Config{
-            gpuFor(opt.gpuName), app.spec.timingShape(), obs});
+            gpuFor(opt.backend), app.spec.timingShape(), obs});
 
     const std::string calibPath = opt.stateDir + "/calibration.bin";
     const std::string enginePath = opt.stateDir + "/engine_state.bin";
@@ -962,12 +961,8 @@ cmdServe(const Options &opt)
                      ladder.size() - 1);
         return 2;
     }
-    runtime::ExecutionPlan probe;
-    probe.kind = opt.plan;
     mf->setThresholds(
-        {probe.usesInter() ? ladder[rung].alphaInter : 0.0,
-         probe.usesIntra() ? ladder[rung].alphaIntra : 0.0,
-         opt.quantMode});
+        presetThresholds(opt.plan, ladder[rung], opt.quantMode));
     // Populate the division/skip statistics the planner projects.
     evalAccuracy(*mf, app);
 
@@ -982,7 +977,7 @@ cmdServe(const Options &opt)
     eopts.maxRetries = opt.retries;
     eopts.tunePlans = opt.tuned;
     eopts.tuneCacheDir = opt.stateDir;
-    eopts.backendId = opt.gpuName;
+    eopts.backendId = opt.backend;
 
     // Must outlive the engine (workers consult it per batch/request).
     std::optional<serve::ProbabilisticFaultInjector> injector;
@@ -1083,7 +1078,7 @@ cmdServe(const Options &opt)
 
     const serve::InferenceEngine::Stats st = engine->stats();
     std::printf("%s / %s on %s (threshold set %zu)\n", opt.app.c_str(),
-                runtime::toString(opt.plan), gpuFor(opt.gpuName).name.c_str(),
+                runtime::toString(opt.plan), gpuFor(opt.backend).name.c_str(),
                 rung);
     std::printf("served %llu requests in %llu batches "
                 "(mean batch %.2f, max %zu, workers %zu)\n",
@@ -1178,7 +1173,7 @@ cmdFleet(const Options &opt)
     auto mf = std::make_unique<core::MemoryFriendlyLstm>(
         *app.model,
         core::MemoryFriendlyLstm::Config{
-            gpuFor(opt.gpuName), app.spec.timingShape(), obs});
+            gpuFor(opt.backend), app.spec.timingShape(), obs});
     mf->calibrate(app.data.calibrationSequences(kCalibrationSeqs));
     auto ladder = mf->calibration().ladder();
     for (core::ThresholdSet &set : ladder)
@@ -1189,12 +1184,8 @@ cmdFleet(const Options &opt)
                      ladder.size() - 1);
         return 2;
     }
-    runtime::ExecutionPlan probe;
-    probe.kind = opt.plan;
     mf->setThresholds(
-        {probe.usesInter() ? ladder[rung].alphaInter : 0.0,
-         probe.usesIntra() ? ladder[rung].alphaIntra : 0.0,
-         opt.quantMode});
+        presetThresholds(opt.plan, ladder[rung], opt.quantMode));
     evalAccuracy(*mf, app);
 
     fleet::FleetOptions fopts;
@@ -1207,7 +1198,7 @@ cmdFleet(const Options &opt)
     fopts.engine.workers = opt.workers;
     fopts.engine.plan = opt.plan;
     fopts.engine.maxRetries = opt.retries;
-    fopts.engine.backendId = opt.gpuName;
+    fopts.engine.backendId = opt.backend;
     if (opt.governor) {
         const SchemeCurve curve =
             evaluateScheme(*mf, app, opt.plan, ladder);
@@ -1261,7 +1252,7 @@ cmdFleet(const Options &opt)
 
     std::printf("%s / %s on %s (threshold set %zu)\n", opt.app.c_str(),
                 runtime::toString(opt.plan),
-                gpuFor(opt.gpuName).name.c_str(), rung);
+                gpuFor(opt.backend).name.c_str(), rung);
     std::printf("fleet: %zu replicas, policy %s, failover %s\n",
                 f.replicaCount(), fleet::toString(opt.policy),
                 opt.failover ? "on" : "off");
@@ -1387,15 +1378,6 @@ main(int argc, char **argv)
                 return usage();
             }
             opt.quantMode = *mode;
-        } else if (arg == "--gpu") {
-            const char *v = next();
-            if (!v || (std::strcmp(v, "tx1") != 0 &&
-                       std::strcmp(v, "tx2") != 0)) {
-                std::fprintf(stderr, "bad --gpu value: %s\n",
-                             v ? v : "(missing)");
-                return usage();
-            }
-            opt.gpuName = v;
         } else if (arg == "--backend") {
             const char *v = next();
             if (!v || !hw::registry().contains(v)) {
@@ -1407,7 +1389,7 @@ main(int argc, char **argv)
                              v ? v : "(missing)", known.c_str());
                 return usage();
             }
-            opt.gpuName = v;
+            opt.backend = v;
         } else if (arg == "--admission") {
             const char *v = next();
             if (v && std::strcmp(v, "reject") == 0) {
