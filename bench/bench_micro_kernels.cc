@@ -1,8 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the CPU-side tensor kernels the
- * accuracy substrate runs on: GEMV/GEMM (plain, transposed,
- * row-skipping), the LSTM cell step, and the DRS cell step. These
+ * accuracy substrate runs on: GEMV/GEMM (plain, transposed, panel-packed,
+ * masked), the LSTM cell step, and the DRS cell step. These
  * measure the reproduction's own kernels (wall clock), not the
  * simulated GPU.
  */
@@ -13,6 +13,7 @@
 #include "harness.hh"
 #include "nn/lstm.hh"
 #include "tensor/ops.hh"
+#include "tensor/panel.hh"
 #include "tensor/rng.hh"
 
 namespace {
@@ -54,24 +55,44 @@ BM_Gemv(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             4 * n * n);
 }
-BENCHMARK(BM_Gemv)->Arg(128)->Arg(256)->Arg(512);
+// 40-56: the hidden sizes of the accuracy models (4H x H recurrent GEMV).
+BENCHMARK(BM_Gemv)->Arg(40)->Arg(48)->Arg(56)->Arg(128)->Arg(256)->Arg(512);
 
 void
-BM_GemvRowSkip(benchmark::State &state)
+BM_GemvPanel(benchmark::State &state)
 {
     const auto n = static_cast<std::size_t>(state.range(0));
-    const Matrix a = randomMatrix(3 * n, n, 3);
-    const Vector x = randomVector(n, 4);
-    std::vector<std::uint32_t> skip;
-    for (std::uint32_t r = 0; r < 3 * n; r += 2)
-        skip.push_back(r);  // 50% row skip
+    const tensor::PanelMatrix a(randomMatrix(4 * n, n, 1));
+    const Vector x = randomVector(n, 2);
     Vector y;
     for (auto _ : state) {
-        tensor::gemvRowSkip(a, x, skip, y);
+        tensor::gemv(a, x, y);
+        benchmark::DoNotOptimize(y.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            4 * n * n);
+}
+BENCHMARK(BM_GemvPanel)->Arg(40)->Arg(48)->Arg(56)->Arg(128)->Arg(256)
+    ->Arg(512);
+
+void
+BM_GemvMasked(benchmark::State &state)
+{
+    // The fused U_{f,i,c} of a DRS cell (3H x H) with every other hidden
+    // element skipped: 50% of rows, and no panel skipped whole.
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const tensor::PanelMatrix a(randomMatrix(3 * n, n, 3));
+    const Vector x = randomVector(n, 4);
+    std::vector<std::uint8_t> skip(3 * n, 0);
+    for (std::size_t r = 0; r < 3 * n; r += 2)
+        skip[r] = 1;
+    Vector y;
+    for (auto _ : state) {
+        tensor::gemvMasked(a, x, skip, y);
         benchmark::DoNotOptimize(y.data());
     }
 }
-BENCHMARK(BM_GemvRowSkip)->Arg(256)->Arg(512);
+BENCHMARK(BM_GemvMasked)->Arg(40)->Arg(48)->Arg(56);
 
 void
 BM_GemvT(benchmark::State &state)
@@ -111,9 +132,10 @@ BM_LstmCellForward(benchmark::State &state)
     tensor::Rng rng(9);
     p.init(rng);
     const Vector x_proj = randomVector(4 * h, 10);
+    const nn::PackedRecurrent packed(p);
     nn::LstmState prev(h);
     for (auto _ : state) {
-        auto next = nn::lstmCellForward(p, x_proj, prev);
+        auto next = nn::lstmCellForward(packed, x_proj, prev);
         benchmark::DoNotOptimize(next.h.data());
     }
 }
@@ -127,9 +149,10 @@ BM_DrsCellForward(benchmark::State &state)
     tensor::Rng rng(11);
     p.init(rng);
     const Vector x_proj = randomVector(4 * h, 12);
+    const nn::PackedRecurrent packed(p);
     nn::LstmState prev(h);
     for (auto _ : state) {
-        auto next = core::lstmCellForwardDrs(p, x_proj, prev, 0.4,
+        auto next = core::lstmCellForwardDrs(packed, x_proj, prev, 0.4,
                                              nn::SigmoidKind::Logistic);
         benchmark::DoNotOptimize(next.h.data());
     }

@@ -8,16 +8,18 @@
 #include "quant/quantize.hh"
 #include "tensor/activations.hh"
 #include "tensor/ops.hh"
+#include "tensor/panel.hh"
 
 namespace mflstm {
 namespace core {
 
 nn::LstmState
-lstmCellForwardDrs(const nn::LstmLayerParams &params, const Vector &x_proj,
+lstmCellForwardDrs(const nn::PackedRecurrent &u, const Vector &x_proj,
                    const nn::LstmState &prev, double alpha_intra,
                    nn::SigmoidKind sk, std::size_t *skipped_rows,
                    DrsStatePolicy policy)
 {
+    const nn::LstmLayerParams &params = u.params;
     const std::size_t hid = params.hiddenSize();
     assert(x_proj.size() == 4 * hid);
 
@@ -28,38 +30,38 @@ lstmCellForwardDrs(const nn::LstmLayerParams &params, const Vector &x_proj,
 
     // Algorithm 3 lines 4-5: the output gate first.
     Vector ro;
-    tensor::gemv(params.uo, prev.h, ro);
+    tensor::gemv(u.uO, prev.h, ro);
     Vector o(hid);
     for (std::size_t j = 0; j < hid; ++j)
         o[j] = sig(x_proj[3 * hid + j] + ro[j] + params.bo[j]);
 
-    // Line 6: rows whose o_t element is near zero are trivial.
-    std::vector<std::uint32_t> skip;
+    // Line 6: rows whose o_t element is near zero are trivial. Element j
+    // masks row j of each of U_f, U_i and U_c in the fused matrix.
+    std::vector<std::uint8_t> skip(3 * hid, 0);
+    std::size_t skipped = 0;
     for (std::size_t j = 0; j < hid; ++j) {
-        if (o[j] <= alpha_intra)
-            skip.push_back(static_cast<std::uint32_t>(j));
+        if (o[j] <= alpha_intra) {
+            skip[j] = skip[hid + j] = skip[2 * hid + j] = 1;
+            ++skipped;
+        }
     }
     if (skipped_rows)
-        *skipped_rows = skip.size();
+        *skipped_rows = skipped;
 
-    // Line 7: Sgemv(U_{f,i,c}, h, R) — skipped rows are neither loaded
-    // nor computed.
-    Vector rf, ri, rc;
-    tensor::gemvRowSkip(params.uf, prev.h, skip, rf);
-    tensor::gemvRowSkip(params.ui, prev.h, skip, ri);
-    tensor::gemvRowSkip(params.uc, prev.h, skip, rc);
-
-    std::vector<std::uint8_t> skipped(hid, 0);
-    for (std::uint32_t j : skip)
-        skipped[j] = 1;
+    // Line 7: Sgemv(U_{f,i,c}, h, R) — skipped rows contribute zero.
+    Vector rfic;
+    tensor::gemvMasked(u.uFic, prev.h, skip, rfic);
+    const float *rf = rfic.data();
+    const float *ri = rf + hid;
+    const float *rc = ri + hid;
 
     // Line 8: the element-wise kernel. Under the default policy a
-    // skipped row's recurrent products are simply zero (gemvRowSkip
+    // skipped row's recurrent products are simply zero (gemvMasked
     // already produced that), so the gates evaluate on the input
     // projection alone; under ZeroState the whole element is nulled.
     nn::LstmState next(hid);
     for (std::size_t j = 0; j < hid; ++j) {
-        if (skipped[j] && policy == DrsStatePolicy::ZeroState) {
+        if (skip[j] && policy == DrsStatePolicy::ZeroState) {
             next.c[j] = 0.0f;
             next.h[j] = 0.0f;
             continue;
@@ -175,6 +177,7 @@ ApproxRunner::runLayers(const std::vector<Vector> &inputs)
         const Vector pred_c =
             alphaInter_ > 0.0 ? predictors_[l].predictedC() : Vector();
 
+        const nn::PackedRecurrent u(p);
         nn::LstmState state(p.hiddenSize());
         std::vector<Vector> outs;
         outs.reserve(projs.size());
@@ -188,12 +191,12 @@ ApproxRunner::runLayers(const std::vector<Vector> &inputs)
             ++st.cells;
             if (alphaIntra_ > 0.0) {
                 std::size_t skipped = 0;
-                state = lstmCellForwardDrs(p, projs[t], state,
+                state = lstmCellForwardDrs(u, projs[t], state,
                                            alphaIntra_, sk, &skipped,
                                            drsPolicy_);
                 st.skippedRows += static_cast<double>(skipped);
             } else {
-                state = nn::lstmCellForward(p, projs[t], state, sk);
+                state = nn::lstmCellForward(u, projs[t], state, sk);
             }
             outs.push_back(state.h);
         }
@@ -217,11 +220,7 @@ ApproxRunner::lmLogits(std::span<const std::int32_t> tokens)
 {
     assert(model_.config().task == nn::TaskKind::LanguageModel);
     const std::vector<Vector> top = runLayers(activeModel().embed(tokens));
-    std::vector<Vector> logits;
-    logits.reserve(top.size());
-    for (const Vector &h : top)
-        logits.push_back(nn::linearForward(activeModel().head(), h));
-    return logits;
+    return nn::headLogits(activeModel().head(), top);
 }
 
 double
@@ -280,12 +279,13 @@ ApproxRunner::profile(
                 prof.layerRelevances[l].push_back(sv);
             }
 
+            const nn::PackedRecurrent u(p);
             nn::LstmState state(p.hiddenSize());
             std::vector<Vector> outs;
             outs.reserve(projs.size());
             for (std::size_t t = 0; t < projs.size(); ++t) {
                 nn::LstmCellTrace trace;
-                state = nn::lstmCellForward(p, projs[t], state, sk,
+                state = nn::lstmCellForward(u, projs[t], state, sk,
                                             &trace);
                 for (std::size_t j = 0; j < trace.o.size(); ++j)
                     prof.outputGates.push_back(trace.o[j]);

@@ -50,7 +50,7 @@ enum class DrsStatePolicy {
 
 /** DRS cell step: Eq. 1-5 with rows skipped by the o_t threshold. */
 nn::LstmState
-lstmCellForwardDrs(const nn::LstmLayerParams &params,
+lstmCellForwardDrs(const nn::PackedRecurrent &u,
                    const Vector &x_proj, const nn::LstmState &prev,
                    double alpha_intra, nn::SigmoidKind sk,
                    std::size_t *skipped_rows = nullptr,

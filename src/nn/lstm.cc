@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "tensor/activations.hh"
-#include "tensor/ops.hh"
 
 namespace mflstm {
 namespace nn {
@@ -65,7 +64,7 @@ LstmLayerParams::unitedBias() const
 std::vector<Vector>
 projectInputs(const LstmLayerParams &p, const std::vector<Vector> &xs)
 {
-    const Matrix w = p.unitedW();
+    const tensor::PanelMatrix w({&p.wf, &p.wi, &p.wc, &p.wo});
     std::vector<Vector> out;
     out.reserve(xs.size());
     for (const Vector &x : xs) {
@@ -76,21 +75,28 @@ projectInputs(const LstmLayerParams &p, const std::vector<Vector> &xs)
     return out;
 }
 
+PackedRecurrent::PackedRecurrent(const LstmLayerParams &p)
+    : params(p), uFic({&p.uf, &p.ui, &p.uc}), uO(p.uo)
+{}
+
 LstmState
-lstmCellForward(const LstmLayerParams &p, const Vector &x_proj,
+lstmCellForward(const PackedRecurrent &u, const Vector &x_proj,
                 const LstmState &prev, SigmoidKind sk, LstmCellTrace *trace)
 {
+    const LstmLayerParams &p = u.params;
     const std::size_t hid = p.hiddenSize();
     assert(x_proj.size() == 4 * hid);
     assert(prev.h.size() == hid && prev.c.size() == hid);
 
     // Recurrent projections U_* h_{t-1}: the per-cell Sgemv of
-    // Algorithm 1 line 4 (here evaluated per gate for clarity).
-    Vector rf, ri, rc, ro;
-    tensor::gemv(p.uf, prev.h, rf);
-    tensor::gemv(p.ui, prev.h, ri);
-    tensor::gemv(p.uc, prev.h, rc);
-    tensor::gemv(p.uo, prev.h, ro);
+    // Algorithm 1 line 4, as the fused U_{f,i,c} and U_o products the
+    // DRS cell also runs.
+    Vector rfic, ro;
+    tensor::gemv(u.uFic, prev.h, rfic);
+    tensor::gemv(u.uO, prev.h, ro);
+    const float *rf = rfic.data();
+    const float *ri = rf + hid;
+    const float *rc = ri + hid;
 
     auto sig = [sk](float v) {
         return sk == SigmoidKind::Logistic ? sigmoid(v) : hardSigmoid(v);
@@ -125,6 +131,7 @@ lstmLayerForward(const LstmLayerParams &p, const std::vector<Vector> &xs,
                  SigmoidKind sk, std::vector<LstmCellTrace> *traces)
 {
     const std::vector<Vector> projs = projectInputs(p, xs);
+    const PackedRecurrent u(p);
 
     LstmState state(p.hiddenSize());
     std::vector<Vector> outputs;
@@ -135,7 +142,7 @@ lstmLayerForward(const LstmLayerParams &p, const std::vector<Vector> &xs,
     }
 
     for (std::size_t t = 0; t < projs.size(); ++t) {
-        state = lstmCellForward(p, projs[t], state, sk,
+        state = lstmCellForward(u, projs[t], state, sk,
                                 traces ? &(*traces)[t] : nullptr);
         outputs.push_back(state.h);
     }

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "tensor/matrix.hh"
+#include "tensor/panel.hh"
 #include "tensor/rng.hh"
 
 namespace mflstm {
@@ -91,23 +92,41 @@ struct LstmCellTrace
 /**
  * Precomputed input projections for one layer: the result of the
  * per-layer Sgemm(W_{f,i,c,o}, x) in Algorithm 1 line 2. Element t holds
- * the four H-sized chunks for timestep t, concatenated (4H).
+ * the four H-sized chunks for timestep t, concatenated (4H). W is packed
+ * for the panel GEMV (tensor/panel.hh) once per call.
  */
 std::vector<Vector> projectInputs(const LstmLayerParams &p,
                                   const std::vector<Vector> &xs);
 
 /**
+ * What a cell step reads, packed for the panel GEMV: the fused recurrent
+ * U_{f,i,c} that DRS row-skips and U_o, which Algorithm 3 evaluates
+ * first. Packed once per layer forward call and shared by all its
+ * timesteps, never stored with the model (DESIGN.md §18). Biases are
+ * read from @p params, which must outlive the packing.
+ */
+struct PackedRecurrent
+{
+    explicit PackedRecurrent(const LstmLayerParams &p);
+
+    const LstmLayerParams &params;
+    tensor::PanelMatrix uFic;  ///< U_{f,i,c}, 3H x H
+    tensor::PanelMatrix uO;    ///< U_o, H x H
+};
+
+/**
  * One LSTM cell step (Eq. 1-5) given the precomputed input projection for
  * this timestep. @param x_proj is the 4H vector W_{f,i,c,o} x_t (no bias).
  */
-LstmState lstmCellForward(const LstmLayerParams &p, const Vector &x_proj,
+LstmState lstmCellForward(const PackedRecurrent &u, const Vector &x_proj,
                           const LstmState &prev,
                           SigmoidKind sk = SigmoidKind::Logistic,
                           LstmCellTrace *trace = nullptr);
 
 /**
- * Full-layer forward: runs the per-layer input Sgemm then chains the
- * cells. Returns h_t for every timestep.
+ * Full-layer forward: runs the per-layer input Sgemm, then chains the
+ * cells over one packing of the recurrent weights. Returns h_t for every
+ * timestep.
  *
  * @param traces  when non-null, receives one LstmCellTrace per timestep.
  */

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "tensor/ops.hh"
+#include "tensor/panel.hh"
 
 namespace mflstm {
 namespace nn {
@@ -29,6 +30,16 @@ linearForward(const LinearParams &p, const Vector &x)
     Vector y;
     tensor::gemv(p.w, x, p.b, y);
     return y;
+}
+
+std::vector<Vector>
+headLogits(const LinearParams &p, const std::vector<Vector> &hs)
+{
+    const tensor::PanelMatrix w(p.w);
+    std::vector<Vector> logits(hs.size());
+    for (std::size_t t = 0; t < hs.size(); ++t)
+        tensor::gemv(w, hs[t], p.b, logits[t]);
+    return logits;
 }
 
 void
@@ -123,11 +134,7 @@ LstmModel::lmLogits(std::span<const std::int32_t> tokens) const
 {
     assert(cfg_.task == TaskKind::LanguageModel);
     const std::vector<Vector> top = runLayers(embed(tokens));
-    std::vector<Vector> logits;
-    logits.reserve(top.size());
-    for (const Vector &h : top)
-        logits.push_back(linearForward(head_, h));
-    return logits;
+    return headLogits(head_, top);
 }
 
 std::size_t

@@ -54,6 +54,13 @@ struct LinearParams
 /** y = W x + b. */
 Vector linearForward(const LinearParams &p, const Vector &x);
 
+/**
+ * linearForward over every step of a sequence, with the head packed once
+ * for the panel GEMV: the per-step LM head.
+ */
+std::vector<Vector> headLogits(const LinearParams &p,
+                               const std::vector<Vector> &hs);
+
 /** Numerically stable in-place softmax. */
 void softmaxInplace(std::span<float> logits);
 

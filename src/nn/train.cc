@@ -8,6 +8,7 @@
 
 #include "tensor/activations.hh"
 #include "tensor/ops.hh"
+#include "tensor/panel.hh"
 
 namespace mflstm {
 namespace nn {
@@ -181,13 +182,14 @@ Trainer::computeGradients(const std::vector<std::int32_t> &tokens,
     for (std::size_t l = 0; l < num_layers; ++l) {
         const LstmLayerParams &p = model_.layers()[l];
         projs[l] = projectInputs(p, layer_inputs[l]);
+        const PackedRecurrent u(p);
         traces[l].resize(seq);
 
         LstmState state(p.hiddenSize());
         std::vector<Vector> outs;
         outs.reserve(seq);
         for (std::size_t t = 0; t < seq; ++t) {
-            state = lstmCellForward(p, projs[l][t], state, sk,
+            state = lstmCellForward(u, projs[l][t], state, sk,
                                     &traces[l][t]);
             outs.push_back(state.h);
         }
@@ -204,8 +206,10 @@ Trainer::computeGradients(const std::vector<std::int32_t> &tokens,
     double loss = 0.0;
     std::size_t loss_terms = 0;
 
+    const tensor::PanelMatrix head_w(model_.head().w);
     auto seed_step = [&](std::size_t t, std::size_t target) {
-        Vector logits = linearForward(model_.head(), top[t]);
+        Vector logits;
+        tensor::gemv(head_w, top[t], model_.head().b, logits);
         softmaxInplace(logits.span());
         loss += crossEntropy(logits.span(), target);
         ++loss_terms;

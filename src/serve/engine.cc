@@ -47,6 +47,8 @@ serveMsEdges()
  * completion instant so the three stages abut. Zero-duration stages
  * (a shed request never executed) are skipped; the zero-length
  * "complete" marker always lands and carries the terminal status.
+ * Only a caller-owned observer receives them: a private one is never
+ * exported, and its spans would grow with every request served.
  */
 void
 recordLifecycle(obs::Observer *obs, int track, const Response &r)
@@ -493,7 +495,8 @@ InferenceEngine::resolveUnserved(QueuedRequest item, Status status,
     completed_.fetch_add(1, std::memory_order_relaxed);
     m.counter("serve.responses").add();
     m.histogram("serve.queue_ms", serveMsEdges()).observe(r.queueMs);
-    recordLifecycle(obs_, static_cast<int>(opts_.workers), r);
+    if (!ownedObs_)
+        recordLifecycle(obs_, static_cast<int>(opts_.workers), r);
     item.promise.set_value(std::move(r));
 }
 
@@ -695,7 +698,8 @@ InferenceEngine::serveBatch(std::vector<QueuedRequest> &batch,
                 .observe(r.queueMs);
             m.histogram("serve.batch_wait_ms", serveMsEdges())
                 .observe(r.batchWaitMs);
-            recordLifecycle(obs_, static_cast<int>(worker_index), r);
+            if (!ownedObs_)
+                recordLifecycle(obs_, static_cast<int>(worker_index), r);
             item.promise.set_value(std::move(r));
         }
         return;
@@ -806,7 +810,8 @@ InferenceEngine::serveBatch(std::vector<QueuedRequest> &batch,
         m.histogram("serve.exec_ms", serveMsEdges()).observe(r.execMs);
         completed_.fetch_add(1, std::memory_order_relaxed);
         m.counter("serve.responses").add();
-        recordLifecycle(obs_, static_cast<int>(worker_index), r);
+        if (!ownedObs_)
+            recordLifecycle(obs_, static_cast<int>(worker_index), r);
         item.promise.set_value(std::move(r));
     }
 

@@ -120,8 +120,10 @@ class InferenceEngine
         std::string tuneCacheDir;
         /**
          * Observability sink (latency histograms, batch spans, sim
-         * counters). nullptr: the engine owns a private Observer so
-         * latency percentiles still work.
+         * counters, per-request lifecycle spans). nullptr: the engine
+         * owns a private Observer so latency percentiles still work; it
+         * records no lifecycle spans, which would grow with every
+         * request served and which nothing exports.
          */
         obs::Observer *observer = nullptr;
 

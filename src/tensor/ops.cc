@@ -34,36 +34,6 @@ gemv(const Matrix &a, const Vector &x, const Vector &b, Vector &y)
 }
 
 void
-gemvRowSkip(const Matrix &a, const Vector &x,
-            const std::vector<std::uint32_t> &skip, Vector &y)
-{
-    assert(x.size() == a.cols());
-    y.resize(a.rows());
-
-    // Build a membership mask; the skip lists DRS produces are short
-    // relative to the row count, but mask lookup keeps the inner loop
-    // branch-free with respect to list order.
-    std::vector<std::uint8_t> skipped(a.rows(), 0);
-    for (std::uint32_t r : skip) {
-        assert(r < a.rows());
-        skipped[r] = 1;
-    }
-
-    const std::size_t cols = a.cols();
-    for (std::size_t r = 0; r < a.rows(); ++r) {
-        if (skipped[r]) {
-            y[r] = 0.0f;
-            continue;
-        }
-        const float *row = a.data() + r * cols;
-        float acc = 0.0f;
-        for (std::size_t c = 0; c < cols; ++c)
-            acc += row[c] * x[c];
-        y[r] = acc;
-    }
-}
-
-void
 gemvT(const Matrix &a, const Vector &x, Vector &y)
 {
     assert(x.size() == a.rows());

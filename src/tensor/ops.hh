@@ -2,16 +2,15 @@
  * @file
  * BLAS-style dense kernels. These are the CPU-side functional equivalents
  * of the GPU kernels the paper lowers LSTM layers onto (Sgemv, Sgemm and
- * the element-wise kernel), plus the row-skipping GEMV variant that
- * Dynamic Row Skip (Algorithm 3, line 7) requires.
+ * the element-wise kernel). The forward runs its GEMVs, including the
+ * row-skipping one of Dynamic Row Skip, through tensor/panel.hh; the
+ * row-major gemv here is the reference those match bit for bit.
  */
 
 #ifndef MFLSTM_TENSOR_OPS_HH
 #define MFLSTM_TENSOR_OPS_HH
 
-#include <cstdint>
 #include <span>
-#include <vector>
 
 #include "tensor/matrix.hh"
 
@@ -23,18 +22,6 @@ void gemv(const Matrix &a, const Vector &x, Vector &y);
 
 /** y = A * x + b. */
 void gemv(const Matrix &a, const Vector &x, const Vector &b, Vector &y);
-
-/**
- * Row-skipping GEMV: y[r] = (A * x)[r] for rows not in the skip set,
- * y[r] = 0 for skipped rows. This is the functional contract of
- * Sgemv(U_{f,i,c}, h, R) in Algorithm 3: skipped rows are neither loaded
- * nor computed, and their outputs are approximated as zero (pre-bias the
- * caller must not re-add).
- *
- * @param skip  sorted or unsorted list of row indices to skip.
- */
-void gemvRowSkip(const Matrix &a, const Vector &x,
-                 const std::vector<std::uint32_t> &skip, Vector &y);
 
 /** y = A^T * x. A is rows x cols; x has rows elements; y has cols. */
 void gemvT(const Matrix &a, const Vector &x, Vector &y);

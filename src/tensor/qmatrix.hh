@@ -89,8 +89,9 @@ void gemvQuant(const QuantizedMatrix &a, const Vector &x, const Vector &b,
                Vector &y);
 
 /**
- * Row-skipping quantized GEMV: same contract as tensor::gemvRowSkip —
- * skipped rows are neither dequantized nor computed and output 0.
+ * Row-skipping quantized GEMV: the outputs of tensor::gemvMasked —
+ * skipped rows output 0 — with skipped rows neither dequantized nor
+ * computed.
  */
 void gemvQuantRowSkip(const QuantizedMatrix &a, const Vector &x,
                       const std::vector<std::uint32_t> &skip, Vector &y);

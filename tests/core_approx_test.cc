@@ -6,10 +6,15 @@
  * and that the statistics it reports are consistent.
  */
 
+#include <cmath>
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "core/approx.hh"
 #include "core/predictor.hh"
+#include "tensor/activations.hh"
+#include "tensor/ops.hh"
 #include "tensor/rng.hh"
 
 namespace {
@@ -41,6 +46,52 @@ someSequences(std::size_t n, std::size_t len, std::uint64_t seed)
     return seqs;
 }
 
+/**
+ * The oracle for both cell kernels: Eq. 1-5 and Algorithm 3 written
+ * with the row-major tensor::gemv, one matrix per gate. alpha_intra < 0
+ * runs the exact cell; otherwise rows with o_t <= alpha_intra lose their
+ * U_{f,i,c} products, or their whole element under ZeroState.
+ */
+nn::LstmState
+referenceCell(const nn::LstmLayerParams &p, const Vector &x_proj,
+              const nn::LstmState &prev, nn::SigmoidKind sk,
+              double alpha_intra, DrsStatePolicy policy)
+{
+    auto sig = [sk](float v) {
+        return sk == nn::SigmoidKind::Logistic ? tensor::sigmoid(v)
+                                               : tensor::hardSigmoid(v);
+    };
+    const std::size_t hid = p.hiddenSize();
+    Vector rf, ri, rc, ro;
+    tensor::gemv(p.uf, prev.h, rf);
+    tensor::gemv(p.ui, prev.h, ri);
+    tensor::gemv(p.uc, prev.h, rc);
+    tensor::gemv(p.uo, prev.h, ro);
+
+    nn::LstmState next(hid);
+    for (std::size_t j = 0; j < hid; ++j) {
+        const float o = sig(x_proj[3 * hid + j] + ro[j] + p.bo[j]);
+        const bool skip = alpha_intra >= 0.0 && o <= alpha_intra;
+        if (skip && policy == DrsStatePolicy::ZeroState)
+            continue;  // c and h stay 0
+        if (skip)
+            rf[j] = ri[j] = rc[j] = 0.0f;
+        const float f = sig(x_proj[j] + rf[j] + p.bf[j]);
+        const float i = sig(x_proj[hid + j] + ri[j] + p.bi[j]);
+        const float g = std::tanh(x_proj[2 * hid + j] + rc[j] + p.bc[j]);
+        next.c[j] = f * prev.c[j] + i * g;
+        next.h[j] = o * std::tanh(next.c[j]);
+    }
+    return next;
+}
+
+bool
+sameBytes(const Vector &a, const Vector &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
 TEST(DrsCell, NoThresholdMatchesExactCell)
 {
     nn::LstmLayerParams p(4, 6);
@@ -54,11 +105,12 @@ TEST(DrsCell, NoThresholdMatchesExactCell)
     prev.h[2] = 0.4f;
     prev.c[3] = -0.7f;
 
+    const nn::PackedRecurrent packed(p);
     std::size_t skipped = 123;
-    const auto drs = lstmCellForwardDrs(p, x_proj, prev, 0.0,
+    const auto drs = lstmCellForwardDrs(packed, x_proj, prev, 0.0,
                                         nn::SigmoidKind::Logistic,
                                         &skipped);
-    const auto exact = nn::lstmCellForward(p, x_proj, prev);
+    const auto exact = nn::lstmCellForward(packed, x_proj, prev);
     EXPECT_EQ(skipped, 0u);
     for (std::size_t j = 0; j < 6; ++j) {
         EXPECT_NEAR(drs.h[j], exact.h[j], 1e-6f);
@@ -76,7 +128,7 @@ TEST(DrsCell, ThresholdOneSkipsEverything)
     prev.h[0] = 0.5f;
 
     std::size_t skipped = 0;
-    lstmCellForwardDrs(p, x_proj, prev, 0.999999,
+    lstmCellForwardDrs(nn::PackedRecurrent(p), x_proj, prev, 0.999999,
                        nn::SigmoidKind::Logistic, &skipped);
     EXPECT_EQ(skipped, 6u);
 }
@@ -90,7 +142,8 @@ TEST(DrsCell, ZeroStatePolicyNullsSkippedElements)
     nn::LstmState prev(6);
     prev.c[1] = 2.0f;
 
-    const auto out = lstmCellForwardDrs(p, x_proj, prev, 0.999999,
+    const auto out = lstmCellForwardDrs(nn::PackedRecurrent(p), x_proj,
+                                        prev, 0.999999,
                                         nn::SigmoidKind::Logistic,
                                         nullptr,
                                         DrsStatePolicy::ZeroState);
@@ -111,7 +164,8 @@ TEST(DrsCell, DropRecurrentKeepsInputDrivenState)
     nn::LstmState prev(6);
     prev.c[1] = 2.0f;
 
-    const auto out = lstmCellForwardDrs(p, x_proj, prev, 0.999999,
+    const auto out = lstmCellForwardDrs(nn::PackedRecurrent(p), x_proj,
+                                        prev, 0.999999,
                                         nn::SigmoidKind::Logistic);
     EXPECT_NE(out.c[1], 0.0f);  // forget path survived
 }
@@ -134,7 +188,8 @@ TEST(DrsCell, SkippedRowsLoseOnlyRecurrentTerm)
     prev.c[0] = 0.8f;
 
     std::size_t skipped = 0;
-    const auto drs = lstmCellForwardDrs(p, x_proj, prev, 0.01,
+    const auto drs = lstmCellForwardDrs(nn::PackedRecurrent(p), x_proj,
+                                        prev, 0.01,
                                         nn::SigmoidKind::Logistic,
                                         &skipped);
     ASSERT_EQ(skipped, 1u);
@@ -145,10 +200,59 @@ TEST(DrsCell, SkippedRowsLoseOnlyRecurrentTerm)
         stripped.ui(0, c) = 0.0f;
         stripped.uc(0, c) = 0.0f;
     }
-    const auto exact = nn::lstmCellForward(stripped, x_proj, prev);
+    const auto exact = nn::lstmCellForward(nn::PackedRecurrent(stripped),
+                                           x_proj, prev);
     for (std::size_t j = 0; j < 4; ++j) {
         EXPECT_NEAR(drs.c[j], exact.c[j], 1e-6f);
         EXPECT_NEAR(drs.h[j], exact.h[j], 1e-6f);
+    }
+}
+
+TEST(DrsCell, PanelCellsBitIdenticalToGemvReference)
+{
+    // H = 40 puts the U_f/U_i and U_i/U_c boundaries mid-panel, so DRS
+    // masks give mixed, whole-skipped and clear panels.
+    for (std::size_t hid : {6u, 40u}) {
+        nn::LstmLayerParams p(7, hid);
+        tensor::Rng rng(60 + hid);
+        p.init(rng);
+        const nn::PackedRecurrent packed(p);
+
+        for (nn::SigmoidKind sk :
+             {nn::SigmoidKind::Logistic, nn::SigmoidKind::Hard}) {
+            nn::LstmState exact(hid), ref(hid);
+            for (int t = 0; t < 6; ++t) {
+                Vector x_proj(4 * hid);
+                for (float &v : x_proj)
+                    v = rng.uniform(-2.0f, 2.0f);
+                exact = nn::lstmCellForward(packed, x_proj, exact, sk);
+                ref = referenceCell(p, x_proj, ref, sk, -1.0,
+                                    DrsStatePolicy::DropRecurrent);
+                ASSERT_TRUE(sameBytes(exact.h, ref.h)) << hid << " t" << t;
+                ASSERT_TRUE(sameBytes(exact.c, ref.c)) << hid << " t" << t;
+            }
+
+            for (DrsStatePolicy policy : {DrsStatePolicy::DropRecurrent,
+                                          DrsStatePolicy::ZeroState}) {
+                for (double alpha : {0.05, 0.3, 0.5, 0.7, 0.999999}) {
+                    nn::LstmState drs(hid), want(hid);
+                    drs.h[0] = want.h[0] = 0.5f;
+                    for (int t = 0; t < 6; ++t) {
+                        Vector x_proj(4 * hid);
+                        for (float &v : x_proj)
+                            v = rng.uniform(-2.0f, 2.0f);
+                        drs = lstmCellForwardDrs(packed, x_proj, drs, alpha,
+                                                 sk, nullptr, policy);
+                        want = referenceCell(p, x_proj, want, sk, alpha,
+                                             policy);
+                        ASSERT_TRUE(sameBytes(drs.h, want.h))
+                            << hid << " alpha " << alpha << " t" << t;
+                        ASSERT_TRUE(sameBytes(drs.c, want.c))
+                            << hid << " alpha " << alpha << " t" << t;
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -89,7 +89,8 @@ TEST(LstmCell, ScalarCaseMatchesHandComputation)
     x_proj[2] = p.wc(0, 0) * x;
     x_proj[3] = p.wo(0, 0) * x;
 
-    const LstmState next = lstmCellForward(p, x_proj, prev);
+    const LstmState next = lstmCellForward(PackedRecurrent(p), x_proj,
+                                           prev);
 
     const float f = tensor::sigmoid(0.5f * x + 0.1f * 0.3f + 0.05f);
     const float i = tensor::sigmoid(0.4f * x - 0.1f * 0.3f - 0.05f);
@@ -113,8 +114,8 @@ TEST(LstmCell, TraceCachesAllIntermediates)
         x_proj[j] = 0.1f * static_cast<float>(j);
 
     LstmCellTrace trace;
-    const LstmState next = lstmCellForward(p, x_proj, prev,
-                                           SigmoidKind::Logistic, &trace);
+    const LstmState next = lstmCellForward(
+        PackedRecurrent(p), x_proj, prev, SigmoidKind::Logistic, &trace);
 
     EXPECT_EQ(trace.f.size(), 3u);
     EXPECT_EQ(trace.h_prev, prev.h);
@@ -136,12 +137,13 @@ TEST(LstmCell, OutputBoundedByConstruction)
     const LstmLayerParams p = makeParams(4, 8, 4);
     tensor::Rng rng(5);
 
+    const PackedRecurrent packed(p);
     LstmState state(8);
     for (int t = 0; t < 50; ++t) {
         tensor::Vector x_proj(32);
         for (std::size_t j = 0; j < 32; ++j)
             x_proj[j] = rng.uniform(-3.0f, 3.0f);
-        state = lstmCellForward(p, x_proj, state);
+        state = lstmCellForward(packed, x_proj, state);
         for (std::size_t j = 0; j < 8; ++j) {
             EXPECT_GE(state.h[j], -1.0f);
             EXPECT_LE(state.h[j], 1.0f);
@@ -168,8 +170,7 @@ TEST(LstmLayer, ProjectInputsMatchesUnitedGemv)
     for (std::size_t t = 0; t < 3; ++t) {
         tensor::Vector expect;
         tensor::gemv(w, xs[t], expect);
-        for (std::size_t j = 0; j < 16; ++j)
-            EXPECT_NEAR(projs[t][j], expect[j], 1e-6f);
+        EXPECT_EQ(projs[t], expect);
     }
 }
 

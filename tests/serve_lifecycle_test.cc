@@ -5,7 +5,8 @@
  * must be consistent with the end-to-end latency, the engine's observer
  * must expose the matching "serve.*_ms" histograms, and every completed
  * request must leave queue/batch-wait/exec/complete spans on the serve
- * process track of the Chrome trace.
+ * process track of a caller-owned observer's Chrome trace (and none in
+ * an engine-owned one).
  */
 
 #include <gtest/gtest.h>
@@ -122,7 +123,12 @@ TEST_F(LifecycleTest, ObserverExposesStageHistograms)
 
 TEST_F(LifecycleTest, TracerRecordsSpansOnServeTrack)
 {
-    serve::InferenceEngine engine(mf, engineOptions());
+    // Lifecycle spans go to a caller-owned observer, the one a trace
+    // export reads.
+    obs::Observer obs;
+    serve::InferenceEngine::Options o = engineOptions();
+    o.observer = &obs;
+    serve::InferenceEngine engine(mf, o);
     const auto responses = runRequests(engine, 8);
     // spans() is for quiescent readers: a worker may still be closing
     // its batch span after the last future resolved.
@@ -151,6 +157,25 @@ TEST_F(LifecycleTest, TracerRecordsSpansOnServeTrack)
     EXPECT_EQ(complete, responses.size());
     EXPECT_EQ(exec, responses.size());
     EXPECT_GT(queue, 0u);
+}
+
+TEST_F(LifecycleTest, PrivateObserverHoldsNoServeSpans)
+{
+    // An engine that owns its observer keeps no per-request spans, so
+    // its memory does not grow with the requests it serves; the stage
+    // histograms still count every request.
+    serve::InferenceEngine engine(mf, engineOptions());
+    const std::size_t n = runRequests(engine, 40).size();
+    engine.shutdown();
+
+    std::size_t serve_spans = 0;
+    for (const obs::TraceSpan &s : engine.observer().tracer().spans())
+        serve_spans += s.pid == obs::SpanTracer::kServePid;
+    EXPECT_EQ(serve_spans, 0u);
+    const obs::Histogram *h =
+        engine.observer().metrics().findHistogram("serve.exec_ms");
+    ASSERT_NE(h, nullptr);
+    EXPECT_GE(h->count(), n);
 }
 
 TEST_F(LifecycleTest, SharedObserverReceivesLifecycle)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the BLAS-style kernels (tensor/ops.hh), including the
- * row-skipping GEMV contract that Dynamic Row Skip relies on.
+ * Unit tests for the BLAS-style kernels (tensor/ops.hh). The row-skipping
+ * GEMV that Dynamic Row Skip relies on is tested in tensor_panel_test.
  */
 
 #include <cmath>
@@ -61,35 +61,6 @@ TEST(Gemv, BiasVariantAddsBias)
     gemv(a, x, b, y);
     EXPECT_FLOAT_EQ(y[0], 12.0f);
     EXPECT_FLOAT_EQ(y[1], 23.0f);
-}
-
-TEST(GemvRowSkip, SkippedRowsAreZeroOthersExact)
-{
-    const Matrix a = randomMatrix(8, 5, 42);
-    const Vector x = randomVector(5, 43);
-
-    Vector full;
-    gemv(a, x, full);
-    Vector skipped;
-    gemvRowSkip(a, x, {1, 4, 7}, skipped);
-
-    for (std::size_t r = 0; r < 8; ++r) {
-        if (r == 1 || r == 4 || r == 7)
-            EXPECT_FLOAT_EQ(skipped[r], 0.0f) << "row " << r;
-        else
-            EXPECT_FLOAT_EQ(skipped[r], full[r]) << "row " << r;
-    }
-}
-
-TEST(GemvRowSkip, EmptySkipListMatchesGemv)
-{
-    const Matrix a = randomMatrix(6, 6, 1);
-    const Vector x = randomVector(6, 2);
-
-    Vector full, skipped;
-    gemv(a, x, full);
-    gemvRowSkip(a, x, {}, skipped);
-    EXPECT_EQ(full, skipped);
 }
 
 TEST(GemvT, MatchesExplicitTranspose)
