@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "quant/quantize.hh"
-
 namespace mflstm {
 namespace core {
 
@@ -218,10 +216,24 @@ readCalibrationChunk(io::ByteReader &r, const io::ArtifactLimits &limits,
 std::uint32_t
 modelWeightsCrc(const nn::LstmModel &model)
 {
-    // Single definition of the fingerprint algorithm — quantized
-    // artifacts (quant/serialize.hh) fingerprint their fp32 source
-    // with the same bytes, so the two layers must never diverge.
-    return quant::modelWeightsCrc(model);
+    // Embedding, per-layer W/U/b, then the head. Calibration, warm-state
+    // and tuned-plan artifacts all store this value, so changing the
+    // byte order makes every existing artifact Stale.
+    std::uint32_t crc = 0;
+    const auto feed = [&](const float *data, std::size_t n) {
+        crc = io::crc32(data, n * sizeof(float), crc);
+    };
+    feed(model.embedding().table.data(), model.embedding().table.size());
+    for (const nn::LstmLayerParams &p : model.layers()) {
+        for (const tensor::Matrix *m :
+             {&p.wf, &p.wi, &p.wc, &p.wo, &p.uf, &p.ui, &p.uc, &p.uo})
+            feed(m->data(), m->size());
+        for (const tensor::Vector *v : {&p.bf, &p.bi, &p.bc, &p.bo})
+            feed(v->data(), v->size());
+    }
+    feed(model.head().w.data(), model.head().w.size());
+    feed(model.head().b.data(), model.head().b.size());
+    return crc;
 }
 
 void

@@ -6,10 +6,18 @@
 #include <limits>
 #include <stdexcept>
 
+#include "tensor/activations.hh"
 #include "tensor/ops.hh"
 
 namespace mflstm {
 namespace core {
+
+namespace {
+
+/** Half-width of the sensitive area [-2, 2] (Fig. 7), exact in double. */
+constexpr double kBound = tensor::kSensitiveBound;
+
+} // namespace
 
 LayerRelevanceContext::LayerRelevanceContext(
     const nn::LstmLayerParams &params)
@@ -29,9 +37,9 @@ LayerRelevanceContext::relevance(const nn::LstmLayerParams &params,
     // "insensitive" (i, c, o): overlap of [m - D, m + D] with the
     // sensitive area via the two clipped terms of the paper's formula.
     auto s_ico = [](double m, double d) {
-        const double a = 2.0 + std::min(2.0, std::fabs(m));
+        const double a = kBound + std::min(kBound, std::fabs(m));
         const double b =
-            std::min(2.0, 2.0 + d - std::max(2.0, std::fabs(m)));
+            std::min(kBound, kBound + d - std::max(kBound, std::fabs(m)));
         return std::min(a, b);
     };
 
@@ -42,7 +50,8 @@ LayerRelevanceContext::relevance(const nn::LstmLayerParams &params,
         // matters; S_f measures how far it extends into/through the
         // sensitive area.
         const double mf = x_proj[j] + params.bf[j];
-        const double sf = std::min(4.0, std::max(mf + df[j] + 2.0, 0.0));
+        const double sf =
+            std::min(2 * kBound, std::max(mf + df[j] + kBound, 0.0));
 
         const double si = s_ico(x_proj[dim + j] + params.bi[j], di[j]);
         const double sc = s_ico(x_proj[2 * dim + j] + params.bc[j], dc[j]);
@@ -54,44 +63,6 @@ LayerRelevanceContext::relevance(const nn::LstmLayerParams &params,
         // input*candidate path (Eq. 3).
         const double sj = so * (sf + si * sc);
         s += std::max(0.0, sj);
-    }
-    return s;
-}
-
-GruRelevanceContext::GruRelevanceContext(const nn::GruLayerParams &params)
-    : dz(tensor::rowAbsSums(params.uz)), dr(tensor::rowAbsSums(params.ur)),
-      dh(tensor::rowAbsSums(params.uh))
-{}
-
-double
-GruRelevanceContext::relevance(const nn::GruLayerParams &params,
-                               const Vector &x_proj) const
-{
-    const std::size_t dim = params.hiddenSize();
-    if (x_proj.size() != 3 * dim)
-        throw std::invalid_argument("gru relevance: bad x_proj size");
-
-    // Overlap lengths are clamped at zero per gate: unlike the LSTM
-    // combination (one multiplier), the GRU form multiplies two
-    // overlaps, and a negative-times-negative artefact must not read as
-    // relevance.
-    auto overlap = [](double m, double d) {
-        const double a = 2.0 + std::min(2.0, std::fabs(m));
-        const double b =
-            std::min(2.0, 2.0 + d - std::max(2.0, std::fabs(m)));
-        return std::max(0.0, std::min(a, b));
-    };
-
-    double s = 0.0;
-    for (std::size_t j = 0; j < dim; ++j) {
-        const double sz = overlap(x_proj[j] + params.bz[j], dz[j]);
-        const double sr =
-            overlap(x_proj[dim + j] + params.br[j], dr[j]);
-        // The candidate's recurrent reach includes the reset-gated
-        // state, so the reset row sum bounds it together with U_h.
-        const double sh = overlap(x_proj[2 * dim + j] + params.bh[j],
-                                  dh[j]);
-        s += std::max(0.0, sz * (sr + sh));
     }
     return s;
 }

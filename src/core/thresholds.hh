@@ -81,10 +81,14 @@ projectedTissueCount(const ApproxRunner::CalibrationProfile &profile,
  * baseline, no accuracy loss) to the limits (last set = most
  * aggressive). Because both the relevance values and the output-gate
  * values concentrate near their saturation points in trained LSTMs, the
- * intermediate sets are spaced by *quantile* (equal increments of broken
- * links / skipped rows), which keeps every rung of the ladder
- * behaviourally distinct while the threshold values themselves still
- * increase monotonically.
+ * intermediate sets are spaced by *quantile* (equal increments of the
+ * target broken-link / skipped-row fractions).
+ *
+ * Guaranteed: both thresholds are non-decreasing along the ladder. Not
+ * guaranteed: that consecutive rungs behave differently. A point mass
+ * in the profile maps several quantiles to the same value, so those
+ * rungs share a threshold and break the same links (MR's rungs 1-8
+ * share one alpha_inter).
  */
 std::vector<ThresholdSet>
 thresholdLadder(const ApproxRunner::CalibrationProfile &profile,

@@ -1,69 +1,11 @@
 #include "hw/backend.hh"
 
-#include <sstream>
 #include <stdexcept>
-
-#include "obs/json.hh"
 
 namespace mflstm {
 namespace hw {
 
 namespace {
-
-/**
- * Every GpuConfig number, in declaration order. Keeping serialize and
- * parse on one list is what makes the round-trip test structural: a
- * field added to GpuConfig without a line here fails the bit-equality
- * check in hw_registry_test rather than silently defaulting on load.
- */
-#define MFLSTM_GPUCONFIG_NUM_FIELDS(X)                                      \
-    X(numSms)                                                               \
-    X(coresPerSm)                                                           \
-    X(coreClockGhz)                                                         \
-    X(warpSize)                                                             \
-    X(maxThreadsPerSm)                                                      \
-    X(maxCtasPerSm)                                                         \
-    X(dramBandwidthGBs)                                                     \
-    X(dramLatencyNs)                                                        \
-    X(l2Bytes)                                                              \
-    X(l2Assoc)                                                              \
-    X(lineBytes)                                                            \
-    X(l2BytesPerCycle)                                                      \
-    X(sharedMemPerSmBytes)                                                  \
-    X(sharedBytesPerCyclePerSm)                                             \
-    X(regFileBytesPerSm)                                                    \
-    X(sharedResidencyFraction)                                              \
-    X(regfileResidencyFraction)                                             \
-    X(residencyOccupancyPenalty)                                            \
-    X(kernelLaunchUs)                                                       \
-    X(streamedLaunchFraction)                                               \
-    X(barrierCostCycles)                                                    \
-    X(reconfigPenalty)                                                      \
-    X(socStaticW)                                                           \
-    X(gpuIdleW)                                                             \
-    X(gpuIssueActiveW)                                                      \
-    X(dramPjPerByte)                                                        \
-    X(l2PjPerByte)                                                          \
-    X(sharedPjPerByte)                                                      \
-    X(fmaPjPerFlop)                                                         \
-    X(dequantPjPerWeight)                                                   \
-    X(dequantOpsPerWeight)                                                  \
-    X(crmThreadsPerCycle)                                                   \
-    X(crmPipelineCycles)                                                    \
-    X(crmPjPerThread)                                                       \
-    X(crmStaticW)
-
-#define MFLSTM_GPUCONFIG_BOOL_FIELDS(X)                                     \
-    X(int8DotUnits)                                                         \
-    X(explicitWeightMemory)
-
-/// Assign a JSON number back into whatever integral/floating field.
-template <typename T>
-void
-assignNumber(T &dst, double v)
-{
-    dst = static_cast<T>(v);
-}
 
 gpu::GpuConfig
 dp4aClass()
@@ -139,16 +81,6 @@ toString(BackendKind kind)
         return "accelerator";
     }
     return "mobile-gpu";
-}
-
-std::optional<BackendKind>
-backendKindFromString(const std::string &s)
-{
-    if (s == "mobile-gpu")
-        return BackendKind::MobileGpu;
-    if (s == "accelerator")
-        return BackendKind::Accelerator;
-    return std::nullopt;
 }
 
 Registry::Registry()
@@ -239,101 +171,6 @@ registry()
 {
     static const Registry instance;
     return instance;
-}
-
-std::string
-serializeBackend(const Backend &backend)
-{
-    std::ostringstream os;
-    obs::JsonWriter w(os);
-    w.beginObject();
-    w.key("schema").value("mflstm.backend");
-    w.key("version").value(1);
-    w.key("id").value(backend.id);
-    w.key("display").value(backend.display);
-    w.key("kind").value(toString(backend.kind));
-    w.key("summary").value(backend.summary);
-    w.key("revision").value(backend.revision);
-    w.key("config");
-    w.beginObject();
-    w.key("name").value(backend.config.name);
-#define MFLSTM_WRITE_NUM(f)                                                 \
-    w.key(#f).value(static_cast<double>(backend.config.f));
-    MFLSTM_GPUCONFIG_NUM_FIELDS(MFLSTM_WRITE_NUM)
-#undef MFLSTM_WRITE_NUM
-#define MFLSTM_WRITE_BOOL(f) w.key(#f).value(backend.config.f);
-    MFLSTM_GPUCONFIG_BOOL_FIELDS(MFLSTM_WRITE_BOOL)
-#undef MFLSTM_WRITE_BOOL
-    w.endObject();
-    w.endObject();
-    return os.str();
-}
-
-std::optional<Backend>
-parseBackend(const std::string &json)
-{
-    const std::optional<obs::JsonValue> doc = obs::parseJson(json);
-    if (!doc || doc->kind != obs::JsonValue::Kind::Object)
-        return std::nullopt;
-    const obs::JsonValue *schema = doc->find("schema");
-    if (!schema || schema->kind != obs::JsonValue::Kind::String ||
-        schema->str != "mflstm.backend")
-        return std::nullopt;
-    const obs::JsonValue *version = doc->find("version");
-    if (!version || version->kind != obs::JsonValue::Kind::Number ||
-        version->number != 1.0)
-        return std::nullopt;
-
-    Backend b;
-    const obs::JsonValue *id = doc->find("id");
-    const obs::JsonValue *display = doc->find("display");
-    const obs::JsonValue *kind = doc->find("kind");
-    const obs::JsonValue *summary = doc->find("summary");
-    const obs::JsonValue *revision = doc->find("revision");
-    if (!id || id->kind != obs::JsonValue::Kind::String || id->str.empty())
-        return std::nullopt;
-    b.id = id->str;
-    if (display && display->kind == obs::JsonValue::Kind::String)
-        b.display = display->str;
-    if (kind) {
-        if (kind->kind != obs::JsonValue::Kind::String)
-            return std::nullopt;
-        const std::optional<BackendKind> k =
-            backendKindFromString(kind->str);
-        if (!k)
-            return std::nullopt;
-        b.kind = *k;
-    }
-    if (summary && summary->kind == obs::JsonValue::Kind::String)
-        b.summary = summary->str;
-    if (revision && revision->kind == obs::JsonValue::Kind::Number)
-        b.revision = static_cast<int>(revision->number);
-
-    const obs::JsonValue *cfg_obj = doc->find("config");
-    if (!cfg_obj || cfg_obj->kind != obs::JsonValue::Kind::Object)
-        return std::nullopt;
-    if (const obs::JsonValue *n = cfg_obj->find("name")) {
-        if (n->kind != obs::JsonValue::Kind::String)
-            return std::nullopt;
-        b.config.name = n->str;
-    }
-#define MFLSTM_READ_NUM(f)                                                  \
-    if (const obs::JsonValue *v = cfg_obj->find(#f)) {                      \
-        if (v->kind != obs::JsonValue::Kind::Number)                        \
-            return std::nullopt;                                            \
-        assignNumber(b.config.f, v->number);                                \
-    }
-    MFLSTM_GPUCONFIG_NUM_FIELDS(MFLSTM_READ_NUM)
-#undef MFLSTM_READ_NUM
-#define MFLSTM_READ_BOOL(f)                                                 \
-    if (const obs::JsonValue *v = cfg_obj->find(#f)) {                      \
-        if (v->kind != obs::JsonValue::Kind::Bool)                          \
-            return std::nullopt;                                            \
-        b.config.f = v->boolean;                                            \
-    }
-    MFLSTM_GPUCONFIG_BOOL_FIELDS(MFLSTM_READ_BOOL)
-#undef MFLSTM_READ_BOOL
-    return b;
 }
 
 } // namespace hw

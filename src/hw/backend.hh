@@ -16,7 +16,6 @@
 #ifndef MFLSTM_HW_BACKEND_HH
 #define MFLSTM_HW_BACKEND_HH
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,14 +34,12 @@ enum class BackendKind
 /** Stable lowercase token ("mobile-gpu" / "accelerator"). */
 const char *toString(BackendKind kind);
 
-/** Inverse of toString; nullopt on an unknown token. */
-std::optional<BackendKind> backendKindFromString(const std::string &s);
-
 /**
  * One named, versioned hardware descriptor. The `config` member is the
  * complete simulator input; everything else is registry metadata. The
  * `revision` counter is bumped whenever the numbers inside `config`
- * change, so a serialized descriptor records which vintage produced it.
+ * change; `mflstm backends` prints it so a reported table names the
+ * vintage that produced it.
  */
 struct Backend
 {
@@ -85,22 +82,6 @@ class Registry
 
 /** The singleton registry (constructed on first use, immutable). */
 const Registry &registry();
-
-/**
- * Serialize one descriptor as a deterministic JSON object (sorted
- * member groups, %.17g numbers, so parse(serialize(b)) reproduces the
- * GpuConfig bit-for-bit). Schema: {"schema":"mflstm.backend",
- * "version":1, "id":..., "display":..., "kind":..., "summary":...,
- * "revision":..., "config":{...}}.
- */
-std::string serializeBackend(const Backend &backend);
-
-/**
- * Parse a serialized descriptor. Fields absent from the JSON keep the
- * GpuConfig defaults; nullopt on malformed JSON, a wrong schema tag, an
- * unsupported version, or a bad kind token.
- */
-std::optional<Backend> parseBackend(const std::string &json);
 
 } // namespace hw
 } // namespace mflstm

@@ -95,7 +95,7 @@ struct ArtifactLimits
 constexpr std::uint32_t kSchemaModel = 1;        ///< nn::LstmModel
 constexpr std::uint32_t kSchemaCalibration = 2;  ///< core calibration
 constexpr std::uint32_t kSchemaEngineState = 3;  ///< serve warm state
-constexpr std::uint32_t kSchemaQuantModel = 4;   ///< quant::QuantizedModel
+// Schema kind 4 (a quantized-model artifact) is retired; never reuse it.
 constexpr std::uint32_t kSchemaTunedPlan = 5;    ///< sched tuned plan
 
 /** Four-character chunk/file tag as a little-endian u32. */
@@ -135,7 +135,7 @@ class ByteWriter
     void f32Array(std::span<const float> v);
     void f64Array(std::span<const double> v);
     void u64Array(std::span<const std::uint64_t> v);
-    /** u64 count followed by the raw bytes (quantized weight payloads). */
+    /** u64 count followed by the raw bytes. */
     void u8Array(std::span<const std::int8_t> v);
 
     const std::vector<std::uint8_t> &bytes() const { return bytes_; }

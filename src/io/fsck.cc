@@ -15,7 +15,6 @@ schemaName(std::uint32_t kind)
     case kSchemaModel: return "container/model";
     case kSchemaCalibration: return "container/calibration";
     case kSchemaEngineState: return "container/engine-state";
-    case kSchemaQuantModel: return "container/quant-model";
     case kSchemaTunedPlan: return "container/tuned-plan";
     default: return "container/unknown-schema";
     }

@@ -12,8 +12,8 @@
  * also excludes writers in other processes sharing the directory.
  * WriteLock is RAII: destruction unlinks the sidecar. A crashed
  * writer's stale lock is surfaced as ArtifactError(Io) naming the
- * sidecar, never silently stolen — the operator (or the chaos
- * driver's restart path) removes it deliberately via breakLock().
+ * sidecar, never silently stolen — only an explicit breakLock() call
+ * removes it, and no restart path makes one.
  */
 
 #ifndef MFLSTM_IO_STORE_HH

@@ -1,90 +1,10 @@
 #include "quant/quantize.hh"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
-
-#include "io/artifact.hh"
-#include "tensor/ops.hh"
 
 namespace mflstm {
 namespace quant {
-
-namespace {
-
-/** The W/U matrices of one layer in serialization order. */
-std::vector<tensor::Matrix *>
-weightMatrices(nn::LstmLayerParams &p)
-{
-    return {&p.wf, &p.wi, &p.wc, &p.wo, &p.uf, &p.ui, &p.uc, &p.uo};
-}
-
-std::vector<tensor::QuantizedMatrix *>
-weightMatrices(QuantizedLayer &l)
-{
-    return {&l.wf, &l.wi, &l.wc, &l.wo, &l.uf, &l.ui, &l.uc, &l.uo};
-}
-
-std::vector<const tensor::QuantizedMatrix *>
-weightMatrices(const QuantizedLayer &l)
-{
-    return {&l.wf, &l.wi, &l.wc, &l.wo, &l.uf, &l.ui, &l.uc, &l.uo};
-}
-
-} // namespace
-
-std::uint32_t
-modelWeightsCrc(const nn::LstmModel &model)
-{
-    std::uint32_t crc = 0;
-    const auto feed = [&](const float *data, std::size_t n) {
-        crc = io::crc32(data, n * sizeof(float), crc);
-    };
-    feed(model.embedding().table.data(), model.embedding().table.size());
-    for (const nn::LstmLayerParams &p : model.layers()) {
-        for (const tensor::Matrix *m :
-             {&p.wf, &p.wi, &p.wc, &p.wo, &p.uf, &p.ui, &p.uc, &p.uo})
-            feed(m->data(), m->size());
-        for (const tensor::Vector *v : {&p.bf, &p.bi, &p.bc, &p.bo})
-            feed(v->data(), v->size());
-    }
-    feed(model.head().w.data(), model.head().w.size());
-    feed(model.head().b.data(), model.head().b.size());
-    return crc;
-}
-
-QuantizedModel
-quantizeModel(const nn::LstmModel &model, QuantMode mode)
-{
-    assert(mode != QuantMode::Fp32);
-    QuantizedModel out;
-    out.mode = mode;
-    out.sourceWeightsCrc = modelWeightsCrc(model);
-    out.layers.resize(model.layers().size());
-    for (std::size_t l = 0; l < model.layers().size(); ++l) {
-        const nn::LstmLayerParams &p = model.layers()[l];
-        const tensor::Matrix *src[] = {&p.wf, &p.wi, &p.wc, &p.wo,
-                                       &p.uf, &p.ui, &p.uc, &p.uo};
-        auto dst = weightMatrices(out.layers[l]);
-        for (std::size_t i = 0; i < dst.size(); ++i)
-            *dst[i] = tensor::QuantizedMatrix::quantize(*src[i], mode);
-    }
-    return out;
-}
-
-void
-dequantizeInto(const QuantizedModel &q, nn::LstmModel &model)
-{
-    assert(q.layers.size() == model.layers().size());
-    for (std::size_t l = 0; l < q.layers.size(); ++l) {
-        auto src = weightMatrices(q.layers[l]);
-        auto dst = weightMatrices(model.layers()[l]);
-        for (std::size_t i = 0; i < src.size(); ++i) {
-            assert(src[i]->rows() == dst[i]->rows() &&
-                   src[i]->cols() == dst[i]->cols());
-            *dst[i] = src[i]->dequantize();
-        }
-    }
-}
 
 FakeQuantStats
 applyFakeQuant(nn::LstmModel &model, QuantMode mode)
@@ -95,7 +15,8 @@ applyFakeQuant(nn::LstmModel &model, QuantMode mode)
         return st;
     double err_sum = 0.0;
     for (nn::LstmLayerParams &p : model.layers()) {
-        for (tensor::Matrix *m : weightMatrices(p)) {
+        for (tensor::Matrix *m :
+             {&p.wf, &p.wi, &p.wc, &p.wo, &p.uf, &p.ui, &p.uc, &p.uo}) {
             const tensor::QuantizedMatrix q =
                 tensor::QuantizedMatrix::quantize(*m, mode);
             st.matrices += 1;
@@ -119,62 +40,6 @@ applyFakeQuant(nn::LstmModel &model, QuantMode mode)
     if (st.elements > 0)
         st.meanAbsError = err_sum / static_cast<double>(st.elements);
     return st;
-}
-
-QuantErrorReport
-measureQuantError(const nn::LstmModel &model, QuantMode mode,
-                  const std::vector<std::vector<std::int32_t>> &seqs)
-{
-    QuantErrorReport rep;
-    rep.mode = mode;
-    rep.sequences = seqs.size();
-    if (mode == QuantMode::Fp32 || seqs.empty())
-        return rep;
-
-    nn::LstmModel quantized = model;
-    applyFakeQuant(quantized, mode);
-
-    const bool lm =
-        model.config().task == nn::TaskKind::LanguageModel;
-    double err_sum = 0.0;
-    std::size_t logits_seen = 0;
-    std::size_t argmax_total = 0;
-    std::size_t argmax_flips = 0;
-    const auto compare = [&](const tensor::Vector &exact,
-                             const tensor::Vector &approx) {
-        assert(exact.size() == approx.size());
-        for (std::size_t i = 0; i < exact.size(); ++i) {
-            const double e = std::fabs(
-                static_cast<double>(exact[i]) -
-                static_cast<double>(approx[i]));
-            rep.maxAbsLogitError = std::max(rep.maxAbsLogitError, e);
-            err_sum += e;
-        }
-        logits_seen += exact.size();
-        argmax_total += 1;
-        if (tensor::argmax(exact.span()) !=
-            tensor::argmax(approx.span()))
-            argmax_flips += 1;
-    };
-    for (const auto &s : seqs) {
-        if (s.empty())
-            continue;
-        if (lm) {
-            const auto exact = model.lmLogits(s);
-            const auto approx = quantized.lmLogits(s);
-            for (std::size_t t = 0; t < exact.size(); ++t)
-                compare(exact[t], approx[t]);
-        } else {
-            compare(model.classify(s), quantized.classify(s));
-        }
-    }
-    if (logits_seen > 0)
-        rep.meanAbsLogitError =
-            err_sum / static_cast<double>(logits_seen);
-    if (argmax_total > 0)
-        rep.argmaxFlipRate = static_cast<double>(argmax_flips) /
-                             static_cast<double>(argmax_total);
-    return rep;
 }
 
 } // namespace quant

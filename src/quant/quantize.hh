@@ -2,30 +2,23 @@
  * @file
  * Post-training weight quantization of an LSTM model (DESIGN.md §12).
  *
- * Two complementary representations of "the same" quantized network:
- *
- *  - QuantizedModel: the integer codes + per-row scales of every W/U
- *    matrix — what the artifact container persists and what a deployed
- *    kernel would stream from DRAM;
- *
- *  - fake-quant (applyFakeQuant): the quantize-dequantize round trip
- *    applied in place to an fp32 model, so the existing fp32 dataflow
- *    (ApproxRunner, DRS, tissues) computes *exactly* what the
- *    dequantize-in-register kernels of tensor/qmatrix.hh compute. The
- *    accuracy the ladder measures through a fake-quantized model is
- *    therefore the accuracy of serving the quantized artifact.
+ * Fake-quant (applyFakeQuant) applies the per-row quantize-dequantize
+ * round trip of tensor::QuantizedMatrix in place to an fp32 model, so
+ * the existing fp32 dataflow (ApproxRunner, DRS, tissues) computes
+ * *exactly* what a dequantize-in-register kernel streaming the integer
+ * codes would compute. The accuracy the ladder measures through a
+ * fake-quantized model is therefore the accuracy of serving the
+ * quantized weights.
  *
  * Error bound: per-row symmetric quantization guarantees
  * |w - s_r q| <= s_r/2 = absmax_r/(2 qmax), so a GEMV row output
- * drifts by at most (s_r/2) sum|x| — measured end-to-end by
- * measureQuantError over workload-registry sequences.
+ * drifts by at most (s_r/2) sum|x|.
  */
 
 #ifndef MFLSTM_QUANT_QUANTIZE_HH
 #define MFLSTM_QUANT_QUANTIZE_HH
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
 #include "nn/model.hh"
 #include "quant/qformat.hh"
@@ -33,43 +26,6 @@
 
 namespace mflstm {
 namespace quant {
-
-/** The eight quantized gate matrices of one layer (biases stay fp32). */
-struct QuantizedLayer
-{
-    tensor::QuantizedMatrix wf, wi, wc, wo;  ///< input weights (H x E)
-    tensor::QuantizedMatrix uf, ui, uc, uo;  ///< recurrent weights (H x H)
-
-    bool operator==(const QuantizedLayer &) const = default;
-};
-
-/** A fully quantized weight set, fingerprinted against its fp32 source. */
-struct QuantizedModel
-{
-    QuantMode mode = QuantMode::Int8;
-    /// quant::modelWeightsCrc of the fp32 model this was produced from
-    std::uint32_t sourceWeightsCrc = 0;
-    std::vector<QuantizedLayer> layers;
-
-    bool operator==(const QuantizedModel &) const = default;
-};
-
-/**
- * CRC32 over every trainable parameter in a fixed order (embedding,
- * per-layer W/U/b, head). This is the single weight-fingerprint
- * algorithm of the artifact layer — core::modelWeightsCrc delegates
- * here so calibration, warm-state and quantized artifacts all agree.
- */
-std::uint32_t modelWeightsCrc(const nn::LstmModel &model);
-
-/** Quantize every W/U matrix of @p model. @p mode must not be Fp32. */
-QuantizedModel quantizeModel(const nn::LstmModel &model, QuantMode mode);
-
-/**
- * Overwrite @p model's W/U matrices with @p q's dequantized values.
- * Dimensions must match (assert); biases/embedding/head are untouched.
- */
-void dequantizeInto(const QuantizedModel &q, nn::LstmModel &model);
 
 /** What applyFakeQuant did to the weights. */
 struct FakeQuantStats
@@ -96,27 +52,6 @@ struct FakeQuantStats
  * already representable at its row's scale.
  */
 FakeQuantStats applyFakeQuant(nn::LstmModel &model, QuantMode mode);
-
-/** End-to-end drift of the quantized forward pass vs exact fp32. */
-struct QuantErrorReport
-{
-    QuantMode mode = QuantMode::Fp32;
-    std::size_t sequences = 0;
-    double maxAbsLogitError = 0.0;
-    double meanAbsLogitError = 0.0;
-    /// fraction of sequences whose argmax logit changed (classification
-    /// top-1 flips; per-step flips for language models)
-    double argmaxFlipRate = 0.0;
-};
-
-/**
- * The calibration pass: run @p seqs (typically the workload registry's
- * calibration sequences) through @p model exact and fake-quantized, and
- * report logit drift. The model is copied; nothing is mutated.
- */
-QuantErrorReport
-measureQuantError(const nn::LstmModel &model, QuantMode mode,
-                  const std::vector<std::vector<std::int32_t>> &seqs);
 
 } // namespace quant
 } // namespace mflstm

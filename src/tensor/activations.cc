@@ -1,7 +1,6 @@
 #include "tensor/activations.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace mflstm {
@@ -20,12 +19,6 @@ hardSigmoid(float x)
 }
 
 float
-tanhAct(float x)
-{
-    return std::tanh(x);
-}
-
-float
 sigmoidGradFromOutput(float s)
 {
     return s * (1.0f - s);
@@ -35,43 +28,6 @@ float
 tanhGradFromOutput(float t)
 {
     return 1.0f - t * t;
-}
-
-void
-sigmoidInplace(std::span<float> x)
-{
-    for (float &v : x)
-        v = sigmoid(v);
-}
-
-void
-hardSigmoidInplace(std::span<float> x)
-{
-    for (float &v : x)
-        v = hardSigmoid(v);
-}
-
-void
-tanhInplace(std::span<float> x)
-{
-    for (float &v : x)
-        v = std::tanh(v);
-}
-
-bool
-intervalInsensitive(float lo, float hi)
-{
-    assert(lo <= hi);
-    return hi <= -kSensitiveBound || lo >= kSensitiveBound;
-}
-
-float
-sensitiveOverlap(float lo, float hi)
-{
-    assert(lo <= hi);
-    const float a = std::max(lo, -kSensitiveBound);
-    const float b = std::min(hi, kSensitiveBound);
-    return std::max(0.0f, b - a);
 }
 
 } // namespace tensor

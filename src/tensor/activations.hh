@@ -4,14 +4,12 @@
  * insensitive area analysis of Section IV-A. The paper's inter-cell
  * optimisation hinges on the observation that sigmoid and tanh are
  * effectively constant outside the input range [-2, 2]; the boundary
- * constants live here so the relevance computation (Algorithm 2) and the
- * tests agree on them.
+ * constant lives here so the relevance computation (Algorithm 2) and the
+ * tests agree on it.
  */
 
 #ifndef MFLSTM_TENSOR_ACTIVATIONS_HH
 #define MFLSTM_TENSOR_ACTIVATIONS_HH
-
-#include <span>
 
 namespace mflstm {
 namespace tensor {
@@ -33,37 +31,11 @@ float sigmoid(float x);
  */
 float hardSigmoid(float x);
 
-/** Hyperbolic tangent (thin wrapper so all activations share a home). */
-float tanhAct(float x);
-
 /** Derivative of sigmoid expressed in terms of its output s. */
 float sigmoidGradFromOutput(float s);
 
 /** Derivative of tanh expressed in terms of its output t. */
 float tanhGradFromOutput(float t);
-
-/** Apply sigmoid elementwise. */
-void sigmoidInplace(std::span<float> x);
-
-/** Apply hard sigmoid elementwise. */
-void hardSigmoidInplace(std::span<float> x);
-
-/** Apply tanh elementwise. */
-void tanhInplace(std::span<float> x);
-
-/**
- * True when the whole interval [lo, hi] lies in the insensitive area of
- * sigmoid/tanh, i.e. the activation output there is (nearly) constant.
- */
-bool intervalInsensitive(float lo, float hi);
-
-/**
- * Length of the overlap between [lo, hi] and the sensitive area
- * [-kSensitiveBound, kSensitiveBound]. Zero means the activation is
- * insensitive over the whole interval. This is the primitive Algorithm 2
- * lines 4-5 compute.
- */
-float sensitiveOverlap(float lo, float hi);
 
 } // namespace tensor
 } // namespace mflstm

@@ -103,40 +103,11 @@ gemm(const Matrix &a, const Matrix &b, Matrix &c)
 }
 
 void
-gemmBias(const Matrix &a, const Matrix &b, const Vector &bias, Matrix &c)
-{
-    assert(bias.size() == a.rows());
-    gemm(a, b, c);
-    for (std::size_t r = 0; r < c.rows(); ++r) {
-        float *crow = c.data() + r * c.cols();
-        for (std::size_t j = 0; j < c.cols(); ++j)
-            crow[j] += bias[r];
-    }
-}
-
-void
 add(std::span<const float> a, std::span<const float> b, std::span<float> out)
 {
     assert(a.size() == b.size() && a.size() == out.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         out[i] = a[i] + b[i];
-}
-
-void
-hadamard(std::span<const float> a, std::span<const float> b,
-         std::span<float> out)
-{
-    assert(a.size() == b.size() && a.size() == out.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        out[i] = a[i] * b[i];
-}
-
-void
-axpy(float alpha, std::span<const float> x, std::span<float> y)
-{
-    assert(x.size() == y.size());
-    for (std::size_t i = 0; i < x.size(); ++i)
-        y[i] += alpha * x[i];
 }
 
 float
@@ -173,24 +144,6 @@ argmax(std::span<const float> a)
     assert(!a.empty());
     return static_cast<std::size_t>(
         std::max_element(a.begin(), a.end()) - a.begin());
-}
-
-float
-norm2(std::span<const float> a)
-{
-    return std::sqrt(dot(a, a));
-}
-
-float
-meanAbsDiff(std::span<const float> a, std::span<const float> b)
-{
-    assert(a.size() == b.size());
-    if (a.empty())
-        return 0.0f;
-    float acc = 0.0f;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        acc += std::fabs(a[i] - b[i]);
-    return acc / static_cast<float>(a.size());
 }
 
 } // namespace tensor

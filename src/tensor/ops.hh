@@ -32,24 +32,9 @@ void ger(float alpha, const Vector &x, const Vector &y, Matrix &a);
 /** C = A * B. A is m x k, B is k x n, C is m x n. Blocked for locality. */
 void gemm(const Matrix &a, const Matrix &b, Matrix &c);
 
-/**
- * C = A * B + bias broadcast down columns: C[r][j] += bias[r]. This is the
- * per-tissue Sgemm(U, H_t) of Section IV-D where every cell in the tissue
- * shares the bias vector.
- */
-void gemmBias(const Matrix &a, const Matrix &b, const Vector &bias,
-              Matrix &c);
-
 /** out[i] = a[i] + b[i]. */
 void add(std::span<const float> a, std::span<const float> b,
          std::span<float> out);
-
-/** out[i] = a[i] * b[i] (Hadamard product). */
-void hadamard(std::span<const float> a, std::span<const float> b,
-              std::span<float> out);
-
-/** y[i] += alpha * x[i]. */
-void axpy(float alpha, std::span<const float> x, std::span<float> y);
 
 /** Sum of |a[i]| for one span. Used by Algorithm 2 line 2. */
 float sumAbs(std::span<const float> a);
@@ -62,12 +47,6 @@ float dot(std::span<const float> a, std::span<const float> b);
 
 /** Index of the maximum element (first on ties). */
 std::size_t argmax(std::span<const float> a);
-
-/** L2 norm. */
-float norm2(std::span<const float> a);
-
-/** Mean absolute difference between two equal-size spans. */
-float meanAbsDiff(std::span<const float> a, std::span<const float> b);
 
 } // namespace tensor
 } // namespace mflstm

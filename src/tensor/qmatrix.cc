@@ -59,8 +59,7 @@ QuantizedMatrix::quantize(const Matrix &m, quant::QuantMode mode)
         for (const float w : m.row(r))
             absmax = std::max(absmax, std::fabs(w));
         // A zero row keeps scale 1: every code is 0, the dequantized
-        // row is exactly zero, and the scale stays finite and non-zero
-        // (the fsck invariant).
+        // row is exactly zero, and the scale stays finite and non-zero.
         const float s =
             absmax > 0.0f ? absmax / static_cast<float>(qm) : 1.0f;
         out.scales_[r] = s;
@@ -102,100 +101,6 @@ QuantizedMatrix::dequantize() const
         for (std::size_t c = 0; c < cols_; ++c)
             out.at(r, c) = dequant(r, c);
     return out;
-}
-
-QuantizedMatrix
-QuantizedMatrix::fromParts(std::size_t rows, std::size_t cols,
-                           quant::QuantMode mode, std::vector<float> scales,
-                           std::vector<std::int8_t> payload)
-{
-    QuantizedMatrix out;
-    out.rows_ = rows;
-    out.cols_ = cols;
-    out.mode_ = mode;
-    out.scales_ = std::move(scales);
-    out.data_ = std::move(payload);
-    assert(out.scales_.size() == rows);
-    assert(out.data_.size() == rows * out.packedRowBytes());
-    return out;
-}
-
-void
-gemvQuant(const QuantizedMatrix &a, const Vector &x, Vector &y)
-{
-    assert(x.size() == a.cols());
-    y.resize(a.rows());
-    const std::size_t stride = a.packedRowBytes();
-    const bool int8 = a.mode() == quant::QuantMode::Int8;
-    for (std::size_t r = 0; r < a.rows(); ++r) {
-        const std::int8_t *row = a.payload().data() + r * stride;
-        float acc = 0.0f;
-        if (int8) {
-            for (std::size_t c = 0; c < a.cols(); ++c)
-                acc += static_cast<float>(row[c]) * x[c];
-        } else {
-            for (std::size_t c = 0; c < a.cols(); ++c)
-                acc += static_cast<float>(a.code(r, c)) * x[c];
-        }
-        // Per-row scale hoisted out of the inner loop: equivalent to
-        // dequantizing each element before its FMA.
-        y[r] = a.scale(r) * acc;
-    }
-}
-
-void
-gemvQuant(const QuantizedMatrix &a, const Vector &x, const Vector &b,
-          Vector &y)
-{
-    gemvQuant(a, x, y);
-    assert(b.size() == y.size());
-    for (std::size_t r = 0; r < y.size(); ++r)
-        y[r] += b[r];
-}
-
-void
-gemvQuantRowSkip(const QuantizedMatrix &a, const Vector &x,
-                 const std::vector<std::uint32_t> &skip, Vector &y)
-{
-    assert(x.size() == a.cols());
-    y.resize(a.rows());
-    std::vector<bool> skipped(a.rows(), false);
-    for (const std::uint32_t r : skip)
-        if (r < a.rows())
-            skipped[r] = true;
-    const std::size_t stride = a.packedRowBytes();
-    const bool int8 = a.mode() == quant::QuantMode::Int8;
-    for (std::size_t r = 0; r < a.rows(); ++r) {
-        if (skipped[r]) {
-            y[r] = 0.0f;
-            continue;
-        }
-        const std::int8_t *row = a.payload().data() + r * stride;
-        float acc = 0.0f;
-        if (int8) {
-            for (std::size_t c = 0; c < a.cols(); ++c)
-                acc += static_cast<float>(row[c]) * x[c];
-        } else {
-            for (std::size_t c = 0; c < a.cols(); ++c)
-                acc += static_cast<float>(a.code(r, c)) * x[c];
-        }
-        y[r] = a.scale(r) * acc;
-    }
-}
-
-void
-gemmQuant(const QuantizedMatrix &a, const Matrix &b, Matrix &c)
-{
-    assert(a.cols() == b.rows());
-    c = Matrix(a.rows(), b.cols());
-    for (std::size_t r = 0; r < a.rows(); ++r) {
-        const float s = a.scale(r);
-        for (std::size_t k = 0; k < a.cols(); ++k) {
-            const float w = s * static_cast<float>(a.code(r, k));
-            for (std::size_t j = 0; j < b.cols(); ++j)
-                c.at(r, j) += w * b.at(k, j);
-        }
-    }
 }
 
 } // namespace tensor

@@ -2,39 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 
 namespace mflstm {
 namespace tensor {
-
-void
-RunningStat::add(double x)
-{
-    ++count_;
-    if (count_ == 1) {
-        mean_ = min_ = max_ = x;
-        m2_ = 0.0;
-        return;
-    }
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-}
-
-double
-RunningStat::variance() const
-{
-    return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
-}
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),

@@ -4,8 +4,7 @@
  * "Accuracy Recovery") collects the value distribution of every element of
  * h_t over an offline run and predicts lost links with the per-element
  * expectation (Eq. 6); Histogram and VectorDistribution implement exactly
- * that. RunningStat is the general mean/variance accumulator used by the
- * instrumentation across the repo.
+ * that.
  */
 
 #ifndef MFLSTM_TENSOR_STATS_HH
@@ -20,27 +19,6 @@
 
 namespace mflstm {
 namespace tensor {
-
-/** Welford-style streaming mean / variance / extrema accumulator. */
-class RunningStat
-{
-  public:
-    void add(double x);
-
-    std::size_t count() const { return count_; }
-    double mean() const { return count_ ? mean_ : 0.0; }
-    double variance() const;
-    double stddev() const;
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-
-  private:
-    std::size_t count_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 /**
  * Fixed-range histogram over [lo, hi] with uniform bins; out-of-range

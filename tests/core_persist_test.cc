@@ -87,6 +87,15 @@ TEST_F(PersistTest, ModelWeightsCrcTracksWeights)
     EXPECT_NE(modelWeightsCrc(a), modelWeightsCrc(c));
 }
 
+TEST_F(PersistTest, ModelWeightsCrcIsPinned)
+{
+    // Calibration, warm-state and tuned-plan artifacts store this CRC;
+    // a change to the bytes it covers or their order turns every
+    // artifact written by an earlier build Stale.
+    const nn::LstmModel a(modelConfig(), 11);
+    EXPECT_EQ(modelWeightsCrc(a), 0xe06237c3u);
+}
+
 TEST_F(PersistTest, RoundTripRestoresPredictorsBitIdentically)
 {
     const nn::LstmModel model(modelConfig(), 77);

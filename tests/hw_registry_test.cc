@@ -1,11 +1,11 @@
 /**
  * Hardware backend registry (DESIGN.md §17): the registry's contents
  * and lookup contract, the tx1 bit-identity anchor against the
- * hand-rolled tegraX1() config, JSON descriptor round-trips for every
- * entry, the per-backend enumeration rules (int4 twins on dot-unit
- * parts, streamed plans priced out under explicit weight memory), and
- * the headline divergence: tuning the same request on epur picks a
- * different plan than on tx1.
+ * hand-rolled tegraX1() config, capability flags, the per-backend
+ * enumeration rules (int4 twins on dot-unit parts, streamed plans
+ * priced out under explicit weight memory), and the headline
+ * divergence: tuning the same request on epur picks a different plan
+ * than on tx1.
  */
 
 #include <gtest/gtest.h>
@@ -66,45 +66,10 @@ TEST(Registry, CapabilityFlags)
     EXPECT_EQ(registry().get("epur").config.dequantOpsPerWeight, 0.0);
 }
 
-TEST(BackendKindStrings, RoundTrip)
+TEST(BackendKindStrings, StableTokens)
 {
     EXPECT_STREQ(toString(BackendKind::MobileGpu), "mobile-gpu");
     EXPECT_STREQ(toString(BackendKind::Accelerator), "accelerator");
-    EXPECT_EQ(backendKindFromString("mobile-gpu"),
-              BackendKind::MobileGpu);
-    EXPECT_EQ(backendKindFromString("accelerator"),
-              BackendKind::Accelerator);
-    EXPECT_FALSE(backendKindFromString("tpu").has_value());
-}
-
-TEST(BackendJson, EveryRegistryEntryRoundTripsBitExactly)
-{
-    for (const Backend &b : registry().entries()) {
-        SCOPED_TRACE(b.id);
-        const std::optional<Backend> back =
-            parseBackend(serializeBackend(b));
-        ASSERT_TRUE(back.has_value());
-        EXPECT_EQ(back->id, b.id);
-        EXPECT_EQ(back->display, b.display);
-        EXPECT_EQ(back->kind, b.kind);
-        EXPECT_EQ(back->summary, b.summary);
-        EXPECT_EQ(back->revision, b.revision);
-        // GpuConfig equality through the same byte serialization the
-        // tuned-plan artifact uses as its staleness key.
-        EXPECT_EQ(sched::serializeGpuConfig(back->config),
-                  sched::serializeGpuConfig(b.config));
-    }
-}
-
-TEST(BackendJson, RejectsMalformedDescriptors)
-{
-    EXPECT_FALSE(parseBackend("not json").has_value());
-    EXPECT_FALSE(parseBackend("{}").has_value());  // no id
-    // Wrong-typed fields are rejected, not defaulted.
-    std::string s = serializeBackend(registry().get("tx1"));
-    const std::string from = "\"kind\":\"mobile-gpu\"";
-    s.replace(s.find(from), from.size(), "\"kind\":7");
-    EXPECT_FALSE(parseBackend(s).has_value());
 }
 
 // --- Per-backend enumeration rules ---------------------------------

@@ -1,17 +1,12 @@
 /**
  * @file
- * Tests for model-level post-training quantization: the shared weight
- * fingerprint, QuantizedModel round trips, fake-quant semantics (exact
- * agreement with the quantized container, idempotence, stats), and the
- * end-to-end calibration error report.
+ * Tests for model-level post-training quantization: fake-quant
+ * semantics (which matrices it rewrites, idempotence, stats and
+ * compression).
  */
-
-#include <cmath>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/persist.hh"
 #include "quant/quantize.hh"
 
 namespace {
@@ -32,78 +27,18 @@ someConfig()
     return cfg;
 }
 
-std::vector<std::vector<std::int32_t>>
-someSequences()
-{
-    return {{1, 2, 3, 4, 5}, {7, 7, 2, 9}, {11, 0, 3, 15, 4, 6}};
-}
-
-TEST(QuantModel, FingerprintMatchesCoreAlgorithm)
-{
-    // core::modelWeightsCrc delegates to quant::modelWeightsCrc; both
-    // layers must agree or stale-artifact detection breaks.
-    const nn::LstmModel m(someConfig(), 5);
-    EXPECT_EQ(quant::modelWeightsCrc(m), core::modelWeightsCrc(m));
-    EXPECT_NE(quant::modelWeightsCrc(m), 0u);
-
-    nn::LstmModel other = m;
-    other.layers()[0].uf.data()[3] += 0.25f;
-    EXPECT_NE(quant::modelWeightsCrc(other), quant::modelWeightsCrc(m));
-}
-
-TEST(QuantModel, QuantizeModelCoversEveryWeightMatrix)
-{
-    const nn::LstmModel m(someConfig(), 5);
-    const quant::QuantizedModel q =
-        quant::quantizeModel(m, QuantMode::Int8);
-    EXPECT_EQ(q.mode, QuantMode::Int8);
-    EXPECT_EQ(q.sourceWeightsCrc, quant::modelWeightsCrc(m));
-    ASSERT_EQ(q.layers.size(), 2u);
-    for (const quant::QuantizedLayer &l : q.layers) {
-        EXPECT_EQ(l.wf.rows(), 8u);
-        EXPECT_EQ(l.uf.rows(), 8u);
-        EXPECT_EQ(l.uf.cols(), 8u);
-    }
-    EXPECT_EQ(q.layers[0].wf.cols(), 6u);  // layer 0 reads the embedding
-    EXPECT_EQ(q.layers[1].wf.cols(), 8u);  // layer 1 reads hidden state
-}
-
-TEST(QuantModel, DequantizeIntoMatchesFakeQuant)
-{
-    // The container path (quantize -> dequantizeInto) and the in-place
-    // path (applyFakeQuant) must produce bit-identical weights: they
-    // are two views of the same served network.
-    for (const QuantMode mode : {QuantMode::Int8, QuantMode::Int4}) {
-        const nn::LstmModel original(someConfig(), 9);
-
-        nn::LstmModel via_container = original;
-        quant::dequantizeInto(quant::quantizeModel(original, mode),
-                              via_container);
-
-        nn::LstmModel via_fake = original;
-        quant::applyFakeQuant(via_fake, mode);
-
-        for (std::size_t l = 0; l < original.layers().size(); ++l) {
-            EXPECT_EQ(via_container.layers()[l].uf,
-                      via_fake.layers()[l].uf);
-            EXPECT_EQ(via_container.layers()[l].wc,
-                      via_fake.layers()[l].wc);
-        }
-        // Biases, embedding and head stay exactly fp32.
-        EXPECT_EQ(via_fake.layers()[0].bf, original.layers()[0].bf);
-        EXPECT_EQ(via_fake.embedding().table,
-                  original.embedding().table);
-        EXPECT_EQ(via_fake.head().w, original.head().w);
-    }
-}
-
 TEST(QuantModel, FakeQuantStatsAndCompression)
 {
-    nn::LstmModel m(someConfig(), 9);
+    const nn::LstmModel original(someConfig(), 9);
+    nn::LstmModel m = original;
     const quant::FakeQuantStats st =
         quant::applyFakeQuant(m, QuantMode::Int8);
     EXPECT_EQ(st.mode, QuantMode::Int8);
     EXPECT_EQ(st.matrices, 2u * 8u);  // 8 W/U matrices per layer
+    // Biases, embedding and head stay exactly fp32.
+    EXPECT_EQ(m.layers()[0].bf, original.layers()[0].bf);
+    EXPECT_EQ(m.embedding().table, original.embedding().table);
+    EXPECT_EQ(m.head().w, original.head().w);
     EXPECT_GT(st.elements, 0u);
     EXPECT_GT(st.maxAbsError, 0.0);
     EXPECT_GE(st.maxAbsError, st.meanAbsError);
@@ -155,31 +90,6 @@ TEST(QuantModel, Int4CompressesMoreButErrsMore)
         quant::applyFakeQuant(b, QuantMode::Int4);
     EXPECT_GT(s4.compressionRatio(), s8.compressionRatio());
     EXPECT_GT(s4.meanAbsError, s8.meanAbsError);
-}
-
-TEST(QuantModel, MeasureQuantErrorReportsDrift)
-{
-    const nn::LstmModel m(someConfig(), 13);
-    const quant::QuantErrorReport r8 =
-        quant::measureQuantError(m, QuantMode::Int8, someSequences());
-    EXPECT_EQ(r8.sequences, 3u);
-    EXPECT_GT(r8.maxAbsLogitError, 0.0);
-    EXPECT_TRUE(std::isfinite(r8.maxAbsLogitError));
-    EXPECT_GE(r8.argmaxFlipRate, 0.0);
-    EXPECT_LE(r8.argmaxFlipRate, 1.0);
-
-    const quant::QuantErrorReport r4 =
-        quant::measureQuantError(m, QuantMode::Int4, someSequences());
-    EXPECT_GE(r4.meanAbsLogitError, r8.meanAbsLogitError);
-}
-
-TEST(QuantModel, MeasureQuantErrorFp32IsExactlyZero)
-{
-    const nn::LstmModel m(someConfig(), 13);
-    const quant::QuantErrorReport r =
-        quant::measureQuantError(m, QuantMode::Fp32, someSequences());
-    EXPECT_EQ(r.maxAbsLogitError, 0.0);
-    EXPECT_EQ(r.argmaxFlipRate, 0.0);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for activation functions and the sensitive/insensitive-area
- * analysis (Section IV-A, Fig. 7) that the relevance computation uses.
+ * Tests for the activation functions and their shared sensitive-area
+ * boundary (Section IV-A, Fig. 7) that the relevance computation uses.
  */
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "tensor/activations.hh"
-#include "tensor/matrix.hh"
 
 namespace {
 
@@ -45,13 +44,6 @@ TEST(HardSigmoid, SharesSensitiveBoundaryWithLogistic)
     EXPECT_FLOAT_EQ(hardSigmoid(-kSensitiveBound), 0.0f);
 }
 
-TEST(TanhAct, OddAndBounded)
-{
-    EXPECT_FLOAT_EQ(tanhAct(0.0f), 0.0f);
-    EXPECT_FLOAT_EQ(tanhAct(1.0f), -tanhAct(-1.0f));
-    EXPECT_LT(std::fabs(tanhAct(20.0f)), 1.0f + 1e-6f);
-}
-
 TEST(Gradients, FromOutputMatchAnalytic)
 {
     const float s = sigmoid(0.7f);
@@ -59,46 +51,6 @@ TEST(Gradients, FromOutputMatchAnalytic)
 
     const float t = std::tanh(0.3f);
     EXPECT_NEAR(tanhGradFromOutput(t), 1 - t * t, 1e-6f);
-}
-
-TEST(InplaceVariants, ApplyElementwise)
-{
-    Vector v{-100.0f, 0.0f, 100.0f};
-    sigmoidInplace(v.span());
-    EXPECT_NEAR(v[0], 0.0f, 1e-6f);
-    EXPECT_FLOAT_EQ(v[1], 0.5f);
-    EXPECT_NEAR(v[2], 1.0f, 1e-6f);
-
-    Vector w{-100.0f, 0.0f, 100.0f};
-    tanhInplace(w.span());
-    EXPECT_NEAR(w[0], -1.0f, 1e-6f);
-    EXPECT_FLOAT_EQ(w[1], 0.0f);
-
-    Vector u{-100.0f, 0.0f, 100.0f};
-    hardSigmoidInplace(u.span());
-    EXPECT_FLOAT_EQ(u[0], 0.0f);
-    EXPECT_FLOAT_EQ(u[1], 0.5f);
-    EXPECT_FLOAT_EQ(u[2], 1.0f);
-}
-
-TEST(SensitiveArea, IntervalClassification)
-{
-    EXPECT_TRUE(intervalInsensitive(2.0f, 5.0f));
-    EXPECT_TRUE(intervalInsensitive(-9.0f, -2.0f));
-    EXPECT_FALSE(intervalInsensitive(-1.0f, 1.0f));
-    EXPECT_FALSE(intervalInsensitive(1.5f, 2.5f));
-}
-
-TEST(SensitiveArea, OverlapLengths)
-{
-    // Entirely inside.
-    EXPECT_FLOAT_EQ(sensitiveOverlap(-1.0f, 1.0f), 2.0f);
-    // Entirely outside.
-    EXPECT_FLOAT_EQ(sensitiveOverlap(3.0f, 9.0f), 0.0f);
-    // Straddles the upper boundary.
-    EXPECT_FLOAT_EQ(sensitiveOverlap(1.0f, 5.0f), 1.0f);
-    // Covers the whole sensitive area: maximal overlap is 4.
-    EXPECT_FLOAT_EQ(sensitiveOverlap(-10.0f, 10.0f), 4.0f);
 }
 
 } // namespace

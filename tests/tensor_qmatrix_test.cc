@@ -1,19 +1,14 @@
 /**
  * @file
- * Tests for the quantized weight container and its dequantize-in-register
- * reference kernels: the per-row error bound, canonical int4 packing,
- * exact agreement between the quantized kernels and a dense GEMV over
- * the dequantized matrix, and the row-skip contract DRS relies on.
+ * Tests for the quantized weight container: the per-row error bound,
+ * the symmetric code range, canonical int4 packing and idempotent
+ * quantize-dequantize (what fake-quant relies on).
  */
 
 #include <cmath>
-#include <cstdlib>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "tensor/ops.hh"
-#include "tensor/panel.hh"
 #include "tensor/qmatrix.hh"
 
 namespace {
@@ -38,20 +33,6 @@ patternMatrix(std::size_t rows, std::size_t cols, unsigned seed = 7)
         }
     }
     return m;
-}
-
-Vector
-patternVector(std::size_t n, unsigned seed = 3)
-{
-    Vector v(n);
-    unsigned state = seed;
-    for (std::size_t i = 0; i < n; ++i) {
-        state = state * 1664525u + 1013904223u;
-        v[i] = static_cast<float>(state >> 8) /
-                   static_cast<float>(1u << 24) -
-               0.5f;
-    }
-    return v;
 }
 
 TEST(QuantizedMatrix, Int8ErrorWithinHalfScale)
@@ -136,19 +117,6 @@ TEST(QuantizedMatrix, Int4PackingIsCanonical)
     }
 }
 
-TEST(QuantizedMatrix, FromPartsRoundTripsExactly)
-{
-    const Matrix m = patternMatrix(5, 6);
-    for (const QuantMode mode : {QuantMode::Int8, QuantMode::Int4}) {
-        const QuantizedMatrix q = QuantizedMatrix::quantize(m, mode);
-        const QuantizedMatrix r = QuantizedMatrix::fromParts(
-            q.rows(), q.cols(), q.mode(),
-            std::vector<float>(q.scales()),
-            std::vector<std::int8_t>(q.payload()));
-        EXPECT_EQ(q, r);
-    }
-}
-
 TEST(QuantizedMatrix, QuantizeIsIdempotent)
 {
     // Quantizing an already quantize-dequantized matrix reproduces it:
@@ -161,75 +129,6 @@ TEST(QuantizedMatrix, QuantizeIsIdempotent)
             QuantizedMatrix::quantize(once, mode).dequantize();
         EXPECT_EQ(once, twice);
     }
-}
-
-TEST(QuantKernels, GemvMatchesDequantizedDense)
-{
-    const Matrix m = patternMatrix(10, 12);
-    const Vector x = patternVector(12);
-    for (const QuantMode mode : {QuantMode::Int8, QuantMode::Int4}) {
-        const QuantizedMatrix q = QuantizedMatrix::quantize(m, mode);
-
-        Vector yq;
-        gemvQuant(q, x, yq);
-        Vector yd;
-        gemv(q.dequantize(), x, yd);
-        ASSERT_EQ(yq.size(), yd.size());
-        for (std::size_t r = 0; r < yq.size(); ++r)
-            EXPECT_NEAR(yq[r], yd[r], 1e-5f);
-    }
-}
-
-TEST(QuantKernels, GemvWithBias)
-{
-    const Matrix m = patternMatrix(6, 8);
-    const Vector x = patternVector(8);
-    const Vector b = patternVector(6, 11);
-    const QuantizedMatrix q = QuantizedMatrix::quantize(m, QuantMode::Int8);
-
-    Vector with_bias, without_bias;
-    gemvQuant(q, x, b, with_bias);
-    gemvQuant(q, x, without_bias);
-    for (std::size_t r = 0; r < 6; ++r)
-        EXPECT_NEAR(with_bias[r], without_bias[r] + b[r], 1e-6f);
-}
-
-TEST(QuantKernels, RowSkipMatchesDenseRowSkip)
-{
-    const Matrix m = patternMatrix(8, 8);
-    const Vector x = patternVector(8);
-    const std::vector<std::uint32_t> skip = {1, 4, 7};
-    const QuantizedMatrix q = QuantizedMatrix::quantize(m, QuantMode::Int8);
-
-    Vector yq;
-    gemvQuantRowSkip(q, x, skip, yq);
-    std::vector<std::uint8_t> mask(8, 0);
-    for (const std::uint32_t r : skip)
-        mask[r] = 1;
-    Vector yd;
-    gemvMasked(PanelMatrix(q.dequantize()), x, mask, yd);
-    ASSERT_EQ(yq.size(), yd.size());
-    for (std::size_t r = 0; r < yq.size(); ++r)
-        EXPECT_NEAR(yq[r], yd[r], 1e-6f);
-    for (const std::uint32_t r : skip)
-        EXPECT_EQ(yq[r], 0.0f);
-}
-
-TEST(QuantKernels, GemmMatchesDequantizedDense)
-{
-    const Matrix a = patternMatrix(5, 7);
-    const Matrix b = patternMatrix(7, 4, 21);
-    const QuantizedMatrix q = QuantizedMatrix::quantize(a, QuantMode::Int8);
-
-    Matrix cq;
-    gemmQuant(q, b, cq);
-    Matrix cd;
-    gemm(q.dequantize(), b, cd);
-    ASSERT_EQ(cq.rows(), cd.rows());
-    ASSERT_EQ(cq.cols(), cd.cols());
-    for (std::size_t r = 0; r < cq.rows(); ++r)
-        for (std::size_t c = 0; c < cq.cols(); ++c)
-            EXPECT_NEAR(cq.at(r, c), cd.at(r, c), 1e-5f);
 }
 
 } // namespace

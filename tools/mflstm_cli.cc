@@ -135,7 +135,6 @@
 #include "obs/observer.hh"
 #include "obs/profile.hh"
 #include "obs/json.hh"
-#include "quant/serialize.hh"
 #include "runtime/report.hh"
 #include "sched/persist.hh"
 #include "serve/engine.hh"
@@ -203,95 +202,6 @@ struct Options
     }
 };
 
-void
-printUsage(std::FILE *to)
-{
-    std::fprintf(
-        to,
-        "usage: mflstm_cli "
-        "<list|run|sweep|mts|serve|fleet|profile|tune|fsck|help> "
-        "[options]\n"
-        "\n"
-        "options:\n"
-        "  --app NAME         Table II application (default IMDB)\n"
-        "  --plan KIND        baseline|inter|intra-sw|intra-hw|"
-        "combined|zero-pruning|persistent\n"
-        "  --set N            threshold ladder rung (default: AO)\n"
-        "  --quant MODE       fp32|int8|int4 weight precision "
-        "(default fp32)\n"
-        "  --backend NAME     hardware backend from the registry\n"
-        "                     (default tx1; list with `mflstm "
-        "backends`)\n"
-        "  --csv              emit one CSV row instead of the table\n"
-        "  --trace-csv FILE   dump the lowered kernel trace as CSV\n"
-        "  --trace-out FILE   write a Chrome trace-event JSON timeline\n"
-        "  --metrics-out FILE write the metrics registry (see "
-        "--metrics-format)\n"
-        "  --metrics-format F json (default) | prom for --metrics-out\n"
-        "  --help             print this message and exit\n"
-        "\n"
-        "profile options:\n"
-        "  --out FILE         write the attribution report JSON\n"
-        "  --baseline FILE    diff against a saved report; regressions\n"
-        "                     beyond --tolerance-pct exit 1\n"
-        "  --tolerance-pct X  regression threshold, percent "
-        "(default 0.1)\n"
-        "\n"
-        "tune options:\n"
-        "  --out FILE         write the tune report JSON\n"
-        "  --cache-dir DIR    tuned-plan cache (default "
-        "mflstm_model_cache)\n"
-        "  --force            ignore (and rewrite) the cached plan\n"
-        "  --batch N          batch the plan is tuned for (default 8)\n"
-        "\n"
-        "serve options (synthetic open-loop workload):\n"
-        "  --tuned            serve sched-searched plans per rung\n"
-        "  --requests N       requests to submit (default 64)\n"
-        "  --batch N          max sequences per batched run (default 8)\n"
-        "  --workers N        engine worker threads (default 2)\n"
-        "  --arrival-us N     mean inter-arrival gap, microseconds\n"
-        "                     (default 200; 0 = all at once)\n"
-        "  --deadline-ms X    per-request wall deadline (default none)\n"
-        "  --queue-capacity N bound the queue (default 0 = unbounded)\n"
-        "  --admission P      reject | drop-oldest | block\n"
-        "  --admit-timeout-ms X  producer wait bound for block\n"
-        "  --fault-rate X     transient-fault probability per site\n"
-        "  --chaos-seed N     fault-injector seed (default 1)\n"
-        "  --retries N        retry budget per transient fault\n"
-        "  --governor         degrade thresholds AO->BPA under load\n"
-        "  --state-dir DIR    persist/restore calibration + engine\n"
-        "                     warm state; SIGTERM drains gracefully\n"
-        "\n"
-        "fleet options (plus the serve knobs above):\n"
-        "  --replicas N       engine replicas (default 2)\n"
-        "  --policy P         affinity | round-robin | least-loaded\n"
-        "  --chaos            run the standard seeded chaos plan\n"
-        "  --chaos-seed N     chaos plan seed (default 1; recorded,\n"
-        "                     replays bit-identically)\n"
-        "  --no-failover      failures are terminal (control arm)\n"
-        "  --ticks N          control ticks to drive (default 16)\n"
-        "  --store-dir DIR    shared warm-state store (default\n"
-        "                     mflstm_fleet_store)\n"
-        "  exit 0 = zero lost requests, 1 = requests lost\n"
-        "\n"
-        "fsck options:\n"
-        "  --cache-dir DIR    directory to verify (default "
-        "mflstm_model_cache)\n"
-        "  --quarantine       rename corrupt files to <name>.corrupt\n"
-        "  exit 0 = all artifacts verified, 1 = corruption found\n"
-        "\n"
-        "backends:\n"
-        "  list every registered hardware backend (id, kind, revision,\n"
-        "  capability flags) usable with --backend\n");
-}
-
-int
-usage()
-{
-    printUsage(stderr);
-    return 2;
-}
-
 std::optional<runtime::PlanKind>
 parsePlan(const std::string &s)
 {
@@ -325,7 +235,7 @@ gpuFor(const std::string &name)
 
 /** `mflstm backends`: print the hardware backend registry. */
 int
-cmdBackends()
+cmdBackends(const Options &)
 {
     std::printf("%-6s %-12s %-4s %-10s %s\n", "id", "kind", "rev",
                 "caps", "backend");
@@ -380,7 +290,7 @@ writeObserverOutputs(const Options &opt, const obs::Observer &observer)
 }
 
 int
-cmdList()
+cmdList(const Options &)
 {
     std::printf("%-6s %-4s %8s %7s %7s  %s\n", "name", "abbr", "hidden",
                 "layers", "length", "task");
@@ -838,9 +748,6 @@ deepVerifyArtifact(const std::string &path, std::uint32_t schema)
         break;
     case io::kSchemaEngineState:
         serve::verifyEngineStateFile(path);
-        break;
-    case io::kSchemaQuantModel:
-        quant::verifyQuantizedModelFile(path);
         break;
     case io::kSchemaTunedPlan:
         sched::verifyTunedPlanFile(path);
@@ -1304,6 +1211,120 @@ cmdFleet(const Options &opt)
     return lost > 0 ? 1 : rc;
 }
 
+/** One subcommand: its name on the command line and its handler. */
+struct Command
+{
+    const char *name;
+    int (*run)(const Options &);
+};
+
+/** Every subcommand except `help`, in usage order. */
+constexpr Command kCommands[] = {
+    {"list", cmdList},       {"run", cmdRun},         {"sweep", cmdSweep},
+    {"mts", cmdMts},         {"serve", cmdServe},     {"fleet", cmdFleet},
+    {"profile", cmdProfile}, {"tune", cmdTune},       {"fsck", cmdFsck},
+    {"backends", cmdBackends},
+};
+
+const Command *
+findCommand(const std::string &name)
+{
+    for (const Command &c : kCommands)
+        if (name == c.name)
+            return &c;
+    return nullptr;
+}
+
+void
+printUsage(std::FILE *to)
+{
+    std::fprintf(to, "usage: mflstm_cli <");
+    for (const Command &c : kCommands)
+        std::fprintf(to, "%s|", c.name);
+    std::fprintf(
+        to,
+        "help> [options]\n"
+        "\n"
+        "options:\n"
+        "  --app NAME         Table II application (default IMDB)\n"
+        "  --plan KIND        baseline|inter|intra-sw|intra-hw|"
+        "combined|zero-pruning|persistent\n"
+        "  --set N            threshold ladder rung (default: AO)\n"
+        "  --quant MODE       fp32|int8|int4 weight precision "
+        "(default fp32)\n"
+        "  --backend NAME     hardware backend from the registry\n"
+        "                     (default tx1; list with `mflstm "
+        "backends`)\n"
+        "  --csv              emit one CSV row instead of the table\n"
+        "  --trace-csv FILE   dump the lowered kernel trace as CSV\n"
+        "  --trace-out FILE   write a Chrome trace-event JSON timeline\n"
+        "  --metrics-out FILE write the metrics registry (see "
+        "--metrics-format)\n"
+        "  --metrics-format F json (default) | prom for --metrics-out\n"
+        "  --help             print this message and exit\n"
+        "\n"
+        "profile options:\n"
+        "  --out FILE         write the attribution report JSON\n"
+        "  --baseline FILE    diff against a saved report; regressions\n"
+        "                     beyond --tolerance-pct exit 1\n"
+        "  --tolerance-pct X  regression threshold, percent "
+        "(default 0.1)\n"
+        "\n"
+        "tune options:\n"
+        "  --out FILE         write the tune report JSON\n"
+        "  --cache-dir DIR    tuned-plan cache (default "
+        "mflstm_model_cache)\n"
+        "  --force            ignore (and rewrite) the cached plan\n"
+        "  --batch N          batch the plan is tuned for (default 8)\n"
+        "\n"
+        "serve options (synthetic open-loop workload):\n"
+        "  --tuned            serve sched-searched plans per rung\n"
+        "  --requests N       requests to submit (default 64)\n"
+        "  --batch N          max sequences per batched run (default 8)\n"
+        "  --workers N        engine worker threads (default 2)\n"
+        "  --arrival-us N     mean inter-arrival gap, microseconds\n"
+        "                     (default 200; 0 = all at once)\n"
+        "  --deadline-ms X    per-request wall deadline (default none)\n"
+        "  --queue-capacity N bound the queue (default 0 = unbounded)\n"
+        "  --admission P      reject | drop-oldest | block\n"
+        "  --admit-timeout-ms X  producer wait bound for block\n"
+        "  --fault-rate X     transient-fault probability per site\n"
+        "  --chaos-seed N     fault-injector seed (default 1)\n"
+        "  --retries N        retry budget per transient fault\n"
+        "  --governor         degrade thresholds AO->BPA under load\n"
+        "  --state-dir DIR    persist/restore calibration + engine\n"
+        "                     warm state; SIGTERM drains gracefully\n"
+        "\n"
+        "fleet options (plus the serve knobs above):\n"
+        "  --replicas N       engine replicas (default 2)\n"
+        "  --policy P         affinity | round-robin | least-loaded\n"
+        "  --chaos            run the standard seeded chaos plan\n"
+        "  --chaos-seed N     chaos plan seed (default 1; recorded,\n"
+        "                     replays bit-identically)\n"
+        "  --no-failover      failures are terminal (control arm)\n"
+        "  --ticks N          control ticks to drive (default 16)\n"
+        "  --store-dir DIR    shared warm-state store (default\n"
+        "                     mflstm_fleet_store)\n"
+        "  exit 0 = zero lost requests, 1 = requests lost\n"
+        "\n"
+        "fsck options:\n"
+        "  --cache-dir DIR    directory to verify (default "
+        "mflstm_model_cache)\n"
+        "  --quarantine       rename corrupt files to <name>.corrupt\n"
+        "  exit 0 = all artifacts verified, 1 = corruption found\n"
+        "\n"
+        "backends:\n"
+        "  list every registered hardware backend (id, kind, revision,\n"
+        "  capability flags) usable with --backend\n");
+}
+
+int
+usage()
+{
+    printUsage(stderr);
+    return 2;
+}
+
 } // anonymous namespace
 
 int
@@ -1319,11 +1340,8 @@ main(int argc, char **argv)
         printUsage(stdout);
         return 0;
     }
-    if (opt.command != "list" && opt.command != "run" &&
-        opt.command != "sweep" && opt.command != "mts" &&
-        opt.command != "serve" && opt.command != "fleet" &&
-        opt.command != "profile" && opt.command != "tune" &&
-        opt.command != "fsck" && opt.command != "backends") {
+    const Command *command = findCommand(opt.command);
+    if (!command) {
         std::fprintf(stderr, "unknown command: %s\n",
                      opt.command.c_str());
         return usage();
@@ -1558,25 +1576,7 @@ main(int argc, char **argv)
     }
 
     try {
-        if (opt.command == "list")
-            return cmdList();
-        if (opt.command == "backends")
-            return cmdBackends();
-        if (opt.command == "run")
-            return cmdRun(opt);
-        if (opt.command == "sweep")
-            return cmdSweep(opt);
-        if (opt.command == "serve")
-            return cmdServe(opt);
-        if (opt.command == "fleet")
-            return cmdFleet(opt);
-        if (opt.command == "profile")
-            return cmdProfile(opt);
-        if (opt.command == "tune")
-            return cmdTune(opt);
-        if (opt.command == "fsck")
-            return cmdFsck(opt);
-        return cmdMts(opt);
+        return command->run(opt);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
