@@ -154,12 +154,18 @@ class ApproxRunner
     const std::vector<LayerApproxStats> &stats() const { return stats_; }
     void resetStats();
 
-    /** Per-layer link predictors (persistence export/restore). */
+    /** Per-layer link predictors (persistence export). */
     const std::vector<LinkPredictor> &predictors() const
     {
         return predictors_;
     }
-    std::vector<LinkPredictor> &predictors() { return predictors_; }
+
+    /**
+     * Replace the link predictors (persistence restore): one per layer,
+     * each of the model's hidden size.
+     * @throws std::invalid_argument on a layer-count or width mismatch.
+     */
+    void restorePredictors(std::vector<LinkPredictor> predictors);
 
     const nn::LstmModel &model() const { return model_; }
 
@@ -191,12 +197,17 @@ class ApproxRunner
 
   private:
     void rebuildRelevanceContexts();
+    /** Recompute predictedH_/predictedC_ from predictors_. */
+    void refreshPredictions();
 
     const nn::LstmModel &model_;
     /// fake-quantized serving copy; engaged iff quantMode_ != Fp32
     std::optional<nn::LstmModel> qmodel_;
     std::vector<LayerRelevanceContext> relevanceCtx_;
     std::vector<LinkPredictor> predictors_;
+    /// per-layer Eq. 6 predicted (h, c), computed whenever predictors_
+    /// change rather than from the histograms on every sequence
+    std::vector<Vector> predictedH_, predictedC_;
     std::vector<LayerApproxStats> stats_;
     double alphaInter_ = 0.0;
     double alphaIntra_ = 0.0;

@@ -298,11 +298,12 @@ loadCalibration(MemoryFriendlyLstm &mf, const std::string &path,
                                                 path, "c-link"));
         }
 
-        for (std::size_t l = 0; l < runner.predictors().size(); ++l) {
-            LinkPredictor &p = runner.predictors()[l];
-            applyDistribution(p.hDistribution(), h_counts[l]);
-            applyDistribution(p.cDistribution(), c_counts[l]);
+        std::vector<LinkPredictor> predictors = runner.predictors();
+        for (std::size_t l = 0; l < predictors.size(); ++l) {
+            applyDistribution(predictors[l].hDistribution(), h_counts[l]);
+            applyDistribution(predictors[l].cDistribution(), c_counts[l]);
         }
+        runner.restorePredictors(std::move(predictors));
         mf.restoreCalibration(cal);
     } catch (const ArtifactError &e) {
         io::recordRejection(obs, e.kind());

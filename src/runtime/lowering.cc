@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "gpu/cache.hh"
 #include "gpu/sm.hh"
@@ -28,10 +31,10 @@ ctasFor(double threads)
 
 /** Batched kernels carry the batch in their trace name. */
 void
-tagBatch(gpu::KernelDesc &k, std::size_t batch)
+tagBatch(std::string &name, std::size_t batch)
 {
     if (batch > 1)
-        k.name += " x" + std::to_string(batch);
+        name += " x" + std::to_string(batch);
 }
 
 double
@@ -78,10 +81,10 @@ scaleShare(double elems, double rows, quant::QuantMode qm, bool dot_units)
 
 /** Quantized kernels tag the precision in their trace name. */
 void
-tagQuant(gpu::KernelDesc &k, quant::QuantMode qm)
+tagQuant(std::string &name, quant::QuantMode qm)
 {
     if (qm != quant::QuantMode::Fp32)
-        k.name += std::string(" [") + quant::toString(qm) + "]";
+        name += std::string(" [") + quant::toString(qm) + "]";
 }
 
 } // anonymous namespace
@@ -158,8 +161,8 @@ Lowering::inputSgemm(const LstmLayerShape &shape,
     k.threadsPerCta = kCta;
     k.ctas = ctasFor(4.0 * h * n * b);
     k.syncsPerCta = 4;
-    tagQuant(k, qm);
-    tagBatch(k, ctx.batch);
+    tagQuant(k.name, qm);
+    tagBatch(k.name, ctx.batch);
     return k;
 }
 
@@ -198,8 +201,8 @@ Lowering::cellSgemv(const LstmLayerShape &shape,
     k.threadsPerCta = kCta;
     k.ctas = ctasFor(4.0 * h * b);
     k.syncsPerCta = 2;
-    tagQuant(k, qm);
-    tagBatch(k, ctx.batch);
+    tagQuant(k.name, qm);
+    tagBatch(k.name, ctx.batch);
     return k;
 }
 
@@ -248,8 +251,8 @@ Lowering::tissueSgemm(const LstmLayerShape &shape, std::size_t tissue_size,
         k.disabledThreads = static_cast<unsigned>(
             skip_fraction * 3.0 * h * tk * b);
     }
-    tagQuant(k, qm);
-    tagBatch(k, ctx.batch);
+    tagQuant(k.name, qm);
+    tagBatch(k.name, ctx.batch);
     return k;
 }
 
@@ -276,7 +279,7 @@ Lowering::elementWise(const LstmLayerShape &shape, std::size_t cells,
     k.threadsPerCta = kCta;
     k.ctas = ctasFor(elems);
     k.syncsPerCta = 0;
-    tagBatch(k, ctx.batch);
+    tagBatch(k.name, ctx.batch);
     return k;
 }
 
@@ -318,8 +321,8 @@ Lowering::outputGateSgemv(const LstmLayerShape &shape,
     k.threadsPerCta = kCta;
     k.ctas = ctasFor(h * b);
     k.syncsPerCta = 2;
-    tagQuant(k, qm);
-    tagBatch(k, ctx.batch);
+    tagQuant(k.name, qm);
+    tagBatch(k.name, ctx.batch);
     return k;
 }
 
@@ -340,7 +343,7 @@ Lowering::drsScan(const LstmLayerShape &shape,
     k.threadsPerCta = kCta;
     k.ctas = ctasFor(h * b);
     k.syncsPerCta = 1;
-    tagBatch(k, ctx.batch);
+    tagBatch(k.name, ctx.batch);
     return k;
 }
 
@@ -401,8 +404,8 @@ Lowering::rowSkipSgemv(const LstmLayerShape &shape,
     // the surviving rows' FMA streams on both the CRM and sw paths.
     if (qm != quant::QuantMode::Fp32)
         k.quantWeightElems = 3.0 * h * h * keep;
-    tagQuant(k, qm);
-    tagBatch(k, ctx.batch);
+    tagQuant(k.name, qm);
+    tagBatch(k.name, ctx.batch);
     return k;
 }
 
@@ -430,7 +433,7 @@ Lowering::relevanceKernel(const LstmLayerShape &shape,
     k.threadsPerCta = kCta;
     k.ctas = ctasFor(n * h * b / 32.0);
     k.syncsPerCta = 1;
-    tagBatch(k, ctx.batch);
+    tagBatch(k.name, ctx.batch);
     return k;
 }
 
@@ -452,7 +455,7 @@ Lowering::tissueGather(const LstmLayerShape &shape,
     k.dramWriteBytes = 0.0;
     k.threadsPerCta = kCta;
     k.ctas = ctasFor(tk * h * b);
-    tagBatch(k, ctx.batch);
+    tagBatch(k.name, ctx.batch);
     return k;
 }
 
@@ -538,8 +541,8 @@ Lowering::persistentLayerKernel(const LstmLayerShape &shape,
     k.ctas = std::min(ctasFor(4.0 * h * b), concurrent);
     // One grid-wide barrier per wave keeps the recurrence ordered.
     k.syncsPerCta = static_cast<unsigned>(waves);
-    tagQuant(k, qm);
-    tagBatch(k, ctx.batch);
+    tagQuant(k.name, qm);
+    tagBatch(k.name, ctx.batch);
     return k;
 }
 
@@ -572,7 +575,7 @@ Lowering::prunedSgemv(const LstmLayerShape &shape,
     k.threadsPerCta = kCta;
     k.ctas = ctasFor(4.0 * h * b);
     k.syncsPerCta = 2;
-    tagBatch(k, ctx.batch);
+    tagBatch(k.name, ctx.batch);
     return k;
 }
 
@@ -599,15 +602,26 @@ Lowering::lowerLayer(const LstmLayerShape &shape,
     // comparator always stays fp32, enforced by LayerSchedule).
     const double u_bytes = weightFootprintBytes(4.0 * h * h, 4.0 * h, qm);
 
-    // Provenance tags consumed by the observability timeline.
+    // A layer's per-step (and per-tissue-size) kernels are one launch
+    // repeated: each loop-invariant descriptor is built once below, and
+    // push only stamps the provenance tags the observability timeline
+    // consumes.
     const int li = static_cast<int>(layer_index);
-    const auto push = [&](gpu::KernelDesc k, int timestep = -1,
+    const auto push = [&](const gpu::KernelDesc &k, int timestep = -1,
                           int tissue = -1) {
-        k.layer = li;
-        k.timestep = timestep;
-        k.tissue = tissue;
-        out.push_back(std::move(k));
+        gpu::KernelDesc &pushed = out.emplace_back(k);
+        pushed.layer = li;
+        pushed.timestep = timestep;
+        pushed.tissue = tissue;
     };
+    // Per-cell flows: the same kernel sequence at every timestep.
+    const auto push_cells =
+        [&](std::initializer_list<gpu::KernelDesc> step) {
+            out.reserve(out.size() + shape.length * step.size());
+            for (std::size_t t = 0; t < shape.length; ++t)
+                for (const gpu::KernelDesc &k : step)
+                    push(k, static_cast<int>(t));
+        };
 
     push(inputSgemm(shape, ctx));
 
@@ -617,12 +631,8 @@ Lowering::lowerLayer(const LstmLayerShape &shape,
         const double pruned_footprint =
             u_bytes * (1.0 - ls.pruneFraction) * 1.5;
         const double traffic = layerWeightTraffic(pruned_footprint, n);
-        for (std::size_t t = 0; t < shape.length; ++t) {
-            const int ts = static_cast<int>(t);
-            push(prunedSgemv(shape, traffic / n, ls.pruneFraction, ctx),
-                 ts);
-            push(elementWise(shape, 1, ctx), ts);
-        }
+        push_cells({prunedSgemv(shape, traffic / n, ls.pruneFraction, ctx),
+                    elementWise(shape, 1, ctx)});
         return;
     }
 
@@ -661,10 +671,18 @@ Lowering::lowerLayer(const LstmLayerShape &shape,
 
         const double tissues = static_cast<double>(sizes.size());
         const double traffic = layerWeightTraffic(u_bytes, tissues);
-        int cell = 0;
-        int ti = 0;
-        for (std::size_t tissue : sizes) {
-            push(tissueGather(shape, tissue, ctx), cell, ti);
+        std::string uo_name = "Sgemm(U_o, H_t)+flags";
+        tagQuant(uo_name, qm);
+        tagBatch(uo_name, eff_batch);
+        std::string fic_name = "Sgemm(U_fic, H_t, R)";
+        tagQuant(fic_name, qm);
+        tagBatch(fic_name, eff_batch);
+
+        // The kernels of one tissue depend on the layer and the tissue
+        // size alone.
+        const auto tissue_group = [&](std::size_t tissue) {
+            std::vector<gpu::KernelDesc> group;
+            group.push_back(tissueGather(shape, tissue, ctx));
             if (ls.skipActive()) {
                 // Combined flow: per-tissue U_o Sgemm (whose epilogue
                 // applies sigma and emits relevance flags -- DRS inside
@@ -675,9 +693,7 @@ Lowering::lowerLayer(const LstmLayerShape &shape,
                     h * static_cast<double>(tissue * eff_batch);
                 gpu::KernelDesc uo =
                     tissueSgemm(shape, tissue, 0.0, 0.0, ctx);
-                uo.name = "Sgemm(U_o, H_t)+flags";
-                tagQuant(uo, qm);
-                tagBatch(uo, eff_batch);
+                uo.name = uo_name;
                 uo.flops *= 0.25;
                 uo.dramReadBytes = traffic / tissues * 0.25;
                 uo.dramWeightBytes = uo.dramReadBytes;
@@ -685,7 +701,8 @@ Lowering::lowerLayer(const LstmLayerShape &shape,
                 // attribution sub-streams from the overridden figures
                 // or the ledger's conservation check trips.
                 uo.dramScaleBytes =
-                    uo.dramWeightBytes * scaleShare(h * h, h, qm, cfg_.int8DotUnits);
+                    uo.dramWeightBytes *
+                    scaleShare(h * h, h, qm, cfg_.int8DotUnits);
                 uo.sharedBytes *= 0.25;
                 uo.l2AccessBytes *= 0.25;
                 uo.quantWeightElems *= 0.25;
@@ -694,25 +711,40 @@ Lowering::lowerLayer(const LstmLayerShape &shape,
                 uo.dramWriteBytes += flag_elems;
                 uo.dramCrmMetaBytes = flag_elems;
                 uo.l2AccessBytes += flag_elems;
-                push(std::move(uo), cell, ti);
+                group.push_back(std::move(uo));
 
                 gpu::KernelDesc fic =
                     tissueSgemm(shape, tissue, traffic / tissues * 0.75,
                                 ls.skipFraction, ctx);
-                fic.name = "Sgemm(U_fic, H_t, R)";
-                tagQuant(fic, qm);
-                tagBatch(fic, eff_batch);
+                fic.name = fic_name;
                 fic.flops *= 0.75;
                 fic.sharedBytes *= 0.75;
                 fic.l2AccessBytes *= 0.75;
                 fic.quantWeightElems *= 0.75;
-                push(std::move(fic), cell, ti);
+                group.push_back(std::move(fic));
             } else {
-                push(tissueSgemm(shape, tissue, traffic / tissues, 0.0,
-                                 ctx),
-                     cell, ti);
+                group.push_back(tissueSgemm(shape, tissue,
+                                            traffic / tissues, 0.0, ctx));
             }
-            push(elementWise(shape, tissue, ctx), cell, ti);
+            group.push_back(elementWise(shape, tissue, ctx));
+            return group;
+        };
+
+        // Aligned tissues take only a few distinct sizes.
+        std::vector<std::pair<std::size_t, std::vector<gpu::KernelDesc>>>
+            groups;
+        out.reserve(out.size() + sizes.size() * (ls.skipActive() ? 4 : 3));
+        int cell = 0;
+        int ti = 0;
+        for (std::size_t tissue : sizes) {
+            auto it = std::find_if(
+                groups.begin(), groups.end(),
+                [&](const auto &g) { return g.first == tissue; });
+            if (it == groups.end())
+                it = groups.emplace(groups.end(), tissue,
+                                    tissue_group(tissue));
+            for (const gpu::KernelDesc &k : it->second)
+                push(k, cell, ti);
             cell += static_cast<int>(tissue);
             ++ti;
         }
@@ -722,47 +754,35 @@ Lowering::lowerLayer(const LstmLayerShape &shape,
     if (ls.skipActive()) {
         // Algorithm 3, per cell.
         const bool hw = ls.skipPath == SkipPath::HwCrm;
-        const bool fused = ls.flagFusion == FlagFusion::FusedEpilogue;
         const double uo_traffic = layerWeightTraffic(u_bytes * 0.25, n);
         const double fic_traffic = layerWeightTraffic(u_bytes * 0.75, n);
-        KernelBuildCtx fctx = ctx;
-        fctx.fusedFlags = true;
-        for (std::size_t t = 0; t < shape.length; ++t) {
-            const int ts = static_cast<int>(t);
-            if (fused) {
-                // Fused flag epilogue (Section V-B for hw-crm; on the
-                // software path a searched fusion): the U_o epilogue
-                // applies sigma and writes raw relevance flags, so the
-                // standalone scan kernel and its extra element-wise
-                // pass never launch. With the CRM the prefix-sum
-                // datapath compacts the flags in the dispatch stage
-                // (priced as crmCycles by the GMU model); the software
-                // path keeps its divergent warps.
-                push(outputGateSgemv(shape, uo_traffic / n, fctx), ts);
-                push(rowSkipSgemv(shape, fic_traffic / n,
-                                  ls.skipFraction, hw, ctx),
-                     ts);
-                push(elementWise(shape, 1, ctx), ts);
-            } else {
-                push(outputGateSgemv(shape, uo_traffic / n, ctx), ts);
-                push(elementWise(shape, 1, ctx), ts);
-                push(drsScan(shape, ctx), ts);
-                push(rowSkipSgemv(shape, fic_traffic / n,
-                                  ls.skipFraction, hw, ctx),
-                     ts);
-                push(elementWise(shape, 1, ctx), ts);
-            }
+        const gpu::KernelDesc fic = rowSkipSgemv(
+            shape, fic_traffic / n, ls.skipFraction, hw, ctx);
+        const gpu::KernelDesc ew = elementWise(shape, 1, ctx);
+        if (ls.flagFusion == FlagFusion::FusedEpilogue) {
+            // Fused flag epilogue (Section V-B for hw-crm; on the
+            // software path a searched fusion): the U_o epilogue
+            // applies sigma and writes raw relevance flags, so the
+            // standalone scan kernel and its extra element-wise pass
+            // never launch. With the CRM the prefix-sum datapath
+            // compacts the flags in the dispatch stage (priced as
+            // crmCycles by the GMU model); the software path keeps its
+            // divergent warps.
+            KernelBuildCtx fctx = ctx;
+            fctx.fusedFlags = true;
+            push_cells(
+                {outputGateSgemv(shape, uo_traffic / n, fctx), fic, ew});
+        } else {
+            push_cells({outputGateSgemv(shape, uo_traffic / n, ctx), ew,
+                        drsScan(shape, ctx), fic, ew});
         }
         return;
     }
 
     // Baseline: Algorithm 1.
     const double traffic = layerWeightTraffic(u_bytes, n);
-    for (std::size_t t = 0; t < shape.length; ++t) {
-        const int ts = static_cast<int>(t);
-        push(cellSgemv(shape, traffic / n, ctx), ts);
-        push(elementWise(shape, 1, ctx), ts);
-    }
+    push_cells({cellSgemv(shape, traffic / n, ctx),
+                elementWise(shape, 1, ctx)});
 }
 
 gpu::KernelTrace

@@ -104,24 +104,28 @@ tune(const runtime::NetworkExecutor &exec, const TuneRequest &req)
     };
 
     // --- 1. The presets, through the canonical construction ----------
-    for (runtime::PlanKind kind : kPresets)
-        score(std::string("preset:") + runtime::toString(kind),
-              presetPlan(exec, req, kind));
-    const std::size_t preset_count = result.candidates.size();
-
-    // --- 2. Per-layer rule enumeration + byte prune + layer scoring ---
-    const auto tissues = [&](runtime::PlanKind kind) {
+    // Each preset plan is built once. InterCell and Combined also hand
+    // their tissue sizes to step 2, so the Combined MTS sweep
+    // (core::presetMts) runs once per tune.
+    const auto tissues = [](const runtime::ExecutionPlan &plan) {
         std::vector<std::vector<std::size_t>> sizes;
-        for (const runtime::LayerSchedule &ls :
-             presetPlan(exec, req, kind).decisions.layers)
+        for (const runtime::LayerSchedule &ls : plan.decisions.layers)
             sizes.push_back(ls.tissueSizes);
         return sizes;
     };
-    const std::vector<std::vector<std::size_t>> inter =
-        tissues(runtime::PlanKind::InterCell);
-    const std::vector<std::vector<std::size_t>> combined_inter =
-        tissues(runtime::PlanKind::Combined);
+    std::vector<std::vector<std::size_t>> inter, combined_inter;
+    for (runtime::PlanKind kind : kPresets) {
+        const Candidate &c =
+            score(std::string("preset:") + runtime::toString(kind),
+                  presetPlan(exec, req, kind));
+        if (kind == runtime::PlanKind::InterCell)
+            inter = tissues(c.plan);
+        else if (kind == runtime::PlanKind::Combined)
+            combined_inter = tissues(c.plan);
+    }
+    const std::size_t preset_count = result.candidates.size();
 
+    // --- 2. Per-layer rule enumeration + byte prune + layer scoring ---
     std::vector<runtime::LayerSchedule> min_time, min_bytes;
     std::vector<std::string> time_labels, bytes_labels;
     for (std::size_t l = 0; l < req.shape.layers.size(); ++l) {

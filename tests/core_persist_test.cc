@@ -140,6 +140,42 @@ TEST_F(PersistTest, RoundTripRestoresPredictorsBitIdentically)
     EXPECT_EQ(a.speedup, b.speedup);
 }
 
+TEST_F(PersistTest, RestoredAndRecalibratedRunnersMatchFreshLogits)
+{
+    const nn::LstmModel model(modelConfig(), 77);
+    const auto first = seqs(4, 8, 5);
+    const auto second = seqs(3, 8, 6);
+    auto both = first;
+    both.insert(both.end(), second.begin(), second.end());
+
+    // An alpha_inter above every relevance breaks every link, so each
+    // cell after the first starts from the predicted (h, c).
+    const auto logits = [](ApproxRunner &runner) {
+        runner.setThresholds(1e30, 0.0);
+        std::vector<Vector> out;
+        for (const auto &s : seqs(5, 8, 9))
+            out.push_back(runner.classify(s));
+        return out;
+    };
+
+    MemoryFriendlyLstm fresh(model, mfConfig());
+    fresh.calibrate(both);
+    const std::vector<Vector> want = logits(fresh.runner());
+
+    // A second calibrate() must move the predictions it feeds.
+    ApproxRunner recalibrated(model);
+    recalibrated.calibrate(first);
+    const std::vector<Vector> first_only = logits(recalibrated);
+    recalibrated.calibrate(second);
+    EXPECT_EQ(logits(recalibrated), want);
+    EXPECT_NE(first_only, want);  // so stale predictions would show
+
+    saveCalibration(fresh, path_);
+    MemoryFriendlyLstm restored(model, mfConfig());
+    loadCalibration(restored, path_);
+    EXPECT_EQ(logits(restored.runner()), want);
+}
+
 TEST_F(PersistTest, StaleCalibrationRejectedAndRunnerUntouched)
 {
     const nn::LstmModel model(modelConfig(), 77);

@@ -8,6 +8,13 @@
  * tests/golden/. Any lowering change that moves a single byte in any
  * plan kind shows up as a one-line diff in the fixture it touched.
  *
+ * A second fixture, tests/golden/trace_digests.txt, pins the order and
+ * provenance the sums cannot see: one line per app x plan kind x
+ * {fp32, int8} x batch {1, 3} with the kernel count and an FNV-1a
+ * digest over every kernel in trace order (name, provenance stamps,
+ * enums, flags and every numeric field). A reordered kernel, a wrong
+ * layer/timestep/tissue stamp or a mis-tagged batched name changes it.
+ *
  * Regenerating after an *intentional* lowering change:
  *
  *     MFLSTM_UPDATE_GOLDEN=1 ctest -R GoldenTrace
@@ -17,8 +24,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -162,16 +171,14 @@ fixturePath(PlanKind kind)
            runtime::toString(kind) + ".txt";
 }
 
-class GoldenTrace : public ::testing::TestWithParam<PlanKind>
+/**
+ * Diff @p got against the fixture at @p path line by line, so a failure
+ * names the first divergent line instead of dumping two multi-kilobyte
+ * blobs. With MFLSTM_UPDATE_GOLDEN set it rewrites the fixture instead.
+ */
+void
+expectMatchesFixture(const std::string &got, const std::string &path)
 {
-};
-
-TEST_P(GoldenTrace, LoweredSignatureMatchesFixture)
-{
-    const PlanKind kind = GetParam();
-    const std::string got = fixtureFor(kind);
-    const std::string path = fixturePath(kind);
-
     if (std::getenv("MFLSTM_UPDATE_GOLDEN")) {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         ASSERT_TRUE(out) << "cannot write " << path;
@@ -185,8 +192,6 @@ TEST_P(GoldenTrace, LoweredSignatureMatchesFixture)
     std::stringstream want;
     want << in.rdbuf();
 
-    // Line-by-line so a failure names the first divergent signature
-    // instead of dumping two multi-kilobyte blobs.
     std::istringstream gs(got), ws(want.str());
     std::string gline, wline;
     std::size_t line = 0;
@@ -194,12 +199,22 @@ TEST_P(GoldenTrace, LoweredSignatureMatchesFixture)
         ++line;
         ASSERT_TRUE(std::getline(gs, gline))
             << path << ":" << line << ": fixture has more lines than "
-            << "the lowered signature (first missing: " << wline << ")";
+            << "the lowered output (first missing: " << wline << ")";
         EXPECT_EQ(gline, wline) << path << ":" << line;
     }
     EXPECT_FALSE(std::getline(gs, gline))
-        << path << ": lowered signature has extra lines (first: "
-        << gline << ")";
+        << path << ": lowered output has extra lines (first: " << gline
+        << ")";
+}
+
+class GoldenTrace : public ::testing::TestWithParam<PlanKind>
+{
+};
+
+TEST_P(GoldenTrace, LoweredSignatureMatchesFixture)
+{
+    const PlanKind kind = GetParam();
+    expectMatchesFixture(fixtureFor(kind), fixturePath(kind));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -211,5 +226,107 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return name;
     });
+
+/** 64-bit FNV-1a, fed little-endian so the digest is host-independent. */
+class Fnv1a
+{
+  public:
+    void bytes(const void *data, std::size_t n)
+    {
+        const auto *p = static_cast<const unsigned char *>(data);
+        for (std::size_t i = 0; i < n; ++i) {
+            h_ ^= p[i];
+            h_ *= 0x100000001b3ULL;
+        }
+    }
+
+    void u64(std::uint64_t v)
+    {
+        unsigned char le[8];
+        for (int i = 0; i < 8; ++i)
+            le[i] = static_cast<unsigned char>(v >> (8 * i));
+        bytes(le, sizeof le);
+    }
+
+    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+
+    void f64(double v)
+    {
+        std::uint64_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        u64(bits);
+    }
+
+    void str(const std::string &s)
+    {
+        u64(s.size());
+        bytes(s.data(), s.size());
+    }
+
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/** Kernel count plus a digest over every field of every kernel. */
+std::string
+traceDigest(const gpu::KernelTrace &trace)
+{
+    Fnv1a h;
+    for (const gpu::KernelDesc &k : trace) {
+        h.str(k.name);
+        h.u64(static_cast<std::uint64_t>(k.klass));
+        h.u64(k.ctas);
+        h.u64(k.threadsPerCta);
+        for (double v :
+             {k.flops, k.dramReadBytes, k.dramWriteBytes, k.l2AccessBytes,
+              k.sharedBytes, k.dramWeightBytes, k.quantWeightElems,
+              k.dramScaleBytes, k.dramCrmMetaBytes, k.dramSpillBytes,
+              k.dramResidencyReloadBytes, k.residencyPinnedBytes,
+              k.divergenceFactor, k.coalescingFactor})
+            h.f64(v);
+        h.u64(static_cast<std::uint64_t>(k.weightStream));
+        h.u64(static_cast<std::uint64_t>(k.residency));
+        h.u64(k.syncsPerCta);
+        h.i64(k.layer);
+        h.i64(k.timestep);
+        h.i64(k.tissue);
+        h.u64(k.hasRowSkipArg ? 1 : 0);
+        h.u64(k.disabledThreads);
+    }
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "kernels %zu fnv1a %016llx",
+                  trace.size(), static_cast<unsigned long long>(h.value()));
+    return buf;
+}
+
+/** Digest fixture body: every app x plan kind x precision x batch. */
+std::string
+digestFixture()
+{
+    const gpu::GpuConfig cfg = gpu::GpuConfig::tegraX1();
+    const runtime::Lowering lowering(cfg);
+    std::ostringstream os;
+    for (const workloads::BenchmarkSpec &spec : workloads::tableII()) {
+        const runtime::NetworkShape shape = spec.timingShape();
+        for (PlanKind kind : kKinds)
+            for (quant::QuantMode qm : kModes)
+                for (std::size_t batch : {1u, 3u})
+                    os << spec.name << "/" << runtime::toString(kind)
+                       << "/" << quant::toString(qm) << "/b" << batch
+                       << " "
+                       << traceDigest(lowering.lower(
+                              shape, planFor(kind, shape, qm), batch))
+                       << "\n";
+    }
+    return os.str();
+}
+
+TEST(GoldenTraceDigest, EveryKernelMatchesFixture)
+{
+    expectMatchesFixture(digestFixture(), std::string(MFLSTM_GOLDEN_DIR) +
+                                              "/trace_digests.txt");
+}
 
 } // namespace

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "gpu/config.hh"
+#include "obs/observer.hh"
 #include "runtime/executor.hh"
 #include "sched/tuner.hh"
 
@@ -149,6 +150,23 @@ TEST(Tune, ChosenDominatesEveryPreset)
     // Table rows come fastest first.
     for (std::size_t i = 1; i < res.candidates.size(); ++i)
         EXPECT_LE(res.candidates[i - 1].timeUs, res.candidates[i].timeUs);
+}
+
+TEST(Tune, RunsTheCombinedMtsSweepOnce)
+{
+    obs::Observer observer;
+    const runtime::NetworkExecutor exec(gpu::GpuConfig::tegraX1(),
+                                        &observer);
+    const TuneRequest req = smallRequest();
+    (void)tune(exec, req);
+
+    // 7 presets + one 12-probe Combined MTS sweep + 2 layers x 4
+    // byte-prune survivors + 2 composed candidates. A second sweep
+    // (re-deriving the Combined tissues for step 2) would make it 41.
+    const obs::Counter *runs =
+        observer.metrics().findCounter("executor.runs");
+    ASSERT_NE(runs, nullptr);
+    EXPECT_EQ(runs->value(), 7.0 + 12.0 + 2.0 * 4.0 + 2.0);
 }
 
 TEST(Tune, PresetPlansScoreIdenticallyToCandidates)
