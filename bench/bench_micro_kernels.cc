@@ -2,19 +2,22 @@
  * @file
  * google-benchmark microbenchmarks of the CPU-side tensor kernels the
  * accuracy substrate runs on: GEMV/GEMM (plain, transposed, panel-packed,
- * masked), the LSTM cell step, and the DRS cell step. These
- * measure the reproduction's own kernels (wall clock), not the
- * simulated GPU.
+ * masked), the LSTM cell step, and the DRS cell step, plus the host cost
+ * of one lower-and-simulate timing run. These measure the
+ * reproduction's own code (wall clock), not the simulated GPU.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "core/approx.hh"
+#include "gpu/simulator.hh"
 #include "harness.hh"
 #include "nn/lstm.hh"
+#include "runtime/lowering.hh"
 #include "tensor/ops.hh"
 #include "tensor/panel.hh"
 #include "tensor/rng.hh"
+#include "workloads/benchmarks.hh"
 
 namespace {
 
@@ -158,6 +161,48 @@ BM_DrsCellForward(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DrsCellForward)->Arg(64)->Arg(128)->Arg(256);
+
+/**
+ * Host cost of one timing run, the unit a cold schedule search repeats
+ * thousands of times: lower a Table II network under a Combined plan
+ * and simulate its trace on tx1. The plans have the planner's shapes:
+ * PTB fp32 runs layer 0 per cell and layers 1-2 in tissues of four
+ * (1,005 launches); MR int8 runs per cell (67 launches).
+ * time_per_launch is the wall time per kernel launch.
+ */
+void
+BM_LowerAndSimulate(benchmark::State &state, const char *app,
+                    quant::QuantMode qm)
+{
+    const runtime::NetworkShape shape =
+        workloads::benchmarkByName(app).timingShape();
+    const bool ptb = std::string(app) == "PTB";
+    std::vector<std::vector<std::size_t>> tissues;
+    for (std::size_t l = 0; l < shape.layers.size(); ++l) {
+        const std::size_t size = ptb && l > 0 ? 4 : 1;
+        tissues.emplace_back(shape.layers[l].length / size, size);
+    }
+    const runtime::ExecutionPlan plan = runtime::ExecutionPlan::preset(
+        runtime::PlanKind::Combined, shape.layers.size(), qm, tissues,
+        std::vector<double>(shape.layers.size(), 0.35));
+
+    const gpu::GpuConfig cfg = gpu::GpuConfig::tegraX1();
+    const runtime::Lowering lowering(cfg);
+    double launches = 0.0;
+    for (auto _ : state) {
+        const gpu::KernelTrace trace = lowering.lower(shape, plan);
+        gpu::Simulator sim(cfg, plan.usesCrmHardware());
+        const gpu::TraceResult r = sim.runTrace(trace);
+        benchmark::DoNotOptimize(r.timeUs);
+        launches += static_cast<double>(trace.size());
+    }
+    state.counters["time_per_launch"] = benchmark::Counter(
+        launches, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_LowerAndSimulate, PTB_combined_fp32, "PTB",
+                  quant::QuantMode::Fp32);
+BENCHMARK_CAPTURE(BM_LowerAndSimulate, MR_combined_int8, "MR",
+                  quant::QuantMode::Int8);
 
 /**
  * Console reporter that also captures every per-iteration run into the

@@ -79,15 +79,19 @@ class CtaReorgModule
     /**
      * Timing-only variant used by the kernel-level simulator when the
      * exact row list is already summarised as a disabled-thread count.
+     * The result is that of one pass; the metrics record @p passes
+     * identical passes (one per launch of the kernel).
      */
     CrmResult reorganizeSummary(std::uint32_t disabled_threads,
-                                std::uint32_t total_threads) const;
+                                std::uint32_t total_threads,
+                                std::size_t passes = 1) const;
 
     /** Cycles to process a grid of the given size (Fig. 12 pipeline). */
     double pipelineCycles(std::uint32_t total_threads) const;
 
   private:
-    void recordPass(const CrmResult &res, std::uint32_t total) const;
+    void recordPass(const CrmResult &res, std::uint32_t total,
+                    std::size_t passes = 1) const;
 
     const GpuConfig &cfg_;
     obs::MetricsRegistry *metrics_ = nullptr;

@@ -53,13 +53,15 @@ class GridManagementUnit
     }
 
     /**
-     * Inspect one kernel launch. Row-skip kernels (extra argument R) are
-     * handed to the CRM which compacts their grids; everything else
-     * passes straight to the work queue.
+     * Inspect a kernel that is launched @p launches times. Row-skip
+     * kernels (extra argument R) are handed to the CRM which compacts
+     * their grids; everything else passes straight to the work queue.
+     * Every launch of one descriptor is routed alike, so the decision is
+     * made once; the counters count every launch.
      */
-    DispatchInfo dispatch(const KernelDesc &desc);
+    DispatchInfo dispatch(const KernelDesc &desc, std::size_t launches = 1);
 
-    /** Total kernels seen / routed, for the overhead analysis. */
+    /** Total kernel launches seen / routed, for the overhead analysis. */
     std::size_t kernelsDispatched() const { return dispatched_; }
     std::size_t kernelsThroughCrm() const { return throughCrm_; }
 

@@ -10,7 +10,10 @@
 #ifndef MFLSTM_GPU_KERNEL_HH
 #define MFLSTM_GPU_KERNEL_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -144,8 +147,92 @@ struct KernelDesc
     unsigned totalThreads() const { return ctas * threadsPerCta; }
 };
 
-/** A dependency-ordered kernel sequence for one inference. */
-using KernelTrace = std::vector<KernelDesc>;
+/** One launch of a stored kernel, with the provenance it runs under. */
+struct KernelLaunch
+{
+    /// index into KernelTrace::kernels()
+    std::uint32_t kernel = 0;
+    /// timestep / first cell covered within the layer
+    int timestep = -1;
+    /// tissue index within the layer (inter-cell flow only)
+    int tissue = -1;
+};
+
+/**
+ * A dependency-ordered kernel sequence for one inference. A layer's
+ * per-step and per-tissue kernels are one launch repeated, and the
+ * launches of a layer interleave (U_o, lstm_ew, U_o, ...), so the trace
+ * stores each distinct descriptor once (kernels(): layer stamped,
+ * timestep and tissue -1) and the launch order as indices into it
+ * (launches()). The simulator times each stored kernel once.
+ *
+ * size(), operator[] and iteration address the launches, each expanded
+ * into its descriptor with the launch's provenance stamped; they copy a
+ * descriptor per launch and serve emitters and tests.
+ */
+class KernelTrace
+{
+  public:
+    /** Input iterator over the expanded launches. */
+    class const_iterator
+    {
+      public:
+        using iterator_category = std::input_iterator_tag;
+        using value_type = KernelDesc;
+        using difference_type = std::ptrdiff_t;
+        using pointer = void;
+        using reference = KernelDesc;
+
+        const_iterator(const KernelTrace *trace, std::size_t i)
+            : trace_(trace), i_(i)
+        {}
+        KernelDesc operator*() const { return (*trace_)[i_]; }
+        const_iterator &operator++()
+        {
+            ++i_;
+            return *this;
+        }
+        const_iterator operator++(int)
+        {
+            const_iterator prev = *this;
+            ++i_;
+            return prev;
+        }
+        bool operator==(const const_iterator &) const = default;
+
+      private:
+        const KernelTrace *trace_ = nullptr;
+        std::size_t i_ = 0;
+    };
+
+    KernelTrace() = default;
+    /** Each descriptor stored as its own kernel and launched once, with
+     *  its own timestep and tissue as the launch's provenance. */
+    KernelTrace(std::initializer_list<KernelDesc> launches);
+
+    /** Store a kernel (its timestep and tissue reset to -1); returns
+     *  the index launch() takes. */
+    std::size_t add(KernelDesc desc);
+    /** Append one launch of stored kernel @p kernel. */
+    void launch(std::size_t kernel, int timestep = -1, int tissue = -1);
+    /** Capacity for @p launches launches. */
+    void reserve(std::size_t launches) { launches_.reserve(launches); }
+
+    const std::vector<KernelDesc> &kernels() const { return kernels_; }
+    const std::vector<KernelLaunch> &launches() const { return launches_; }
+
+    /** Number of launches. */
+    std::size_t size() const { return launches_.size(); }
+    /** Launch @p i: its stored kernel with the launch's provenance. */
+    KernelDesc operator[](std::size_t i) const;
+    KernelDesc back() const { return (*this)[size() - 1]; }
+    const_iterator begin() const { return {this, 0}; }
+    const_iterator end() const { return {this, size()}; }
+
+  private:
+    std::vector<KernelDesc> kernels_;
+    std::vector<KernelLaunch> launches_;
+};
 
 } // namespace gpu
 } // namespace mflstm

@@ -1,6 +1,7 @@
 #include "gpu/simulator.hh"
 
 #include <algorithm>
+#include <array>
 
 namespace mflstm {
 namespace gpu {
@@ -40,9 +41,9 @@ Simulator::Simulator(const GpuConfig &cfg, bool crm_present,
 }
 
 KernelTiming
-Simulator::runKernel(const KernelDesc &desc)
+Simulator::runKernel(const KernelDesc &desc, std::size_t launches)
 {
-    const DispatchInfo dispatch = gmu_.dispatch(desc);
+    const DispatchInfo dispatch = gmu_.dispatch(desc, launches);
     KernelTiming t = timeKernel(cfg_, desc, dispatch.routedThroughCrm);
     if (dispatch.routedThroughCrm) {
         t.crmCycles = dispatch.crmCycles;
@@ -55,8 +56,8 @@ Simulator::runKernel(const KernelDesc &desc)
 }
 
 void
-Simulator::recordKernel(const KernelDesc &desc, const KernelTiming &t,
-                        bool routed_through_crm)
+Simulator::recordKernel(const KernelDesc &desc, const KernelLaunch &at,
+                        const KernelTiming &t, bool routed_through_crm)
 {
     obs::MetricsRegistry &m = obs_->metrics();
     const char *klass = toString(desc.klass);
@@ -118,8 +119,8 @@ Simulator::recordKernel(const KernelDesc &desc, const KernelTiming &t,
             {"stall_other_cycles", t.stalls.other},
             {"ctas", static_cast<double>(desc.ctas)},
             {"layer", static_cast<double>(desc.layer)},
-            {"timestep", static_cast<double>(desc.timestep)},
-            {"tissue", static_cast<double>(desc.tissue)},
+            {"timestep", static_cast<double>(at.timestep)},
+            {"tissue", static_cast<double>(at.tissue)},
         };
         span.strArgs = {{"class", klass}};
         if (routed_through_crm)
@@ -135,14 +136,36 @@ Simulator::runTrace(const KernelTrace &trace)
 {
     TraceResult res;
     const std::size_t crm_before = gmu_.kernelsThroughCrm();
+    const std::vector<KernelDesc> &kernels = trace.kernels();
+
+    // Every launch of a stored kernel times alike (nothing but the
+    // leading-launch overlap below carries state between launches), so
+    // each distinct kernel is dispatched and timed once. The GMU is told
+    // how many launches it stands for, so its counters count launches.
+    std::vector<std::size_t> launch_counts(kernels.size(), 0);
+    for (const KernelLaunch &l : trace.launches())
+        ++launch_counts[l.kernel];
+    std::vector<KernelTiming> timings(kernels.size());
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+        if (launch_counts[k] > 0)
+            timings[k] = runKernel(kernels[k], launch_counts[k]);
+    }
 
     double dram_util_weighted = 0.0;
     double shared_util_weighted = 0.0;
     double crm_energy = 0.0;
+    // Per-class sums in launch order, folded into the result maps once.
+    constexpr std::size_t kClasses =
+        static_cast<std::size_t>(KernelClass::Other) + 1;
+    std::array<double, kClasses> class_time{};
+    std::array<std::size_t, kClasses> class_count{};
 
+    // Walk the launches in trace order and add every term per launch, so
+    // each sum is the one a launch-by-launch simulation produces.
     bool first = true;
-    for (const KernelDesc &desc : trace) {
-        KernelTiming t = runKernel(desc);
+    for (const KernelLaunch &l : trace.launches()) {
+        const KernelDesc &desc = kernels[l.kernel];
+        KernelTiming t = timings[l.kernel];
 
         // Back-to-back launches overlap the previous kernel's execution:
         // only the leading kernel pays the full launch overhead.
@@ -153,7 +176,7 @@ Simulator::runTrace(const KernelTrace &trace)
         first = false;
 
         if (obs_)
-            recordKernel(desc, t, t.crmCycles > 0.0);
+            recordKernel(desc, l, t, t.crmCycles > 0.0);
         if (ledger_) {
             // Sub-streams live inside dram{Read,Write}Bytes before the
             // coalescing inflation; scale them by the same factor so the
@@ -207,9 +230,17 @@ Simulator::runTrace(const KernelTrace &trace)
         dram_util_weighted += t.dramUtilization * t.timeUs;
         shared_util_weighted += t.sharedUtilization * t.timeUs;
 
-        res.timePerClassUs[desc.klass] += t.timeUs;
-        ++res.kernelsPerClass[desc.klass];
+        const auto c = static_cast<std::size_t>(desc.klass);
+        class_time[c] += t.timeUs;
+        ++class_count[c];
         ++res.kernelCount;
+    }
+    for (std::size_t c = 0; c < kClasses; ++c) {
+        if (class_count[c] > 0) {
+            const auto k = static_cast<KernelClass>(c);
+            res.timePerClassUs[k] = class_time[c];
+            res.kernelsPerClass[k] = class_count[c];
+        }
     }
 
     if (res.timeUs > 0.0) {

@@ -89,16 +89,25 @@ class Simulator
     bool crmPresent() const { return gmu_.crmPresent(); }
     obs::Observer *observer() const { return obs_; }
     obs::TrafficLedger *ledger() const { return ledger_; }
+    /** The front end, for its launch counters. */
+    const GridManagementUnit &gmu() const { return gmu_; }
 
-    /** Time one kernel, including GMU/CRM routing. */
-    KernelTiming runKernel(const KernelDesc &desc);
+    /**
+     * Time one kernel, including GMU/CRM routing. The GMU counts
+     * @p launches launches of it; the timing is that of one launch.
+     */
+    KernelTiming runKernel(const KernelDesc &desc,
+                           std::size_t launches = 1);
 
-    /** Run a whole trace in order and aggregate. */
+    /**
+     * Run a whole trace and aggregate: each stored kernel is timed once,
+     * then every term is added per launch in trace order.
+     */
     TraceResult runTrace(const KernelTrace &trace);
 
   private:
-    void recordKernel(const KernelDesc &desc, const KernelTiming &t,
-                      bool routed_through_crm);
+    void recordKernel(const KernelDesc &desc, const KernelLaunch &at,
+                      const KernelTiming &t, bool routed_through_crm);
 
     GpuConfig cfg_;
     GridManagementUnit gmu_;

@@ -603,27 +603,23 @@ Lowering::lowerLayer(const LstmLayerShape &shape,
     const double u_bytes = weightFootprintBytes(4.0 * h * h, 4.0 * h, qm);
 
     // A layer's per-step (and per-tissue-size) kernels are one launch
-    // repeated: each loop-invariant descriptor is built once below, and
-    // push only stamps the provenance tags the observability timeline
-    // consumes.
+    // repeated: each loop-invariant descriptor is built and stored once
+    // (add, which stamps the layer), and every launch of it is an index
+    // plus the timestep/tissue provenance.
     const int li = static_cast<int>(layer_index);
-    const auto push = [&](const gpu::KernelDesc &k, int timestep = -1,
-                          int tissue = -1) {
-        gpu::KernelDesc &pushed = out.emplace_back(k);
-        pushed.layer = li;
-        pushed.timestep = timestep;
-        pushed.tissue = tissue;
+    const auto add = [&](gpu::KernelDesc k) {
+        k.layer = li;
+        return out.add(std::move(k));
     };
     // Per-cell flows: the same kernel sequence at every timestep.
-    const auto push_cells =
-        [&](std::initializer_list<gpu::KernelDesc> step) {
-            out.reserve(out.size() + shape.length * step.size());
-            for (std::size_t t = 0; t < shape.length; ++t)
-                for (const gpu::KernelDesc &k : step)
-                    push(k, static_cast<int>(t));
-        };
+    const auto push_cells = [&](std::initializer_list<std::size_t> step) {
+        out.reserve(out.size() + shape.length * step.size());
+        for (std::size_t t = 0; t < shape.length; ++t)
+            for (std::size_t k : step)
+                out.launch(k, static_cast<int>(t));
+    };
 
-    push(inputSgemm(shape, ctx));
+    out.launch(add(inputSgemm(shape, ctx)));
 
     if (ls.prunedCsr) {
         // CSR storage: surviving values + 4 B column indices (1.5x the
@@ -631,8 +627,9 @@ Lowering::lowerLayer(const LstmLayerShape &shape,
         const double pruned_footprint =
             u_bytes * (1.0 - ls.pruneFraction) * 1.5;
         const double traffic = layerWeightTraffic(pruned_footprint, n);
-        push_cells({prunedSgemv(shape, traffic / n, ls.pruneFraction, ctx),
-                    elementWise(shape, 1, ctx)});
+        push_cells(
+            {add(prunedSgemv(shape, traffic / n, ls.pruneFraction, ctx)),
+             add(elementWise(shape, 1, ctx))});
         return;
     }
 
@@ -650,9 +647,10 @@ Lowering::lowerLayer(const LstmLayerShape &shape,
                 throw std::invalid_argument(
                     "lowerLayer: tissue sizes do not cover the layer");
             waves = ls.tissueSizes.size();
-            push(relevanceKernel(shape, ctx));
+            out.launch(add(relevanceKernel(shape, ctx)));
         }
-        push(persistentLayerKernel(shape, ls.residency, waves, ctx));
+        out.launch(
+            add(persistentLayerKernel(shape, ls.residency, waves, ctx)));
         return;
     }
 
@@ -667,7 +665,7 @@ Lowering::lowerLayer(const LstmLayerShape &shape,
             throw std::invalid_argument(
                 "lowerLayer: tissue sizes do not cover the layer");
 
-        push(relevanceKernel(shape, ctx));
+        out.launch(add(relevanceKernel(shape, ctx)));
 
         const double tissues = static_cast<double>(sizes.size());
         const double traffic = layerWeightTraffic(u_bytes, tissues);
@@ -679,10 +677,11 @@ Lowering::lowerLayer(const LstmLayerShape &shape,
         tagBatch(fic_name, eff_batch);
 
         // The kernels of one tissue depend on the layer and the tissue
-        // size alone.
-        const auto tissue_group = [&](std::size_t tissue) {
-            std::vector<gpu::KernelDesc> group;
-            group.push_back(tissueGather(shape, tissue, ctx));
+        // size alone; a group is stored as group_size consecutive
+        // kernels: gather, U_o+flags and U_fic (or the one Sgemm),
+        // lstm_ew.
+        const auto add_tissue_group = [&](std::size_t tissue) {
+            add(tissueGather(shape, tissue, ctx));
             if (ls.skipActive()) {
                 // Combined flow: per-tissue U_o Sgemm (whose epilogue
                 // applies sigma and emits relevance flags -- DRS inside
@@ -711,7 +710,7 @@ Lowering::lowerLayer(const LstmLayerShape &shape,
                 uo.dramWriteBytes += flag_elems;
                 uo.dramCrmMetaBytes = flag_elems;
                 uo.l2AccessBytes += flag_elems;
-                group.push_back(std::move(uo));
+                add(std::move(uo));
 
                 gpu::KernelDesc fic =
                     tissueSgemm(shape, tissue, traffic / tissues * 0.75,
@@ -721,30 +720,32 @@ Lowering::lowerLayer(const LstmLayerShape &shape,
                 fic.sharedBytes *= 0.75;
                 fic.l2AccessBytes *= 0.75;
                 fic.quantWeightElems *= 0.75;
-                group.push_back(std::move(fic));
+                add(std::move(fic));
             } else {
-                group.push_back(tissueSgemm(shape, tissue,
-                                            traffic / tissues, 0.0, ctx));
+                add(tissueSgemm(shape, tissue, traffic / tissues, 0.0,
+                                ctx));
             }
-            group.push_back(elementWise(shape, tissue, ctx));
-            return group;
+            add(elementWise(shape, tissue, ctx));
         };
+        const std::size_t group_size = ls.skipActive() ? 4 : 3;
 
-        // Aligned tissues take only a few distinct sizes.
-        std::vector<std::pair<std::size_t, std::vector<gpu::KernelDesc>>>
-            groups;
-        out.reserve(out.size() + sizes.size() * (ls.skipActive() ? 4 : 3));
+        // Aligned tissues take only a few distinct sizes: (tissue size,
+        // index of the group's first stored kernel).
+        std::vector<std::pair<std::size_t, std::size_t>> groups;
+        out.reserve(out.size() + sizes.size() * group_size);
         int cell = 0;
         int ti = 0;
         for (std::size_t tissue : sizes) {
             auto it = std::find_if(
                 groups.begin(), groups.end(),
                 [&](const auto &g) { return g.first == tissue; });
-            if (it == groups.end())
+            if (it == groups.end()) {
                 it = groups.emplace(groups.end(), tissue,
-                                    tissue_group(tissue));
-            for (const gpu::KernelDesc &k : it->second)
-                push(k, cell, ti);
+                                    out.kernels().size());
+                add_tissue_group(tissue);
+            }
+            for (std::size_t k = 0; k < group_size; ++k)
+                out.launch(it->second + k, cell, ti);
             cell += static_cast<int>(tissue);
             ++ti;
         }
@@ -756,9 +757,9 @@ Lowering::lowerLayer(const LstmLayerShape &shape,
         const bool hw = ls.skipPath == SkipPath::HwCrm;
         const double uo_traffic = layerWeightTraffic(u_bytes * 0.25, n);
         const double fic_traffic = layerWeightTraffic(u_bytes * 0.75, n);
-        const gpu::KernelDesc fic = rowSkipSgemv(
-            shape, fic_traffic / n, ls.skipFraction, hw, ctx);
-        const gpu::KernelDesc ew = elementWise(shape, 1, ctx);
+        const std::size_t fic = add(rowSkipSgemv(
+            shape, fic_traffic / n, ls.skipFraction, hw, ctx));
+        const std::size_t ew = add(elementWise(shape, 1, ctx));
         if (ls.flagFusion == FlagFusion::FusedEpilogue) {
             // Fused flag epilogue (Section V-B for hw-crm; on the
             // software path a searched fusion): the U_o epilogue
@@ -771,18 +772,19 @@ Lowering::lowerLayer(const LstmLayerShape &shape,
             KernelBuildCtx fctx = ctx;
             fctx.fusedFlags = true;
             push_cells(
-                {outputGateSgemv(shape, uo_traffic / n, fctx), fic, ew});
+                {add(outputGateSgemv(shape, uo_traffic / n, fctx)), fic,
+                 ew});
         } else {
-            push_cells({outputGateSgemv(shape, uo_traffic / n, ctx), ew,
-                        drsScan(shape, ctx), fic, ew});
+            push_cells({add(outputGateSgemv(shape, uo_traffic / n, ctx)),
+                        ew, add(drsScan(shape, ctx)), fic, ew});
         }
         return;
     }
 
     // Baseline: Algorithm 1.
     const double traffic = layerWeightTraffic(u_bytes, n);
-    push_cells({cellSgemv(shape, traffic / n, ctx),
-                elementWise(shape, 1, ctx)});
+    push_cells({add(cellSgemv(shape, traffic / n, ctx)),
+                add(elementWise(shape, 1, ctx))});
 }
 
 gpu::KernelTrace

@@ -103,7 +103,8 @@ class Lowering
     explicit Lowering(const gpu::GpuConfig &cfg) : cfg_(cfg) {}
 
     /**
-     * Lower one layer; appends kernels to @p out. @p batch sequences
+     * Lower one layer: stores each of its distinct kernels in @p out
+     * once and appends their launches. @p batch sequences
      * share every weight fetch (1 = the single-sequence flow). The
      * layer's LayerSchedule (plan.layerSchedule(layer_index)) decides
      * every emission choice; it is validated before anything is

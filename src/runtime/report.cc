@@ -113,7 +113,8 @@ writeTraceCsv(std::ostream &os, const gpu::KernelTrace &trace)
           "dram_write,l2_bytes,shared_bytes,syncs,divergence,"
           "coalescing,row_skip,disabled_threads\n";
     std::size_t idx = 0;
-    for (const gpu::KernelDesc &k : trace) {
+    for (const gpu::KernelLaunch &l : trace.launches()) {
+        const gpu::KernelDesc &k = trace.kernels()[l.kernel];
         os << idx++ << ',' << csvEscape(k.name) << ','
            << gpu::toString(k.klass) << ',' << k.ctas << ','
            << k.threadsPerCta << ',' << k.flops << ','

@@ -34,8 +34,10 @@ traceDramBytes(const runtime::NetworkExecutor &exec,
     const gpu::KernelTrace trace =
         exec.lowering().lower(one, plan, batch);
     double bytes = 0.0;
-    for (const gpu::KernelDesc &k : trace)
+    for (const gpu::KernelLaunch &l : trace.launches()) {
+        const gpu::KernelDesc &k = trace.kernels()[l.kernel];
         bytes += k.dramReadBytes + k.dramWriteBytes;
+    }
     return bytes;
 }
 

@@ -9,14 +9,21 @@
  *  - the approximation knobs are monotone (larger alpha_intra skips
  *    more rows, larger alpha_inter breaks more links);
  *  - energy is internally consistent (components non-negative, total
- *    is their sum).
+ *    is their sum);
+ *  - a trace that stores each loop-invariant kernel once simulates and
+ *    records exactly like its expansion into one kernel per launch.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <sstream>
+
 #include "core/approx.hh"
+#include "hw/backend.hh"
 #include "runtime/executor.hh"
 #include "tensor/rng.hh"
+#include "workloads/benchmarks.hh"
 
 namespace {
 
@@ -243,6 +250,215 @@ TEST(EnergyConsistency, ComponentsNonNegativeAndSumUp)
                     e.staticJ + e.gpuDynamicJ + e.dramJ + e.onChipJ +
                         e.crmJ,
                     1e-12);
+    }
+}
+
+// --- Shared-descriptor traces ---------------------------------------------
+
+constexpr runtime::PlanKind kPresets[] = {
+    runtime::PlanKind::Baseline,    runtime::PlanKind::InterCell,
+    runtime::PlanKind::IntraCellSw, runtime::PlanKind::IntraCellHw,
+    runtime::PlanKind::Combined,    runtime::PlanKind::ZeroPruning,
+    runtime::PlanKind::Persistent,
+};
+
+constexpr quant::QuantMode kModes[] = {quant::QuantMode::Fp32,
+                                       quant::QuantMode::Int8};
+
+/**
+ * Structurally complete preset for @p kind (the golden-trace
+ * construction): aligned tissues of four cells, a 35% skip, 30% pruning.
+ */
+runtime::ExecutionPlan
+presetFor(runtime::PlanKind kind, const runtime::NetworkShape &shape,
+          quant::QuantMode qm)
+{
+    std::vector<std::vector<std::size_t>> tissues;
+    for (const runtime::LstmLayerShape &layer : shape.layers) {
+        std::vector<std::size_t> &sizes = tissues.emplace_back();
+        for (std::size_t left = layer.length; left > 0;) {
+            const std::size_t t = std::min<std::size_t>(4, left);
+            sizes.push_back(t);
+            left -= t;
+        }
+    }
+    return runtime::ExecutionPlan::preset(
+        kind, shape.layers.size(), qm, tissues,
+        std::vector<double>(shape.layers.size(), 0.35), 0.3);
+}
+
+/** @p trace with every launch stored as its own kernel. */
+gpu::KernelTrace
+expanded(const gpu::KernelTrace &trace)
+{
+    gpu::KernelTrace out;
+    out.reserve(trace.size());
+    for (const gpu::KernelDesc &k : trace)
+        out.launch(out.add(k), k.timestep, k.tissue);
+    return out;
+}
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+void
+expectBitIdentical(const gpu::TraceResult &a, const gpu::TraceResult &b)
+{
+    EXPECT_EQ(bits(a.timeUs), bits(b.timeUs));
+    EXPECT_EQ(bits(a.cycles), bits(b.cycles));
+    EXPECT_EQ(bits(a.computeCycles), bits(b.computeCycles));
+    EXPECT_EQ(a.kernelCount, b.kernelCount);
+    EXPECT_EQ(bits(a.stalls.offChipMemory), bits(b.stalls.offChipMemory));
+    EXPECT_EQ(bits(a.stalls.onChipBandwidth),
+              bits(b.stalls.onChipBandwidth));
+    EXPECT_EQ(bits(a.stalls.synchronization),
+              bits(b.stalls.synchronization));
+    EXPECT_EQ(bits(a.stalls.executionDependency),
+              bits(b.stalls.executionDependency));
+    EXPECT_EQ(bits(a.stalls.other), bits(b.stalls.other));
+    EXPECT_EQ(bits(a.flops), bits(b.flops));
+    EXPECT_EQ(bits(a.dramBytes), bits(b.dramBytes));
+    EXPECT_EQ(bits(a.l2Bytes), bits(b.l2Bytes));
+    EXPECT_EQ(bits(a.sharedBytes), bits(b.sharedBytes));
+    EXPECT_EQ(bits(a.weightDramBytes), bits(b.weightDramBytes));
+    EXPECT_EQ(bits(a.quantWeightElems), bits(b.quantWeightElems));
+    EXPECT_EQ(bits(a.dramUtilization), bits(b.dramUtilization));
+    EXPECT_EQ(bits(a.sharedUtilization), bits(b.sharedUtilization));
+    ASSERT_EQ(a.timePerClassUs.size(), b.timePerClassUs.size());
+    for (auto ia = a.timePerClassUs.begin(), ib = b.timePerClassUs.begin();
+         ia != a.timePerClassUs.end(); ++ia, ++ib) {
+        EXPECT_EQ(ia->first, ib->first);
+        EXPECT_EQ(bits(ia->second), bits(ib->second));
+    }
+    EXPECT_EQ(a.kernelsPerClass, b.kernelsPerClass);
+    EXPECT_EQ(bits(a.crmCycles), bits(b.crmCycles));
+    EXPECT_EQ(a.kernelsThroughCrm, b.kernelsThroughCrm);
+    EXPECT_EQ(bits(a.energy.staticJ), bits(b.energy.staticJ));
+    EXPECT_EQ(bits(a.energy.gpuDynamicJ), bits(b.energy.gpuDynamicJ));
+    EXPECT_EQ(bits(a.energy.dramJ), bits(b.energy.dramJ));
+    EXPECT_EQ(bits(a.energy.onChipJ), bits(b.energy.onChipJ));
+    EXPECT_EQ(bits(a.energy.crmJ), bits(b.energy.crmJ));
+}
+
+TEST(TraceSharing, SharedTraceSimulatesLikeItsExpansion)
+{
+    for (const std::string &backend : hw::registry().names()) {
+        const gpu::GpuConfig &cfg = hw::registry().get(backend).config;
+        const runtime::Lowering low(cfg);
+        for (const workloads::BenchmarkSpec &spec : workloads::tableII()) {
+            const runtime::NetworkShape shape = spec.timingShape();
+            for (runtime::PlanKind kind : kPresets)
+                for (quant::QuantMode qm : kModes)
+                    for (std::size_t batch : {1u, 3u}) {
+                        SCOPED_TRACE(backend + "/" + spec.name + "/" +
+                                     runtime::toString(kind) + "/" +
+                                     quant::toString(qm) + "/b" +
+                                     std::to_string(batch));
+                        const runtime::ExecutionPlan plan =
+                            presetFor(kind, shape, qm);
+                        const gpu::KernelTrace trace =
+                            low.lower(shape, plan, batch);
+                        gpu::Simulator shared(cfg, plan.usesCrmHardware());
+                        gpu::Simulator flat(cfg, plan.usesCrmHardware());
+                        expectBitIdentical(
+                            shared.runTrace(trace),
+                            flat.runTrace(expanded(trace)));
+                        EXPECT_EQ(shared.gmu().kernelsDispatched(),
+                                  trace.size());
+                        EXPECT_EQ(shared.gmu().kernelsThroughCrm(),
+                                  flat.gmu().kernelsThroughCrm());
+                    }
+        }
+    }
+}
+
+void
+expectSameSpans(const std::vector<obs::TraceSpan> &a,
+                const std::vector<obs::TraceSpan> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].name, b[i].name);
+        EXPECT_EQ(a[i].category, b[i].category);
+        EXPECT_EQ(a[i].pid, b[i].pid);
+        EXPECT_EQ(a[i].tid, b[i].tid);
+        EXPECT_EQ(bits(a[i].startUs), bits(b[i].startUs));
+        EXPECT_EQ(bits(a[i].durUs), bits(b[i].durUs));
+        ASSERT_EQ(a[i].numArgs.size(), b[i].numArgs.size());
+        for (std::size_t j = 0; j < a[i].numArgs.size(); ++j) {
+            EXPECT_EQ(a[i].numArgs[j].first, b[i].numArgs[j].first);
+            EXPECT_EQ(bits(a[i].numArgs[j].second),
+                      bits(b[i].numArgs[j].second));
+        }
+        EXPECT_EQ(a[i].strArgs, b[i].strArgs);
+    }
+}
+
+void
+expectSameLedger(const obs::TrafficLedger &a, const obs::TrafficLedger &b)
+{
+    EXPECT_EQ(a.samples(), b.samples());
+    EXPECT_EQ(bits(a.attributedDramBytes()), bits(b.attributedDramBytes()));
+    EXPECT_EQ(a.violations(), b.violations());
+    const auto ta = a.traffic(), tb = b.traffic();
+    ASSERT_EQ(ta.size(), tb.size());
+    for (auto ia = ta.begin(), ib = tb.begin(); ia != ta.end();
+         ++ia, ++ib) {
+        EXPECT_TRUE(ia->first == ib->first);
+        EXPECT_EQ(bits(ia->second), bits(ib->second));
+    }
+    const auto ka = a.kernels(), kb = b.kernels();
+    ASSERT_EQ(ka.size(), kb.size());
+    for (auto ia = ka.begin(), ib = kb.begin(); ia != ka.end();
+         ++ia, ++ib) {
+        EXPECT_EQ(ia->first.layer, ib->first.layer);
+        EXPECT_EQ(ia->first.kernel, ib->first.kernel);
+        EXPECT_EQ(ia->second.launches, ib->second.launches);
+        EXPECT_EQ(bits(ia->second.timeUs), bits(ib->second.timeUs));
+        EXPECT_EQ(bits(ia->second.dramBytes), bits(ib->second.dramBytes));
+        EXPECT_EQ(ia->second.bottlenecks, ib->second.bottlenecks);
+    }
+}
+
+TEST(TraceSharing, ObservedRunRecordsLikeItsExpansion)
+{
+    // The simulator an executor runs, with its observer and ledger
+    // attached: metrics, GPU spans and ledger samples must not see
+    // that launches share a stored kernel.
+    const gpu::GpuConfig cfg = gpu::GpuConfig::tegraX1();
+    const runtime::Lowering low(cfg);
+    for (const workloads::BenchmarkSpec &spec : workloads::tableII()) {
+        if (spec.name != "MR" && spec.name != "PTB")
+            continue;
+        const runtime::NetworkShape shape = spec.timingShape();
+        for (runtime::PlanKind kind : kPresets)
+            for (quant::QuantMode qm : kModes) {
+                SCOPED_TRACE(spec.name + "/" + runtime::toString(kind) +
+                             "/" + quant::toString(qm));
+                const runtime::ExecutionPlan plan =
+                    presetFor(kind, shape, qm);
+                const gpu::KernelTrace trace = low.lower(shape, plan);
+
+                obs::Observer obs_shared, obs_flat;
+                obs::TrafficLedger ledger_shared, ledger_flat;
+                gpu::Simulator shared(cfg, plan.usesCrmHardware(),
+                                      &obs_shared, &ledger_shared);
+                gpu::Simulator flat(cfg, plan.usesCrmHardware(),
+                                    &obs_flat, &ledger_flat);
+                expectBitIdentical(shared.runTrace(trace),
+                                   flat.runTrace(expanded(trace)));
+
+                std::ostringstream metrics_shared, metrics_flat;
+                obs_shared.metrics().writeJson(metrics_shared);
+                obs_flat.metrics().writeJson(metrics_flat);
+                EXPECT_EQ(metrics_shared.str(), metrics_flat.str());
+                expectSameSpans(obs_shared.tracer().spans(),
+                                obs_flat.tracer().spans());
+                expectSameLedger(ledger_shared, ledger_flat);
+            }
     }
 }
 

@@ -117,6 +117,81 @@ TEST(Lowering, BaselineKernelCountsMatchAlgorithm1)
     }
 }
 
+TEST(Lowering, StoresEachLoopInvariantKernelOnce)
+{
+    Lowering low(kCfg);
+
+    // Baseline per-cell layer: input Sgemm, Sgemv and lstm_ew are stored
+    // once (layer stamped, no timestep/tissue) for 1 + 2T launches.
+    {
+        gpu::KernelTrace trace;
+        low.lowerLayer(layer512(), ExecutionPlan{}, 2, trace);
+        ASSERT_EQ(trace.kernels().size(), 3u);
+        ASSERT_EQ(trace.size(), 1u + 2u * 10u);
+        for (const gpu::KernelDesc &k : trace.kernels()) {
+            EXPECT_EQ(k.layer, 2);
+            EXPECT_EQ(k.timestep, -1);
+            EXPECT_EQ(k.tissue, -1);
+        }
+        const auto &launches = trace.launches();
+        for (std::size_t t = 0; t < 10; ++t) {
+            EXPECT_EQ(launches[1 + 2 * t].kernel, launches[1].kernel);
+            EXPECT_EQ(launches[2 + 2 * t].kernel, launches[2].kernel);
+            EXPECT_EQ(launches[1 + 2 * t].timestep, static_cast<int>(t));
+            EXPECT_EQ(trace[2 + 2 * t].timestep, static_cast<int>(t));
+            EXPECT_EQ(trace[2 + 2 * t].layer, 2);
+        }
+    }
+
+    // Standalone DRS: both lstm_ew launches of a step share one kernel.
+    {
+        gpu::KernelTrace trace;
+        low.lowerLayer(layer512(),
+                       onePreset(PlanKind::IntraCellSw,
+                                 quant::QuantMode::Fp32, {}, {0.5}),
+                       0, trace);
+        EXPECT_EQ(trace.kernels().size(), 5u);
+        EXPECT_EQ(trace.size(), 1u + 5u * 10u);
+    }
+
+    // Tissue layer: one kernel group per distinct tissue size.
+    {
+        gpu::KernelTrace trace;
+        low.lowerLayer(layer512(),
+                       onePreset(PlanKind::Combined,
+                                 quant::QuantMode::Fp32, {{4, 4, 2}},
+                                 {0.5}),
+                       0, trace);
+        // input + relevance + 2 sizes x (gather, U_o, U_fic, ew)
+        ASSERT_EQ(trace.kernels().size(), 2u + 2u * 4u);
+        ASSERT_EQ(trace.size(), 2u + 3u * 4u);
+        const auto &launches = trace.launches();
+        for (std::size_t k = 0; k < 4; ++k) {
+            EXPECT_EQ(launches[2 + k].kernel, launches[6 + k].kernel);
+            EXPECT_NE(launches[2 + k].kernel, launches[10 + k].kernel);
+            EXPECT_EQ(launches[6 + k].tissue, 1);
+            EXPECT_EQ(launches[6 + k].timestep, 4);
+            EXPECT_EQ(launches[10 + k].tissue, 2);
+            EXPECT_EQ(launches[10 + k].timestep, 8);
+        }
+    }
+
+    // PTB combined fp32 (3 x 650, 200 steps) as the planner divides it:
+    // layer 0 finds no breakpoints and runs per cell, layers 1 and 2
+    // run tissues of four. 16 stored kernels serve 1,005 launches.
+    {
+        const NetworkShape ptb = NetworkShape::stacked(650, 650, 3, 200);
+        const std::vector<std::size_t> ones(200, 1);
+        const std::vector<std::size_t> fours(50, 4);
+        const ExecutionPlan plan = ExecutionPlan::preset(
+            PlanKind::Combined, 3, quant::QuantMode::Fp32,
+            {ones, fours, fours}, {0.35, 0.35, 0.35});
+        const gpu::KernelTrace trace = low.lower(ptb, plan);
+        EXPECT_EQ(trace.kernels().size(), 16u);
+        EXPECT_EQ(trace.size(), 1005u);
+    }
+}
+
 TEST(Lowering, BaselineWeightTrafficThrashes)
 {
     Lowering low(kCfg);
