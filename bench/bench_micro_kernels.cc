@@ -2,9 +2,10 @@
  * @file
  * google-benchmark microbenchmarks of the CPU-side tensor kernels the
  * accuracy substrate runs on: GEMV/GEMM (plain, transposed, panel-packed,
- * masked), the LSTM cell step, and the DRS cell step, plus the host cost
- * of one lower-and-simulate timing run. These measure the
- * reproduction's own code (wall clock), not the simulated GPU.
+ * masked), the LSTM cell step, the DRS cell step and the classification
+ * head, plus the host cost of one lower-and-simulate timing run. These
+ * measure the reproduction's own code (wall clock), not the simulated
+ * GPU.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 #include "gpu/simulator.hh"
 #include "harness.hh"
 #include "nn/lstm.hh"
+#include "nn/model.hh"
 #include "runtime/lowering.hh"
 #include "tensor/ops.hh"
 #include "tensor/panel.hh"
@@ -161,6 +163,35 @@ BM_DrsCellForward(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DrsCellForward)->Arg(64)->Arg(128)->Arg(256);
+
+/**
+ * The classification head (classes x hidden), run once per sequence on
+ * the last h_t: row-major nn::linearForward against packing the head and
+ * running the panel GEMV, as the per-step LM head does. Args are
+ * (classes, hidden); the Table II heads are 2x40 (MR) and 3x48 (SNLI).
+ */
+void
+BM_LinearHead(benchmark::State &state, bool packed)
+{
+    const auto out = static_cast<std::size_t>(state.range(0));
+    const auto in = static_cast<std::size_t>(state.range(1));
+    nn::LinearParams head(in, out);
+    head.w = randomMatrix(out, in, 5);
+    head.b = randomVector(out, 6);
+    const Vector x = randomVector(in, 7);
+    for (auto _ : state) {
+        Vector y;
+        if (packed)
+            tensor::gemv(tensor::PanelMatrix(head.w), x, head.b, y);
+        else
+            y = nn::linearForward(head, x);
+        benchmark::DoNotOptimize(y.data());
+    }
+}
+BENCHMARK_CAPTURE(BM_LinearHead, row_major, false)
+    ->Args({2, 40})->Args({3, 48});
+BENCHMARK_CAPTURE(BM_LinearHead, packed, true)
+    ->Args({2, 40})->Args({3, 48});
 
 /**
  * Host cost of one timing run, the unit a cold schedule search repeats

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/parallel.hh"
 #include "quant/quantize.hh"
 #include "tensor/activations.hh"
 #include "tensor/ops.hh"
@@ -181,16 +182,20 @@ ApproxRunner::setThresholds(double alpha_inter, double alpha_intra)
 }
 
 std::vector<Vector>
-ApproxRunner::runLayers(const std::vector<Vector> &inputs)
+ApproxRunner::runLayers(const std::vector<Vector> &inputs,
+                        std::vector<LayerApproxStats> &stats) const
 {
     const nn::LstmModel &m = activeModel();
     const nn::SigmoidKind sk = m.config().sigmoid;
+    assert(stats.size() == m.layers().size());
     std::vector<Vector> acts = inputs;
 
     for (std::size_t l = 0; l < m.layers().size(); ++l) {
         const nn::LstmLayerParams &p = m.layers()[l];
-        LayerApproxStats &st = stats_[l];
-        ++st.sequences;
+        // Tallied locally and added once per layer: concurrent callers'
+        // stats vectors may share a cache line.
+        LayerApproxStats st;
+        st.sequences = 1;
 
         const std::vector<Vector> projs = nn::projectInputs(p, acts);
 
@@ -231,26 +236,31 @@ ApproxRunner::runLayers(const std::vector<Vector> &inputs)
             }
             outs.push_back(state.h);
         }
+        stats[l] += st;
         acts = std::move(outs);
     }
     return acts;
 }
 
 Vector
-ApproxRunner::classify(std::span<const std::int32_t> tokens)
+ApproxRunner::classify(std::span<const std::int32_t> tokens,
+                       std::vector<LayerApproxStats> &stats) const
 {
     assert(model_.config().task == nn::TaskKind::Classification);
     if (tokens.empty())
         throw std::invalid_argument("ApproxRunner::classify: empty");
-    const std::vector<Vector> top = runLayers(activeModel().embed(tokens));
+    const std::vector<Vector> top =
+        runLayers(activeModel().embed(tokens), stats);
     return nn::linearForward(activeModel().head(), top.back());
 }
 
 std::vector<Vector>
-ApproxRunner::lmLogits(std::span<const std::int32_t> tokens)
+ApproxRunner::lmLogits(std::span<const std::int32_t> tokens,
+                       std::vector<LayerApproxStats> &stats) const
 {
     assert(model_.config().task == nn::TaskKind::LanguageModel);
-    const std::vector<Vector> top = runLayers(activeModel().embed(tokens));
+    const std::vector<Vector> top =
+        runLayers(activeModel().embed(tokens), stats);
     return nn::headLogits(activeModel().head(), top);
 }
 
@@ -292,22 +302,48 @@ ApproxRunner::profile(
     const std::vector<std::vector<std::int32_t>> &token_seqs) const
 {
     const nn::LstmModel &m = activeModel();
-    CalibrationProfile prof;
-    prof.layerRelevances.resize(m.layers().size());
     const nn::SigmoidKind sk = m.config().sigmoid;
+    const std::size_t layers = m.layers().size();
+    std::size_t gates_per_step = 0;
+    for (const nn::LstmLayerParams &p : m.layers())
+        gates_per_step += p.hiddenSize();
 
-    for (const auto &seq : token_seqs) {
+    // Sequence i writes the slices a serial scan would append for it
+    // (steps from first_step[i], links per layer from first_link[i]),
+    // so the vectors equal the serial scan's before sorting, and no
+    // worker grows a buffer of its own.
+    const std::size_t n = token_seqs.size();
+    std::vector<std::size_t> first_step(n + 1, 0), first_link(n + 1, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t len = token_seqs[i].size();
+        first_step[i + 1] = first_step[i] + len;
+        first_link[i + 1] = first_link[i] + (len ? len - 1 : 0);
+    }
+    CalibrationProfile prof;
+    prof.relevances.resize(layers * first_link[n]);
+    prof.layerRelevances.assign(layers,
+                                std::vector<double>(first_link[n]));
+    prof.outputGates.resize(gates_per_step * first_step[n]);
+
+    nn::forEachSequence(n, nn::sequenceWorkers(n),
+                        [&](std::size_t, std::size_t i) {
+        const std::vector<std::int32_t> &seq = token_seqs[i];
         if (seq.empty())
-            continue;
+            return;
+        double *pooled = prof.relevances.data() + layers * first_link[i];
+        float *gates =
+            prof.outputGates.data() + gates_per_step * first_step[i];
         std::vector<Vector> acts = m.embed(seq);
-        for (std::size_t l = 0; l < m.layers().size(); ++l) {
+        for (std::size_t l = 0; l < layers; ++l) {
             const nn::LstmLayerParams &p = m.layers()[l];
             const std::vector<Vector> projs = nn::projectInputs(p, acts);
 
+            double *per_layer =
+                prof.layerRelevances[l].data() + first_link[i];
             for (std::size_t t = 1; t < projs.size(); ++t) {
                 const double sv = relevanceCtx_[l].relevance(p, projs[t]);
-                prof.relevances.push_back(sv);
-                prof.layerRelevances[l].push_back(sv);
+                *pooled++ = sv;
+                *per_layer++ = sv;
             }
 
             const nn::PackedRecurrent u(p);
@@ -318,13 +354,13 @@ ApproxRunner::profile(
                 nn::LstmCellTrace trace;
                 state = nn::lstmCellForward(u, projs[t], state, sk,
                                             &trace);
-                for (std::size_t j = 0; j < trace.o.size(); ++j)
-                    prof.outputGates.push_back(trace.o[j]);
+                gates = std::copy(trace.o.begin(), trace.o.end(), gates);
                 outs.push_back(state.h);
             }
             acts = std::move(outs);
         }
-    }
+    });
+
     std::sort(prof.relevances.begin(), prof.relevances.end());
     for (auto &xs : prof.layerRelevances)
         std::sort(xs.begin(), xs.end());
@@ -339,21 +375,56 @@ ApproxRunner::resetStats()
         st = LayerApproxStats{};
 }
 
+void
+ApproxRunner::addStats(const std::vector<LayerApproxStats> &more)
+{
+    assert(more.size() == stats_.size());
+    for (std::size_t l = 0; l < stats_.size(); ++l)
+        stats_[l] += more[l];
+}
+
+namespace {
+
+/**
+ * Sum hits(stats, i) over i < n with nn::countHits, each worker adding
+ * its statistics into a stats vector of its own. Those are added to the
+ * runner in worker order once every sequence ran, so a throw leaves
+ * runner.stats() unchanged.
+ */
+template <typename Hits>
+nn::HitCount
+countWithStats(ApproxRunner &runner, std::size_t n, Hits &&hits)
+{
+    std::vector<std::vector<LayerApproxStats>> stats(
+        nn::sequenceWorkers(n),
+        std::vector<LayerApproxStats>(runner.stats().size()));
+    const nn::HitCount sum = nn::countHits(
+        n, stats.size(),
+        [&](std::size_t w, std::size_t i) { return hits(stats[w], i); });
+    for (const std::vector<LayerApproxStats> &s : stats)
+        runner.addStats(s);
+    return sum;
+}
+
+} // namespace
+
 double
 approxClassificationAccuracy(ApproxRunner &runner,
                              const std::vector<nn::Sample> &data)
 {
     if (data.empty())
         return 0.0;
-    std::size_t correct = 0;
-    for (const nn::Sample &s : data) {
-        const Vector logits = runner.classify(s.tokens);
-        if (tensor::argmax(logits.span()) ==
-            static_cast<std::size_t>(s.label)) {
-            ++correct;
-        }
-    }
-    return static_cast<double>(correct) / static_cast<double>(data.size());
+    const nn::HitCount sum = countWithStats(
+        runner, data.size(),
+        [&](std::vector<LayerApproxStats> &stats, std::size_t i) {
+            const nn::Sample &s = data[i];
+            const Vector logits = runner.classify(s.tokens, stats);
+            return nn::HitCount{tensor::argmax(logits.span()) ==
+                                    static_cast<std::size_t>(s.label),
+                                1};
+        });
+    return static_cast<double>(sum.correct) /
+           static_cast<double>(sum.total);
 }
 
 double
@@ -361,24 +432,27 @@ approxLmNextTokenAccuracy(
     ApproxRunner &runner,
     const std::vector<std::vector<std::int32_t>> &seqs)
 {
-    std::size_t correct = 0;
-    std::size_t total = 0;
-    for (const auto &seq : seqs) {
-        if (seq.size() < 2)
-            continue;
-        const auto logits =
-            runner.lmLogits(std::span(seq.data(), seq.size() - 1));
-        for (std::size_t t = 0; t < logits.size(); ++t) {
-            if (tensor::argmax(logits[t].span()) ==
-                static_cast<std::size_t>(seq[t + 1])) {
-                ++correct;
+    const nn::HitCount sum = countWithStats(
+        runner, seqs.size(),
+        [&](std::vector<LayerApproxStats> &stats, std::size_t i) {
+            const std::vector<std::int32_t> &seq = seqs[i];
+            nn::HitCount h;
+            if (seq.size() < 2)
+                return h;
+            const auto logits = runner.lmLogits(
+                std::span(seq.data(), seq.size() - 1), stats);
+            for (std::size_t t = 0; t < logits.size(); ++t) {
+                if (tensor::argmax(logits[t].span()) ==
+                    static_cast<std::size_t>(seq[t + 1])) {
+                    ++h.correct;
+                }
+                ++h.total;
             }
-            ++total;
-        }
-    }
-    return total ? static_cast<double>(correct) /
-                       static_cast<double>(total)
-                 : 0.0;
+            return h;
+        });
+    return sum.total ? static_cast<double>(sum.correct) /
+                           static_cast<double>(sum.total)
+                     : 0.0;
 }
 
 } // namespace core

@@ -88,11 +88,27 @@ struct LayerApproxStats
                                      static_cast<double>(sequences)
                          : 1.0;
     }
+
+    /** Add another tally. Every field is a count (skippedRows a whole
+     *  number below 2^53), so sums are exact in any order. */
+    LayerApproxStats &operator+=(const LayerApproxStats &o)
+    {
+        sequences += o.sequences;
+        links += o.links;
+        breaks += o.breaks;
+        cells += o.cells;
+        skippedRows += o.skippedRows;
+        return *this;
+    }
 };
 
 /**
  * Runs a trained model with the approximations enabled and collects the
- * statistics the timing side needs. Thread-compatible, not thread-safe.
+ * statistics the timing side needs. The const forwards (the overloads
+ * that take a caller-owned stats vector, and profile()) may run
+ * concurrently on one runner, each thread with its own stats vector;
+ * calls that mutate the runner, including the forwards that add to
+ * stats(), may not overlap any other call.
  */
 class ApproxRunner
 {
@@ -142,17 +158,44 @@ class ApproxRunner
         return qmodel_ ? *qmodel_ : model_;
     }
 
-    /** Approximate classification logits (cf. LstmModel::classify). */
-    Vector classify(std::span<const std::int32_t> tokens);
+    /**
+     * Approximate stack forward over embedded inputs, adding this
+     * sequence's statistics to @p stats (one entry per layer).
+     */
+    std::vector<Vector> runLayers(const std::vector<Vector> &inputs,
+                                  std::vector<LayerApproxStats> &stats) const;
+
+    /**
+     * Approximate classification logits (cf. LstmModel::classify).
+     * @throws std::invalid_argument on an empty sequence.
+     */
+    Vector classify(std::span<const std::int32_t> tokens,
+                    std::vector<LayerApproxStats> &stats) const;
 
     /** Approximate per-step LM logits (cf. LstmModel::lmLogits). */
-    std::vector<Vector> lmLogits(std::span<const std::int32_t> tokens);
+    std::vector<Vector>
+    lmLogits(std::span<const std::int32_t> tokens,
+             std::vector<LayerApproxStats> &stats) const;
 
-    /** Approximate stack forward over embedded inputs. */
-    std::vector<Vector> runLayers(const std::vector<Vector> &inputs);
+    /** The forwards above, adding to stats(). */
+    std::vector<Vector> runLayers(const std::vector<Vector> &inputs)
+    {
+        return runLayers(inputs, stats_);
+    }
+    Vector classify(std::span<const std::int32_t> tokens)
+    {
+        return classify(tokens, stats_);
+    }
+    std::vector<Vector> lmLogits(std::span<const std::int32_t> tokens)
+    {
+        return lmLogits(tokens, stats_);
+    }
 
     const std::vector<LayerApproxStats> &stats() const { return stats_; }
     void resetStats();
+
+    /** Add per-layer tallies (e.g. one worker's) into stats(). */
+    void addStats(const std::vector<LayerApproxStats> &more);
 
     /** Per-layer link predictors (persistence export). */
     const std::vector<LinkPredictor> &predictors() const
@@ -173,7 +216,9 @@ class ApproxRunner
      * Exact-forward profile of the model on a dataset: the pooled link
      * relevance values S (all layers) and the output-gate magnitude
      * distribution. These define the meaningful ranges of the two
-     * thresholds (Fig. 10, offline op 2).
+     * thresholds (Fig. 10, offline op 2). The sequences run on every
+     * hardware thread (nn/parallel.hh); the result equals a serial
+     * scan's bit for bit.
      */
     struct CalibrationProfile
     {
@@ -215,11 +260,18 @@ class ApproxRunner
     DrsStatePolicy drsPolicy_ = DrsStatePolicy::DropRecurrent;
 };
 
-/** classificationAccuracy through the approximate dataflow. */
+/**
+ * classificationAccuracy through the approximate dataflow. The samples
+ * run on every hardware thread (nn/parallel.hh); accuracy and the
+ * statistics added to runner.stats() equal a serial classify() loop bit
+ * for bit. If a forward throws (an empty sequence), the exception of
+ * the lowest failing sample propagates and runner.stats() is unchanged.
+ */
 double approxClassificationAccuracy(ApproxRunner &runner,
                                     const std::vector<nn::Sample> &data);
 
-/** lmNextTokenAccuracy through the approximate dataflow. */
+/** lmNextTokenAccuracy through the approximate dataflow; sequences run
+ *  in parallel as in approxClassificationAccuracy. */
 double approxLmNextTokenAccuracy(
     ApproxRunner &runner,
     const std::vector<std::vector<std::int32_t>> &seqs);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/parallel.hh"
 #include "tensor/ops.hh"
 #include "tensor/panel.hh"
 
@@ -154,39 +155,43 @@ classificationAccuracy(const LstmModel &model,
 {
     if (data.empty())
         return 0.0;
-    std::size_t correct = 0;
-    for (const Sample &s : data) {
-        const Vector logits = model.classify(s.tokens);
-        if (tensor::argmax(logits.span()) ==
-            static_cast<std::size_t>(s.label)) {
-            ++correct;
-        }
-    }
-    return static_cast<double>(correct) / static_cast<double>(data.size());
+    const HitCount sum = countHits(
+        data.size(), sequenceWorkers(data.size()),
+        [&](std::size_t, std::size_t i) {
+            const Vector logits = model.classify(data[i].tokens);
+            return HitCount{tensor::argmax(logits.span()) ==
+                                static_cast<std::size_t>(data[i].label),
+                            1};
+        });
+    return static_cast<double>(sum.correct) /
+           static_cast<double>(sum.total);
 }
 
 double
 lmNextTokenAccuracy(const LstmModel &model,
                     const std::vector<std::vector<std::int32_t>> &seqs)
 {
-    std::size_t correct = 0;
-    std::size_t total = 0;
-    for (const auto &seq : seqs) {
-        if (seq.size() < 2)
-            continue;
-        const auto logits = model.lmLogits(
-            std::span(seq.data(), seq.size() - 1));
-        for (std::size_t t = 0; t < logits.size(); ++t) {
-            if (tensor::argmax(logits[t].span()) ==
-                static_cast<std::size_t>(seq[t + 1])) {
-                ++correct;
+    const HitCount sum = countHits(
+        seqs.size(), sequenceWorkers(seqs.size()),
+        [&](std::size_t, std::size_t i) {
+            const std::vector<std::int32_t> &seq = seqs[i];
+            HitCount h;
+            if (seq.size() < 2)
+                return h;
+            const auto logits = model.lmLogits(
+                std::span(seq.data(), seq.size() - 1));
+            for (std::size_t t = 0; t < logits.size(); ++t) {
+                if (tensor::argmax(logits[t].span()) ==
+                    static_cast<std::size_t>(seq[t + 1])) {
+                    ++h.correct;
+                }
+                ++h.total;
             }
-            ++total;
-        }
-    }
-    return total ? static_cast<double>(correct) /
-                       static_cast<double>(total)
-                 : 0.0;
+            return h;
+        });
+    return sum.total ? static_cast<double>(sum.correct) /
+                           static_cast<double>(sum.total)
+                     : 0.0;
 }
 
 double
