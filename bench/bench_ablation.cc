@@ -43,15 +43,15 @@ main()
 
     mf->runner().resetStats();
     mf->runner().setThresholds(0.0, ladder[ao].alphaIntra);
-    mf->runner().setDrsPolicy(core::DrsStatePolicy::DropRecurrent);
+    mf->runner().setDrsPolicy(nn::DrsStatePolicy::DropRecurrent);
     const double acc_drop = evalAccuracy(*mf, app);
     const double skip = mf->runner().stats()[0].skipFraction(
         app.model->config().hiddenSize);
 
     mf->runner().resetStats();
-    mf->runner().setDrsPolicy(core::DrsStatePolicy::ZeroState);
+    mf->runner().setDrsPolicy(nn::DrsStatePolicy::ZeroState);
     const double acc_zero = evalAccuracy(*mf, app);
-    mf->runner().setDrsPolicy(core::DrsStatePolicy::DropRecurrent);
+    mf->runner().setDrsPolicy(nn::DrsStatePolicy::DropRecurrent);
 
     std::printf("1. DRS skipped-row semantics (alpha_intra = %.3f, "
                 "layer-0 skip %.0f%%)\n",

@@ -2,7 +2,7 @@
  * @file
  * google-benchmark microbenchmarks of the CPU-side tensor kernels the
  * accuracy substrate runs on: GEMV/GEMM (plain, transposed, panel-packed,
- * masked), the LSTM cell step, the DRS cell step and the classification
+ * masked), the LSTM cell step (dense and with DRS) and the classification
  * head, plus the host cost of one lower-and-simulate timing run. These
  * measure the reproduction's own code (wall clock), not the simulated
  * GPU.
@@ -10,7 +10,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/approx.hh"
 #include "gpu/simulator.hh"
 #include "harness.hh"
 #include "nn/lstm.hh"
@@ -129,8 +128,13 @@ BM_Gemm(benchmark::State &state)
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
 
+/**
+ * One cell step (nn::lstmCellForward) from the same state each
+ * iteration, with the state and the step buffers reused as the layer
+ * loop reuses them: dense, and with DRS at alpha_intra.
+ */
 void
-BM_LstmCellForward(benchmark::State &state)
+BM_LstmCell(benchmark::State &state, double alpha_intra)
 {
     const auto h = static_cast<std::size_t>(state.range(0));
     nn::LstmLayerParams p(h, h);
@@ -138,31 +142,19 @@ BM_LstmCellForward(benchmark::State &state)
     p.init(rng);
     const Vector x_proj = randomVector(4 * h, 10);
     const nn::PackedRecurrent packed(p);
-    nn::LstmState prev(h);
+    const nn::LstmState prev(h);
+    nn::LstmState cell(h);
+    nn::LstmStepScratch scratch;
     for (auto _ : state) {
-        auto next = nn::lstmCellForward(packed, x_proj, prev);
-        benchmark::DoNotOptimize(next.h.data());
+        cell = prev;
+        nn::lstmCellForward(packed, x_proj.span(), cell, scratch,
+                            nn::SigmoidKind::Logistic, {alpha_intra});
+        benchmark::DoNotOptimize(cell.h.data());
+        benchmark::ClobberMemory();
     }
 }
-BENCHMARK(BM_LstmCellForward)->Arg(64)->Arg(128)->Arg(256);
-
-void
-BM_DrsCellForward(benchmark::State &state)
-{
-    const auto h = static_cast<std::size_t>(state.range(0));
-    nn::LstmLayerParams p(h, h);
-    tensor::Rng rng(11);
-    p.init(rng);
-    const Vector x_proj = randomVector(4 * h, 12);
-    const nn::PackedRecurrent packed(p);
-    nn::LstmState prev(h);
-    for (auto _ : state) {
-        auto next = core::lstmCellForwardDrs(packed, x_proj, prev, 0.4,
-                                             nn::SigmoidKind::Logistic);
-        benchmark::DoNotOptimize(next.h.data());
-    }
-}
-BENCHMARK(BM_DrsCellForward)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK_CAPTURE(BM_LstmCell, dense, 0.0)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK_CAPTURE(BM_LstmCell, drs_0_4, 0.4)->Arg(64)->Arg(128)->Arg(256);
 
 /**
  * The classification head (classes x hidden), run once per sequence on

@@ -7,75 +7,9 @@
 
 #include "nn/parallel.hh"
 #include "quant/quantize.hh"
-#include "tensor/activations.hh"
-#include "tensor/ops.hh"
-#include "tensor/panel.hh"
 
 namespace mflstm {
 namespace core {
-
-nn::LstmState
-lstmCellForwardDrs(const nn::PackedRecurrent &u, const Vector &x_proj,
-                   const nn::LstmState &prev, double alpha_intra,
-                   nn::SigmoidKind sk, std::size_t *skipped_rows,
-                   DrsStatePolicy policy)
-{
-    const nn::LstmLayerParams &params = u.params;
-    const std::size_t hid = params.hiddenSize();
-    assert(x_proj.size() == 4 * hid);
-
-    auto sig = [sk](float v) {
-        return sk == nn::SigmoidKind::Logistic ? tensor::sigmoid(v)
-                                               : tensor::hardSigmoid(v);
-    };
-
-    // Algorithm 3 lines 4-5: the output gate first.
-    Vector ro;
-    tensor::gemv(u.uO, prev.h, ro);
-    Vector o(hid);
-    for (std::size_t j = 0; j < hid; ++j)
-        o[j] = sig(x_proj[3 * hid + j] + ro[j] + params.bo[j]);
-
-    // Line 6: rows whose o_t element is near zero are trivial. Element j
-    // masks row j of each of U_f, U_i and U_c in the fused matrix.
-    std::vector<std::uint8_t> skip(3 * hid, 0);
-    std::size_t skipped = 0;
-    for (std::size_t j = 0; j < hid; ++j) {
-        if (o[j] <= alpha_intra) {
-            skip[j] = skip[hid + j] = skip[2 * hid + j] = 1;
-            ++skipped;
-        }
-    }
-    if (skipped_rows)
-        *skipped_rows = skipped;
-
-    // Line 7: Sgemv(U_{f,i,c}, h, R) — skipped rows contribute zero.
-    Vector rfic;
-    tensor::gemvMasked(u.uFic, prev.h, skip, rfic);
-    const float *rf = rfic.data();
-    const float *ri = rf + hid;
-    const float *rc = ri + hid;
-
-    // Line 8: the element-wise kernel. Under the default policy a
-    // skipped row's recurrent products are simply zero (gemvMasked
-    // already produced that), so the gates evaluate on the input
-    // projection alone; under ZeroState the whole element is nulled.
-    nn::LstmState next(hid);
-    for (std::size_t j = 0; j < hid; ++j) {
-        if (skip[j] && policy == DrsStatePolicy::ZeroState) {
-            next.c[j] = 0.0f;
-            next.h[j] = 0.0f;
-            continue;
-        }
-        const float f = sig(x_proj[j] + rf[j] + params.bf[j]);
-        const float i = sig(x_proj[hid + j] + ri[j] + params.bi[j]);
-        const float g =
-            std::tanh(x_proj[2 * hid + j] + rc[j] + params.bc[j]);
-        next.c[j] = f * prev.c[j] + i * g;
-        next.h[j] = o[j] * std::tanh(next.c[j]);
-    }
-    return next;
-}
 
 ApproxRunner::ApproxRunner(const nn::LstmModel &model) : model_(model)
 {
@@ -94,13 +28,12 @@ ApproxRunner::refreshPredictions()
     // expectation vectors instead would place them above the trace
     // memory calibrate() just freed, which raised the sweep-table2
     // benchmark's peak RSS by about 0.4 MB.
-    predictedH_.resize(predictors_.size());
-    predictedC_.resize(predictors_.size());
+    predicted_.resize(predictors_.size());
     for (std::size_t l = 0; l < predictors_.size(); ++l) {
         const Vector h = predictors_[l].predictedH();
         const Vector c = predictors_[l].predictedC();
-        predictedH_[l] = h;
-        predictedC_[l] = c;
+        predicted_[l].h = h;
+        predicted_[l].c = c;
     }
 }
 
@@ -186,58 +119,40 @@ ApproxRunner::runLayers(const std::vector<Vector> &inputs,
                         std::vector<LayerApproxStats> &stats) const
 {
     const nn::LstmModel &m = activeModel();
-    const nn::SigmoidKind sk = m.config().sigmoid;
     assert(stats.size() == m.layers().size());
-    std::vector<Vector> acts = inputs;
+    std::vector<Vector> acts;
+    std::vector<std::uint8_t> is_break;
 
     for (std::size_t l = 0; l < m.layers().size(); ++l) {
         const nn::LstmLayerParams &p = m.layers()[l];
+        const tensor::Matrix projs =
+            nn::projectInputs(p, l == 0 ? inputs : acts);
         // Tallied locally and added once per layer: concurrent callers'
         // stats vectors may share a cache line.
         LayerApproxStats st;
         st.sequences = 1;
-
-        const std::vector<Vector> projs = nn::projectInputs(p, acts);
+        st.cells = projs.rows();
 
         // Inter-cell: find the weak links of this sequence.
-        std::vector<std::uint8_t> is_break(projs.size(), 0);
-        if (alphaInter_ > 0.0 && projs.size() > 1) {
-            for (std::size_t t = 1; t < projs.size(); ++t) {
+        is_break.assign(projs.rows(), 0);
+        if (alphaInter_ > 0.0) {
+            for (std::size_t t = 1; t < projs.rows(); ++t) {
                 ++st.links;
-                const double s =
-                    relevanceCtx_[l].relevance(p, projs[t]);
-                if (s < alphaInter_) {
+                if (relevanceCtx_[l].relevance(p, projs.row(t)) <
+                    alphaInter_) {
                     is_break[t] = 1;
                     ++st.breaks;
                 }
             }
         }
 
-        const nn::PackedRecurrent u(p);
-        nn::LstmState state(p.hiddenSize());
-        std::vector<Vector> outs;
-        outs.reserve(projs.size());
-        for (std::size_t t = 0; t < projs.size(); ++t) {
-            if (is_break[t]) {
-                // Breakpoint: the real link is severed; substitute the
-                // predicted one (Fig. 8(a2)).
-                state.h = predictedH_[l];
-                state.c = predictedC_[l];
-            }
-            ++st.cells;
-            if (alphaIntra_ > 0.0) {
-                std::size_t skipped = 0;
-                state = lstmCellForwardDrs(u, projs[t], state,
-                                           alphaIntra_, sk, &skipped,
-                                           drsPolicy_);
-                st.skippedRows += static_cast<double>(skipped);
-            } else {
-                state = nn::lstmCellForward(u, projs[t], state, sk);
-            }
-            outs.push_back(state.h);
-        }
+        std::size_t skipped = 0;
+        acts = nn::lstmLayerForward(
+            p, projs, m.config().sigmoid,
+            {{alphaIntra_, drsPolicy_}, is_break, &predicted_[l]}, nullptr,
+            &skipped);
+        st.skippedRows = static_cast<double>(skipped);
         stats[l] += st;
-        acts = std::move(outs);
     }
     return acts;
 }
@@ -334,30 +249,23 @@ ApproxRunner::profile(
         float *gates =
             prof.outputGates.data() + gates_per_step * first_step[i];
         std::vector<Vector> acts = m.embed(seq);
+        std::vector<nn::LstmCellTrace> traces;
         for (std::size_t l = 0; l < layers; ++l) {
             const nn::LstmLayerParams &p = m.layers()[l];
-            const std::vector<Vector> projs = nn::projectInputs(p, acts);
+            const tensor::Matrix projs = nn::projectInputs(p, acts);
 
             double *per_layer =
                 prof.layerRelevances[l].data() + first_link[i];
-            for (std::size_t t = 1; t < projs.size(); ++t) {
-                const double sv = relevanceCtx_[l].relevance(p, projs[t]);
+            for (std::size_t t = 1; t < projs.rows(); ++t) {
+                const double sv =
+                    relevanceCtx_[l].relevance(p, projs.row(t));
                 *pooled++ = sv;
                 *per_layer++ = sv;
             }
 
-            const nn::PackedRecurrent u(p);
-            nn::LstmState state(p.hiddenSize());
-            std::vector<Vector> outs;
-            outs.reserve(projs.size());
-            for (std::size_t t = 0; t < projs.size(); ++t) {
-                nn::LstmCellTrace trace;
-                state = nn::lstmCellForward(u, projs[t], state, sk,
-                                            &trace);
-                gates = std::copy(trace.o.begin(), trace.o.end(), gates);
-                outs.push_back(state.h);
-            }
-            acts = std::move(outs);
+            acts = nn::lstmLayerForward(p, projs, sk, {}, &traces);
+            for (const nn::LstmCellTrace &tr : traces)
+                gates = std::copy(tr.o.begin(), tr.o.end(), gates);
         }
     });
 
@@ -385,25 +293,25 @@ ApproxRunner::addStats(const std::vector<LayerApproxStats> &more)
 
 namespace {
 
-/**
- * Sum hits(stats, i) over i < n with nn::countHits, each worker adding
- * its statistics into a stats vector of its own. Those are added to the
- * runner in worker order once every sequence ran, so a throw leaves
- * runner.stats() unchanged.
- */
-template <typename Hits>
-nn::HitCount
-countWithStats(ApproxRunner &runner, std::size_t n, Hits &&hits)
+using WorkerStats = std::vector<std::vector<LayerApproxStats>>;
+
+/** One zeroed stats vector per worker of an n-sequence accuracy loop. */
+WorkerStats
+workerStats(const ApproxRunner &runner, std::size_t n)
 {
-    std::vector<std::vector<LayerApproxStats>> stats(
-        nn::sequenceWorkers(n),
-        std::vector<LayerApproxStats>(runner.stats().size()));
-    const nn::HitCount sum = nn::countHits(
-        n, stats.size(),
-        [&](std::size_t w, std::size_t i) { return hits(stats[w], i); });
+    return WorkerStats(nn::sequenceWorkers(n),
+                       std::vector<LayerApproxStats>(runner.stats().size()));
+}
+
+/**
+ * Add the workers' stats to the runner in worker order. Called only
+ * after every sequence ran, so a throw leaves runner.stats() unchanged.
+ */
+void
+mergeStats(ApproxRunner &runner, const WorkerStats &stats)
+{
     for (const std::vector<LayerApproxStats> &s : stats)
         runner.addStats(s);
-    return sum;
 }
 
 } // namespace
@@ -412,19 +320,14 @@ double
 approxClassificationAccuracy(ApproxRunner &runner,
                              const std::vector<nn::Sample> &data)
 {
-    if (data.empty())
-        return 0.0;
-    const nn::HitCount sum = countWithStats(
-        runner, data.size(),
-        [&](std::vector<LayerApproxStats> &stats, std::size_t i) {
-            const nn::Sample &s = data[i];
-            const Vector logits = runner.classify(s.tokens, stats);
-            return nn::HitCount{tensor::argmax(logits.span()) ==
-                                    static_cast<std::size_t>(s.label),
-                                1};
+    WorkerStats stats = workerStats(runner, data.size());
+    const double accuracy = nn::classificationAccuracy(
+        data, stats.size(),
+        [&](std::size_t w, std::span<const std::int32_t> tokens) {
+            return runner.classify(tokens, stats[w]);
         });
-    return static_cast<double>(sum.correct) /
-           static_cast<double>(sum.total);
+    mergeStats(runner, stats);
+    return accuracy;
 }
 
 double
@@ -432,27 +335,14 @@ approxLmNextTokenAccuracy(
     ApproxRunner &runner,
     const std::vector<std::vector<std::int32_t>> &seqs)
 {
-    const nn::HitCount sum = countWithStats(
-        runner, seqs.size(),
-        [&](std::vector<LayerApproxStats> &stats, std::size_t i) {
-            const std::vector<std::int32_t> &seq = seqs[i];
-            nn::HitCount h;
-            if (seq.size() < 2)
-                return h;
-            const auto logits = runner.lmLogits(
-                std::span(seq.data(), seq.size() - 1), stats);
-            for (std::size_t t = 0; t < logits.size(); ++t) {
-                if (tensor::argmax(logits[t].span()) ==
-                    static_cast<std::size_t>(seq[t + 1])) {
-                    ++h.correct;
-                }
-                ++h.total;
-            }
-            return h;
+    WorkerStats stats = workerStats(runner, seqs.size());
+    const double accuracy = nn::lmNextTokenAccuracy(
+        seqs, stats.size(),
+        [&](std::size_t w, std::span<const std::int32_t> tokens) {
+            return runner.lmLogits(tokens, stats[w]);
         });
-    return sum.total ? static_cast<double>(sum.correct) /
-                           static_cast<double>(sum.total)
-                     : 0.0;
+    mergeStats(runner, stats);
+    return accuracy;
 }
 
 } // namespace core

@@ -10,11 +10,12 @@
  *
  *  - intra-cell DRS: per cell, compute the output gate o_t first; for
  *    elements with o_t <= alpha_intra, skip the corresponding rows of
- *    U_{f,i,c} — their cell-state elements become 0 (Section V-A).
+ *    U_{f,i,c} (Section V-A; nn::RowSkip, nn::DrsStatePolicy).
  *
  * The ApproxRunner drives a trained nn::LstmModel through these modified
- * dataflows and records the division/skip statistics that the timing
- * planner (core/planner.hh) turns into an ExecutionPlan.
+ * dataflows — the cells run in nn::lstmLayerForward, the one layer loop
+ * of every host forward — and records the division/skip statistics that
+ * the timing planner (core/planner.hh) turns into an ExecutionPlan.
  */
 
 #ifndef MFLSTM_CORE_APPROX_HH
@@ -32,29 +33,6 @@
 
 namespace mflstm {
 namespace core {
-
-/**
- * What a DRS-skipped row means for the cell state. Algorithm 3 row-skips
- * only the Sgemv(U_{f,i,c}, h, R) kernel; the element-wise kernel of
- * line 8 carries no R argument, so the faithful reading (the default) is
- * that a skipped row merely loses its recurrent contribution
- * U_* h_{t-1} while the gate still evaluates on the input projection.
- * Section V-A's prose alternatively describes the affected c_t elements
- * as "approximated to zero"; ZeroState implements that harsher variant
- * (kept for the ablation study in bench_ablation).
- */
-enum class DrsStatePolicy {
-    DropRecurrent,  ///< skipped rows: gates see W x_t + b only (default)
-    ZeroState,      ///< skipped rows: c_t (and hence h_t) forced to 0
-};
-
-/** DRS cell step: Eq. 1-5 with rows skipped by the o_t threshold. */
-nn::LstmState
-lstmCellForwardDrs(const nn::PackedRecurrent &u,
-                   const Vector &x_proj, const nn::LstmState &prev,
-                   double alpha_intra, nn::SigmoidKind sk,
-                   std::size_t *skipped_rows = nullptr,
-                   DrsStatePolicy policy = DrsStatePolicy::DropRecurrent);
 
 /** Aggregated approximation statistics for one layer. */
 struct LayerApproxStats
@@ -135,9 +113,9 @@ class ApproxRunner
     double alphaInter() const { return alphaInter_; }
     double alphaIntra() const { return alphaIntra_; }
 
-    /** Select the DRS skipped-row semantics (see DrsStatePolicy). */
-    void setDrsPolicy(DrsStatePolicy policy) { drsPolicy_ = policy; }
-    DrsStatePolicy drsPolicy() const { return drsPolicy_; }
+    /** Select the DRS skipped-row semantics (see nn::DrsStatePolicy). */
+    void setDrsPolicy(nn::DrsStatePolicy policy) { drsPolicy_ = policy; }
+    nn::DrsStatePolicy drsPolicy() const { return drsPolicy_; }
 
     /**
      * Set the weight precision of the served model (DESIGN.md §12).
@@ -242,7 +220,7 @@ class ApproxRunner
 
   private:
     void rebuildRelevanceContexts();
-    /** Recompute predictedH_/predictedC_ from predictors_. */
+    /** Recompute predicted_ from predictors_. */
     void refreshPredictions();
 
     const nn::LstmModel &model_;
@@ -252,12 +230,12 @@ class ApproxRunner
     std::vector<LinkPredictor> predictors_;
     /// per-layer Eq. 6 predicted (h, c), computed whenever predictors_
     /// change rather than from the histograms on every sequence
-    std::vector<Vector> predictedH_, predictedC_;
+    std::vector<nn::LstmState> predicted_;
     std::vector<LayerApproxStats> stats_;
     double alphaInter_ = 0.0;
     double alphaIntra_ = 0.0;
     quant::QuantMode quantMode_ = quant::QuantMode::Fp32;
-    DrsStatePolicy drsPolicy_ = DrsStatePolicy::DropRecurrent;
+    nn::DrsStatePolicy drsPolicy_ = nn::DrsStatePolicy::DropRecurrent;
 };
 
 /**

@@ -27,7 +27,7 @@ LayerRelevanceContext::LayerRelevanceContext(
 
 double
 LayerRelevanceContext::relevance(const nn::LstmLayerParams &params,
-                                 const Vector &x_proj) const
+                                 std::span<const float> x_proj) const
 {
     const std::size_t dim = params.hiddenSize();
     if (x_proj.size() != 4 * dim)

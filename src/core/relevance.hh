@@ -16,6 +16,7 @@
 #define MFLSTM_CORE_RELEVANCE_HH
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "nn/lstm.hh"
@@ -42,7 +43,7 @@ struct LayerRelevanceContext
      * order, no bias). Algorithm 2 lines 3-8.
      */
     double relevance(const nn::LstmLayerParams &params,
-                     const Vector &x_proj) const;
+                     std::span<const float> x_proj) const;
 
     Vector df, di, dc, dout;
 };

@@ -1,6 +1,7 @@
 #include "nn/lstm.hh"
 
 #include <cassert>
+#include <cmath>
 
 #include "tensor/activations.hh"
 
@@ -38,40 +39,12 @@ LstmLayerParams::init(tensor::Rng &rng)
 }
 
 Matrix
-LstmLayerParams::unitedU() const
-{
-    return tensor::vconcat({&uf, &ui, &uc, &uo});
-}
-
-Matrix
-LstmLayerParams::unitedW() const
-{
-    return tensor::vconcat({&wf, &wi, &wc, &wo});
-}
-
-Vector
-LstmLayerParams::unitedBias() const
-{
-    const std::size_t hid = hiddenSize();
-    Vector out(4 * hid);
-    const Vector *parts[] = {&bf, &bi, &bc, &bo};
-    for (std::size_t p = 0; p < 4; ++p)
-        for (std::size_t j = 0; j < hid; ++j)
-            out[p * hid + j] = (*parts[p])[j];
-    return out;
-}
-
-std::vector<Vector>
 projectInputs(const LstmLayerParams &p, const std::vector<Vector> &xs)
 {
     const tensor::PanelMatrix w({&p.wf, &p.wi, &p.wc, &p.wo});
-    std::vector<Vector> out;
-    out.reserve(xs.size());
-    for (const Vector &x : xs) {
-        Vector proj;
-        tensor::gemv(w, x, proj);
-        out.push_back(std::move(proj));
-    }
+    Matrix out(xs.size(), w.rows());
+    for (std::size_t t = 0; t < xs.size(); ++t)
+        tensor::gemv(w, xs[t].span(), out.row(t));
     return out;
 }
 
@@ -79,74 +52,133 @@ PackedRecurrent::PackedRecurrent(const LstmLayerParams &p)
     : params(p), uFic({&p.uf, &p.ui, &p.uc}), uO(p.uo)
 {}
 
-LstmState
-lstmCellForward(const PackedRecurrent &u, const Vector &x_proj,
-                const LstmState &prev, SigmoidKind sk, LstmCellTrace *trace)
+std::size_t
+lstmCellForward(const PackedRecurrent &u, std::span<const float> x_proj,
+                LstmState &state, LstmStepScratch &scratch, SigmoidKind sk,
+                const RowSkip &skip, LstmCellTrace *trace)
 {
     const LstmLayerParams &p = u.params;
     const std::size_t hid = p.hiddenSize();
     assert(x_proj.size() == 4 * hid);
-    assert(prev.h.size() == hid && prev.c.size() == hid);
-
-    // Recurrent projections U_* h_{t-1}: the per-cell Sgemv of
-    // Algorithm 1 line 4, as the fused U_{f,i,c} and U_o products the
-    // DRS cell also runs.
-    Vector rfic, ro;
-    tensor::gemv(u.uFic, prev.h, rfic);
-    tensor::gemv(u.uO, prev.h, ro);
-    const float *rf = rfic.data();
-    const float *ri = rf + hid;
-    const float *rc = ri + hid;
+    assert(state.h.size() == hid && state.c.size() == hid);
+    if (trace) {
+        trace->h_prev = state.h;
+        trace->c_prev = state.c;
+    }
 
     auto sig = [sk](float v) {
         return sk == SigmoidKind::Logistic ? sigmoid(v) : hardSigmoid(v);
     };
 
-    LstmState next(hid);
-    Vector f(hid), i(hid), g(hid), o(hid);
+    // Algorithm 3 lines 4-5: the output gate first. Algorithm 1 computes
+    // it beside the other gates; the order changes no bit.
+    Vector &o = scratch.o;
+    tensor::gemv(u.uO, state.h, scratch.ro);
+    o.resize(hid);
+    for (std::size_t j = 0; j < hid; ++j)
+        o[j] = sig(x_proj[3 * hid + j] + scratch.ro[j] + p.bo[j]);
+
+    // Line 6: rows whose o_t element is near zero are trivial. Element j
+    // masks row j of each of U_f, U_i and U_c in the fused matrix.
+    std::vector<std::uint8_t> &mask = scratch.skip;
+    std::size_t skipped = 0;
+    if (skip.alphaIntra > 0.0) {
+        mask.assign(3 * hid, 0);
+        for (std::size_t j = 0; j < hid; ++j) {
+            if (o[j] <= skip.alphaIntra) {
+                mask[j] = mask[hid + j] = mask[2 * hid + j] = 1;
+                ++skipped;
+            }
+        }
+    }
+
+    // Line 7 (Algorithm 1 line 4): Sgemv(U_{f,i,c}, h, R), skipped rows
+    // contributing zero.
+    if (skipped)
+        tensor::gemvMasked(u.uFic, state.h, mask, scratch.rfic);
+    else
+        tensor::gemv(u.uFic, state.h, scratch.rfic);
+    const float *rf = scratch.rfic.data();
+    const float *ri = rf + hid;
+    const float *rc = ri + hid;
+
+    // Line 8: the element-wise kernel, c_t and h_t in place. Under the
+    // default policy a skipped row's recurrent products are simply zero,
+    // so its gates evaluate on the input projection alone; under
+    // ZeroState the whole element is nulled.
+    const bool zero_skipped =
+        skipped && skip.policy == DrsStatePolicy::ZeroState;
+    if (trace)
+        trace->f = trace->i = trace->g = Vector(hid);
     for (std::size_t j = 0; j < hid; ++j) {
-        f[j] = sig(x_proj[j] + rf[j] + p.bf[j]);
-        i[j] = sig(x_proj[hid + j] + ri[j] + p.bi[j]);
-        g[j] = std::tanh(x_proj[2 * hid + j] + rc[j] + p.bc[j]);
-        o[j] = sig(x_proj[3 * hid + j] + ro[j] + p.bo[j]);
-        next.c[j] = f[j] * prev.c[j] + i[j] * g[j];
-        next.h[j] = o[j] * std::tanh(next.c[j]);
+        if (zero_skipped && mask[j]) {
+            state.c[j] = 0.0f;
+            state.h[j] = 0.0f;
+            continue;
+        }
+        const float f = sig(x_proj[j] + rf[j] + p.bf[j]);
+        const float i = sig(x_proj[hid + j] + ri[j] + p.bi[j]);
+        const float g = std::tanh(x_proj[2 * hid + j] + rc[j] + p.bc[j]);
+        state.c[j] = f * state.c[j] + i * g;
+        state.h[j] = o[j] * std::tanh(state.c[j]);
+        if (trace) {
+            trace->f[j] = f;
+            trace->i[j] = i;
+            trace->g[j] = g;
+        }
     }
 
     if (trace) {
-        trace->f = std::move(f);
-        trace->i = std::move(i);
-        trace->g = std::move(g);
-        trace->o = std::move(o);
-        trace->c = next.c;
-        trace->h = next.h;
-        trace->c_prev = prev.c;
-        trace->h_prev = prev.h;
+        trace->o = o;
+        trace->c = state.c;
+        trace->h = state.h;
     }
-    return next;
+    return skipped;
+}
+
+std::vector<Vector>
+lstmLayerForward(const LstmLayerParams &p, const Matrix &projs,
+                 SigmoidKind sk, const LayerApprox &approx,
+                 std::vector<LstmCellTrace> *traces,
+                 std::size_t *skipped_rows)
+{
+    const std::size_t steps = projs.rows();
+    assert(approx.breaks.empty() || approx.breaks.size() == steps);
+    assert(approx.breaks.empty() || approx.link);
+    const PackedRecurrent u(p);
+
+    LstmState state(p.hiddenSize());
+    LstmStepScratch scratch;
+    std::vector<Vector> outputs;
+    outputs.reserve(steps);
+    if (traces) {
+        traces->clear();
+        traces->resize(steps);
+    }
+
+    std::size_t skipped = 0;
+    for (std::size_t t = 0; t < steps; ++t) {
+        if (!approx.breaks.empty() && approx.breaks[t]) {
+            // Breakpoint: the real link is severed; substitute the
+            // predicted one (Fig. 8(a2)).
+            state.h = approx.link->h;
+            state.c = approx.link->c;
+        }
+        skipped += lstmCellForward(u, projs.row(t), state, scratch, sk,
+                                   approx.skip,
+                                   traces ? &(*traces)[t] : nullptr);
+        outputs.push_back(state.h);
+    }
+    if (skipped_rows)
+        *skipped_rows += skipped;
+    return outputs;
 }
 
 std::vector<Vector>
 lstmLayerForward(const LstmLayerParams &p, const std::vector<Vector> &xs,
                  SigmoidKind sk, std::vector<LstmCellTrace> *traces)
 {
-    const std::vector<Vector> projs = projectInputs(p, xs);
-    const PackedRecurrent u(p);
-
-    LstmState state(p.hiddenSize());
-    std::vector<Vector> outputs;
-    outputs.reserve(xs.size());
-    if (traces) {
-        traces->clear();
-        traces->resize(xs.size());
-    }
-
-    for (std::size_t t = 0; t < projs.size(); ++t) {
-        state = lstmCellForward(u, projs[t], state, sk,
-                                traces ? &(*traces)[t] : nullptr);
-        outputs.push_back(state.h);
-    }
-    return outputs;
+    return lstmLayerForward(p, projectInputs(p, xs), sk, {}, traces);
 }
 
 } // namespace nn

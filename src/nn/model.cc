@@ -112,9 +112,10 @@ LstmModel::runLayers(const std::vector<Vector> &inputs,
         traces->resize(layers_.size());
     }
 
-    std::vector<Vector> acts = inputs;
+    std::vector<Vector> acts;
     for (std::size_t l = 0; l < layers_.size(); ++l) {
-        acts = lstmLayerForward(layers_[l], acts, cfg_.sigmoid,
+        acts = lstmLayerForward(layers_[l], l == 0 ? inputs : acts,
+                                cfg_.sigmoid,
                                 traces ? &(*traces)[l] : nullptr);
     }
     return acts;
@@ -150,15 +151,14 @@ LstmModel::parameterCount() const
 }
 
 double
-classificationAccuracy(const LstmModel &model,
-                       const std::vector<Sample> &data)
+classificationAccuracy(const std::vector<Sample> &data, std::size_t workers,
+                       const ClassifyFn &classify)
 {
     if (data.empty())
         return 0.0;
     const HitCount sum = countHits(
-        data.size(), sequenceWorkers(data.size()),
-        [&](std::size_t, std::size_t i) {
-            const Vector logits = model.classify(data[i].tokens);
+        data.size(), workers, [&](std::size_t w, std::size_t i) {
+            const Vector logits = classify(w, data[i].tokens);
             return HitCount{tensor::argmax(logits.span()) ==
                                 static_cast<std::size_t>(data[i].label),
                             1};
@@ -168,18 +168,17 @@ classificationAccuracy(const LstmModel &model,
 }
 
 double
-lmNextTokenAccuracy(const LstmModel &model,
-                    const std::vector<std::vector<std::int32_t>> &seqs)
+lmNextTokenAccuracy(const std::vector<std::vector<std::int32_t>> &seqs,
+                    std::size_t workers, const LmLogitsFn &lm_logits)
 {
     const HitCount sum = countHits(
-        seqs.size(), sequenceWorkers(seqs.size()),
-        [&](std::size_t, std::size_t i) {
+        seqs.size(), workers, [&](std::size_t w, std::size_t i) {
             const std::vector<std::int32_t> &seq = seqs[i];
             HitCount h;
             if (seq.size() < 2)
                 return h;
-            const auto logits = model.lmLogits(
-                std::span(seq.data(), seq.size() - 1));
+            const auto logits =
+                lm_logits(w, std::span(seq.data(), seq.size() - 1));
             for (std::size_t t = 0; t < logits.size(); ++t) {
                 if (tensor::argmax(logits[t].span()) ==
                     static_cast<std::size_t>(seq[t + 1])) {
@@ -195,23 +194,25 @@ lmNextTokenAccuracy(const LstmModel &model,
 }
 
 double
-lmPerplexity(const LstmModel &model,
-             const std::vector<std::vector<std::int32_t>> &seqs)
+classificationAccuracy(const LstmModel &model,
+                       const std::vector<Sample> &data)
 {
-    double sum = 0.0;
-    std::size_t total = 0;
-    for (const auto &seq : seqs) {
-        if (seq.size() < 2)
-            continue;
-        auto logits = model.lmLogits(std::span(seq.data(), seq.size() - 1));
-        for (std::size_t t = 0; t < logits.size(); ++t) {
-            softmaxInplace(logits[t].span());
-            sum += crossEntropy(logits[t].span(),
-                                static_cast<std::size_t>(seq[t + 1]));
-            ++total;
-        }
-    }
-    return total ? std::exp(sum / static_cast<double>(total)) : 1.0;
+    return classificationAccuracy(
+        data, sequenceWorkers(data.size()),
+        [&](std::size_t, std::span<const std::int32_t> tokens) {
+            return model.classify(tokens);
+        });
+}
+
+double
+lmNextTokenAccuracy(const LstmModel &model,
+                    const std::vector<std::vector<std::int32_t>> &seqs)
+{
+    return lmNextTokenAccuracy(
+        seqs, sequenceWorkers(seqs.size()),
+        [&](std::size_t, std::span<const std::int32_t> tokens) {
+            return model.lmLogits(tokens);
+        });
 }
 
 } // namespace nn

@@ -11,6 +11,7 @@
 #define MFLSTM_NN_MODEL_HH
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -148,7 +149,36 @@ class LstmModel
     LinearParams head_;
 };
 
-/** Fraction of correctly classified samples. */
+/** Classification logits of one sequence, computed by worker w. */
+using ClassifyFn =
+    std::function<Vector(std::size_t w, std::span<const std::int32_t>)>;
+
+/** Per-step next-token logits of one sequence, computed by worker w. */
+using LmLogitsFn = std::function<std::vector<Vector>(
+    std::size_t w, std::span<const std::int32_t>)>;
+
+/**
+ * Fraction of samples whose logits' argmax is their label: the scoring
+ * loop of every classification accuracy. The samples run on up to
+ * @p workers threads (nn/parallel.hh), each call passing its worker
+ * index; if one throws, the exception of the lowest failing sample
+ * propagates. 0 for no samples.
+ */
+double classificationAccuracy(const std::vector<Sample> &data,
+                              std::size_t workers,
+                              const ClassifyFn &classify);
+
+/**
+ * Fraction of correctly predicted next tokens over all steps, scored as
+ * classificationAccuracy scores samples; sequences shorter than two
+ * tokens are skipped. 0 when nothing is predicted.
+ */
+double lmNextTokenAccuracy(const std::vector<std::vector<std::int32_t>>
+                               &seqs,
+                           std::size_t workers,
+                           const LmLogitsFn &lm_logits);
+
+/** Fraction of correctly classified samples, on every hardware thread. */
 double classificationAccuracy(const LstmModel &model,
                               const std::vector<Sample> &data);
 
@@ -156,10 +186,6 @@ double classificationAccuracy(const LstmModel &model,
 double lmNextTokenAccuracy(const LstmModel &model,
                            const std::vector<std::vector<std::int32_t>>
                                &seqs);
-
-/** exp(mean cross-entropy) over all next-token predictions. */
-double lmPerplexity(const LstmModel &model,
-                    const std::vector<std::vector<std::int32_t>> &seqs);
 
 } // namespace nn
 } // namespace mflstm

@@ -173,30 +173,15 @@ Trainer::computeGradients(const std::vector<std::int32_t> &tokens,
     grads_.zero();
 
     // ---- Forward with caches ----------------------------------------
-    std::vector<std::vector<Vector>> layer_inputs(num_layers);
-    std::vector<std::vector<Vector>> projs(num_layers);
+    // layer_inputs[l] feeds layer l; layer_inputs[num_layers] is the top.
+    std::vector<std::vector<Vector>> layer_inputs(num_layers + 1);
     std::vector<std::vector<LstmCellTrace>> traces(num_layers);
 
     layer_inputs[0] =
         model_.embed(std::span(tokens.data(), seq));
     for (std::size_t l = 0; l < num_layers; ++l) {
-        const LstmLayerParams &p = model_.layers()[l];
-        projs[l] = projectInputs(p, layer_inputs[l]);
-        const PackedRecurrent u(p);
-        traces[l].resize(seq);
-
-        LstmState state(p.hiddenSize());
-        std::vector<Vector> outs;
-        outs.reserve(seq);
-        for (std::size_t t = 0; t < seq; ++t) {
-            state = lstmCellForward(u, projs[l][t], state, sk,
-                                    &traces[l][t]);
-            outs.push_back(state.h);
-        }
-        if (l + 1 < num_layers)
-            layer_inputs[l + 1] = std::move(outs);
-        else
-            layer_inputs.push_back(std::move(outs));  // top outputs
+        layer_inputs[l + 1] = lstmLayerForward(
+            model_.layers()[l], layer_inputs[l], sk, &traces[l]);
     }
     const std::vector<Vector> &top = layer_inputs[num_layers];
 

@@ -80,10 +80,10 @@ PanelMatrix::PanelMatrix(const std::vector<const Matrix *> &parts)
 }
 
 void
-gemv(const PanelMatrix &a, const Vector &x, Vector &y)
+gemv(const PanelMatrix &a, std::span<const float> x, std::span<float> y)
 {
     assert(x.size() == a.cols());
-    y.resize(a.rows());
+    assert(y.size() == a.rows());
 
     float out[kPanelRows];
     for (std::size_t p = 0; p < a.panels(); ++p) {
@@ -92,6 +92,13 @@ gemv(const PanelMatrix &a, const Vector &x, Vector &y)
         panelDot(a.panel(p), x.data(), a.cols(), out);
         std::copy(out, out + n, y.data() + first);
     }
+}
+
+void
+gemv(const PanelMatrix &a, const Vector &x, Vector &y)
+{
+    y.resize(a.rows());
+    gemv(a, x.span(), y.span());
 }
 
 void

@@ -63,6 +63,10 @@ class PanelMatrix
 /** y = A * x, bit-identical to tensor::gemv on the unpacked matrix. */
 void gemv(const PanelMatrix &a, const Vector &x, Vector &y);
 
+/** y = A * x into caller-owned storage of a.rows() floats. */
+void gemv(const PanelMatrix &a, std::span<const float> x,
+          std::span<float> y);
+
 /** y = A * x + b. */
 void gemv(const PanelMatrix &a, const Vector &x, const Vector &b,
           Vector &y);

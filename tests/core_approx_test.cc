@@ -47,7 +47,8 @@ someSequences(std::size_t n, std::size_t len, std::uint64_t seed)
 }
 
 /**
- * The oracle for both cell kernels: Eq. 1-5 and Algorithm 3 written
+ * The oracle for the cell step, dense and row-skipping: Eq. 1-5 and
+ * Algorithm 3 written
  * with the row-major tensor::gemv, one matrix per gate. alpha_intra < 0
  * runs the exact cell; otherwise rows with o_t <= alpha_intra lose their
  * U_{f,i,c} products, or their whole element under ZeroState.
@@ -55,7 +56,7 @@ someSequences(std::size_t n, std::size_t len, std::uint64_t seed)
 nn::LstmState
 referenceCell(const nn::LstmLayerParams &p, const Vector &x_proj,
               const nn::LstmState &prev, nn::SigmoidKind sk,
-              double alpha_intra, DrsStatePolicy policy)
+              double alpha_intra, nn::DrsStatePolicy policy)
 {
     auto sig = [sk](float v) {
         return sk == nn::SigmoidKind::Logistic ? tensor::sigmoid(v)
@@ -72,7 +73,7 @@ referenceCell(const nn::LstmLayerParams &p, const Vector &x_proj,
     for (std::size_t j = 0; j < hid; ++j) {
         const float o = sig(x_proj[3 * hid + j] + ro[j] + p.bo[j]);
         const bool skip = alpha_intra >= 0.0 && o <= alpha_intra;
-        if (skip && policy == DrsStatePolicy::ZeroState)
+        if (skip && policy == nn::DrsStatePolicy::ZeroState)
             continue;  // c and h stay 0
         if (skip)
             rf[j] = ri[j] = rc[j] = 0.0f;
@@ -92,6 +93,20 @@ sameBytes(const Vector &a, const Vector &b)
            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
+/** One nn::lstmCellForward step from @p state with a fresh scratch. */
+nn::LstmState
+step(const nn::PackedRecurrent &u, const Vector &x_proj,
+     nn::LstmState state, const nn::RowSkip &skip = {},
+     std::size_t *skipped = nullptr)
+{
+    nn::LstmStepScratch scratch;
+    const std::size_t n = nn::lstmCellForward(
+        u, x_proj.span(), state, scratch, nn::SigmoidKind::Logistic, skip);
+    if (skipped)
+        *skipped = n;
+    return state;
+}
+
 TEST(DrsCell, NoThresholdMatchesExactCell)
 {
     nn::LstmLayerParams p(4, 6);
@@ -107,10 +122,9 @@ TEST(DrsCell, NoThresholdMatchesExactCell)
 
     const nn::PackedRecurrent packed(p);
     std::size_t skipped = 123;
-    const auto drs = lstmCellForwardDrs(packed, x_proj, prev, 0.0,
-                                        nn::SigmoidKind::Logistic,
-                                        &skipped);
-    const auto exact = nn::lstmCellForward(packed, x_proj, prev);
+    const auto drs = step(packed, x_proj, prev,
+                          {0.0, nn::DrsStatePolicy::ZeroState}, &skipped);
+    const auto exact = step(packed, x_proj, prev);
     EXPECT_EQ(skipped, 0u);
     for (std::size_t j = 0; j < 6; ++j) {
         EXPECT_NEAR(drs.h[j], exact.h[j], 1e-6f);
@@ -128,8 +142,7 @@ TEST(DrsCell, ThresholdOneSkipsEverything)
     prev.h[0] = 0.5f;
 
     std::size_t skipped = 0;
-    lstmCellForwardDrs(nn::PackedRecurrent(p), x_proj, prev, 0.999999,
-                       nn::SigmoidKind::Logistic, &skipped);
+    step(nn::PackedRecurrent(p), x_proj, prev, {0.999999}, &skipped);
     EXPECT_EQ(skipped, 6u);
 }
 
@@ -142,11 +155,8 @@ TEST(DrsCell, ZeroStatePolicyNullsSkippedElements)
     nn::LstmState prev(6);
     prev.c[1] = 2.0f;
 
-    const auto out = lstmCellForwardDrs(nn::PackedRecurrent(p), x_proj,
-                                        prev, 0.999999,
-                                        nn::SigmoidKind::Logistic,
-                                        nullptr,
-                                        DrsStatePolicy::ZeroState);
+    const auto out = step(nn::PackedRecurrent(p), x_proj, prev,
+                          {0.999999, nn::DrsStatePolicy::ZeroState});
     for (std::size_t j = 0; j < 6; ++j) {
         EXPECT_FLOAT_EQ(out.c[j], 0.0f);
         EXPECT_FLOAT_EQ(out.h[j], 0.0f);
@@ -164,9 +174,8 @@ TEST(DrsCell, DropRecurrentKeepsInputDrivenState)
     nn::LstmState prev(6);
     prev.c[1] = 2.0f;
 
-    const auto out = lstmCellForwardDrs(nn::PackedRecurrent(p), x_proj,
-                                        prev, 0.999999,
-                                        nn::SigmoidKind::Logistic);
+    const auto out = step(nn::PackedRecurrent(p), x_proj, prev,
+                          {0.999999});
     EXPECT_NE(out.c[1], 0.0f);  // forget path survived
 }
 
@@ -188,10 +197,8 @@ TEST(DrsCell, SkippedRowsLoseOnlyRecurrentTerm)
     prev.c[0] = 0.8f;
 
     std::size_t skipped = 0;
-    const auto drs = lstmCellForwardDrs(nn::PackedRecurrent(p), x_proj,
-                                        prev, 0.01,
-                                        nn::SigmoidKind::Logistic,
-                                        &skipped);
+    const auto drs = step(nn::PackedRecurrent(p), x_proj, prev, {0.01},
+                          &skipped);
     ASSERT_EQ(skipped, 1u);
 
     nn::LstmLayerParams stripped = p;
@@ -200,8 +207,7 @@ TEST(DrsCell, SkippedRowsLoseOnlyRecurrentTerm)
         stripped.ui(0, c) = 0.0f;
         stripped.uc(0, c) = 0.0f;
     }
-    const auto exact = nn::lstmCellForward(nn::PackedRecurrent(stripped),
-                                           x_proj, prev);
+    const auto exact = step(nn::PackedRecurrent(stripped), x_proj, prev);
     for (std::size_t j = 0; j < 4; ++j) {
         EXPECT_NEAR(drs.c[j], exact.c[j], 1e-6f);
         EXPECT_NEAR(drs.h[j], exact.h[j], 1e-6f);
@@ -211,8 +217,24 @@ TEST(DrsCell, SkippedRowsLoseOnlyRecurrentTerm)
 TEST(DrsCell, PanelCellsBitIdenticalToGemvReference)
 {
     // H = 40 puts the U_f/U_i and U_i/U_c boundaries mid-panel, so DRS
-    // masks give mixed, whole-skipped and clear panels.
-    for (std::size_t hid : {6u, 40u}) {
+    // masks give mixed, whole-skipped and clear panels. Every case runs
+    // twice: with a fresh scratch per step, and with one scratch shared
+    // by every step of every case, so each step inherits the buffers of
+    // a different threshold and policy, and H = 40 those last sized for
+    // H = 56.
+    struct Case
+    {
+        double alpha;  ///< < 0: the dense cell (no row skip)
+        nn::DrsStatePolicy policy;
+    };
+    std::vector<Case> cases = {{-1.0, nn::DrsStatePolicy::DropRecurrent}};
+    for (nn::DrsStatePolicy policy : {nn::DrsStatePolicy::DropRecurrent,
+                                      nn::DrsStatePolicy::ZeroState})
+        for (double alpha : {0.05, 0.3, 0.5, 0.7, 0.999999})
+            cases.push_back({alpha, policy});
+
+    nn::LstmStepScratch shared;
+    for (std::size_t hid : {6u, 56u, 40u}) {
         nn::LstmLayerParams p(7, hid);
         tensor::Rng rng(60 + hid);
         p.init(rng);
@@ -220,35 +242,29 @@ TEST(DrsCell, PanelCellsBitIdenticalToGemvReference)
 
         for (nn::SigmoidKind sk :
              {nn::SigmoidKind::Logistic, nn::SigmoidKind::Hard}) {
-            nn::LstmState exact(hid), ref(hid);
-            for (int t = 0; t < 6; ++t) {
-                Vector x_proj(4 * hid);
-                for (float &v : x_proj)
-                    v = rng.uniform(-2.0f, 2.0f);
-                exact = nn::lstmCellForward(packed, x_proj, exact, sk);
-                ref = referenceCell(p, x_proj, ref, sk, -1.0,
-                                    DrsStatePolicy::DropRecurrent);
-                ASSERT_TRUE(sameBytes(exact.h, ref.h)) << hid << " t" << t;
-                ASSERT_TRUE(sameBytes(exact.c, ref.c)) << hid << " t" << t;
-            }
-
-            for (DrsStatePolicy policy : {DrsStatePolicy::DropRecurrent,
-                                          DrsStatePolicy::ZeroState}) {
-                for (double alpha : {0.05, 0.3, 0.5, 0.7, 0.999999}) {
-                    nn::LstmState drs(hid), want(hid);
-                    drs.h[0] = want.h[0] = 0.5f;
+            for (const Case &c : cases) {
+                const nn::RowSkip skip =
+                    c.alpha < 0.0 ? nn::RowSkip{}
+                                  : nn::RowSkip{c.alpha, c.policy};
+                for (bool reuse : {false, true}) {
+                    nn::LstmState cell(hid), want(hid);
+                    cell.h[0] = want.h[0] = 0.5f;
                     for (int t = 0; t < 6; ++t) {
                         Vector x_proj(4 * hid);
                         for (float &v : x_proj)
                             v = rng.uniform(-2.0f, 2.0f);
-                        drs = lstmCellForwardDrs(packed, x_proj, drs, alpha,
-                                                 sk, nullptr, policy);
-                        want = referenceCell(p, x_proj, want, sk, alpha,
-                                             policy);
-                        ASSERT_TRUE(sameBytes(drs.h, want.h))
-                            << hid << " alpha " << alpha << " t" << t;
-                        ASSERT_TRUE(sameBytes(drs.c, want.c))
-                            << hid << " alpha " << alpha << " t" << t;
+                        nn::LstmStepScratch fresh;
+                        nn::lstmCellForward(packed, x_proj.span(), cell,
+                                            reuse ? shared : fresh, sk,
+                                            skip);
+                        want = referenceCell(p, x_proj, want, sk, c.alpha,
+                                             c.policy);
+                        ASSERT_TRUE(sameBytes(cell.h, want.h))
+                            << hid << " alpha " << c.alpha << " reuse "
+                            << reuse << " t" << t;
+                        ASSERT_TRUE(sameBytes(cell.c, want.c))
+                            << hid << " alpha " << c.alpha << " reuse "
+                            << reuse << " t" << t;
                     }
                 }
             }

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the LSTM cell/layer forward pass (Eq. 1-5) and the cuDNN-style
- * united-matrix decomposition of Section II-C.
+ * per-layer input projection of Section II-C.
  */
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -40,26 +41,6 @@ TEST(LstmParams, ShapesAndForgetBias)
     }
 }
 
-TEST(LstmParams, UnitedMatricesConcatenateFICO)
-{
-    const LstmLayerParams p = makeParams(3, 4, 2);
-    const tensor::Matrix u = p.unitedU();
-    ASSERT_EQ(u.rows(), 16u);
-    ASSERT_EQ(u.cols(), 4u);
-    EXPECT_FLOAT_EQ(u(0, 0), p.uf(0, 0));
-    EXPECT_FLOAT_EQ(u(4, 1), p.ui(0, 1));
-    EXPECT_FLOAT_EQ(u(8, 2), p.uc(0, 2));
-    EXPECT_FLOAT_EQ(u(12, 3), p.uo(0, 3));
-
-    const tensor::Matrix w = p.unitedW();
-    EXPECT_EQ(w.rows(), 16u);
-    EXPECT_EQ(w.cols(), 3u);
-
-    const tensor::Vector b = p.unitedBias();
-    EXPECT_FLOAT_EQ(b[0], 1.0f);    // forget bias
-    EXPECT_FLOAT_EQ(b[4], 0.0f);    // input bias
-}
-
 TEST(LstmCell, ScalarCaseMatchesHandComputation)
 {
     // One-unit cell with all weights fixed so Eq. 1-5 can be evaluated by
@@ -89,8 +70,9 @@ TEST(LstmCell, ScalarCaseMatchesHandComputation)
     x_proj[2] = p.wc(0, 0) * x;
     x_proj[3] = p.wo(0, 0) * x;
 
-    const LstmState next = lstmCellForward(PackedRecurrent(p), x_proj,
-                                           prev);
+    LstmState next = prev;
+    LstmStepScratch scratch;
+    lstmCellForward(PackedRecurrent(p), x_proj.span(), next, scratch);
 
     const float f = tensor::sigmoid(0.5f * x + 0.1f * 0.3f + 0.05f);
     const float i = tensor::sigmoid(0.4f * x - 0.1f * 0.3f - 0.05f);
@@ -114,8 +96,10 @@ TEST(LstmCell, TraceCachesAllIntermediates)
         x_proj[j] = 0.1f * static_cast<float>(j);
 
     LstmCellTrace trace;
-    const LstmState next = lstmCellForward(
-        PackedRecurrent(p), x_proj, prev, SigmoidKind::Logistic, &trace);
+    LstmState next = prev;
+    LstmStepScratch scratch;
+    lstmCellForward(PackedRecurrent(p), x_proj.span(), next, scratch,
+                    SigmoidKind::Logistic, {}, &trace);
 
     EXPECT_EQ(trace.f.size(), 3u);
     EXPECT_EQ(trace.h_prev, prev.h);
@@ -139,11 +123,12 @@ TEST(LstmCell, OutputBoundedByConstruction)
 
     const PackedRecurrent packed(p);
     LstmState state(8);
+    LstmStepScratch scratch;
     for (int t = 0; t < 50; ++t) {
         tensor::Vector x_proj(32);
         for (std::size_t j = 0; j < 32; ++j)
             x_proj[j] = rng.uniform(-3.0f, 3.0f);
-        state = lstmCellForward(packed, x_proj, state);
+        lstmCellForward(packed, x_proj.span(), state, scratch);
         for (std::size_t j = 0; j < 8; ++j) {
             EXPECT_GE(state.h[j], -1.0f);
             EXPECT_LE(state.h[j], 1.0f);
@@ -163,14 +148,16 @@ TEST(LstmLayer, ProjectInputsMatchesUnitedGemv)
         xs.push_back(x);
     }
 
-    const auto projs = projectInputs(p, xs);
-    ASSERT_EQ(projs.size(), 3u);
+    const tensor::Matrix projs = projectInputs(p, xs);
+    ASSERT_EQ(projs.rows(), 3u);
+    ASSERT_EQ(projs.cols(), 16u);
 
-    const tensor::Matrix w = p.unitedW();
+    const tensor::Matrix w = tensor::vconcat({&p.wf, &p.wi, &p.wc, &p.wo});
     for (std::size_t t = 0; t < 3; ++t) {
         tensor::Vector expect;
         tensor::gemv(w, xs[t], expect);
-        EXPECT_EQ(projs[t], expect);
+        EXPECT_TRUE(std::equal(expect.begin(), expect.end(),
+                               projs.row(t).begin()));
     }
 }
 

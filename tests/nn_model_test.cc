@@ -201,12 +201,11 @@ TEST(Metrics, AccuracyOnTrivialData)
     EXPECT_DOUBLE_EQ(classificationAccuracy(m, data), 1.0);
 }
 
-TEST(Metrics, LmPerplexityAtLeastOne)
+TEST(Metrics, LmNextTokenAccuracyInUnitRange)
 {
     const LstmModel m(smallLm(), 7);
     std::vector<std::vector<std::int32_t>> seqs = {{1, 2, 3, 4},
                                                    {5, 6, 7}};
-    EXPECT_GE(lmPerplexity(m, seqs), 1.0);
     const double acc = lmNextTokenAccuracy(m, seqs);
     EXPECT_GE(acc, 0.0);
     EXPECT_LE(acc, 1.0);
