@@ -1,7 +1,5 @@
 #include "core/persist.hh"
 
-#include <cmath>
-
 namespace mflstm {
 namespace core {
 
@@ -41,94 +39,115 @@ struct ModelFingerprint
     bool operator==(const ModelFingerprint &) const = default;
 };
 
+template <typename Codec>
+void
+fields(Codec &c, io::FieldRef<Codec, ModelFingerprint> fp)
+{
+    c(fp.task, fp.vocab, fp.embedSize, fp.hiddenSize, fp.numLayers,
+      fp.numClasses, fp.sigmoid, fp.weightsCrc);
+}
+
 ModelFingerprint
 fingerprintOf(const nn::LstmModel &model)
 {
     const nn::ModelConfig &cfg = model.config();
     ModelFingerprint fp;
-    fp.task = cfg.task == nn::TaskKind::LanguageModel ? 1 : 0;
+    fp.task = static_cast<std::uint32_t>(cfg.task);
     fp.vocab = cfg.vocab;
     fp.embedSize = cfg.embedSize;
     fp.hiddenSize = cfg.hiddenSize;
     fp.numLayers = cfg.numLayers;
     fp.numClasses = cfg.numClasses;
-    fp.sigmoid = cfg.sigmoid == nn::SigmoidKind::Hard ? 1 : 0;
+    fp.sigmoid = static_cast<std::uint32_t>(cfg.sigmoid);
     fp.weightsCrc = modelWeightsCrc(model);
     return fp;
 }
 
-void
-writeFingerprint(io::ByteWriter &w, const ModelFingerprint &fp)
-{
-    w.u32(fp.task);
-    w.u64(fp.vocab);
-    w.u64(fp.embedSize);
-    w.u64(fp.hiddenSize);
-    w.u64(fp.numLayers);
-    w.u64(fp.numClasses);
-    w.u32(fp.sigmoid);
-    w.u32(fp.weightsCrc);
-}
-
 ModelFingerprint
-readFingerprint(io::ByteReader &r)
+readFingerprint(const io::ArtifactReader &reader)
 {
+    io::ByteReader r = reader.chunk(kChunkFingerprint);
     ModelFingerprint fp;
-    fp.task = r.u32();
-    fp.vocab = r.u64();
-    fp.embedSize = r.u64();
-    fp.hiddenSize = r.u64();
-    fp.numLayers = r.u64();
-    fp.numClasses = r.u64();
-    fp.sigmoid = r.u32();
-    fp.weightsCrc = r.u32();
+    fields(r, fp);
     r.expectEnd();
     return fp;
 }
 
-void
-writeDistribution(io::ByteWriter &w,
-                  const tensor::VectorDistribution &dist)
+/**
+ * One link predictor's histograms as stored: every element shares the
+ * bin layout (bins over [lo, hi]); counts is dim x bins, row-major.
+ */
+struct StoredDistribution
 {
-    w.u64(dist.dim());
-    const std::size_t bins = dist.dim() ? dist.element(0).bins() : 0;
-    w.u64(bins);
-    w.f64(dist.dim() ? dist.element(0).lo() : 0.0);
-    w.f64(dist.dim() ? dist.element(0).hi() : 0.0);
+    std::uint64_t dim = 0;
+    std::uint64_t bins = 0;
+    double lo = 0.0;
+    double hi = 0.0;
     std::vector<std::uint64_t> counts;
-    counts.reserve(dist.dim() * bins);
-    for (std::size_t i = 0; i < dist.dim(); ++i)
-        for (std::size_t b = 0; b < bins; ++b)
-            counts.push_back(dist.element(i).binCount(b));
-    w.u64Array(counts);
+
+    bool sameLayout(const StoredDistribution &o) const
+    {
+        return dim == o.dim && bins == o.bins && lo == o.lo && hi == o.hi;
+    }
+};
+
+template <typename Codec>
+void
+fields(Codec &c, io::FieldRef<Codec, StoredDistribution> d)
+{
+    c(d.dim, d.bins, d.lo, d.hi, d.counts);
 }
 
-/** Parsed distribution payload, validated against the live @p dist. */
-std::vector<std::uint64_t>
-readDistribution(io::ByteReader &r, const tensor::VectorDistribution &dist,
-                 const std::string &path, const char *what)
+/** @p dist's bin layout, without its counts. */
+StoredDistribution
+layoutOf(const tensor::VectorDistribution &dist)
 {
-    const std::uint64_t dim = r.u64();
-    const std::uint64_t bins = r.u64();
-    const double lo = r.f64();
-    const double hi = r.f64();
-    const std::vector<std::uint64_t> counts = r.u64Array();
-    r.expectEnd();
+    StoredDistribution d;
+    d.dim = dist.dim();
+    if (d.dim) {
+        d.bins = dist.element(0).bins();
+        d.lo = dist.element(0).lo();
+        d.hi = dist.element(0).hi();
+    }
+    return d;
+}
 
-    const std::size_t live_bins =
-        dist.dim() ? dist.element(0).bins() : 0;
-    if (dim != dist.dim() || bins != live_bins ||
-        lo != (dist.dim() ? dist.element(0).lo() : 0.0) ||
-        hi != (dist.dim() ? dist.element(0).hi() : 0.0))
-        throw ArtifactError(
-            ErrorKind::Stale,
-            "loadCalibration: " + path + ": " + what +
-                " histogram shape does not match this model");
-    if (counts.size() != io::checkedMul(dim, bins, what))
-        throw ArtifactError(ErrorKind::Malformed,
-                            "loadCalibration: " + path + ": " + what +
-                                " count array has the wrong length");
-    return counts;
+StoredDistribution
+storedOf(const tensor::VectorDistribution &dist)
+{
+    StoredDistribution d = layoutOf(dist);
+    d.counts.reserve(d.dim * d.bins);
+    for (std::size_t i = 0; i < d.dim; ++i)
+        for (std::size_t b = 0; b < d.bins; ++b)
+            d.counts.push_back(dist.element(i).binCount(b));
+    return d;
+}
+
+/** The structural decode of one predictor chunk (no live model). */
+StoredDistribution
+readDistribution(const io::ArtifactReader &reader, std::uint32_t tag)
+{
+    io::ByteReader r = reader.chunk(tag);
+    StoredDistribution d;
+    fields(r, d);
+    r.expectEnd();
+    if (d.counts.size() != io::checkedMul(d.dim, d.bins, "predictor"))
+        r.fail(ErrorKind::Malformed, "count array has the wrong length");
+    return d;
+}
+
+/** readDistribution, whose layout must match the live @p dist. */
+std::vector<std::uint64_t>
+readCounts(const io::ArtifactReader &reader, std::uint32_t tag,
+           const tensor::VectorDistribution &dist, const std::string &path)
+{
+    StoredDistribution d = readDistribution(reader, tag);
+    if (!d.sameLayout(layoutOf(dist)))
+        throw ArtifactError(ErrorKind::Stale,
+                            "loadCalibration: " + path +
+                                ": histogram shape does not match this "
+                                "model");
+    return std::move(d.counts);
 }
 
 void
@@ -142,72 +161,26 @@ applyDistribution(tensor::VectorDistribution &dist,
                    .subspan(i * bins, bins));
 }
 
+template <typename Codec>
 void
-writeCalibrationChunk(io::ByteWriter &w,
-                      const MemoryFriendlyLstm::Calibration &cal)
+fields(Codec &c, io::FieldRef<Codec, MemoryFriendlyLstm::Calibration> cal)
 {
-    w.u64(cal.mts);
-    w.u64(cal.mtsSweep.mts);
-    w.f64Array(cal.mtsSweep.timesUs);
-    w.f64Array(cal.mtsSweep.sharedUtilization);
-    w.f64(cal.limits.maxInter);
-    w.f64(cal.limits.maxIntra);
-    w.f64(cal.limits.maxBreakFraction);
-    w.f64(cal.limits.maxSkipFraction);
-    w.f64Array(cal.profile.relevances);
-    w.u64(cal.profile.layerRelevances.size());
-    for (const std::vector<double> &lr : cal.profile.layerRelevances)
-        w.f64Array(lr);
-    w.f32Array(cal.profile.outputGates);
+    c(cal.mts, cal.mtsSweep.mts, cal.mtsSweep.timesUs,
+      cal.mtsSweep.sharedUtilization, cal.limits.maxInter,
+      cal.limits.maxIntra, cal.limits.maxBreakFraction,
+      cal.limits.maxSkipFraction, cal.profile.relevances,
+      cal.profile.layerRelevances, cal.profile.outputGates);
 }
 
 MemoryFriendlyLstm::Calibration
-readCalibrationChunk(io::ByteReader &r, const io::ArtifactLimits &limits,
-                     const std::string &path)
+readCalibration(const io::ArtifactReader &reader)
 {
+    io::ByteReader r = reader.chunk(kChunkCalibration);
     MemoryFriendlyLstm::Calibration cal;
-    cal.mts = static_cast<std::size_t>(r.u64());
-    cal.mtsSweep.mts = static_cast<std::size_t>(r.u64());
-    cal.mtsSweep.timesUs = r.f64Array();
-    cal.mtsSweep.sharedUtilization = r.f64Array();
-    cal.limits.maxInter = r.f64();
-    cal.limits.maxIntra = r.f64();
-    cal.limits.maxBreakFraction = r.f64();
-    cal.limits.maxSkipFraction = r.f64();
-    cal.profile.relevances = r.f64Array();
-    const std::uint64_t layer_count = r.u64();
-    if (layer_count > limits.maxDim)
-        throw ArtifactError(ErrorKind::LimitExceeded,
-                            "loadCalibration: " + path +
-                                ": absurd layer count " +
-                                std::to_string(layer_count));
-    cal.profile.layerRelevances.reserve(
-        static_cast<std::size_t>(layer_count));
-    for (std::uint64_t l = 0; l < layer_count; ++l)
-        cal.profile.layerRelevances.push_back(r.f64Array());
-    cal.profile.outputGates = r.f32Array();
+    fields(r, cal);
     r.expectEnd();
-
     if (cal.mts == 0)
-        throw ArtifactError(ErrorKind::Malformed,
-                            "loadCalibration: " + path + ": mts = 0");
-    const auto finite = [&](double v, const char *what) {
-        if (!std::isfinite(v))
-            throw ArtifactError(ErrorKind::NonFinite,
-                                "loadCalibration: " + path +
-                                    ": non-finite " + what);
-    };
-    finite(cal.limits.maxInter, "maxInter");
-    finite(cal.limits.maxIntra, "maxIntra");
-    finite(cal.limits.maxBreakFraction, "maxBreakFraction");
-    finite(cal.limits.maxSkipFraction, "maxSkipFraction");
-    for (double v : cal.profile.relevances)
-        finite(v, "relevance value");
-    for (const auto &lr : cal.profile.layerRelevances)
-        for (double v : lr)
-            finite(v, "layer relevance value");
-    for (float v : cal.profile.outputGates)
-        finite(v, "output-gate value");
+        r.fail(ErrorKind::Malformed, "mts = 0");
     return cal;
 }
 
@@ -239,18 +212,16 @@ modelWeightsCrc(const nn::LstmModel &model)
 void
 saveCalibration(const MemoryFriendlyLstm &mf, const std::string &path)
 {
-    const MemoryFriendlyLstm::Calibration &cal = mf.calibration();
     const ApproxRunner &runner = mf.runner();
 
     io::ArtifactWriter w(io::kSchemaCalibration,
                          kCalibrationSchemaVersion);
-    writeFingerprint(w.chunk(kChunkFingerprint),
-                     fingerprintOf(runner.model()));
-    writeCalibrationChunk(w.chunk(kChunkCalibration), cal);
+    fields(w.chunk(kChunkFingerprint), fingerprintOf(runner.model()));
+    fields(w.chunk(kChunkCalibration), mf.calibration());
     for (std::size_t l = 0; l < runner.predictors().size(); ++l) {
         const LinkPredictor &p = runner.predictors()[l];
-        writeDistribution(w.chunk(predictorHTag(l)), p.hDistribution());
-        writeDistribution(w.chunk(predictorCTag(l)), p.cDistribution());
+        fields(w.chunk(predictorHTag(l)), storedOf(p.hDistribution()));
+        fields(w.chunk(predictorCTag(l)), storedOf(p.cDistribution()));
     }
     w.commit(path);
 }
@@ -261,44 +232,30 @@ loadCalibration(MemoryFriendlyLstm &mf, const std::string &path,
 {
     try {
         const io::ArtifactReader reader(path, io::kSchemaCalibration,
+                                        kCalibrationSchemaVersion,
                                         limits);
-        if (reader.schemaVersion() != kCalibrationSchemaVersion)
-            throw ArtifactError(
-                ErrorKind::BadVersion,
-                "loadCalibration: " + path +
-                    ": unsupported calibration schema version " +
-                    std::to_string(reader.schemaVersion()));
-
         ApproxRunner &runner = mf.runner();
-        {
-            io::ByteReader r = reader.chunk(kChunkFingerprint);
-            const ModelFingerprint stored = readFingerprint(r);
-            if (stored != fingerprintOf(runner.model()))
-                throw ArtifactError(
-                    ErrorKind::Stale,
-                    "loadCalibration: " + path +
-                        ": calibration belongs to a different model "
-                        "(fingerprint mismatch)");
-        }
-
-        io::ByteReader cr = reader.chunk(kChunkCalibration);
-        MemoryFriendlyLstm::Calibration cal =
-            readCalibrationChunk(cr, limits, path);
+        if (readFingerprint(reader) != fingerprintOf(runner.model()))
+            throw ArtifactError(
+                ErrorKind::Stale,
+                "loadCalibration: " + path +
+                    ": calibration belongs to a different model "
+                    "(fingerprint mismatch)");
+        const MemoryFriendlyLstm::Calibration cal =
+            readCalibration(reader);
 
         // Parse + validate every predictor payload before mutating the
         // runner, so a failure cannot leave it half-restored.
-        std::vector<std::vector<std::uint64_t>> h_counts, c_counts;
-        for (std::size_t l = 0; l < runner.predictors().size(); ++l) {
-            const LinkPredictor &p = runner.predictors()[l];
-            io::ByteReader hr = reader.chunk(predictorHTag(l));
-            h_counts.push_back(readDistribution(hr, p.hDistribution(),
-                                                path, "h-link"));
-            io::ByteReader rr = reader.chunk(predictorCTag(l));
-            c_counts.push_back(readDistribution(rr, p.cDistribution(),
-                                                path, "c-link"));
-        }
-
         std::vector<LinkPredictor> predictors = runner.predictors();
+        std::vector<std::vector<std::uint64_t>> h_counts, c_counts;
+        for (std::size_t l = 0; l < predictors.size(); ++l) {
+            h_counts.push_back(readCounts(reader, predictorHTag(l),
+                                          predictors[l].hDistribution(),
+                                          path));
+            c_counts.push_back(readCounts(reader, predictorCTag(l),
+                                          predictors[l].cDistribution(),
+                                          path));
+        }
         for (std::size_t l = 0; l < predictors.size(); ++l) {
             applyDistribution(predictors[l].hDistribution(), h_counts[l]);
             applyDistribution(predictors[l].cDistribution(), c_counts[l]);
@@ -316,38 +273,20 @@ verifyCalibrationFile(const std::string &path,
                       const io::ArtifactLimits &limits)
 {
     const io::ArtifactReader reader(path, io::kSchemaCalibration,
-                                    limits);
-    if (reader.schemaVersion() != kCalibrationSchemaVersion)
-        throw ArtifactError(ErrorKind::BadVersion,
-                            "verifyCalibrationFile: " + path +
-                                ": unsupported schema version");
-
-    io::ByteReader fr = reader.chunk(kChunkFingerprint);
-    const ModelFingerprint fp = readFingerprint(fr);
-
-    io::ByteReader cr = reader.chunk(kChunkCalibration);
-    (void)readCalibrationChunk(cr, limits, path);
+                                    kCalibrationSchemaVersion, limits);
+    const ModelFingerprint fp = readFingerprint(reader);
+    (void)readCalibration(reader);
 
     // Every predictor chunk must parse and agree with the fingerprint's
     // layer count and hidden size.
-    for (std::uint64_t l = 0; l < fp.numLayers; ++l) {
-        for (std::uint32_t tag : {predictorHTag(l), predictorCTag(l)}) {
-            io::ByteReader r = reader.chunk(tag);
-            const std::uint64_t dim = r.u64();
-            const std::uint64_t bins = r.u64();
-            (void)r.f64();
-            (void)r.f64();
-            const std::vector<std::uint64_t> counts = r.u64Array();
-            r.expectEnd();
-            if (dim != fp.hiddenSize ||
-                counts.size() != io::checkedMul(dim, bins, "predictor"))
+    for (std::uint64_t l = 0; l < fp.numLayers; ++l)
+        for (std::uint32_t tag : {predictorHTag(l), predictorCTag(l)})
+            if (readDistribution(reader, tag).dim != fp.hiddenSize)
                 throw ArtifactError(
                     ErrorKind::Malformed,
                     "verifyCalibrationFile: " + path +
                         ": predictor chunk inconsistent with "
                         "fingerprint");
-        }
-    }
 }
 
 } // namespace core

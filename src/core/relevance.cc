@@ -1,9 +1,7 @@
 #include "core/relevance.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "tensor/activations.hh"
@@ -65,53 +63,6 @@ LayerRelevanceContext::relevance(const nn::LstmLayerParams &params,
         s += std::max(0.0, sj);
     }
     return s;
-}
-
-std::vector<double>
-layerLinkRelevances(const nn::LstmLayerParams &params,
-                    const std::vector<Vector> &x_projs)
-{
-    LayerRelevanceContext ctx(params);
-    std::vector<double> out(x_projs.size(),
-                            std::numeric_limits<double>::infinity());
-    // Link t-1 -> t is judged by how cell t *uses* h_{t-1}: evaluate
-    // Algorithm 2 with cell t's input projection.
-    for (std::size_t t = 1; t < x_projs.size(); ++t)
-        out[t] = ctx.relevance(params, x_projs[t]);
-    return out;
-}
-
-std::vector<std::size_t>
-findBreakpoints(const std::vector<double> &relevances, double alpha_inter)
-{
-    std::vector<std::size_t> breaks;
-    for (std::size_t t = 1; t < relevances.size(); ++t) {
-        if (relevances[t] < alpha_inter)
-            breaks.push_back(t);
-    }
-    return breaks;
-}
-
-std::vector<std::size_t>
-subLayerLengths(std::size_t length,
-                const std::vector<std::size_t> &breakpoints)
-{
-    if (length == 0)
-        return {};
-
-    std::vector<std::size_t> lens;
-    std::size_t start = 0;
-    for (std::size_t b : breakpoints) {
-        if (b == 0 || b >= length)
-            throw std::out_of_range("subLayerLengths: breakpoint range");
-        if (b <= start)
-            throw std::invalid_argument(
-                "subLayerLengths: breakpoints must be increasing");
-        lens.push_back(b - start);
-        start = b;
-    }
-    lens.push_back(length - start);
-    return lens;
 }
 
 } // namespace core

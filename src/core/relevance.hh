@@ -1,8 +1,7 @@
 /**
  * @file
- * Relevance value computation (Section IV-B, Algorithm 2) and breakpoint
- * search. The relevance value S quantifies how much the previous cell's
- * output h_{t-1} can influence the current cell's gates: per hidden
+ * Relevance value computation (Section IV-B, Algorithm 2). The
+ * relevance value S quantifies how much the previous cell's output h_{t-1} can influence the current cell's gates: per hidden
  * element, the possible range of each gate's pre-activation
  * (W x_t + U h_{t-1} + b with h_{t-1} in [-1,1]) is intersected with the
  * activation functions' sensitive area [-2, 2]; the overlaps are combined
@@ -15,9 +14,7 @@
 #ifndef MFLSTM_CORE_RELEVANCE_HH
 #define MFLSTM_CORE_RELEVANCE_HH
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 #include "nn/lstm.hh"
 #include "tensor/matrix.hh"
@@ -47,30 +44,6 @@ struct LayerRelevanceContext
 
     Vector df, di, dc, dout;
 };
-
-/**
- * Relevance of each context link in a layer: element t (t >= 1) is S for
- * the link from cell t-1 into cell t. Element 0 is set to +infinity
- * (there is no link into the first cell to break).
- */
-std::vector<double>
-layerLinkRelevances(const nn::LstmLayerParams &params,
-                    const std::vector<Vector> &x_projs);
-
-/**
- * Breakpoint search: indices t whose incoming link has S < alpha_inter.
- * Breaking at t makes cell t the first cell of a new sub-layer.
- */
-std::vector<std::size_t>
-findBreakpoints(const std::vector<double> &relevances, double alpha_inter);
-
-/**
- * Sub-layer lengths induced by a breakpoint set over @p length cells
- * (Fig. 8(a1)). Sums to @p length; one entry when there are no breaks.
- */
-std::vector<std::size_t>
-subLayerLengths(std::size_t length,
-                const std::vector<std::size_t> &breakpoints);
 
 } // namespace core
 } // namespace mflstm

@@ -56,7 +56,7 @@ Fleet::Fleet(const core::MemoryFriendlyLstm &mf, FleetOptions opts)
     // from the shared artifact instead of re-planning every rung.
     for (std::size_t i = 0; i < opts_.replicas; ++i) {
         ReplicaConfig rc;
-        rc.name = "r" + std::to_string(i);
+        rc.name = 'r' + std::to_string(i);
         rc.engine = opts_.engine;
         rc.engine.observer = obs_;
         rc.degradedAfter = opts_.degradedAfter;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -183,43 +184,32 @@ ByteWriter::f32Array(std::span<const float> v)
 }
 
 void
-ByteWriter::f64Array(std::span<const double> v)
+ByteWriter::str(std::string_view s)
 {
-    u64(v.size());
-    for (double x : v)
-        f64(x);
-}
-
-void
-ByteWriter::u64Array(std::span<const std::uint64_t> v)
-{
-    u64(v.size());
-    for (std::uint64_t x : v)
-        u64(x);
-}
-
-void
-ByteWriter::u8Array(std::span<const std::int8_t> v)
-{
-    u64(v.size());
-    raw(v.data(), v.size());
+    u64(s.size());
+    raw(s.data(), s.size());
 }
 
 // --- ByteReader ---------------------------------------------------------
 
 ByteReader::ByteReader(std::span<const std::uint8_t> data,
-                       std::string context, std::uint64_t max_elements)
-    : data_(data), context_(std::move(context)),
-      maxElements_(max_elements)
+                       std::string context, const ArtifactLimits &limits)
+    : data_(data), context_(std::move(context)), limits_(limits)
 {}
+
+void
+ByteReader::fail(ErrorKind kind, const std::string &what) const
+{
+    io::fail(kind, context_ + ": " + what);
+}
 
 void
 ByteReader::need(std::size_t n) const
 {
     if (n > remaining())
         fail(ErrorKind::Truncated,
-             context_ + ": need " + std::to_string(n) +
-                 " bytes, have " + std::to_string(remaining()));
+             "need " + std::to_string(n) + " bytes, have " +
+                 std::to_string(remaining()));
 }
 
 std::uint32_t
@@ -258,21 +248,39 @@ ByteReader::f64()
     return v;
 }
 
+float
+ByteReader::finiteF32()
+{
+    const float v = f32();
+    if (!std::isfinite(v))
+        fail(ErrorKind::NonFinite, "non-finite value");
+    return v;
+}
+
+double
+ByteReader::finiteF64()
+{
+    const double v = f64();
+    if (!std::isfinite(v))
+        fail(ErrorKind::NonFinite, "non-finite value");
+    return v;
+}
+
 std::uint64_t
 ByteReader::arrayCount(std::size_t elem_size)
 {
     const std::uint64_t count = u64();
-    if (count > maxElements_)
+    if (count > limits_.maxElements)
         fail(ErrorKind::LimitExceeded,
-             context_ + ": array of " + std::to_string(count) +
+             "array of " + std::to_string(count) +
                  " elements exceeds the limit of " +
-                 std::to_string(maxElements_));
+                 std::to_string(limits_.maxElements));
     // Validate against the bytes actually present BEFORE allocating.
     const std::uint64_t bytes =
         checkedMul(count, elem_size, context_.c_str());
     if (bytes > remaining())
         fail(ErrorKind::Truncated,
-             context_ + ": array of " + std::to_string(count) +
+             "array of " + std::to_string(count) +
                  " elements extends past the chunk payload");
     return count;
 }
@@ -287,37 +295,24 @@ ByteReader::f32Array()
     return v;
 }
 
-std::vector<double>
-ByteReader::f64Array()
+std::string
+ByteReader::str()
 {
-    const std::uint64_t count = arrayCount(8);
-    std::vector<double> v(static_cast<std::size_t>(count));
-    for (auto &x : v)
-        x = f64();
-    return v;
+    const auto count = static_cast<std::size_t>(arrayCount(1));
+    std::string s(reinterpret_cast<const char *>(data_.data() + pos_),
+                  count);
+    pos_ += count;
+    return s;
 }
 
-std::vector<std::uint64_t>
-ByteReader::u64Array()
+bool
+ByteReader::boolean()
 {
-    const std::uint64_t count = arrayCount(8);
-    std::vector<std::uint64_t> v(static_cast<std::size_t>(count));
-    for (auto &x : v)
-        x = u64();
-    return v;
-}
-
-std::vector<std::int8_t>
-ByteReader::u8Array()
-{
-    const std::uint64_t count = arrayCount(1);
-    std::vector<std::int8_t> v(static_cast<std::size_t>(count));
-    need(static_cast<std::size_t>(count));
-    if (count != 0)  // an empty vector's data() may be null
-        std::memcpy(v.data(), data_.data() + pos_,
-                    static_cast<std::size_t>(count));
-    pos_ += static_cast<std::size_t>(count);
-    return v;
+    const std::uint32_t v = u32();
+    if (v > 1)
+        fail(ErrorKind::Malformed,
+             "bool field holds " + std::to_string(v));
+    return v != 0;
 }
 
 void
@@ -325,7 +320,7 @@ ByteReader::expectEnd() const
 {
     if (remaining() != 0)
         fail(ErrorKind::Malformed,
-             context_ + ": " + std::to_string(remaining()) +
+             std::to_string(remaining()) +
                  " trailing bytes after the last field");
 }
 
@@ -404,6 +399,7 @@ ArtifactWriter::commit(const std::string &path) const
 
 ArtifactReader::ArtifactReader(const std::string &path,
                                std::uint32_t expect_schema_kind,
+                               std::uint32_t expect_schema_version,
                                const ArtifactLimits &limits)
     : path_(path), limits_(limits)
 {
@@ -477,6 +473,12 @@ ArtifactReader::ArtifactReader(const std::string &path,
              "artifact: " + path + " holds schema kind " +
                  std::to_string(schemaKind_) + ", expected " +
                  std::to_string(expect_schema_kind));
+    if (expect_schema_kind != 0 &&
+        schemaVersion_ != expect_schema_version)
+        fail(ErrorKind::BadVersion,
+             "artifact: " + path + " holds schema version " +
+                 std::to_string(schemaVersion_) + ", this build reads " +
+                 std::to_string(expect_schema_version));
 
     chunks_.reserve(chunk_count);
     for (std::uint32_t i = 0; i < chunk_count; ++i) {
@@ -530,8 +532,7 @@ ArtifactReader::chunk(std::uint32_t tag) const
             return ByteReader(
                 {bytes_.data() + c.offset,
                  static_cast<std::size_t>(c.length)},
-                path_ + ": chunk " + std::to_string(tag),
-                limits_.maxElements);
+                path_ + ": chunk " + std::to_string(tag), limits_);
         }
     }
     fail(ErrorKind::Malformed, "artifact: " + path_ +

@@ -32,6 +32,8 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace mflstm {
@@ -49,7 +51,7 @@ std::uint32_t crc32(const void *data, std::size_t n,
 enum class ErrorKind {
     Io,                ///< open/read/write/rename failed
     BadMagic,          ///< not an artifact file at all
-    BadVersion,        ///< container version newer than this reader
+    BadVersion,        ///< container or schema version not this reader's
     BadSchema,         ///< schema kind does not match the expectation
     BadHeader,         ///< header fields inconsistent with the file
     Truncated,         ///< declared data extends past the bytes present
@@ -123,6 +125,46 @@ std::uint64_t checkedMul(std::uint64_t a, std::uint64_t b,
 std::uint64_t checkedAdd(std::uint64_t a, std::uint64_t b,
                          const char *what);
 
+/**
+ * Field lists (DESIGN.md §11). A persisted struct's byte layout is
+ * written down once, as a template both directions instantiate:
+ *
+ *   template <typename Codec>
+ *   void fields(Codec &c, io::FieldRef<Codec, Foo> foo)
+ *   {
+ *       c(foo.count, foo.scale, foo.name, io::upTo<Kind::Last>(foo.kind));
+ *   }
+ *
+ * With a ByteWriter it writes the fields in order; with a ByteReader it
+ * reads them back in the same order. The C++ type of each field picks
+ * its wire form: 4-byte unsigned integers, bools and enums are u32;
+ * 8-byte unsigned integers (std::size_t, std::uint64_t) are u64; float
+ * and double are f32 and f64; std::string is ByteWriter::str; a
+ * std::vector is a u64 count followed by its elements. Reading applies
+ * each type's rule: a bool must be 0 or 1, an enum (wrapped in upTo) at
+ * most its Max, every float and double finite, and a vector's count is
+ * bounded by maxElements and the bytes left before anything is
+ * allocated.
+ */
+
+/** An enum field: a u32 on the wire, rejected above Max when read. */
+template <auto Max, typename E>
+struct EnumField
+{
+    static constexpr auto max = Max;
+    E &value;
+};
+
+/** Wrap enum member @p value for a field list; Max is its last value. */
+template <auto Max, typename E>
+EnumField<Max, E>
+upTo(E &value)
+{
+    static_assert(std::is_same_v<std::remove_const_t<E>, decltype(Max)>,
+                  "upTo: Max must be a value of the field's enum");
+    return {value};
+}
+
 /** Little-endian append-only buffer for chunk payloads. */
 class ByteWriter
 {
@@ -133,15 +175,24 @@ class ByteWriter
     void f64(double v);
     /** u64 count followed by the raw values. */
     void f32Array(std::span<const float> v);
-    void f64Array(std::span<const double> v);
-    void u64Array(std::span<const std::uint64_t> v);
-    /** u64 count followed by the raw bytes. */
-    void u8Array(std::span<const std::int8_t> v);
+    /** u64 length followed by the raw characters. */
+    void str(std::string_view s);
+    /** A bool as a u32 0 or 1. */
+    void boolean(bool v) { u32(v ? 1 : 0); }
+
+    /** Write @p fields in order, each in its type's wire form. */
+    template <typename... T>
+    void operator()(const T &...fields)
+    {
+        (put(fields), ...);
+    }
 
     const std::vector<std::uint8_t> &bytes() const { return bytes_; }
 
   private:
     void raw(const void *p, std::size_t n);
+    template <typename T>
+    void put(const T &v);
 
     std::vector<std::uint8_t> bytes_;
 };
@@ -156,31 +207,161 @@ class ByteReader
 {
   public:
     ByteReader(std::span<const std::uint8_t> data, std::string context,
-               std::uint64_t max_elements);
+               const ArtifactLimits &limits);
 
     std::uint32_t u32();
     std::uint64_t u64();
     float f32();
     double f64();
+    /** f64 that must be finite (NonFinite otherwise). */
+    double finiteF64();
     std::vector<float> f32Array();
-    std::vector<double> f64Array();
-    std::vector<std::uint64_t> u64Array();
-    std::vector<std::int8_t> u8Array();
+    /** What ByteWriter::str wrote. */
+    std::string str();
+    /** u32 that must be 0 or 1 (Malformed otherwise). */
+    bool boolean();
+
+    /** u32 enum value; Malformed above @p max. */
+    template <typename E>
+    E enumU32(E max)
+    {
+        const std::uint32_t v = u32();
+        if (v > static_cast<std::uint32_t>(max))
+            fail(ErrorKind::Malformed,
+                 "enum value " + std::to_string(v) + " above " +
+                     std::to_string(static_cast<std::uint32_t>(max)));
+        return static_cast<E>(v);
+    }
+
+    /** Read @p fields in order, each in its type's wire form. */
+    template <typename... T>
+    void operator()(T &&...fields)
+    {
+        (get(fields), ...);
+    }
 
     std::size_t remaining() const { return data_.size() - pos_; }
+    const ArtifactLimits &limits() const { return limits_; }
 
     /** Throws Malformed unless every byte has been consumed. */
     void expectEnd() const;
 
+    /** Throw ArtifactError(@p kind) naming this chunk. */
+    [[noreturn]] void fail(ErrorKind kind, const std::string &what) const;
+
   private:
     void need(std::size_t n) const;
     std::uint64_t arrayCount(std::size_t elem_size);
+    float finiteF32();
+    template <typename T>
+    void get(T &v);
 
     std::span<const std::uint8_t> data_;
     std::size_t pos_ = 0;
     std::string context_;
-    std::uint64_t maxElements_;
+    ArtifactLimits limits_;
 };
+
+/** The value type a field list visits: const when writing. */
+template <typename Codec, typename T>
+using FieldRef =
+    std::conditional_t<std::is_same_v<Codec, ByteWriter>, const T &, T &>;
+
+namespace detail {
+
+template <typename T>
+struct IsEnumField : std::false_type
+{};
+template <auto Max, typename E>
+struct IsEnumField<EnumField<Max, E>> : std::true_type
+{};
+
+template <typename T>
+constexpr bool isU32 = std::is_unsigned_v<T> && sizeof(T) == 4;
+template <typename T>
+constexpr bool isU64 = std::is_unsigned_v<T> && sizeof(T) == 8;
+
+template <typename T>
+struct IsVector : std::false_type
+{};
+template <typename T>
+struct IsVector<std::vector<T>> : std::true_type
+{};
+
+/** Fewest wire bytes one field of type T occupies (array bounds). */
+template <typename T>
+constexpr std::size_t
+wireBytes()
+{
+    if constexpr (std::is_same_v<T, bool> || isU32<T> ||
+                  std::is_same_v<T, float> || IsEnumField<T>::value)
+        return 4;
+    else
+        return 8;  // u64, f64, and the u64 count of a string or array
+}
+
+template <typename T>
+constexpr bool kNoWireForm = false;
+
+} // namespace detail
+
+template <typename T>
+void
+ByteWriter::put(const T &v)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        boolean(v);
+    } else if constexpr (detail::isU32<T>) {
+        u32(v);
+    } else if constexpr (detail::isU64<T>) {
+        u64(v);
+    } else if constexpr (std::is_same_v<T, float>) {
+        f32(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+        f64(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        str(v);
+    } else if constexpr (detail::IsEnumField<T>::value) {
+        u32(static_cast<std::uint32_t>(v.value));
+    } else if constexpr (detail::IsVector<T>::value) {
+        u64(v.size());
+        for (const auto &x : v)
+            put(x);
+    } else {
+        static_assert(detail::kNoWireForm<T>,
+                      "no wire form for this field type");
+    }
+}
+
+template <typename T>
+void
+ByteReader::get(T &v)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        v = boolean();
+    } else if constexpr (detail::isU32<T>) {
+        v = u32();
+    } else if constexpr (detail::isU64<T>) {
+        v = static_cast<T>(u64());
+    } else if constexpr (std::is_same_v<T, float>) {
+        v = finiteF32();
+    } else if constexpr (std::is_same_v<T, double>) {
+        v = finiteF64();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        v = str();
+    } else if constexpr (detail::IsEnumField<T>::value) {
+        v.value = enumU32(T::max);
+    } else if constexpr (detail::IsVector<T>::value) {
+        using Elem = typename T::value_type;
+        v.resize(static_cast<std::size_t>(
+            arrayCount(detail::wireBytes<Elem>())));
+        for (Elem &x : v)
+            get(x);
+    } else {
+        static_assert(detail::kNoWireForm<T>,
+                      "no wire form for this field type");
+    }
+}
 
 /** Builds a container in memory and commits it atomically. */
 class ArtifactWriter
@@ -222,11 +403,14 @@ class ArtifactReader
 {
   public:
     /**
-     * @throws ArtifactError on any I/O, structural or checksum problem.
-     * @param expect_schema_kind 0 accepts any schema (fsck).
+     * @throws ArtifactError on any I/O, structural or checksum problem;
+     * BadSchema for another schema kind and BadVersion for any schema
+     * version but @p expect_schema_version (each loader reads exactly
+     * one). @p expect_schema_kind 0 accepts any kind and version (fsck).
      */
     ArtifactReader(const std::string &path,
                    std::uint32_t expect_schema_kind,
+                   std::uint32_t expect_schema_version,
                    const ArtifactLimits &limits = {});
 
     std::uint32_t schemaKind() const { return schemaKind_; }

@@ -48,7 +48,7 @@ fsckFile(const std::string &path, const ArtifactLimits &limits,
     if (isArtifactFile(path, &schema)) {
         entry.format = schemaName(schema);
         try {
-            const ArtifactReader reader(path, /*any schema*/ 0, limits);
+            const ArtifactReader reader(path, /*any schema*/ 0, 0, limits);
             entry.chunks = reader.chunks().size();
             if (deep)
                 deep(path, reader.schemaKind());

@@ -1,6 +1,6 @@
 #include "nn/serialize.hh"
 
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
 
 #include "obs/observer.hh"
@@ -86,64 +86,40 @@ validateConfig(const ModelConfig &cfg, const io::ArtifactLimits &limits,
                 std::to_string(limits.maxElements) + " element limit");
 }
 
+/** The config chunk's field list (the only non-tensor chunk). */
+template <typename Codec>
 void
-requireFinite(const float *data, std::size_t n, const char *what,
-              const std::string &path)
+fields(Codec &c, io::FieldRef<Codec, ModelConfig> cfg)
 {
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!std::isfinite(data[i]))
-            throw ArtifactError(
-                ErrorKind::NonFinite,
-                "loadModel: " + path + ": non-finite value in " +
-                    what + " at element " + std::to_string(i));
-    }
+    c(io::upTo<TaskKind::LanguageModel>(cfg.task), cfg.vocab,
+      cfg.embedSize, cfg.hiddenSize, cfg.numLayers, cfg.numClasses,
+      io::upTo<SigmoidKind::Hard>(cfg.sigmoid));
 }
 
-/** Copy a length-prefixed f32 array into @p dst (exact size match). */
+/** Copy a finite f32 array into @p dst (exact size match). */
 void
 readTensor(io::ByteReader &r, float *dst, std::size_t expected,
-           const char *what, const std::string &path)
+           const char *what)
 {
-    const std::vector<float> v = r.f32Array();
+    std::vector<float> v;
+    r(v);
     if (v.size() != expected)
-        throw ArtifactError(
-            ErrorKind::Malformed,
-            "loadModel: " + path + ": " + what + " holds " +
-                std::to_string(v.size()) + " values, expected " +
-                std::to_string(expected));
+        r.fail(ErrorKind::Malformed,
+               std::string(what) + " holds " + std::to_string(v.size()) +
+                   " values, expected " + std::to_string(expected));
     std::copy(v.begin(), v.end(), dst);
-    requireFinite(dst, expected, what, path);
 }
 
 LstmModel
 readModel(const std::string &path, const io::ArtifactLimits &limits)
 {
-    const io::ArtifactReader reader(path, io::kSchemaModel, limits);
-    if (reader.schemaVersion() != kModelSchemaVersion)
-        throw ArtifactError(ErrorKind::BadVersion,
-                            "loadModel: " + path +
-                                ": unsupported model schema version " +
-                                std::to_string(reader.schemaVersion()));
-
+    const io::ArtifactReader reader(path, io::kSchemaModel,
+                                    kModelSchemaVersion, limits);
     ModelConfig cfg;
     {
         io::ByteReader r = reader.chunk(kChunkConfig);
-        const std::uint32_t task = r.u32();
-        cfg.vocab = static_cast<std::size_t>(r.u64());
-        cfg.embedSize = static_cast<std::size_t>(r.u64());
-        cfg.hiddenSize = static_cast<std::size_t>(r.u64());
-        cfg.numLayers = static_cast<std::size_t>(r.u64());
-        cfg.numClasses = static_cast<std::size_t>(r.u64());
-        const std::uint32_t sigmoid = r.u32();
+        fields(r, cfg);
         r.expectEnd();
-        if (task > 1 || sigmoid > 1)
-            throw ArtifactError(ErrorKind::Malformed,
-                                "loadModel: " + path +
-                                    ": bad task/sigmoid enum value");
-        cfg.task = task ? TaskKind::LanguageModel
-                        : TaskKind::Classification;
-        cfg.sigmoid = sigmoid ? SigmoidKind::Hard
-                              : SigmoidKind::Logistic;
     }
     validateConfig(cfg, limits, path);
 
@@ -151,7 +127,7 @@ readModel(const std::string &path, const io::ArtifactLimits &limits)
     {
         io::ByteReader r = reader.chunk(kChunkEmbedding);
         readTensor(r, model.embedding().table.data(),
-                   model.embedding().table.size(), "embedding", path);
+                   model.embedding().table.size(), "embedding");
         r.expectEnd();
     }
     for (std::size_t l = 0; l < cfg.numLayers; ++l) {
@@ -159,17 +135,17 @@ readModel(const std::string &path, const io::ArtifactLimits &limits)
         LstmLayerParams &p = model.layers()[l];
         for (tensor::Matrix *m :
              {&p.wf, &p.wi, &p.wc, &p.wo, &p.uf, &p.ui, &p.uc, &p.uo})
-            readTensor(r, m->data(), m->size(), "layer matrix", path);
+            readTensor(r, m->data(), m->size(), "layer matrix");
         for (tensor::Vector *v : {&p.bf, &p.bi, &p.bc, &p.bo})
-            readTensor(r, v->data(), v->size(), "layer bias", path);
+            readTensor(r, v->data(), v->size(), "layer bias");
         r.expectEnd();
     }
     {
         io::ByteReader r = reader.chunk(kChunkHead);
         readTensor(r, model.head().w.data(), model.head().w.size(),
-                   "head weights", path);
+                   "head weights");
         readTensor(r, model.head().b.data(), model.head().b.size(),
-                   "head bias", path);
+                   "head bias");
         r.expectEnd();
     }
     return model;
@@ -183,14 +159,7 @@ saveModel(const LstmModel &model, const std::string &path)
     const ModelConfig &cfg = model.config();
     io::ArtifactWriter w(io::kSchemaModel, kModelSchemaVersion);
 
-    io::ByteWriter &c = w.chunk(kChunkConfig);
-    c.u32(cfg.task == TaskKind::LanguageModel ? 1 : 0);
-    c.u64(cfg.vocab);
-    c.u64(cfg.embedSize);
-    c.u64(cfg.hiddenSize);
-    c.u64(cfg.numLayers);
-    c.u64(cfg.numClasses);
-    c.u32(cfg.sigmoid == SigmoidKind::Hard ? 1 : 0);
+    fields(w.chunk(kChunkConfig), cfg);
 
     w.chunk(kChunkEmbedding)
         .f32Array({model.embedding().table.data(),

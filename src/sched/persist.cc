@@ -28,31 +28,6 @@ fail(io::ErrorKind kind, const std::string &msg)
     throw io::ArtifactError(kind, "tuned plan: " + msg);
 }
 
-void
-writeString(io::ByteWriter &w, const std::string &s)
-{
-    w.u8Array({reinterpret_cast<const std::int8_t *>(s.data()),
-               s.size()});
-}
-
-std::string
-readString(io::ByteReader &r)
-{
-    const std::vector<std::int8_t> raw = r.u8Array();
-    if (raw.empty())
-        return {};
-    return std::string(reinterpret_cast<const char *>(raw.data()),
-                       raw.size());
-}
-
-void
-checkFinite(double v, const char *what)
-{
-    if (!std::isfinite(v))
-        fail(io::ErrorKind::NonFinite,
-             std::string(what) + " is not finite");
-}
-
 /** |a - b| within a relative 1e-6 of |b| (guarded near zero). */
 bool
 close(double a, double b)
@@ -60,195 +35,142 @@ close(double a, double b)
     return std::abs(a - b) <= 1e-6 * std::max(1.0, std::abs(b));
 }
 
+template <typename Codec>
 void
-writeFingerprint(io::ByteWriter &w, const TunedPlanFingerprint &fp)
+fields(Codec &c, io::FieldRef<Codec, TunedPlanFingerprint> fp)
 {
-    w.u32(fp.weightsCrc);
-    w.u32(fp.statsCrc);
-    w.u32(fp.quant);
-    w.f64(fp.pruneFraction);
-    w.u64(fp.batch);
-    w.u64(fp.mts);
-    w.u64(fp.modelHidden);
-    writeString(w, fp.backendId);
+    c(fp.weightsCrc, fp.statsCrc, fp.quant, fp.pruneFraction, fp.batch,
+      fp.mts, fp.modelHidden, fp.backendId);
 }
 
+/** The GpuConfig chunk, also the staleness key (serializeGpuConfig). */
+template <typename Codec>
+void
+fields(Codec &c, io::FieldRef<Codec, gpu::GpuConfig> g)
+{
+    c(g.name, g.numSms, g.coresPerSm, g.coreClockGhz, g.warpSize,
+      g.maxThreadsPerSm, g.maxCtasPerSm, g.dramBandwidthGBs,
+      g.dramLatencyNs, g.l2Bytes, g.l2Assoc, g.lineBytes,
+      g.l2BytesPerCycle, g.sharedMemPerSmBytes,
+      g.sharedBytesPerCyclePerSm, g.kernelLaunchUs,
+      g.streamedLaunchFraction, g.barrierCostCycles, g.reconfigPenalty,
+      g.socStaticW, g.gpuIdleW, g.gpuIssueActiveW, g.dramPjPerByte,
+      g.l2PjPerByte, g.sharedPjPerByte, g.fmaPjPerFlop,
+      g.dequantPjPerWeight, g.dequantOpsPerWeight, g.crmThreadsPerCycle,
+      g.crmPipelineCycles, g.crmPjPerThread, g.crmStaticW,
+      g.regFileBytesPerSm, g.sharedResidencyFraction,
+      g.regfileResidencyFraction, g.residencyOccupancyPenalty,
+      g.int8DotUnits, g.explicitWeightMemory);
+}
+
+/** The measured chunk: the chosen plan's and the reference's scores. */
+template <typename Codec>
+void
+fields(Codec &c, io::FieldRef<Codec, TunedPlanArtifact> a)
+{
+    c(a.timeUs, a.dramBytes, a.chosenLabel, a.referenceLabel,
+      a.referenceTimeUs, a.referenceDramBytes, a.layerLabels);
+}
+
+template <typename Codec>
+void
+fields(Codec &c, io::FieldRef<Codec, runtime::LayerSchedule> ls)
+{
+    c(ls.tissueSizes, io::upTo<runtime::SkipPath::HwCrm>(ls.skipPath),
+      ls.skipFraction,
+      io::upTo<runtime::FlagFusion::FusedEpilogue>(ls.flagFusion),
+      io::upTo<quant::QuantMode::Int4>(ls.quant), ls.prunedCsr,
+      ls.pruneFraction, ls.batch,
+      io::upTo<runtime::WeightResidency::Regfile>(ls.residency));
+}
+
+/** A u64 layer count: 1..1024, and within @p r's maxDim. */
+std::uint64_t
+readLayerCount(io::ByteReader &r)
+{
+    const std::uint64_t count = r.u64();
+    if (!count || count > 1024)
+        r.fail(io::ErrorKind::Malformed, "implausible layer count");
+    if (count > r.limits().maxDim)
+        r.fail(io::ErrorKind::LimitExceeded, "absurd layer count");
+    return count;
+}
+
+/** LimitExceeded unless @p dim <= maxDim (and non-zero unless @p zero). */
+void
+checkDim(const io::ByteReader &r, std::uint64_t dim, bool zero,
+         const char *what)
+{
+    if ((dim == 0 && !zero) || dim > r.limits().maxDim)
+        r.fail(io::ErrorKind::LimitExceeded,
+               std::string("absurd ") + what);
+}
+
+/** What a tuned plan for @p req on @p weights_crc must carry. */
 TunedPlanFingerprint
-readFingerprint(io::ByteReader &r)
+fingerprintOf(const TuneRequest &req, std::uint32_t weights_crc)
 {
     TunedPlanFingerprint fp;
-    fp.weightsCrc = r.u32();
-    fp.statsCrc = r.u32();
-    fp.quant = r.u32();
-    fp.pruneFraction = r.f64();
-    fp.batch = r.u64();
-    fp.mts = r.u64();
-    fp.modelHidden = r.u64();
-    fp.backendId = readString(r);
-    r.expectEnd();
+    fp.weightsCrc = weights_crc;
+    fp.statsCrc = statsCrc(req.stats);
+    fp.quant = static_cast<std::uint32_t>(req.quant);
+    fp.pruneFraction = req.pruneFraction;
+    fp.batch = req.batch;
+    fp.mts = req.mts;
+    fp.modelHidden = req.modelHidden;
+    fp.backendId = req.backendId;
     return fp;
 }
 
+/** Read one chunk whose payload is exactly @p value's field list. */
+template <typename T>
 void
-writeShape(io::ByteWriter &w, const runtime::NetworkShape &shape)
+readChunk(const io::ArtifactReader &reader, std::uint32_t tag, T &value)
 {
-    w.u64(shape.layers.size());
-    for (const runtime::LstmLayerShape &l : shape.layers) {
-        w.u64(l.inputSize);
-        w.u64(l.hiddenSize);
-        w.u64(l.length);
-    }
-}
-
-runtime::NetworkShape
-readShape(io::ByteReader &r, const io::ArtifactLimits &limits)
-{
-    runtime::NetworkShape shape;
-    const std::uint64_t count = r.u64();
-    if (!count || count > 1024)
-        fail(io::ErrorKind::Malformed, "implausible layer count");
-    shape.layers.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t in = r.u64();
-        const std::uint64_t hid = r.u64();
-        const std::uint64_t len = r.u64();
-        // fsck lowers and simulates this shape: bound it first.
-        for (std::uint64_t dim : {in, hid, len})
-            if (dim == 0 || dim > limits.maxDim)
-                fail(io::ErrorKind::LimitExceeded, "absurd layer shape");
-        shape.layers.push_back({static_cast<std::size_t>(in),
-                                static_cast<std::size_t>(hid),
-                                static_cast<std::size_t>(len)});
-    }
+    io::ByteReader r = reader.chunk(tag);
+    fields(r, value);
     r.expectEnd();
-    return shape;
-}
-
-struct Parsed
-{
-    TunedPlanArtifact artifact;
-    std::vector<std::uint8_t> gpuBytes;
-};
-
-gpu::GpuConfig
-deserializeGpuConfig(io::ByteReader &r)
-{
-    gpu::GpuConfig cfg;
-    cfg.name = readString(r);
-    cfg.numSms = r.u32();
-    cfg.coresPerSm = r.u32();
-    cfg.coreClockGhz = r.f64();
-    cfg.warpSize = r.u32();
-    cfg.maxThreadsPerSm = r.u32();
-    cfg.maxCtasPerSm = r.u32();
-    cfg.dramBandwidthGBs = r.f64();
-    cfg.dramLatencyNs = r.f64();
-    cfg.l2Bytes = r.u64();
-    cfg.l2Assoc = r.u32();
-    cfg.lineBytes = r.u32();
-    cfg.l2BytesPerCycle = r.f64();
-    cfg.sharedMemPerSmBytes = r.u64();
-    cfg.sharedBytesPerCyclePerSm = r.f64();
-    cfg.kernelLaunchUs = r.f64();
-    cfg.streamedLaunchFraction = r.f64();
-    cfg.barrierCostCycles = r.f64();
-    cfg.reconfigPenalty = r.f64();
-    cfg.socStaticW = r.f64();
-    cfg.gpuIdleW = r.f64();
-    cfg.gpuIssueActiveW = r.f64();
-    cfg.dramPjPerByte = r.f64();
-    cfg.l2PjPerByte = r.f64();
-    cfg.sharedPjPerByte = r.f64();
-    cfg.fmaPjPerFlop = r.f64();
-    cfg.dequantPjPerWeight = r.f64();
-    cfg.dequantOpsPerWeight = r.f64();
-    cfg.crmThreadsPerCycle = r.u32();
-    cfg.crmPipelineCycles = r.u32();
-    cfg.crmPjPerThread = r.f64();
-    cfg.crmStaticW = r.f64();
-    cfg.regFileBytesPerSm = r.u64();
-    cfg.sharedResidencyFraction = r.f64();
-    cfg.regfileResidencyFraction = r.f64();
-    cfg.residencyOccupancyPenalty = r.f64();
-    cfg.int8DotUnits = r.u32() != 0;
-    cfg.explicitWeightMemory = r.u32() != 0;
-    r.expectEnd();
-    return cfg;
 }
 
 /** Parse + structurally validate every chunk (no staleness checks). */
-Parsed
+TunedPlanArtifact
 parse(const std::string &path, const io::ArtifactLimits &limits)
 {
-    io::ArtifactReader reader(path, io::kSchemaTunedPlan, limits);
-    const std::uint32_t version = reader.schemaVersion();
-    if (version != kVersion)
-        fail(io::ErrorKind::BadVersion,
-             "schema version " + std::to_string(version) +
-                 " unsupported");
-
-    Parsed out;
-    {
-        io::ByteReader r = reader.chunk(kChunkFingerprint);
-        out.artifact.fingerprint = readFingerprint(r);
-    }
-    {
-        io::ByteReader r = reader.chunk(kChunkGpu);
-        out.artifact.gpu = deserializeGpuConfig(r);
-        out.gpuBytes = serializeGpuConfig(out.artifact.gpu);
-    }
+    const io::ArtifactReader reader(path, io::kSchemaTunedPlan, kVersion,
+                                    limits);
+    TunedPlanArtifact art;
+    readChunk(reader, kChunkFingerprint, art.fingerprint);
+    readChunk(reader, kChunkGpu, art.gpu);
     {
         io::ByteReader r = reader.chunk(kChunkShape);
-        out.artifact.shape = readShape(r, limits);
+        art.shape = readShape(r);
+        r.expectEnd();
     }
     {
         io::ByteReader r = reader.chunk(kChunkDecisions);
-        out.artifact.decisions = readDecisions(r, limits);
+        art.decisions = readDecisions(r);
         r.expectEnd();
     }
-    if (out.artifact.decisions.layers.size() !=
-        out.artifact.shape.layers.size())
+    if (art.decisions.layers.size() != art.shape.layers.size())
         fail(io::ErrorKind::Malformed,
              "decision/shape layer count mismatch");
-    {
-        io::ByteReader r = reader.chunk(kChunkMeasured);
-        out.artifact.timeUs = r.f64();
-        out.artifact.dramBytes = r.f64();
-        out.artifact.chosenLabel = readString(r);
-        out.artifact.referenceLabel = readString(r);
-        out.artifact.referenceTimeUs = r.f64();
-        out.artifact.referenceDramBytes = r.f64();
-        const std::uint64_t labels = r.u64();
-        if (labels != out.artifact.shape.layers.size())
-            fail(io::ErrorKind::Malformed,
-                 "layer label count mismatch");
-        for (std::uint64_t i = 0; i < labels; ++i)
-            out.artifact.layerLabels.push_back(readString(r));
-        r.expectEnd();
-    }
+    readChunk(reader, kChunkMeasured, art);
+    if (art.layerLabels.size() != art.shape.layers.size())
+        fail(io::ErrorKind::Malformed, "layer label count mismatch");
     {
         io::ByteReader r = reader.chunk(kChunkCandidates);
         const std::uint64_t count = r.u64();
         if (count > 4096)
             fail(io::ErrorKind::Malformed,
                  "implausible candidate count");
-        for (std::uint64_t i = 0; i < count; ++i) {
-            CandidateSummary c;
-            c.label = readString(r);
-            c.timeUs = r.f64();
-            c.dramBytes = r.f64();
-            out.artifact.candidates.push_back(std::move(c));
-        }
+        art.candidates.resize(static_cast<std::size_t>(count));
+        for (CandidateSummary &c : art.candidates)
+            r(c.label, c.timeUs, c.dramBytes);
         r.expectEnd();
     }
-
-    checkFinite(out.artifact.timeUs, "measured time");
-    checkFinite(out.artifact.dramBytes, "measured bytes");
-    checkFinite(out.artifact.referenceTimeUs, "reference time");
-    checkFinite(out.artifact.referenceDramBytes, "reference bytes");
-    if (out.artifact.timeUs < 0.0 || out.artifact.dramBytes < 0.0)
+    if (art.timeUs < 0.0 || art.dramBytes < 0.0)
         fail(io::ErrorKind::Malformed, "negative measured score");
-    return out;
+    return art;
 }
 
 /**
@@ -313,161 +235,66 @@ std::uint32_t
 statsCrc(const std::vector<core::LayerApproxStats> &stats)
 {
     io::ByteWriter w;
-    for (const core::LayerApproxStats &st : stats) {
-        w.u64(st.sequences);
-        w.u64(st.links);
-        w.u64(st.breaks);
-        w.u64(st.cells);
-        w.f64(st.skippedRows);
-    }
+    for (const core::LayerApproxStats &st : stats)
+        w(st.sequences, st.links, st.breaks, st.cells, st.skippedRows);
     return io::crc32(w.bytes().data(), w.bytes().size());
 }
 
-namespace {
-
-[[noreturn]] void
-failDecisions(io::ErrorKind kind, const std::string &msg)
+void
+writeShape(io::ByteWriter &w, const runtime::NetworkShape &shape)
 {
-    throw io::ArtifactError(kind, "schedule decisions: " + msg);
+    w.u64(shape.layers.size());
+    for (const runtime::LstmLayerShape &l : shape.layers)
+        w(l.inputSize, l.hiddenSize, l.length);
 }
 
-template <typename Enum>
-Enum
-readEnum(io::ByteReader &r, Enum max, const char *what)
+runtime::NetworkShape
+readShape(io::ByteReader &r)
 {
-    const std::uint32_t v = r.u32();
-    if (v > static_cast<std::uint32_t>(max))
-        failDecisions(io::ErrorKind::Malformed,
-                      std::string("unknown ") + what);
-    return static_cast<Enum>(v);
+    runtime::NetworkShape shape;
+    shape.layers.resize(static_cast<std::size_t>(readLayerCount(r)));
+    for (runtime::LstmLayerShape &l : shape.layers) {
+        r(l.inputSize, l.hiddenSize, l.length);
+        // fsck lowers and simulates this shape: bound it first.
+        for (std::size_t dim : {l.inputSize, l.hiddenSize, l.length})
+            checkDim(r, dim, false, "layer shape");
+    }
+    return shape;
 }
-
-double
-readFinite(io::ByteReader &r, const char *what)
-{
-    const double v = r.f64();
-    if (!std::isfinite(v))
-        failDecisions(io::ErrorKind::NonFinite,
-                      std::string("non-finite ") + what);
-    return v;
-}
-
-} // anonymous namespace
 
 void
 writeDecisions(io::ByteWriter &w,
                const runtime::ScheduleDecisions &decisions)
 {
     w.u64(decisions.layers.size());
-    for (const runtime::LayerSchedule &ls : decisions.layers) {
-        std::vector<std::uint64_t> sizes(ls.tissueSizes.begin(),
-                                         ls.tissueSizes.end());
-        w.u64Array(sizes);
-        w.u32(static_cast<std::uint32_t>(ls.skipPath));
-        w.f64(ls.skipFraction);
-        w.u32(static_cast<std::uint32_t>(ls.flagFusion));
-        w.u32(static_cast<std::uint32_t>(ls.quant));
-        w.u32(ls.prunedCsr ? 1 : 0);
-        w.f64(ls.pruneFraction);
-        w.u64(ls.batch);
-        w.u32(static_cast<std::uint32_t>(ls.residency));
-    }
+    for (const runtime::LayerSchedule &ls : decisions.layers)
+        fields(w, ls);
 }
 
 runtime::ScheduleDecisions
-readDecisions(io::ByteReader &r, const io::ArtifactLimits &limits)
+readDecisions(io::ByteReader &r)
 {
     runtime::ScheduleDecisions decisions;
-    const std::uint64_t count = r.u64();
-    if (!count || count > 1024)
-        failDecisions(io::ErrorKind::Malformed, "implausible layer count");
-    if (count > limits.maxDim)
-        failDecisions(io::ErrorKind::LimitExceeded, "absurd layer count");
-    decisions.layers.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        runtime::LayerSchedule &ls = decisions.layers.emplace_back();
-        for (std::uint64_t t : r.u64Array()) {
-            if (t > limits.maxDim)
-                failDecisions(io::ErrorKind::LimitExceeded,
-                              "absurd tissue size");
-            ls.tissueSizes.push_back(static_cast<std::size_t>(t));
-        }
-        ls.skipPath =
-            readEnum(r, runtime::SkipPath::HwCrm, "skip path");
-        ls.skipFraction = readFinite(r, "skipFraction");
-        ls.flagFusion = readEnum(r, runtime::FlagFusion::FusedEpilogue,
-                                 "flag fusion");
-        ls.quant = readEnum(r, quant::QuantMode::Int4, "quant mode");
-        ls.prunedCsr = r.u32() != 0;
-        ls.pruneFraction = readFinite(r, "pruneFraction");
-        const std::uint64_t batch = r.u64();
-        if (batch > limits.maxDim)
-            failDecisions(io::ErrorKind::LimitExceeded,
-                          "absurd layer batch");
-        ls.batch = static_cast<std::size_t>(batch);
-        ls.residency = readEnum(r, runtime::WeightResidency::Regfile,
-                                "residency");
+    decisions.layers.resize(static_cast<std::size_t>(readLayerCount(r)));
+    for (runtime::LayerSchedule &ls : decisions.layers) {
+        fields(r, ls);
+        for (std::size_t t : ls.tissueSizes)
+            checkDim(r, t, true, "tissue size");
+        checkDim(r, ls.batch, true, "layer batch");
     }
     try {
         decisions.validate();
     } catch (const std::invalid_argument &e) {
-        failDecisions(io::ErrorKind::Malformed, e.what());
+        r.fail(io::ErrorKind::Malformed, e.what());
     }
     return decisions;
 }
-
-namespace {
-
-void
-serializeGpuConfigInto(io::ByteWriter &w, const gpu::GpuConfig &cfg)
-{
-    writeString(w, cfg.name);
-    w.u32(cfg.numSms);
-    w.u32(cfg.coresPerSm);
-    w.f64(cfg.coreClockGhz);
-    w.u32(cfg.warpSize);
-    w.u32(cfg.maxThreadsPerSm);
-    w.u32(cfg.maxCtasPerSm);
-    w.f64(cfg.dramBandwidthGBs);
-    w.f64(cfg.dramLatencyNs);
-    w.u64(cfg.l2Bytes);
-    w.u32(cfg.l2Assoc);
-    w.u32(cfg.lineBytes);
-    w.f64(cfg.l2BytesPerCycle);
-    w.u64(cfg.sharedMemPerSmBytes);
-    w.f64(cfg.sharedBytesPerCyclePerSm);
-    w.f64(cfg.kernelLaunchUs);
-    w.f64(cfg.streamedLaunchFraction);
-    w.f64(cfg.barrierCostCycles);
-    w.f64(cfg.reconfigPenalty);
-    w.f64(cfg.socStaticW);
-    w.f64(cfg.gpuIdleW);
-    w.f64(cfg.gpuIssueActiveW);
-    w.f64(cfg.dramPjPerByte);
-    w.f64(cfg.l2PjPerByte);
-    w.f64(cfg.sharedPjPerByte);
-    w.f64(cfg.fmaPjPerFlop);
-    w.f64(cfg.dequantPjPerWeight);
-    w.f64(cfg.dequantOpsPerWeight);
-    w.u32(cfg.crmThreadsPerCycle);
-    w.u32(cfg.crmPipelineCycles);
-    w.f64(cfg.crmPjPerThread);
-    w.f64(cfg.crmStaticW);
-    w.u64(cfg.regFileBytesPerSm);
-    w.f64(cfg.sharedResidencyFraction);
-    w.f64(cfg.regfileResidencyFraction);
-    w.f64(cfg.residencyOccupancyPenalty);
-    w.u32(cfg.int8DotUnits ? 1 : 0);
-    w.u32(cfg.explicitWeightMemory ? 1 : 0);
-}
-
-} // anonymous namespace
 
 std::vector<std::uint8_t>
 serializeGpuConfig(const gpu::GpuConfig &cfg)
 {
     io::ByteWriter w;
-    serializeGpuConfigInto(w, cfg);
+    fields(w, cfg);
     return w.bytes();
 }
 
@@ -476,14 +303,7 @@ makeTunedPlanArtifact(const TuneRequest &req, std::uint32_t weights_crc,
                       const gpu::GpuConfig &gpu, const TuneResult &result)
 {
     TunedPlanArtifact art;
-    art.fingerprint.weightsCrc = weights_crc;
-    art.fingerprint.statsCrc = statsCrc(req.stats);
-    art.fingerprint.quant = static_cast<std::uint32_t>(req.quant);
-    art.fingerprint.pruneFraction = req.pruneFraction;
-    art.fingerprint.batch = req.batch;
-    art.fingerprint.mts = req.mts;
-    art.fingerprint.modelHidden = req.modelHidden;
-    art.fingerprint.backendId = req.backendId;
+    art.fingerprint = fingerprintOf(req, weights_crc);
     art.gpu = gpu;
     art.shape = req.shape;
     art.decisions = result.chosen.plan.decisions;
@@ -503,32 +323,15 @@ void
 saveTunedPlan(const TunedPlanArtifact &artifact, const std::string &path)
 {
     io::ArtifactWriter writer(io::kSchemaTunedPlan, kVersion);
-    writeFingerprint(writer.chunk(kChunkFingerprint),
-                     artifact.fingerprint);
-    serializeGpuConfigInto(writer.chunk(kChunkGpu), artifact.gpu);
+    fields(writer.chunk(kChunkFingerprint), artifact.fingerprint);
+    fields(writer.chunk(kChunkGpu), artifact.gpu);
     writeShape(writer.chunk(kChunkShape), artifact.shape);
     writeDecisions(writer.chunk(kChunkDecisions), artifact.decisions);
-    {
-        io::ByteWriter &w = writer.chunk(kChunkMeasured);
-        w.f64(artifact.timeUs);
-        w.f64(artifact.dramBytes);
-        writeString(w, artifact.chosenLabel);
-        writeString(w, artifact.referenceLabel);
-        w.f64(artifact.referenceTimeUs);
-        w.f64(artifact.referenceDramBytes);
-        w.u64(artifact.layerLabels.size());
-        for (const std::string &label : artifact.layerLabels)
-            writeString(w, label);
-    }
-    {
-        io::ByteWriter &w = writer.chunk(kChunkCandidates);
-        w.u64(artifact.candidates.size());
-        for (const CandidateSummary &c : artifact.candidates) {
-            writeString(w, c.label);
-            w.f64(c.timeUs);
-            w.f64(c.dramBytes);
-        }
-    }
+    fields(writer.chunk(kChunkMeasured), artifact);
+    io::ByteWriter &w = writer.chunk(kChunkCandidates);
+    w.u64(artifact.candidates.size());
+    for (const CandidateSummary &c : artifact.candidates)
+        w(c.label, c.timeUs, c.dramBytes);
     writer.commit(path);
 }
 
@@ -538,22 +341,11 @@ loadTunedPlan(const std::string &path, const gpu::GpuConfig &gpu,
               const io::ArtifactLimits &limits, obs::Observer *obs)
 {
     try {
-        Parsed parsed = parse(path, limits);
-        TunedPlanArtifact &art = parsed.artifact;
-
-        TunedPlanFingerprint want;
-        want.weightsCrc = weights_crc;
-        want.statsCrc = statsCrc(req.stats);
-        want.quant = static_cast<std::uint32_t>(req.quant);
-        want.pruneFraction = req.pruneFraction;
-        want.batch = req.batch;
-        want.mts = req.mts;
-        want.modelHidden = req.modelHidden;
-        want.backendId = req.backendId;
-        if (!(art.fingerprint == want))
+        TunedPlanArtifact art = parse(path, limits);
+        if (!(art.fingerprint == fingerprintOf(req, weights_crc)))
             fail(io::ErrorKind::Stale,
                  "fingerprint does not match this model/request");
-        if (parsed.gpuBytes != serializeGpuConfig(gpu))
+        if (serializeGpuConfig(art.gpu) != serializeGpuConfig(gpu))
             fail(io::ErrorKind::Stale,
                  "tuned for a different GpuConfig");
         if (art.shape != req.shape)
@@ -572,8 +364,7 @@ void
 verifyTunedPlanFile(const std::string &path,
                     const io::ArtifactLimits &limits)
 {
-    Parsed parsed = parse(path, limits);
-    checkMeasured(parsed.artifact);
+    checkMeasured(parse(path, limits));
 }
 
 TuneResult

@@ -82,23 +82,37 @@ statsCrc(const std::vector<core::LayerApproxStats> &stats);
 std::vector<std::uint8_t> serializeGpuConfig(const gpu::GpuConfig &cfg);
 
 /**
+ * The NetworkShape codec every artifact that stores a timing shape
+ * shares (the tuned plan and the engine warm state): a u64 layer
+ * count, then (input, hidden, length) as u64 per layer.
+ */
+void writeShape(io::ByteWriter &w, const runtime::NetworkShape &shape);
+
+/**
+ * Read what writeShape wrote: 1..1024 layers (Malformed otherwise;
+ * LimitExceeded above the reader's maxDim), every dimension non-zero
+ * and within maxDim (LimitExceeded). The caller checks the end of its
+ * chunk.
+ */
+runtime::NetworkShape readShape(io::ByteReader &r);
+
+/**
  * The per-layer LayerSchedule codec every artifact that stores
  * decisions shares (the tuned plan and the engine warm state): a u64
- * layer count, then one fixed record per layer.
+ * layer count, then one LayerSchedule field list per layer.
  */
 void writeDecisions(io::ByteWriter &w,
                     const runtime::ScheduleDecisions &decisions);
 
 /**
  * Read what writeDecisions wrote, trusting nothing: the layer count is
- * bounded, enum tags must be known, fractions finite, tissue sizes and
- * batch overrides within @p limits.maxDim, and the result must pass
- * ScheduleDecisions::validate(). The caller checks the end of its
- * chunk. @throws io::ArtifactError (Malformed, NonFinite or
+ * bounded as in readShape, enum tags must be known, fractions finite,
+ * tissue sizes and batch overrides within the reader's maxDim, and the
+ * result must pass ScheduleDecisions::validate(). The caller checks the
+ * end of its chunk. @throws io::ArtifactError (Malformed, NonFinite or
  * LimitExceeded).
  */
-runtime::ScheduleDecisions readDecisions(io::ByteReader &r,
-                                         const io::ArtifactLimits &limits);
+runtime::ScheduleDecisions readDecisions(io::ByteReader &r);
 
 /** Assemble the artifact for @p result tuned under @p req. */
 TunedPlanArtifact

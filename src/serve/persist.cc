@@ -1,6 +1,6 @@
 #include "serve/persist.hh"
 
-#include <cmath>
+#include <type_traits>
 
 #include "quant/qformat.hh"
 #include "sched/persist.hh"
@@ -20,26 +20,11 @@ using io::ErrorKind;
  */
 constexpr std::uint32_t kEngineSchemaVersion = 6;
 
-constexpr std::uint32_t kMaxQuantMode =
-    static_cast<std::uint32_t>(quant::QuantMode::Int4);
-
-quant::QuantMode
-readQuantMode(io::ByteReader &r, const std::string &path)
-{
-    const std::uint32_t qm = r.u32();
-    if (qm > kMaxQuantMode)
-        throw ArtifactError(ErrorKind::Malformed,
-                            "loadEngineState: " + path +
-                                ": unknown quant mode " +
-                                std::to_string(qm));
-    return static_cast<quant::QuantMode>(qm);
-}
 constexpr std::uint32_t kChunkFingerprint = io::fourcc('E', 'F', 'P', 'R');
 constexpr std::uint32_t kChunkShape = io::fourcc('E', 'S', 'H', 'P');
 constexpr std::uint32_t kChunkLadder = io::fourcc('E', 'L', 'A', 'D');
 
-constexpr std::uint32_t kMaxPlanKind =
-    static_cast<std::uint32_t>(runtime::PlanKind::Persistent);
+constexpr runtime::PlanKind kLastPlanKind = runtime::PlanKind::Persistent;
 
 std::uint32_t
 rungPlanTag(std::size_t rung)
@@ -47,128 +32,69 @@ rungPlanTag(std::size_t rung)
     return io::indexedTag('E', 'P', rung);
 }
 
+/** The fingerprint chunk: what the warm constructor checks. */
+template <typename Codec>
 void
-requireFinite(double v, const char *what, const std::string &path)
+fingerprintFields(Codec &c, io::FieldRef<Codec, EngineWarmState> s)
 {
-    if (!std::isfinite(v))
-        throw ArtifactError(ErrorKind::NonFinite,
-                            "loadEngineState: " + path +
-                                ": non-finite " + what);
+    c(s.modelWeightsCrc, io::upTo<kLastPlanKind>(s.plan), s.pruneFraction,
+      s.tunedPlans, s.backendId);
+}
+
+/** One governor-ladder rung. */
+template <typename Codec>
+void
+fields(Codec &c, io::FieldRef<Codec, core::ThresholdSet> set)
+{
+    c(set.alphaInter, set.alphaIntra,
+      io::upTo<quant::QuantMode::Int4>(set.quant));
 }
 
 /** A rung's plan chunk: the u32 PlanKind label, then its decisions. */
+template <typename Codec>
 void
-writePlan(io::ByteWriter &w, const runtime::ExecutionPlan &plan)
+fields(Codec &c, io::FieldRef<Codec, runtime::ExecutionPlan> plan)
 {
-    w.u32(static_cast<std::uint32_t>(plan.kind));
-    sched::writeDecisions(w, plan.decisions);
-}
-
-runtime::PlanKind
-readPlanKind(io::ByteReader &r, const std::string &path)
-{
-    const std::uint32_t kind = r.u32();
-    if (kind > kMaxPlanKind)
-        throw ArtifactError(ErrorKind::Malformed,
-                            "loadEngineState: " + path +
-                                ": unknown plan kind " +
-                                std::to_string(kind));
-    return static_cast<runtime::PlanKind>(kind);
-}
-
-runtime::ExecutionPlan
-readPlan(io::ByteReader &r, const io::ArtifactLimits &limits,
-         const std::string &path)
-{
-    runtime::ExecutionPlan plan;
-    plan.kind = readPlanKind(r, path);
-    plan.decisions = sched::readDecisions(r, limits);
-    r.expectEnd();
-    return plan;
+    c(io::upTo<kLastPlanKind>(plan.kind));
+    if constexpr (std::is_same_v<Codec, io::ByteWriter>)
+        sched::writeDecisions(c, plan.decisions);
+    else
+        plan.decisions = sched::readDecisions(c);
 }
 
 EngineWarmState
-parseState(const io::ArtifactReader &reader,
-           const io::ArtifactLimits &limits, const std::string &path)
+parseState(const io::ArtifactReader &reader)
 {
-    const std::uint32_t version = reader.schemaVersion();
-    if (version != kEngineSchemaVersion)
-        throw ArtifactError(
-            ErrorKind::BadVersion,
-            "loadEngineState: " + path +
-                ": unsupported engine-state schema version " +
-                std::to_string(version));
-
     EngineWarmState state;
     {
         io::ByteReader r = reader.chunk(kChunkFingerprint);
-        state.modelWeightsCrc = r.u32();
-        state.plan = readPlanKind(r, path);
-        state.pruneFraction = r.f64();
-        requireFinite(state.pruneFraction, "pruneFraction", path);
-        const std::uint32_t tuned = r.u32();
-        if (tuned > 1)
-            throw ArtifactError(ErrorKind::Malformed,
-                                "loadEngineState: " + path +
-                                    ": bad tunedPlans flag");
-        state.tunedPlans = tuned != 0;
-        const std::vector<std::int8_t> raw = r.u8Array();
-        if (!raw.empty())
-            state.backendId.assign(
-                reinterpret_cast<const char *>(raw.data()), raw.size());
+        fingerprintFields(r, state);
         r.expectEnd();
     }
     {
         io::ByteReader r = reader.chunk(kChunkShape);
-        const std::uint64_t layers = r.u64();
-        if (layers == 0 || layers > limits.maxDim)
-            throw ArtifactError(ErrorKind::LimitExceeded,
-                                "loadEngineState: " + path +
-                                    ": absurd shape layer count");
-        for (std::uint64_t l = 0; l < layers; ++l) {
-            runtime::LstmLayerShape ls;
-            const std::uint64_t in = r.u64();
-            const std::uint64_t hid = r.u64();
-            const std::uint64_t len = r.u64();
-            if (in == 0 || hid == 0 || len == 0 ||
-                in > limits.maxDim || hid > limits.maxDim ||
-                len > limits.maxDim)
-                throw ArtifactError(ErrorKind::LimitExceeded,
-                                    "loadEngineState: " + path +
-                                        ": absurd layer shape");
-            ls.inputSize = static_cast<std::size_t>(in);
-            ls.hiddenSize = static_cast<std::size_t>(hid);
-            ls.length = static_cast<std::size_t>(len);
-            state.shape.layers.push_back(ls);
-        }
+        state.shape = sched::readShape(r);
         r.expectEnd();
     }
     {
         io::ByteReader r = reader.chunk(kChunkLadder);
         const std::uint64_t rungs = r.u64();
-        if (rungs == 0 || rungs > limits.maxChunks)
-            throw ArtifactError(ErrorKind::Malformed,
-                                "loadEngineState: " + path +
-                                    ": absurd rung count");
-        for (std::uint64_t i = 0; i < rungs; ++i) {
-            core::ThresholdSet set;
-            set.alphaInter = r.f64();
-            set.alphaIntra = r.f64();
-            set.quant = readQuantMode(r, path);
-            requireFinite(set.alphaInter, "alphaInter", path);
-            requireFinite(set.alphaIntra, "alphaIntra", path);
+        if (rungs == 0 || rungs > r.limits().maxChunks)
+            r.fail(ErrorKind::Malformed, "absurd rung count");
+        state.ladder.resize(static_cast<std::size_t>(rungs));
+        for (core::ThresholdSet &set : state.ladder) {
+            fields(r, set);
             if (set.alphaInter < 0.0 || set.alphaIntra < 0.0 ||
                 set.alphaIntra >= 1.0)
-                throw ArtifactError(ErrorKind::Malformed,
-                                    "loadEngineState: " + path +
-                                        ": threshold out of range");
-            state.ladder.push_back(set);
+                r.fail(ErrorKind::Malformed, "threshold out of range");
         }
         r.expectEnd();
     }
-    for (std::size_t i = 0; i < state.ladder.size(); ++i) {
+    state.plans.resize(state.ladder.size());
+    for (std::size_t i = 0; i < state.plans.size(); ++i) {
         io::ByteReader r = reader.chunk(rungPlanTag(i));
-        state.plans.push_back(readPlan(r, limits, path));
+        fields(r, state.plans[i]);
+        r.expectEnd();
     }
     return state;
 }
@@ -179,35 +105,14 @@ void
 saveEngineState(const EngineWarmState &state, const std::string &path)
 {
     io::ArtifactWriter w(io::kSchemaEngineState, kEngineSchemaVersion);
-
-    io::ByteWriter &f = w.chunk(kChunkFingerprint);
-    f.u32(state.modelWeightsCrc);
-    f.u32(static_cast<std::uint32_t>(state.plan));
-    f.f64(state.pruneFraction);
-    f.u32(state.tunedPlans ? 1 : 0);
-    f.u8Array({reinterpret_cast<const std::int8_t *>(
-                   state.backendId.data()),
-               state.backendId.size()});
-
-    io::ByteWriter &s = w.chunk(kChunkShape);
-    s.u64(state.shape.layers.size());
-    for (const runtime::LstmLayerShape &ls : state.shape.layers) {
-        s.u64(ls.inputSize);
-        s.u64(ls.hiddenSize);
-        s.u64(ls.length);
-    }
-
+    fingerprintFields(w.chunk(kChunkFingerprint), state);
+    sched::writeShape(w.chunk(kChunkShape), state.shape);
     io::ByteWriter &l = w.chunk(kChunkLadder);
     l.u64(state.ladder.size());
-    for (const core::ThresholdSet &set : state.ladder) {
-        l.f64(set.alphaInter);
-        l.f64(set.alphaIntra);
-        l.u32(static_cast<std::uint32_t>(set.quant));
-    }
-
+    for (const core::ThresholdSet &set : state.ladder)
+        fields(l, set);
     for (std::size_t i = 0; i < state.plans.size(); ++i)
-        writePlan(w.chunk(rungPlanTag(i)), state.plans[i]);
-
+        fields(w.chunk(rungPlanTag(i)), state.plans[i]);
     w.commit(path);
 }
 
@@ -223,24 +128,12 @@ loadEngineState(const std::string &path, const io::ArtifactLimits &limits,
 {
     try {
         const io::ArtifactReader reader(path, io::kSchemaEngineState,
-                                        limits);
-        EngineWarmState state = parseState(reader, limits, path);
-        if (state.ladder.size() != state.plans.size())
-            throw ArtifactError(ErrorKind::Malformed,
-                                "loadEngineState: " + path +
-                                    ": ladder/plan count mismatch");
-        return state;
+                                        kEngineSchemaVersion, limits);
+        return parseState(reader);
     } catch (const ArtifactError &e) {
         io::recordRejection(obs, e.kind());
         throw;
     }
-}
-
-void
-verifyEngineStateFile(const std::string &path,
-                      const io::ArtifactLimits &limits)
-{
-    (void)loadEngineState(path, limits);
 }
 
 } // namespace serve

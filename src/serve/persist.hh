@@ -40,13 +40,6 @@ EngineWarmState loadEngineState(const std::string &path,
                                 const io::ArtifactLimits &limits = {},
                                 obs::Observer *obs = nullptr);
 
-/**
- * Deep verification for `mflstm fsck`: parse every chunk and check
- * internal consistency. @throws io::ArtifactError on any defect.
- */
-void verifyEngineStateFile(const std::string &path,
-                           const io::ArtifactLimits &limits = {});
-
 } // namespace serve
 } // namespace mflstm
 

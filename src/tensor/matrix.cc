@@ -30,17 +30,5 @@ vconcat(const std::vector<const Matrix *> &parts)
     return out;
 }
 
-Matrix
-rowSlice(const Matrix &m, std::size_t row_begin, std::size_t row_end)
-{
-    if (row_begin > row_end || row_end > m.rows())
-        throw std::out_of_range("rowSlice: bad range");
-
-    Matrix out(row_end - row_begin, m.cols());
-    std::copy(m.data() + row_begin * m.cols(),
-              m.data() + row_end * m.cols(), out.data());
-    return out;
-}
-
 } // namespace tensor
 } // namespace mflstm

@@ -145,9 +145,6 @@ class Matrix
  */
 Matrix vconcat(const std::vector<const Matrix *> &parts);
 
-/** Extract a horizontal band [row_begin, row_end) of a matrix. */
-Matrix rowSlice(const Matrix &m, std::size_t row_begin, std::size_t row_end);
-
 } // namespace tensor
 } // namespace mflstm
 

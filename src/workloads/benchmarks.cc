@@ -31,95 +31,32 @@ BenchmarkSpec::accuracyModelConfig() const
 const std::vector<BenchmarkSpec> &
 tableII()
 {
-    static const std::vector<BenchmarkSpec> specs = [] {
-        std::vector<BenchmarkSpec> v;
-
-        BenchmarkSpec imdb;
-        imdb.name = "IMDB";
-        imdb.abbrev = "SC";
-        imdb.family = TaskFamily::Sentiment;
-        imdb.hiddenSize = 512;
-        imdb.numLayers = 3;
-        imdb.length = 80;
-        imdb.modelHidden = 48;
-        imdb.modelLength = 24;
-        imdb.vocab = 48;
-        imdb.numClasses = 2;
-        imdb.seed = 101;
-        v.push_back(imdb);
-
-        BenchmarkSpec mr;
-        mr.name = "MR";
-        mr.abbrev = "SC";
-        mr.family = TaskFamily::Sentiment;
-        mr.hiddenSize = 256;
-        mr.numLayers = 1;
-        mr.length = 22;
-        mr.modelHidden = 40;
-        mr.modelLength = 16;
-        mr.vocab = 40;
-        mr.numClasses = 2;
-        mr.seed = 102;
-        v.push_back(mr);
-
-        BenchmarkSpec babi;
-        babi.name = "BABI";
-        babi.abbrev = "QA";
-        babi.family = TaskFamily::Qa;
-        babi.hiddenSize = 256;
-        babi.numLayers = 3;
-        babi.length = 86;
-        babi.modelHidden = 48;
-        babi.modelLength = 26;
-        babi.vocab = 56;
-        babi.numClasses = 4;
-        babi.seed = 103;
-        v.push_back(babi);
-
-        BenchmarkSpec snli;
-        snli.name = "SNLI";
-        snli.abbrev = "ET";
-        snli.family = TaskFamily::Entailment;
-        snli.hiddenSize = 300;
-        snli.numLayers = 2;
-        snli.length = 100;
-        snli.modelHidden = 48;
-        snli.modelLength = 24;
-        snli.vocab = 48;
-        snli.numClasses = 3;
-        snli.seed = 104;
-        v.push_back(snli);
-
-        BenchmarkSpec ptb;
-        ptb.name = "PTB";
-        ptb.abbrev = "LM";
-        ptb.family = TaskFamily::LanguageModel;
-        ptb.hiddenSize = 650;
-        ptb.numLayers = 3;
-        ptb.length = 200;
-        ptb.modelHidden = 56;
-        ptb.modelLength = 32;
-        ptb.vocab = 40;
-        ptb.numClasses = 0;
-        ptb.seed = 105;
-        v.push_back(ptb);
-
-        BenchmarkSpec mt;
-        mt.name = "MT";
-        mt.abbrev = "MT";
-        mt.family = TaskFamily::Translation;
-        mt.hiddenSize = 500;
-        mt.numLayers = 4;
-        mt.length = 50;
-        mt.modelHidden = 48;
-        mt.modelLength = 24;
-        mt.vocab = 36;
-        mt.numClasses = 0;
-        mt.seed = 106;
-        v.push_back(mt);
-
-        return v;
-    }();
+    static const std::vector<BenchmarkSpec> specs = {
+        {.name = "IMDB", .abbrev = "SC", .family = TaskFamily::Sentiment,
+         .hiddenSize = 512, .numLayers = 3, .length = 80,
+         .modelHidden = 48, .modelLength = 24, .vocab = 48,
+         .numClasses = 2, .seed = 101},
+        {.name = "MR", .abbrev = "SC", .family = TaskFamily::Sentiment,
+         .hiddenSize = 256, .numLayers = 1, .length = 22,
+         .modelHidden = 40, .modelLength = 16, .vocab = 40,
+         .numClasses = 2, .seed = 102},
+        {.name = "BABI", .abbrev = "QA", .family = TaskFamily::Qa,
+         .hiddenSize = 256, .numLayers = 3, .length = 86,
+         .modelHidden = 48, .modelLength = 26, .vocab = 56,
+         .numClasses = 4, .seed = 103},
+        {.name = "SNLI", .abbrev = "ET", .family = TaskFamily::Entailment,
+         .hiddenSize = 300, .numLayers = 2, .length = 100,
+         .modelHidden = 48, .modelLength = 24, .vocab = 48,
+         .numClasses = 3, .seed = 104},
+        {.name = "PTB", .abbrev = "LM", .family = TaskFamily::LanguageModel,
+         .hiddenSize = 650, .numLayers = 3, .length = 200,
+         .modelHidden = 56, .modelLength = 32, .vocab = 40,
+         .numClasses = 0, .seed = 105},
+        {.name = "MT", .abbrev = "MT", .family = TaskFamily::Translation,
+         .hiddenSize = 500, .numLayers = 4, .length = 50,
+         .modelHidden = 48, .modelLength = 24, .vocab = 36,
+         .numClasses = 0, .seed = 106},
+    };
     return specs;
 }
 

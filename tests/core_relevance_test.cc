@@ -1,10 +1,7 @@
 /**
  * @file
- * Tests for the relevance value (Algorithm 2), breakpoint search and
- * sub-layer construction.
+ * Tests for the relevance value (Algorithm 2).
  */
-
-#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -97,59 +94,6 @@ TEST(Relevance, RejectsWrongProjectionSize)
     const nn::LstmLayerParams p = params(2, 4, 5);
     const LayerRelevanceContext ctx(p);
     EXPECT_THROW(ctx.relevance(p, Vector(8)), std::invalid_argument);
-}
-
-TEST(Relevance, LayerLinkRelevancesShape)
-{
-    const nn::LstmLayerParams p = params(2, 4, 7);
-    std::vector<Vector> projs(5, Vector(16, 0.5f));
-    const auto rel = layerLinkRelevances(p, projs);
-    ASSERT_EQ(rel.size(), 5u);
-    EXPECT_EQ(rel[0], std::numeric_limits<double>::infinity());
-    for (std::size_t t = 1; t < 5; ++t) {
-        EXPECT_GE(rel[t], 0.0);
-        EXPECT_LT(rel[t], std::numeric_limits<double>::infinity());
-    }
-}
-
-TEST(Breakpoints, ThresholdSelectsWeakLinks)
-{
-    const std::vector<double> rel = {
-        std::numeric_limits<double>::infinity(), 5.0, 1.0, 7.0, 0.5};
-    EXPECT_EQ(findBreakpoints(rel, 2.0),
-              (std::vector<std::size_t>{2, 4}));
-    EXPECT_TRUE(findBreakpoints(rel, 0.0).empty());
-    EXPECT_EQ(findBreakpoints(rel, 100.0).size(), 4u);
-}
-
-TEST(Breakpoints, FirstCellNeverBreaks)
-{
-    const std::vector<double> rel = {
-        std::numeric_limits<double>::infinity(), 0.0};
-    const auto breaks = findBreakpoints(rel, 1.0);
-    ASSERT_EQ(breaks.size(), 1u);
-    EXPECT_EQ(breaks[0], 1u);
-}
-
-TEST(SubLayers, LengthsPartitionTheLayer)
-{
-    EXPECT_EQ(subLayerLengths(10, {}), (std::vector<std::size_t>{10}));
-    EXPECT_EQ(subLayerLengths(10, {3, 7}),
-              (std::vector<std::size_t>{3, 4, 3}));
-    EXPECT_EQ(subLayerLengths(4, {1, 2, 3}),
-              (std::vector<std::size_t>{1, 1, 1, 1}));
-}
-
-TEST(SubLayers, RejectsBadBreakpoints)
-{
-    EXPECT_THROW(subLayerLengths(10, {0}), std::out_of_range);
-    EXPECT_THROW(subLayerLengths(10, {10}), std::out_of_range);
-    EXPECT_THROW(subLayerLengths(10, {5, 3}), std::invalid_argument);
-}
-
-TEST(SubLayers, EmptyLayer)
-{
-    EXPECT_TRUE(subLayerLengths(0, {}).empty());
 }
 
 } // namespace

@@ -10,6 +10,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -69,7 +72,7 @@ sampleContainer()
 TEST_F(ArtifactTest, RoundTripPreservesChunks)
 {
     writeBytes(sampleContainer());
-    const ArtifactReader r(path_, kSchemaModel);
+    const ArtifactReader r(path_, kSchemaModel, 7);
     EXPECT_EQ(r.schemaKind(), kSchemaModel);
     EXPECT_EQ(r.schemaVersion(), 7u);
     ASSERT_EQ(r.chunks().size(), 2u);
@@ -99,7 +102,7 @@ TEST_F(ArtifactTest, CommitWritesLoadableFile)
     EXPECT_TRUE(isArtifactFile(path_, &kind));
     EXPECT_EQ(kind, kSchemaCalibration);
 
-    const ArtifactReader r(path_, kSchemaCalibration);
+    const ArtifactReader r(path_, kSchemaCalibration, 1);
     ByteReader c = r.chunk(fourcc('C', 'C', 'C', 'C'));
     EXPECT_EQ(c.u32(), 9u);
 
@@ -119,7 +122,7 @@ TEST_F(ArtifactTest, TruncationAtEveryByteRejected)
     const std::vector<std::uint8_t> full = sampleContainer();
     for (std::size_t len = 0; len < full.size(); ++len) {
         writeBytes({full.begin(), full.begin() + len});
-        EXPECT_THROW(ArtifactReader(path_, kSchemaModel),
+        EXPECT_THROW(ArtifactReader(path_, kSchemaModel, 7),
                      ArtifactError)
             << "prefix of " << len << " bytes parsed";
     }
@@ -136,7 +139,7 @@ TEST_F(ArtifactTest, EverySingleBitFlipRejected)
             std::vector<std::uint8_t> mutated = full;
             mutated[byte] ^= static_cast<std::uint8_t>(1u << bit);
             writeBytes(mutated);
-            EXPECT_THROW(ArtifactReader(path_, kSchemaModel),
+            EXPECT_THROW(ArtifactReader(path_, kSchemaModel, 7),
                          ArtifactError)
                 << "bit " << bit << " of byte " << byte
                 << " flipped undetected";
@@ -149,26 +152,189 @@ TEST_F(ArtifactTest, TrailingGarbageRejected)
     std::vector<std::uint8_t> full = sampleContainer();
     full.push_back(0xEE);
     writeBytes(full);
-    EXPECT_THROW(ArtifactReader(path_, kSchemaModel), ArtifactError);
+    EXPECT_THROW(ArtifactReader(path_, kSchemaModel, 7), ArtifactError);
 }
 
 TEST_F(ArtifactTest, WrongSchemaKindRejected)
 {
     writeBytes(sampleContainer());
     try {
-        ArtifactReader r(path_, kSchemaEngineState);
+        ArtifactReader r(path_, kSchemaEngineState, 7);
         FAIL() << "schema mismatch accepted";
     } catch (const ArtifactError &e) {
         EXPECT_EQ(e.kind(), ErrorKind::BadSchema);
     }
     // Kind 0 (fsck wildcard) accepts anything.
-    EXPECT_NO_THROW(ArtifactReader(path_, 0));
+    EXPECT_NO_THROW(ArtifactReader(path_, 0, 0));
+}
+
+TEST_F(ArtifactTest, OtherSchemaVersionRejected)
+{
+    writeBytes(sampleContainer());  // schema version 7
+    for (std::uint32_t version : {6u, 8u}) {
+        try {
+            ArtifactReader r(path_, kSchemaModel, version);
+            FAIL() << "version 7 read as " << version;
+        } catch (const ArtifactError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::BadVersion);
+        }
+    }
+    // Kind 0 (fsck wildcard) skips the version check too.
+    EXPECT_EQ(ArtifactReader(path_, 0, 1).schemaVersion(), 7u);
+}
+
+enum class Colour : std::uint32_t { Red, Green, Blue };
+
+/** A struct with one field of every wire form a field list knows. */
+struct Record
+{
+    std::uint32_t id = 0;
+    std::size_t count = 0;
+    double scale = 0.0;
+    bool on = false;
+    Colour colour = Colour::Red;
+    std::string name;
+    std::vector<float> gates;
+    std::vector<std::size_t> sizes;
+    std::vector<std::vector<double>> rows;
+    std::vector<std::string> labels;
+
+    bool operator==(const Record &) const = default;
+};
+
+template <typename Codec>
+void
+fields(Codec &c, FieldRef<Codec, Record> r)
+{
+    c(r.id, r.count, r.scale, r.on, upTo<Colour::Blue>(r.colour), r.name,
+      r.gates, r.sizes, r.rows, r.labels);
+}
+
+/** Write @p rec's field list as chunk "FLDS" of a fresh container. */
+void
+writeRecord(const std::string &path, const Record &rec)
+{
+    ArtifactWriter w(kSchemaModel, 1);
+    fields(w.chunk(fourcc('F', 'L', 'D', 'S')), rec);
+    w.commit(path);
+}
+
+ErrorKind
+readRecordKind(const std::string &path)
+{
+    const ArtifactReader reader(path, kSchemaModel, 1);
+    ByteReader r = reader.chunk(fourcc('F', 'L', 'D', 'S'));
+    Record back;
+    try {
+        fields(r, back);
+    } catch (const ArtifactError &e) {
+        return e.kind();
+    }
+    ADD_FAILURE() << "damaged record read back";
+    return ErrorKind::Io;
+}
+
+TEST_F(ArtifactTest, FieldListRoundTripsWithTheRawLayout)
+{
+    Record rec;
+    rec.id = 7;
+    rec.count = 1ull << 40;
+    rec.scale = -2.5;
+    rec.on = true;
+    rec.colour = Colour::Green;
+    rec.name = "tx1";
+    rec.gates = {0.25f, 0.75f};
+    rec.sizes = {3, 5};
+    rec.rows = {{1.0}, {}, {2.0, 3.0}};
+    rec.labels = {"a", ""};
+    writeRecord(path_, rec);
+
+    const ArtifactReader reader(path_, kSchemaModel, 1);
+    ByteReader r = reader.chunk(fourcc('F', 'L', 'D', 'S'));
+    Record back;
+    fields(r, back);
+    r.expectEnd();
+    EXPECT_EQ(back, rec);
+
+    // The same bytes the primitive writes produce, field by field.
+    ByteWriter raw;
+    raw.u32(7);
+    raw.u64(1ull << 40);
+    raw.f64(-2.5);
+    raw.u32(1);
+    raw.u32(1);
+    raw.str("tx1");
+    raw.f32Array(rec.gates);
+    for (std::uint64_t x : {2, 3, 5})  // sizes: count, then values
+        raw.u64(x);
+    raw.u64(3);  // rows
+    raw.u64(1);
+    raw.f64(1.0);
+    raw.u64(0);
+    raw.u64(2);
+    raw.f64(2.0);
+    raw.f64(3.0);
+    raw.u64(2);  // labels
+    raw.str("a");
+    raw.str("");
+    ByteWriter listed;
+    fields(listed, rec);
+    EXPECT_EQ(listed.bytes(), raw.bytes());
+}
+
+/** A FLDS chunk holding Record's first five fields as raw words. */
+void
+writeRecordHead(const std::string &path, std::uint32_t on,
+                std::uint32_t colour)
+{
+    ArtifactWriter w(kSchemaModel, 1);
+    ByteWriter &c = w.chunk(fourcc('F', 'L', 'D', 'S'));
+    c.u32(0);
+    c.u64(0);
+    c.f64(0.0);
+    c.u32(on);
+    c.u32(colour);
+    w.commit(path);
+}
+
+TEST_F(ArtifactTest, FieldListRejectsOutOfDomainValues)
+{
+    writeRecordHead(path_, 2, 0);  // only 0 and 1 are bools
+    EXPECT_EQ(readRecordKind(path_), ErrorKind::Malformed);
+    writeRecordHead(path_, 1, 3);  // one past Colour::Blue
+    EXPECT_EQ(readRecordKind(path_), ErrorKind::Malformed);
+
+    Record nan;
+    nan.scale = std::numeric_limits<double>::quiet_NaN();
+    writeRecord(path_, nan);
+    EXPECT_EQ(readRecordKind(path_), ErrorKind::NonFinite);
+
+    Record inf_gate;
+    inf_gate.gates = {1.0f, std::numeric_limits<float>::infinity()};
+    writeRecord(path_, inf_gate);
+    EXPECT_EQ(readRecordKind(path_), ErrorKind::NonFinite);
+
+    // A vector count is bounded by the bytes behind it before anything
+    // is allocated.
+    ArtifactWriter w(kSchemaModel, 1);
+    ByteWriter &c = w.chunk(fourcc('F', 'L', 'D', 'S'));
+    c.u32(0);
+    c.u64(0);
+    c.f64(0.0);
+    c.u32(0);
+    c.u32(0);
+    c.str("x");
+    c.u64(0);           // gates
+    c.u64(0);           // sizes
+    c.u64(1000);        // rows: far more than the chunk holds
+    w.commit(path_);
+    EXPECT_EQ(readRecordKind(path_), ErrorKind::Truncated);
 }
 
 TEST_F(ArtifactTest, MissingFileIsIoError)
 {
     try {
-        ArtifactReader r((dir_ / "nope.bin").string(), kSchemaModel);
+        ArtifactReader r((dir_ / "nope.bin").string(), kSchemaModel, 7);
         FAIL() << "missing file accepted";
     } catch (const ArtifactError &e) {
         EXPECT_EQ(e.kind(), ErrorKind::Io);
@@ -181,7 +347,7 @@ TEST_F(ArtifactTest, NotAnArtifactIsBadMagic)
                 '!', '!', '!', '!', '!', '!', '!', '!', '!', '!', '!',
                 '!', '!', '!', '!', '!', '!', '!', '!', '!', '!'});
     try {
-        ArtifactReader r(path_, kSchemaModel);
+        ArtifactReader r(path_, kSchemaModel, 7);
         FAIL() << "non-artifact accepted";
     } catch (const ArtifactError &e) {
         EXPECT_EQ(e.kind(), ErrorKind::BadMagic);
@@ -196,7 +362,7 @@ TEST_F(ArtifactTest, TightenedLimitsRejectBeforeAllocation)
     ArtifactLimits tiny;
     tiny.maxFileBytes = 16;  // smaller than any valid container
     try {
-        ArtifactReader r(path_, kSchemaModel, tiny);
+        ArtifactReader r(path_, kSchemaModel, 7, tiny);
         FAIL() << "oversized file accepted";
     } catch (const ArtifactError &e) {
         EXPECT_EQ(e.kind(), ErrorKind::LimitExceeded);
@@ -205,7 +371,7 @@ TEST_F(ArtifactTest, TightenedLimitsRejectBeforeAllocation)
     ArtifactLimits no_chunks;
     no_chunks.maxChunks = 1;
     try {
-        ArtifactReader r(path_, kSchemaModel, no_chunks);
+        ArtifactReader r(path_, kSchemaModel, 7, no_chunks);
         FAIL() << "over-chunked file accepted";
     } catch (const ArtifactError &e) {
         EXPECT_EQ(e.kind(), ErrorKind::LimitExceeded);
@@ -214,7 +380,7 @@ TEST_F(ArtifactTest, TightenedLimitsRejectBeforeAllocation)
     // maxElements gates array reads before the vector is allocated.
     ArtifactLimits two_elems;
     two_elems.maxElements = 2;
-    const ArtifactReader r(path_, kSchemaModel, two_elems);
+    const ArtifactReader r(path_, kSchemaModel, 7, two_elems);
     ByteReader a = r.chunk(fourcc('A', 'A', 'A', 'A'));
     a.u32();
     a.f64();
@@ -233,7 +399,7 @@ TEST_F(ArtifactTest, ReaderArrayCountBoundedByPayload)
     ArtifactWriter w(kSchemaModel, 1);
     w.chunk(fourcc('H', 'U', 'G', 'E')).u64(1ull << 60);
     writeBytes(w.serialize());
-    const ArtifactReader r(path_, kSchemaModel);
+    const ArtifactReader r(path_, kSchemaModel, 1);
     ByteReader huge = r.chunk(fourcc('H', 'U', 'G', 'E'));
     EXPECT_THROW(huge.f32Array(), ArtifactError);
 }
@@ -245,7 +411,7 @@ TEST_F(ArtifactTest, ByteReaderExpectEndCatchesTrailingBytes)
     c.u32(1);
     c.u32(2);
     writeBytes(w.serialize());
-    const ArtifactReader r(path_, kSchemaModel);
+    const ArtifactReader r(path_, kSchemaModel, 1);
     ByteReader t = r.chunk(fourcc('T', 'A', 'I', 'L'));
     t.u32();
     EXPECT_THROW(t.expectEnd(), ArtifactError);
@@ -264,7 +430,7 @@ TEST_F(ArtifactTest, DuplicateChunkTagsRejected)
 TEST_F(ArtifactTest, MissingChunkIsMalformed)
 {
     writeBytes(sampleContainer());
-    const ArtifactReader r(path_, kSchemaModel);
+    const ArtifactReader r(path_, kSchemaModel, 7);
     try {
         r.chunk(fourcc('N', 'O', 'P', 'E'));
         FAIL() << "missing chunk handed out";
@@ -318,7 +484,7 @@ TEST_F(ArtifactTest, AtomicCommitSurvivesStrayTempAndReplaces)
     v2.chunk(fourcc('G', 'E', 'N', '2')).u32(2);
     v2.commit(path_);
 
-    const ArtifactReader r(path_, kSchemaModel);
+    const ArtifactReader r(path_, kSchemaModel, 1);
     EXPECT_FALSE(r.has(fourcc('G', 'E', 'N', '1')));
     ByteReader g2 = r.chunk(fourcc('G', 'E', 'N', '2'));
     EXPECT_EQ(g2.u32(), 2u);

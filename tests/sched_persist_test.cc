@@ -236,6 +236,54 @@ TEST_F(SchedPersistTest, ShapeBeyondMaxDimRejectedBeforeSimulation)
     }
 }
 
+TEST_F(SchedPersistTest, NonBinaryGpuFlagRejected)
+{
+    // A flag word other than 0 or 1 in an otherwise valid container
+    // (every CRC recomputed) is damage, not "true".
+    gpu::GpuConfig cfg = gpu::GpuConfig::tegraX1();
+    cfg.int8DotUnits = true;
+    const runtime::NetworkExecutor exec(cfg);
+    const TuneRequest req = request();
+    saveTunedPlan(
+        makeTunedPlanArtifact(req, kWeightsCrc, cfg, tune(exec, req)),
+        path("t.bin"));
+    ASSERT_NO_THROW(loadTunedPlan(path("t.bin"), cfg, req, kWeightsCrc));
+
+    std::vector<char> bytes = slurp(path("t.bin"));
+    const io::ArtifactReader reader(path("t.bin"), io::kSchemaTunedPlan,
+                                    3);
+    std::size_t entry = 0;
+    while (reader.chunks()[entry].tag != io::fourcc('T', 'G', 'P', 'U'))
+        ++entry;
+    const io::ChunkInfo gpu_chunk = reader.chunks()[entry];
+    // int8DotUnits is the second-to-last u32 of the GpuConfig chunk.
+    const std::size_t flag = gpu_chunk.offset + gpu_chunk.length - 8;
+    ASSERT_EQ(bytes[flag], 1);
+    bytes[flag] = 2;
+    const auto put32 = [&](std::size_t at, std::uint32_t v) {
+        for (int i = 0; i < 4; ++i)
+            bytes[at + i] = static_cast<char>(v >> (8 * i));
+    };
+    // The chunk's CRC (table entry + 4), then the header CRC (at 28)
+    // over the 28-byte header prefix and the whole chunk table.
+    put32(32 + 24 * entry + 4,
+          io::crc32(bytes.data() + gpu_chunk.offset, gpu_chunk.length));
+    const std::size_t table_end = 32 + 24 * reader.chunks().size();
+    put32(28, io::crc32(bytes.data() + 32, table_end - 32,
+                        io::crc32(bytes.data(), 28)));
+    {
+        std::ofstream out(path("t.bin"), std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+
+    try {
+        loadTunedPlan(path("t.bin"), cfg, req, kWeightsCrc);
+        FAIL() << "GpuConfig flag word 2 accepted";
+    } catch (const io::ArtifactError &e) {
+        EXPECT_EQ(e.kind(), io::ErrorKind::Malformed) << e.what();
+    }
+}
+
 TEST_F(SchedPersistTest, TuneCachedMissSavesThenHitsSkippingSearch)
 {
     const runtime::NetworkExecutor exec(gpu::GpuConfig::tegraX1());

@@ -168,7 +168,7 @@ TEST_F(WarmRestartTest, DrainAndSaveStatePersistsLoadableState)
         expected = serveAll(engine, inputs);
         engine.drainAndSaveState(path_);
     }
-    EXPECT_NO_THROW(serve::verifyEngineStateFile(path_));
+    EXPECT_NO_THROW(serve::loadEngineState(path_));
 
     const serve::EngineWarmState warm = serve::loadEngineState(path_);
     serve::InferenceEngine restarted(mf, engineOptions(), warm);
@@ -258,8 +258,7 @@ TEST_F(WarmRestartTest, TruncatedStateFileRejected)
     std::filesystem::resize_file(
         path_, std::filesystem::file_size(path_) - 9);
     EXPECT_THROW(serve::loadEngineState(path_), io::ArtifactError);
-    EXPECT_THROW(serve::verifyEngineStateFile(path_),
-                 io::ArtifactError);
+    EXPECT_THROW(serve::loadEngineState(path_), io::ArtifactError);
 }
 
 TEST_F(WarmRestartTest, QuantModesSurviveSaveLoad)
@@ -318,7 +317,7 @@ TEST_F(WarmRestartTest, TunedPlansAndDecisionsSurviveSaveLoad)
     EXPECT_EQ(loaded.plans[0].kind, runtime::PlanKind::Tuned);
     EXPECT_EQ(loaded.plans[0].decisions.layers, d.layers);
     EXPECT_EQ(loaded.plans, state.plans);
-    EXPECT_NO_THROW(serve::verifyEngineStateFile(path_));
+    EXPECT_NO_THROW(serve::loadEngineState(path_));
 }
 
 TEST_F(WarmRestartTest, TuningModeMismatchRejectedAsStale)
@@ -388,7 +387,7 @@ TEST_F(WarmRestartTest, UnknownQuantModeRejected)
     f.u32(static_cast<std::uint32_t>(runtime::PlanKind::Baseline));
     f.f64(0.0);
     f.u32(0);                       // not tuned
-    f.u8Array({});                  // no backend id
+    f.str("");                      // no backend id
     io::ByteWriter &s = w.chunk(io::fourcc('E', 'S', 'H', 'P'));
     s.u64(1);
     s.u64(8);

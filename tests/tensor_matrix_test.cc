@@ -11,7 +11,6 @@ namespace {
 
 using mflstm::tensor::Matrix;
 using mflstm::tensor::Vector;
-using mflstm::tensor::rowSlice;
 using mflstm::tensor::vconcat;
 
 TEST(Vector, ConstructsZeroed)
@@ -97,25 +96,6 @@ TEST(Matrix, VconcatRejectsColumnMismatch)
     Matrix a(1, 2);
     Matrix b(1, 3);
     EXPECT_THROW(vconcat({&a, &b}), std::invalid_argument);
-}
-
-TEST(Matrix, RowSliceExtractsBand)
-{
-    Matrix m(4, 2);
-    for (std::size_t r = 0; r < 4; ++r)
-        m(r, 0) = static_cast<float>(r);
-
-    Matrix s = rowSlice(m, 1, 3);
-    ASSERT_EQ(s.rows(), 2u);
-    EXPECT_FLOAT_EQ(s(0, 0), 1.0f);
-    EXPECT_FLOAT_EQ(s(1, 0), 2.0f);
-}
-
-TEST(Matrix, RowSliceRejectsBadRange)
-{
-    Matrix m(4, 2);
-    EXPECT_THROW(rowSlice(m, 3, 2), std::out_of_range);
-    EXPECT_THROW(rowSlice(m, 0, 5), std::out_of_range);
 }
 
 } // namespace

@@ -747,7 +747,7 @@ deepVerifyArtifact(const std::string &path, std::uint32_t schema)
         core::verifyCalibrationFile(path);
         break;
     case io::kSchemaEngineState:
-        serve::verifyEngineStateFile(path);
+        (void)serve::loadEngineState(path);
         break;
     case io::kSchemaTunedPlan:
         sched::verifyTunedPlanFile(path);
