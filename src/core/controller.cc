@@ -21,12 +21,6 @@ UserOrientedController::UserOrientedController(
     index_ = std::min(index_, ladder_.size() - 1);
 }
 
-const ThresholdSet &
-UserOrientedController::current() const
-{
-    return ladder_[index_];
-}
-
 std::size_t
 UserOrientedController::observe(double accuracy)
 {
@@ -59,17 +53,6 @@ UserOrientedController::observe(double accuracy)
         emaValid_ = false;
     }
     return index_;
-}
-
-void
-UserOrientedController::setPreferredAccuracy(double preferred)
-{
-    if (preferred < 0.0 || preferred > 1.0)
-        throw std::invalid_argument(
-            "UserOrientedController: preference out of [0,1]");
-    preferred_ = preferred;
-    cooldownLeft_ = 0;
-    emaValid_ = false;
 }
 
 } // namespace core

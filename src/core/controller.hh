@@ -52,8 +52,7 @@ class UserOrientedController
                            double preferred_accuracy,
                            const ControllerConfig &cfg = {});
 
-    /** The threshold set to use for the next execution. */
-    const ThresholdSet &current() const;
+    /** Ladder rung of the threshold set for the next execution. */
     std::size_t currentIndex() const { return index_; }
 
     /**
@@ -68,7 +67,6 @@ class UserOrientedController
     std::size_t observations() const { return observations_; }
 
     double preferredAccuracy() const { return preferred_; }
-    void setPreferredAccuracy(double preferred);
 
   private:
     std::vector<ThresholdSet> ladder_;

@@ -154,7 +154,7 @@ Fleet::submit(FleetRequest req)
             r.status = serve::Status::Failed;
             r.error = "no eligible replica";
             const std::uint64_t id = p.fleetId;
-            complete(p, std::move(r), p.replica, false);
+            complete(r, p.replica);
             return id;
         }
         ++stats_.parked;
@@ -166,22 +166,13 @@ Fleet::submit(FleetRequest req)
 }
 
 void
-Fleet::complete(Pending &p, serve::Response r, std::size_t replica,
-                bool via_hedge)
+Fleet::complete(const serve::Response &r, std::size_t replica)
 {
-    FleetResponse fr;
-    fr.fleetId = p.fleetId;
-    fr.replica = replica;
-    fr.attempts = p.attempts;
-    fr.failedOver = p.failedOver;
-    fr.hedged = via_hedge;
-    fr.response = std::move(r);
-
     ++stats_.completed;
     obs_->metrics().counter("fleet.completed_total").add();
-    if (fr.response.status == serve::Status::Ok) {
+    if (r.status == serve::Status::Ok) {
         ++stats_.ok;
-    } else if (fr.response.status == serve::Status::Failed) {
+    } else if (r.status == serve::Status::Failed) {
         ++stats_.failed;
         obs_->metrics().counter("fleet.failed_total").add();
     }
@@ -190,7 +181,6 @@ Fleet::complete(Pending &p, serve::Response r, std::size_t replica,
             .counter("fleet.responses_total",
                      {{"replica", replicas_[replica]->name()}})
             .add();
-    completed_.push_back(std::move(fr));
 }
 
 void
@@ -234,7 +224,6 @@ Fleet::pump()
                 // Hedged or stranded-on-a-dead-replica re-dispatch:
                 // idempotent by construction, the functional run is a
                 // pure re-simulation of the same tokens.
-                p.failedOver = true;
                 ++stats_.failovers;
                 obs_->metrics().counter("fleet.failover_total").add();
                 if (p.hedgeFut.valid()) {
@@ -251,7 +240,7 @@ Fleet::pump()
             } else {
                 if (p.hedgeFut.valid())
                     discarded_.push_back(std::move(p.hedgeFut));
-                complete(p, std::move(r), from, false);
+                complete(r, from);
                 done = true;
             }
         } else if (ready(p.hedgeFut)) {
@@ -262,7 +251,7 @@ Fleet::pump()
                 replicas_[p.hedgeReplica]->breaker().onSuccess();
                 ++stats_.hedgeWins;
                 discarded_.push_back(std::move(p.fut));
-                complete(p, std::move(r), p.hedgeReplica, true);
+                complete(r, p.hedgeReplica);
                 done = true;
             } else {
                 if (r.status == serve::Status::Failed ||
@@ -419,7 +408,7 @@ Fleet::drain()
                 serve::Response r;
                 r.status = serve::Status::Failed;
                 r.error = "no eligible replica";
-                complete(p, std::move(r), p.replica, false);
+                complete(r, p.replica);
                 p.fleetId = 0;  // mark resolved
             }
             pending_.erase(
@@ -449,14 +438,6 @@ Fleet::shutdown()
     for (const auto &r : replicas_)
         if (r->engine())
             r->engine()->shutdown();
-}
-
-std::vector<FleetResponse>
-Fleet::takeCompleted()
-{
-    std::vector<FleetResponse> out = std::move(completed_);
-    completed_.clear();
-    return out;
 }
 
 double

@@ -23,10 +23,10 @@
  *    waits and is re-dispatched when one recovers, so an accepted
  *    request is never silently dropped.
  *
- * Every accepted request reaches exactly one terminal FleetResponse:
- * drain() pumps until the pending set is empty (engines resolve all
- * futures terminally, so this converges), and shutdown() drains
- * before stopping the replicas.
+ * Every accepted request reaches exactly one terminal response, counted
+ * in stats(): drain() pumps until the pending set is empty (engines
+ * resolve all futures terminally, so this converges), and shutdown()
+ * drains before stopping the replicas.
  *
  * Thread safety: submit/tick/pump/drain are driven from one control
  * thread; the engines' worker pools run concurrently underneath.
@@ -107,8 +107,8 @@ class Fleet
     const ChaosPlan &chaosPlan() const { return chaos_; }
 
     /**
-     * Accept one request and dispatch (or park) it. Returns the fleet
-     * id its FleetResponse will carry.
+     * Accept one request and dispatch (or park) it. Returns its fleet
+     * id (1, 2, ... in submission order).
      * @throws std::invalid_argument on empty tokens.
      */
     std::uint64_t submit(FleetRequest req);
@@ -139,9 +139,6 @@ class Fleet
     void shutdown();
 
     // --- results & introspection ------------------------------------
-    /** Terminal responses accumulated so far (drain() for all). */
-    std::vector<FleetResponse> takeCompleted();
-
     std::size_t pendingCount() const { return pending_.size(); }
     std::size_t replicaCount() const { return replicas_.size(); }
     Replica &replica(std::size_t i) { return *replicas_.at(i); }
@@ -173,7 +170,6 @@ class Fleet
         serve::Request built;  ///< tokens + SLO hints, ready to send
         std::uint64_t fleetId = 0;
         int attempts = 0;
-        bool failedOver = false;
         bool hedged = false;
         std::size_t replica = Router::kNoReplica;
         std::future<serve::Response> fut;  ///< invalid while parked
@@ -186,8 +182,8 @@ class Fleet
     /// route + submit; false = parked (no eligible replica / dead
     /// engine race)
     bool dispatch(Pending &p, std::size_t avoid);
-    void complete(Pending &p, serve::Response r, std::size_t replica,
-                  bool via_hedge);
+    /// count one terminal response produced by @p replica
+    void complete(const serve::Response &r, std::size_t replica);
     void applyChaosEvent(const ChaosEvent &e, TickReport &report);
     void redistributeGovernor();
 
@@ -209,7 +205,6 @@ class Fleet
     /// losing hedge futures: polled until they resolve, then dropped
     /// (execution is pure, so the duplicate result is just discarded)
     std::vector<std::future<serve::Response>> discarded_;
-    std::vector<FleetResponse> completed_;
     Stats stats_;
     bool shutdown_ = false;
 };

@@ -45,13 +45,6 @@ Router::sloFor(const std::string &tenant) const
 }
 
 std::size_t
-Router::pinned(const std::string &session_id) const
-{
-    const auto it = pins_.find(session_id);
-    return it == pins_.end() ? kNoReplica : it->second;
-}
-
-std::size_t
 Router::pickEligible(const std::string &session_id,
                      const std::vector<ReplicaSnapshot> &snaps,
                      std::size_t avoid) const

@@ -68,9 +68,6 @@ class Router
     /** Sessions re-pinned because their replica became ineligible. */
     std::uint64_t sessionFailovers() const { return sessionFailovers_; }
 
-    /** The replica @p session_id is pinned to (kNoReplica if none). */
-    std::size_t pinned(const std::string &session_id) const;
-
   private:
     std::size_t pickEligible(const std::string &session_id,
                              const std::vector<ReplicaSnapshot> &snaps,

@@ -1,9 +1,8 @@
 /**
  * @file
  * Value types of the fleet layer (DESIGN.md §16): replica health
- * states, per-tenant SLO classes, routing policies, and the
- * request/response envelopes that ride through the Router to an
- * engine replica and back.
+ * states, per-tenant SLO classes, routing policies, and the request
+ * envelope that rides through the Router to an engine replica.
  */
 
 #ifndef MFLSTM_FLEET_TYPES_HH
@@ -13,8 +12,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "serve/request.hh"
 
 namespace mflstm {
 namespace fleet {
@@ -70,21 +67,6 @@ struct FleetRequest
     std::vector<std::int32_t> tokens;
     std::string sessionId;
     std::string tenant;
-};
-
-/** Terminal fleet outcome: the engine response plus routing history. */
-struct FleetResponse
-{
-    std::uint64_t fleetId = 0;
-    serve::Response response;
-    /// replica that produced the terminal response
-    std::size_t replica = 0;
-    /// dispatch attempts consumed (1 = no failover)
-    int attempts = 0;
-    /// the request was re-dispatched off a failed/dead replica
-    bool failedOver = false;
-    /// a hedge dispatch raced the primary and won
-    bool hedged = false;
 };
 
 /** Router-visible view of one replica at routing time. */

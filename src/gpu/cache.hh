@@ -1,84 +1,18 @@
 /**
  * @file
- * Two cache models:
- *
- *  1. SetAssocCache — an exact LRU set-associative cache simulated on an
- *     address stream. Used at unit scale to validate the analytic model
- *     and by the tests that demonstrate the Section III observation (the
- *     weight matrix thrashes the L2, so actually-loaded data is many
- *     times the matrix size).
- *
- *  2. streamingReuseDramBytes — the analytic model the kernel lowering
- *     uses at full Table II scale, where per-access simulation of
- *     hundreds of megabytes of weight traffic would be pointlessly slow.
- *     It models the canonical LSTM access pattern: a working set of F
- *     bytes swept sequentially S times through a cache of C bytes.
+ * The analytic cache model the kernel lowering uses at full Table II
+ * scale, where per-access simulation of hundreds of megabytes of weight
+ * traffic would be pointlessly slow. It models the canonical LSTM access
+ * pattern: a working set of F bytes swept sequentially S times through a
+ * cache of C bytes. An exact LRU set-associative cache in the test
+ * support library checks it at unit scale.
  */
 
 #ifndef MFLSTM_GPU_CACHE_HH
 #define MFLSTM_GPU_CACHE_HH
 
-#include <cstddef>
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#include "obs/metrics.hh"
-
 namespace mflstm {
 namespace gpu {
-
-/** Exact LRU set-associative cache over 64-bit byte addresses. */
-class SetAssocCache
-{
-  public:
-    SetAssocCache(std::size_t capacity_bytes, unsigned assoc,
-                  unsigned line_bytes);
-
-    /** Access one byte address; @return true on hit. */
-    bool access(std::uint64_t addr);
-
-    /** Touch a [addr, addr+size) range line by line. */
-    void accessRange(std::uint64_t addr, std::size_t size);
-
-    void reset();
-
-    std::size_t hits() const { return hits_; }
-    std::size_t misses() const { return misses_; }
-    std::size_t accesses() const { return hits_ + misses_; }
-    double missRate() const;
-
-    /** Bytes fetched from DRAM so far (misses x line size). */
-    std::size_t dramBytes() const { return misses_ * lineBytes_; }
-
-    std::size_t capacity() const { return sets_ * assoc_ * lineBytes_; }
-    unsigned lineBytes() const { return lineBytes_; }
-
-    /**
-     * Publish the current hit/miss statistics into @p metrics as
-     * `<prefix>.hits`, `<prefix>.misses`, `<prefix>.dram_bytes` and
-     * `<prefix>.hit_rate` gauges (snapshot semantics: repeated calls
-     * overwrite, they do not accumulate).
-     */
-    void publishMetrics(obs::MetricsRegistry &metrics,
-                        const std::string &prefix = "cache") const;
-
-  private:
-    struct Way
-    {
-        std::uint64_t tag = ~0ull;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
-
-    std::size_t sets_;
-    unsigned assoc_;
-    unsigned lineBytes_;
-    std::vector<Way> ways_;  // sets_ x assoc_, row-major
-    std::uint64_t clock_ = 0;
-    std::size_t hits_ = 0;
-    std::size_t misses_ = 0;
-};
 
 /**
  * Analytic DRAM traffic for S sequential sweeps over an F-byte working

@@ -12,15 +12,18 @@
  * populated or absent — eliminating the branch divergence a software
  * row-skip pays.
  *
- * The timing model charges the two-stage pipeline of Fig. 12: after a
- * fixed fill latency the module retires one warp (32 threads) per cycle.
+ * The simulator needs only the price of a pass, from the grid size and
+ * its disabled-thread count: the two-stage pipeline of Fig. 12 retires
+ * one warp (32 threads) per cycle after a fixed fill latency. The
+ * functional STID -> HTID remap lives in the test support library
+ * (tests/support/crm.hh), where it checks these counts.
  */
 
 #ifndef MFLSTM_GPU_CRM_HH
 #define MFLSTM_GPU_CRM_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "gpu/config.hh"
 #include "obs/metrics.hh"
@@ -31,8 +34,6 @@ namespace gpu {
 /** Result of one CRM pass over a kernel's grid. */
 struct CrmResult
 {
-    /// HTID for every STID; kDisabled for threads that were filtered.
-    std::vector<std::uint32_t> htidOf;
     std::uint32_t activeThreads = 0;
     std::uint32_t disabledThreads = 0;
     /// Cycles the CRM pipeline occupies (overlappable with the previous
@@ -40,8 +41,6 @@ struct CrmResult
     double cycles = 0.0;
     /// Dynamic energy of the pass, joules.
     double energyJ = 0.0;
-
-    static constexpr std::uint32_t kDisabled = 0xffffffffu;
 };
 
 /** The CRM datapath model. */
@@ -58,29 +57,10 @@ class CtaReorgModule
     void setMetrics(obs::MetricsRegistry *metrics) { metrics_ = metrics; }
 
     /**
-     * Decode disabled STIDs from the trivial-row list. Thread t of the
-     * row-major Sgemv grid processes row t / threads_per_row, so every
-     * thread of a trivial row is disabled.
-     */
-    std::vector<bool>
-    decodeDisabled(const std::vector<std::uint32_t> &trivial_rows,
-                   std::uint32_t threads_per_row,
-                   std::uint32_t total_threads) const;
-
-    /**
-     * Full CRM pass: DTID decode + prefix-sum compaction + STID shift.
-     * The prefix sum is computed exactly as the hardware would: a
-     * running count of disabled slots, applied per 32-thread unit.
-     */
-    CrmResult reorganize(const std::vector<std::uint32_t> &trivial_rows,
-                         std::uint32_t threads_per_row,
-                         std::uint32_t total_threads) const;
-
-    /**
-     * Timing-only variant used by the kernel-level simulator when the
-     * exact row list is already summarised as a disabled-thread count.
-     * The result is that of one pass; the metrics record @p passes
-     * identical passes (one per launch of the kernel).
+     * One CRM pass over a grid of @p total_threads threads, of which
+     * @p disabled_threads belong to trivial rows. The result is that
+     * of one pass; the metrics record @p passes identical passes (one
+     * per launch of the kernel).
      */
     CrmResult reorganizeSummary(std::uint32_t disabled_threads,
                                 std::uint32_t total_threads,
@@ -91,7 +71,7 @@ class CtaReorgModule
 
   private:
     void recordPass(const CrmResult &res, std::uint32_t total,
-                    std::size_t passes = 1) const;
+                    std::size_t passes) const;
 
     const GpuConfig &cfg_;
     obs::MetricsRegistry *metrics_ = nullptr;

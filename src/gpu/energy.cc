@@ -3,17 +3,6 @@
 namespace mflstm {
 namespace gpu {
 
-EnergyReport &
-EnergyReport::operator+=(const EnergyReport &rhs)
-{
-    staticJ += rhs.staticJ;
-    gpuDynamicJ += rhs.gpuDynamicJ;
-    dramJ += rhs.dramJ;
-    onChipJ += rhs.onChipJ;
-    crmJ += rhs.crmJ;
-    return *this;
-}
-
 EnergyReport
 computeEnergy(const GpuConfig &cfg, const ActivitySummary &a)
 {

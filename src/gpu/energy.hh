@@ -29,8 +29,6 @@ struct EnergyReport
     {
         return staticJ + gpuDynamicJ + dramJ + onChipJ + crmJ;
     }
-
-    EnergyReport &operator+=(const EnergyReport &rhs);
 };
 
 /** Aggregate activity counters for one run. */

@@ -28,20 +28,6 @@ toString(KernelClass k)
 }
 
 const char *
-toString(WeightStream w)
-{
-    switch (w) {
-      case WeightStream::None:
-        return "none";
-      case WeightStream::W:
-        return "W";
-      case WeightStream::U:
-        return "U";
-    }
-    return "unknown";
-}
-
-const char *
 toString(WeightResidency r)
 {
     switch (r) {
@@ -53,14 +39,6 @@ toString(WeightResidency r)
         return "regfile";
     }
     return "unknown";
-}
-
-KernelTrace::KernelTrace(std::initializer_list<KernelDesc> launches)
-{
-    kernels_.reserve(launches.size());
-    launches_.reserve(launches.size());
-    for (const KernelDesc &k : launches)
-        launch(add(k), k.timestep, k.tissue);
 }
 
 std::size_t

@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -39,8 +38,6 @@ enum class WeightStream : std::uint8_t {
     W,     ///< input projection W_{f,i,c,o}
     U,     ///< recurrent U_{f,i,c,o}
 };
-
-const char *toString(WeightStream w);
 
 /**
  * On-chip tier the recurrent weights of a persistent kernel are pinned
@@ -206,9 +203,6 @@ class KernelTrace
     };
 
     KernelTrace() = default;
-    /** Each descriptor stored as its own kernel and launched once, with
-     *  its own timestep and tissue as the launch's provenance. */
-    KernelTrace(std::initializer_list<KernelDesc> launches);
 
     /** Store a kernel (its timestep and tissue reset to -1); returns
      *  the index launch() takes. */

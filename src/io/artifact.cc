@@ -285,16 +285,6 @@ ByteReader::arrayCount(std::size_t elem_size)
     return count;
 }
 
-std::vector<float>
-ByteReader::f32Array()
-{
-    const std::uint64_t count = arrayCount(4);
-    std::vector<float> v(static_cast<std::size_t>(count));
-    for (auto &x : v)
-        x = f32();
-    return v;
-}
-
 std::string
 ByteReader::str()
 {
@@ -513,15 +503,6 @@ ArtifactReader::ArtifactReader(const std::string &path,
                      path + " fails its CRC check");
         chunks_.push_back(info);
     }
-}
-
-bool
-ArtifactReader::has(std::uint32_t tag) const
-{
-    for (const ChunkInfo &c : chunks_)
-        if (c.tag == tag)
-            return true;
-    return false;
 }
 
 ByteReader

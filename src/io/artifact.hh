@@ -215,7 +215,6 @@ class ByteReader
     double f64();
     /** f64 that must be finite (NonFinite otherwise). */
     double finiteF64();
-    std::vector<float> f32Array();
     /** What ByteWriter::str wrote. */
     std::string str();
     /** u32 that must be 0 or 1 (Malformed otherwise). */
@@ -416,8 +415,6 @@ class ArtifactReader
     std::uint32_t schemaKind() const { return schemaKind_; }
     std::uint32_t schemaVersion() const { return schemaVersion_; }
     const std::vector<ChunkInfo> &chunks() const { return chunks_; }
-
-    bool has(std::uint32_t tag) const;
 
     /** Payload reader for @p tag; throws Malformed when missing. */
     ByteReader chunk(std::uint32_t tag) const;

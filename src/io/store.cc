@@ -1,6 +1,5 @@
 #include "io/store.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -16,14 +15,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char *kLockSuffix = ".lock";
-
-bool
-endsWith(const std::string &s, const std::string &suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) ==
-               0;
-}
 
 } // anonymous namespace
 
@@ -58,24 +49,6 @@ ArtifactStore::exists(const std::string &name) const
     return fs::is_regular_file(path(name), ec);
 }
 
-std::vector<std::string>
-ArtifactStore::list() const
-{
-    std::vector<std::string> names;
-    std::error_code ec;
-    for (const auto &entry : fs::directory_iterator(dir_, ec)) {
-        if (!entry.is_regular_file())
-            continue;
-        const std::string name = entry.path().filename().string();
-        if (endsWith(name, kLockSuffix) ||
-            name.find(".corrupt") != std::string::npos)
-            continue;
-        names.push_back(name);
-    }
-    std::sort(names.begin(), names.end());
-    return names;
-}
-
 std::string
 ArtifactStore::lockPath(const std::string &name) const
 {
@@ -86,28 +59,9 @@ ArtifactStore::WriteLock::WriteLock(std::string lock_path)
     : lockPath_(std::move(lock_path))
 {}
 
-ArtifactStore::WriteLock::WriteLock(WriteLock &&o) noexcept
-    : lockPath_(std::move(o.lockPath_))
-{
-    o.lockPath_.clear();
-}
-
-ArtifactStore::WriteLock &
-ArtifactStore::WriteLock::operator=(WriteLock &&o) noexcept
-{
-    if (this != &o) {
-        if (!lockPath_.empty())
-            ::unlink(lockPath_.c_str());
-        lockPath_ = std::move(o.lockPath_);
-        o.lockPath_.clear();
-    }
-    return *this;
-}
-
 ArtifactStore::WriteLock::~WriteLock()
 {
-    if (!lockPath_.empty())
-        ::unlink(lockPath_.c_str());
+    ::unlink(lockPath_.c_str());
 }
 
 ArtifactStore::WriteLock
@@ -130,19 +84,6 @@ ArtifactStore::lockForWrite(const std::string &name) const
     }
     ::close(fd);
     return WriteLock(lock);
-}
-
-bool
-ArtifactStore::locked(const std::string &name) const
-{
-    std::error_code ec;
-    return fs::exists(lockPath(name), ec);
-}
-
-bool
-ArtifactStore::breakLock(const std::string &name) const
-{
-    return ::unlink(lockPath(name).c_str()) == 0;
 }
 
 } // namespace io

@@ -12,15 +12,14 @@
  * also excludes writers in other processes sharing the directory.
  * WriteLock is RAII: destruction unlinks the sidecar. A crashed
  * writer's stale lock is surfaced as ArtifactError(Io) naming the
- * sidecar, never silently stolen — only an explicit breakLock() call
- * removes it, and no restart path makes one.
+ * sidecar, never silently stolen: an operator removes a stale
+ * `<name>.lock` by hand, and no restart path does.
  */
 
 #ifndef MFLSTM_IO_STORE_HH
 #define MFLSTM_IO_STORE_HH
 
 #include <string>
-#include <vector>
 
 #include "io/artifact.hh"
 
@@ -48,15 +47,10 @@ class ArtifactStore
     /** Does artifact @p name exist (any readable file counts)? */
     bool exists(const std::string &name) const;
 
-    /** Sorted artifact names, excluding lock and quarantine sidecars. */
-    std::vector<std::string> list() const;
-
     /** Holds the single-writer lock for one artifact until destroyed. */
     class WriteLock
     {
       public:
-        WriteLock(WriteLock &&o) noexcept;
-        WriteLock &operator=(WriteLock &&o) noexcept;
         WriteLock(const WriteLock &) = delete;
         WriteLock &operator=(const WriteLock &) = delete;
         ~WriteLock();
@@ -67,7 +61,7 @@ class ArtifactStore
         friend class ArtifactStore;
         explicit WriteLock(std::string lock_path);
 
-        std::string lockPath_;  // empty after move-out
+        std::string lockPath_;
     };
 
     /**
@@ -76,16 +70,6 @@ class ArtifactStore
      *         (the message names the sidecar file).
      */
     WriteLock lockForWrite(const std::string &name) const;
-
-    /** Is the @p name write lock currently held (by anyone)? */
-    bool locked(const std::string &name) const;
-
-    /**
-     * Remove a stale lock left by a crashed writer. Deliberate-only
-     * recovery — normal writers fail instead of stealing. Returns
-     * true when a sidecar was removed.
-     */
-    bool breakLock(const std::string &name) const;
 
   private:
     std::string lockPath(const std::string &name) const;

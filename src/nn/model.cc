@@ -139,17 +139,6 @@ LstmModel::lmLogits(std::span<const std::int32_t> tokens) const
     return headLogits(head_, top);
 }
 
-std::size_t
-LstmModel::parameterCount() const
-{
-    std::size_t n = embedding_.table.size();
-    for (const LstmLayerParams &p : layers_) {
-        n += p.wf.size() * 4 + p.uf.size() * 4 + p.bf.size() * 4;
-    }
-    n += head_.w.size() + head_.b.size();
-    return n;
-}
-
 double
 classificationAccuracy(const std::vector<Sample> &data, std::size_t workers,
                        const ClassifyFn &classify)

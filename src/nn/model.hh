@@ -139,9 +139,6 @@ class LstmModel
     std::vector<Vector>
     lmLogits(std::span<const std::int32_t> tokens) const;
 
-    /** Total trainable parameter count. */
-    std::size_t parameterCount() const;
-
   private:
     ModelConfig cfg_;
     EmbeddingParams embedding_;

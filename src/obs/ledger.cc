@@ -113,12 +113,6 @@ double TrafficLedger::attributedDramBytes() const
     return attributedTotal_;
 }
 
-std::vector<std::string> TrafficLedger::violations() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return violations_;
-}
-
 std::map<TrafficLedger::NodeKey, double> TrafficLedger::traffic() const
 {
     std::lock_guard<std::mutex> lock(mu_);
@@ -161,16 +155,6 @@ TrafficLedger::verifyConservation(double trace_dram_bytes) const
         errors.push_back(os.str());
     }
     return errors;
-}
-
-void TrafficLedger::reset()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    traffic_.clear();
-    kernels_.clear();
-    violations_.clear();
-    attributedTotal_ = 0.0;
-    samples_ = 0;
 }
 
 } // namespace obs

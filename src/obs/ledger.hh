@@ -142,7 +142,7 @@ class TrafficLedger
     };
 
     /** Attribute one kernel launch. Never throws; a decomposition that
-     *  does not fit its total is recorded in violations(). */
+     *  does not fit its total is reported by verifyConservation(). */
     void record(const TrafficSample &s);
 
     /** Samples recorded so far. */
@@ -154,9 +154,6 @@ class TrafficLedger
      * simulator's TraceResult::dramBytes accumulation.
      */
     double attributedDramBytes() const;
-
-    /** Per-sample decomposition failures (double-counts/undercounts). */
-    std::vector<std::string> violations() const;
 
     /** Snapshot of the attribution tree (bytes per node). */
     std::map<NodeKey, double> traffic() const;
@@ -174,9 +171,6 @@ class TrafficLedger
      */
     std::vector<std::string>
     verifyConservation(double trace_dram_bytes) const;
-
-    /** Drop all recorded state (reuse between runs). */
-    void reset();
 
   private:
     mutable std::mutex mu_;

@@ -53,34 +53,6 @@ Histogram::observe(double v)
     sum_ += v;
 }
 
-std::uint64_t
-Histogram::count() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return count_;
-}
-
-double
-Histogram::sum() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return sum_;
-}
-
-double
-Histogram::min() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return min_;
-}
-
-double
-Histogram::max() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return max_;
-}
-
 Histogram::Snapshot
 Histogram::snapshot() const
 {
@@ -181,39 +153,10 @@ MetricsRegistry::histogram(const std::string &name, Labels labels,
         .first->second;
 }
 
-const Counter *
-MetricsRegistry::findCounter(const std::string &name) const
-{
-    return findCounter(name, {});
-}
-
-const Gauge *
-MetricsRegistry::findGauge(const std::string &name) const
-{
-    return findGauge(name, {});
-}
-
 const Histogram *
 MetricsRegistry::findHistogram(const std::string &name) const
 {
     return findHistogram(name, {});
-}
-
-const Counter *
-MetricsRegistry::findCounter(const std::string &name,
-                             Labels labels) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = counters_.find(makeKey(name, std::move(labels)));
-    return it == counters_.end() ? nullptr : &it->second;
-}
-
-const Gauge *
-MetricsRegistry::findGauge(const std::string &name, Labels labels) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = gauges_.find(makeKey(name, std::move(labels)));
-    return it == gauges_.end() ? nullptr : &it->second;
 }
 
 const Histogram *
@@ -235,7 +178,7 @@ MetricsRegistry::empty() const
 namespace {
 
 /**
- * Display key for JSON/table dumps: bare name for the unlabeled
+ * Display key for the JSON dump: bare name for the unlabeled
  * series, name{k="v",...} otherwise. JsonWriter escapes the whole key
  * string, so raw label values are safe here.
  */
@@ -436,44 +379,6 @@ MetricsRegistry::writePrometheus(std::ostream &os) const
         os << n << "_count" << promLabels(key.labels) << " "
            << s.count << "\n";
     }
-}
-
-std::string
-MetricsRegistry::formatTable() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::ostringstream os;
-    os.setf(std::ios::fixed);
-    os.precision(3);
-
-    std::size_t width = 0;
-    for (const auto &[key, c] : counters_)
-        width = std::max(width, displayKey(key).size());
-    for (const auto &[key, g] : gauges_)
-        width = std::max(width, displayKey(key).size());
-    for (const auto &[key, h] : histograms_)
-        width = std::max(width, displayKey(key).size());
-
-    const auto pad = [&](const std::string &name) {
-        os << "  " << name
-           << std::string(width - name.size() + 2, ' ');
-    };
-
-    for (const auto &[key, c] : counters_) {
-        pad(displayKey(key));
-        os << "counter  " << c.value() << "\n";
-    }
-    for (const auto &[key, g] : gauges_) {
-        pad(displayKey(key));
-        os << "gauge    " << g.value() << "\n";
-    }
-    for (const auto &[key, h] : histograms_) {
-        const Histogram::Snapshot s = h.snapshot();
-        pad(displayKey(key));
-        os << "hist     count=" << s.count << " sum=" << s.sum
-           << " min=" << s.min << " max=" << s.max << "\n";
-    }
-    return os.str();
 }
 
 } // namespace obs

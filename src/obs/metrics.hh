@@ -5,7 +5,7 @@
  * compaction ratio, cache hit rate, per-class stall cycles, ...).
  * Instruments are created on first use and owned by the registry;
  * returned references stay valid for the registry's lifetime. Dumps as
- * JSON (machine) or an aligned table (human).
+ * JSON or in the Prometheus text format.
  *
  * Thread safety (serving layer, DESIGN.md §9): every recording path is
  * safe under concurrency — Counter::add / Gauge::set are lock-free
@@ -13,7 +13,7 @@
  * instrument creation/lookup takes the registry mutex. References
  * returned by counter()/gauge()/histogram() stay valid and safe to
  * record through from any thread (std::map nodes never move). The
- * dump methods (writeJson / formatTable) snapshot under the registry
+ * dump methods (writeJson / writePrometheus) snapshot under the registry
  * mutex; concurrent recording during a dump yields a consistent-enough
  * point-in-time view, not a torn data structure.
  */
@@ -72,7 +72,7 @@ class Gauge
  * Fixed-bucket histogram. Bucket i counts observations v with
  * edge[i-1] < v <= edge[i] (upper-inclusive, like Prometheus "le");
  * values above the last edge land in the overflow bucket.
- * observe() and the scalar accessors are thread-safe; buckets()
+ * observe() and snapshot() are thread-safe; buckets()
  * returns a reference and should only be read once writers quiesced
  * (use snapshot() for a concurrent-safe copy).
  */
@@ -88,10 +88,6 @@ class Histogram
 
     void observe(double v);
 
-    std::uint64_t count() const;
-    double sum() const;
-    double min() const;
-    double max() const;
     const std::vector<double> &edges() const { return edges_; }
     /** Per-bucket counts; size = edges().size() + 1 (last = overflow).
      *  Quiescent readers only — use snapshot() under concurrency. */
@@ -168,12 +164,7 @@ class MetricsRegistry
     Histogram &histogram(const std::string &name, Labels labels,
                          std::vector<double> edges);
 
-    const Counter *findCounter(const std::string &name) const;
-    const Gauge *findGauge(const std::string &name) const;
     const Histogram *findHistogram(const std::string &name) const;
-    const Counter *findCounter(const std::string &name,
-                               Labels labels) const;
-    const Gauge *findGauge(const std::string &name, Labels labels) const;
     const Histogram *findHistogram(const std::string &name,
                                    Labels labels) const;
 
@@ -193,9 +184,6 @@ class MetricsRegistry
      * one # TYPE line covers every series of the same family.
      */
     void writePrometheus(std::ostream &os) const;
-
-    /** Human dump: one aligned line per instrument, sorted by name. */
-    std::string formatTable() const;
 
   private:
     std::map<SeriesKey, Counter> counters_;

@@ -46,13 +46,6 @@ SpanTracer::droppedSpans() const
     return dropped_;
 }
 
-bool
-SpanTracer::empty() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return spans_.empty();
-}
-
 void
 SpanTracer::writeChromeTrace(std::ostream &os) const
 {

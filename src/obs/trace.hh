@@ -69,7 +69,6 @@ class SpanTracer
     /** Quiescent readers only — join recording threads first. */
     const std::vector<TraceSpan> &spans() const { return spans_; }
     std::size_t droppedSpans() const;
-    bool empty() const;
 
     /** Full trace-event JSON document ({"traceEvents":[...]}). */
     void writeChromeTrace(std::ostream &os) const;

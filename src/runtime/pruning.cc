@@ -10,27 +10,6 @@ namespace mflstm {
 namespace runtime {
 
 double
-magnitudeThreshold(const tensor::Matrix &m, double target_fraction)
-{
-    if (target_fraction < 0.0 || target_fraction > 1.0)
-        throw std::invalid_argument("magnitudeThreshold: bad fraction");
-    if (m.empty() || target_fraction == 0.0)
-        return 0.0;
-
-    std::vector<float> mags(m.size());
-    for (std::size_t i = 0; i < m.size(); ++i)
-        mags[i] = std::fabs(m.data()[i]);
-
-    const auto k = static_cast<std::size_t>(
-        target_fraction * static_cast<double>(mags.size()));
-    if (k == 0)
-        return 0.0;
-    const std::size_t idx = std::min(k, mags.size() - 1);
-    std::nth_element(mags.begin(), mags.begin() + idx, mags.end());
-    return mags[idx];
-}
-
-double
 pruneBelow(tensor::Matrix &m, double threshold)
 {
     if (m.empty())

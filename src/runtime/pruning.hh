@@ -34,12 +34,6 @@ struct PruningResult
     double csrStorageRatio = 0.0;
 };
 
-/**
- * Magnitude threshold achieving (approximately) @p target_fraction
- * pruned elements in one matrix — the |w| quantile.
- */
-double magnitudeThreshold(const tensor::Matrix &m, double target_fraction);
-
 /** Zero all elements of @p m with |w| < threshold; @return fraction. */
 double pruneBelow(tensor::Matrix &m, double threshold);
 

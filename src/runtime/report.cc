@@ -3,7 +3,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "obs/json.hh"
 
 namespace mflstm {
 namespace runtime {
@@ -124,63 +123,6 @@ writeTraceCsv(std::ostream &os, const gpu::KernelTrace &trace)
            << k.coalescingFactor << ',' << (k.hasRowSkipArg ? 1 : 0)
            << ',' << k.disabledThreads << '\n';
     }
-}
-
-std::string
-runReportJson(const std::string &label, const RunReport &report)
-{
-    const gpu::TraceResult &r = report.result;
-    std::ostringstream os;
-    obs::JsonWriter w(os);
-
-    w.beginObject();
-    w.key("label").value(label);
-    w.key("plan").value(toString(report.kind));
-    w.key("time_us").value(r.timeUs);
-    w.key("cycles").value(r.cycles);
-    w.key("compute_cycles").value(r.computeCycles);
-    w.key("kernels").value(static_cast<std::uint64_t>(r.kernelCount));
-    w.key("flops").value(r.flops);
-    w.key("dram_bytes").value(r.dramBytes);
-    w.key("l2_bytes").value(r.l2Bytes);
-    w.key("shared_bytes").value(r.sharedBytes);
-    w.key("dram_util").value(r.dramUtilization);
-    w.key("shared_util").value(r.sharedUtilization);
-
-    w.key("stall_cycles").beginObject();
-    w.key("offchip_memory").value(r.stalls.offChipMemory);
-    w.key("onchip_bandwidth").value(r.stalls.onChipBandwidth);
-    w.key("synchronization").value(r.stalls.synchronization);
-    w.key("execution_dependency").value(r.stalls.executionDependency);
-    w.key("other").value(r.stalls.other);
-    w.endObject();
-
-    w.key("energy_j").beginObject();
-    w.key("total").value(r.energy.totalJ());
-    w.key("static").value(r.energy.staticJ);
-    w.key("dynamic").value(r.energy.gpuDynamicJ);
-    w.key("dram").value(r.energy.dramJ);
-    w.key("onchip").value(r.energy.onChipJ);
-    w.key("crm").value(r.energy.crmJ);
-    w.endObject();
-
-    w.key("crm_cycles").value(r.crmCycles);
-    w.key("kernels_through_crm")
-        .value(static_cast<std::uint64_t>(r.kernelsThroughCrm));
-
-    w.key("time_per_class_us").beginObject();
-    for (const auto &[klass, us] : r.timePerClassUs)
-        w.key(gpu::toString(klass)).value(us);
-    w.endObject();
-
-    w.key("kernels_per_class").beginObject();
-    for (const auto &[klass, count] : r.kernelsPerClass)
-        w.key(gpu::toString(klass))
-            .value(static_cast<std::uint64_t>(count));
-    w.endObject();
-
-    w.endObject();
-    return os.str();
 }
 
 } // namespace runtime

@@ -47,14 +47,6 @@ std::string runCsvRow(const std::string &label, const RunReport &report);
 /** Dump a kernel trace as CSV (one row per kernel launch). */
 void writeTraceCsv(std::ostream &os, const gpu::KernelTrace &trace);
 
-/**
- * Machine-consumable JSON object for one run: the same quantities as
- * runCsvRow plus the per-class time/kernel breakdown and the stall
- * decomposition.
- */
-std::string runReportJson(const std::string &label,
-                          const RunReport &report);
-
 } // namespace runtime
 } // namespace mflstm
 

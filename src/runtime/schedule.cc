@@ -7,66 +7,6 @@
 namespace mflstm {
 namespace runtime {
 
-const char *
-toString(SkipPath path)
-{
-    switch (path) {
-      case SkipPath::Off:
-        return "off";
-      case SkipPath::Software:
-        return "sw";
-      case SkipPath::HwCrm:
-        return "hw-crm";
-    }
-    return "unknown";
-}
-
-const char *
-toString(FlagFusion fusion)
-{
-    switch (fusion) {
-      case FlagFusion::Standalone:
-        return "standalone";
-      case FlagFusion::FusedEpilogue:
-        return "fused-epilogue";
-    }
-    return "unknown";
-}
-
-std::optional<SkipPath>
-parseSkipPath(const std::string &s)
-{
-    if (s == "off")
-        return SkipPath::Off;
-    if (s == "sw")
-        return SkipPath::Software;
-    if (s == "hw-crm")
-        return SkipPath::HwCrm;
-    return std::nullopt;
-}
-
-std::optional<FlagFusion>
-parseFlagFusion(const std::string &s)
-{
-    if (s == "standalone")
-        return FlagFusion::Standalone;
-    if (s == "fused-epilogue")
-        return FlagFusion::FusedEpilogue;
-    return std::nullopt;
-}
-
-std::optional<WeightResidency>
-parseWeightResidency(const std::string &s)
-{
-    if (s == "none")
-        return WeightResidency::None;
-    if (s == "shared")
-        return WeightResidency::Shared;
-    if (s == "regfile")
-        return WeightResidency::Regfile;
-    return std::nullopt;
-}
-
 bool
 LayerSchedule::usesTissues() const
 {

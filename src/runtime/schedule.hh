@@ -30,8 +30,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "gpu/kernel.hh"
@@ -61,14 +59,6 @@ enum class FlagFusion : std::uint32_t {
     Standalone = 0,     ///< separate DRS scan kernel after sigma(o_t)
     FusedEpilogue = 1,  ///< U_o epilogue applies sigma and emits flags
 };
-
-const char *toString(SkipPath path);
-const char *toString(FlagFusion fusion);
-
-/** Parse a toString spelling; nullopt on anything unknown. */
-std::optional<SkipPath> parseSkipPath(const std::string &s);
-std::optional<FlagFusion> parseFlagFusion(const std::string &s);
-std::optional<WeightResidency> parseWeightResidency(const std::string &s);
 
 /** Every schedule decision the lowering needs for one layer. */
 struct LayerSchedule

@@ -78,16 +78,6 @@ presetPlan(const runtime::NetworkExecutor &exec, const TuneRequest &req,
                            req.modelHidden, req.quant);
 }
 
-double
-simulatedTimeUs(const runtime::NetworkExecutor &exec,
-                const TuneRequest &req,
-                const runtime::ExecutionPlan &plan)
-{
-    return exec
-        .run(runtime::RunRequest::network(req.shape, plan, req.batch))
-        .result.timeUs;
-}
-
 TuneResult
 tune(const runtime::NetworkExecutor &exec, const TuneRequest &req)
 {

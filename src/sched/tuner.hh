@@ -75,11 +75,6 @@ presetPlan(const runtime::NetworkExecutor &exec, const TuneRequest &req,
 TuneResult tune(const runtime::NetworkExecutor &exec,
                 const TuneRequest &req);
 
-/** Geomean-style scalar used in reports: microseconds. */
-double simulatedTimeUs(const runtime::NetworkExecutor &exec,
-                       const TuneRequest &req,
-                       const runtime::ExecutionPlan &plan);
-
 } // namespace sched
 } // namespace mflstm
 

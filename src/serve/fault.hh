@@ -10,11 +10,11 @@
  * to a fault-free run; an exhausted budget resolves the request with
  * Status::Failed without stalling its batch siblings.
  *
- * Two implementations: ProbabilisticFaultInjector (seeded coin flip,
- * for stress/soak runs) and ScriptedFaultInjector (fail chosen
- * requests/batches for their first N attempts, for deterministic
- * tests). Both are thread-safe; the engine calls shouldFail from every
- * worker.
+ * ProbabilisticFaultInjector (seeded coin flip, for stress/soak runs)
+ * is the shipped implementation; the deterministic tests script their
+ * faults with the test support library's ScriptedFaultInjector.
+ * Implementations are thread-safe: the engine calls shouldFail from
+ * every worker.
  */
 
 #ifndef MFLSTM_SERVE_FAULT_HH
@@ -22,7 +22,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <random>
 #include <stdexcept>
@@ -99,34 +98,6 @@ class ProbabilisticFaultInjector : public FaultInjector
     std::atomic<std::uint64_t> injected_{0};
     std::mutex mu_;
     std::mt19937_64 rng_;
-};
-
-/**
- * Deterministic script: chosen requests / batches fail their first N
- * attempts, then succeed. Records every attempt it was asked about so
- * tests can assert the retry bound was honoured.
- */
-class ScriptedFaultInjector : public FaultInjector
-{
-  public:
-    /** Fail @p id's first @p attempts functional attempts. */
-    void failRequest(RequestId id, int attempts);
-    /** Fail batch @p ordinal's first @p attempts timing attempts. */
-    void failBatch(std::uint64_t ordinal, int attempts);
-
-    bool shouldFail(const FaultSite &site) override;
-
-    /** Highest attempt index observed for @p id, plus one (0 = never). */
-    int attemptsSeen(RequestId id) const;
-    /** Total faults injected across both site kinds. */
-    std::uint64_t injected() const;
-
-  private:
-    mutable std::mutex mu_;
-    std::map<RequestId, int> requestScript_;
-    std::map<std::uint64_t, int> batchScript_;
-    std::map<RequestId, int> seen_;
-    std::uint64_t injected_ = 0;
 };
 
 } // namespace serve

@@ -160,32 +160,6 @@ RequestQueue::drain(std::vector<QueuedRequest> &out, std::size_t max)
     return n;
 }
 
-std::size_t
-RequestQueue::shedExpired(std::chrono::steady_clock::time_point now,
-                          std::vector<QueuedRequest> &out)
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < heap_.size();) {
-        if (heap_[i].expired(now)) {
-            out.push_back(std::move(heap_[i]));
-            heap_[i] = std::move(heap_.back());
-            heap_.pop_back();
-            ++n;
-        } else {
-            ++i;
-        }
-    }
-    if (n) {
-        std::make_heap(heap_.begin(), heap_.end(), heapLess);
-        counters_.shed += n;
-    }
-    lock.unlock();
-    if (n)
-        spaceCv_.notify_all();
-    return n;
-}
-
 void
 RequestQueue::close()
 {
@@ -195,13 +169,6 @@ RequestQueue::close()
     }
     cv_.notify_all();
     spaceCv_.notify_all();
-}
-
-bool
-RequestQueue::closed() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
 }
 
 std::size_t

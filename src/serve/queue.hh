@@ -75,8 +75,6 @@ class RequestQueue
         std::uint64_t rejected = 0;
         /// queued items evicted by DropOldest admissions
         std::uint64_t evicted = 0;
-        /// queued items removed by shedExpired()
-        std::uint64_t shed = 0;
         /// deepest queue depth ever observed
         std::size_t highWater = 0;
     };
@@ -106,18 +104,9 @@ class RequestQueue
      */
     std::size_t drain(std::vector<QueuedRequest> &out, std::size_t max);
 
-    /**
-     * Remove every queued item whose deadline already passed at @p now
-     * into @p out (appended), without spending batch slots on them.
-     * @return the number shed.
-     */
-    std::size_t shedExpired(std::chrono::steady_clock::time_point now,
-                            std::vector<QueuedRequest> &out);
-
     /** Stop accepting pushes and wake all blocked consumers/producers. */
     void close();
 
-    bool closed() const;
     std::size_t size() const;
     std::size_t capacity() const { return opt_.capacity; }
     const QueueOptions &options() const { return opt_; }

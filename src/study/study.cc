@@ -9,22 +9,6 @@
 namespace mflstm {
 namespace study {
 
-const char *
-toString(Scheme s)
-{
-    switch (s) {
-      case Scheme::Baseline:
-        return "Baseline";
-      case Scheme::Ao:
-        return "AO";
-      case Scheme::Bpa:
-        return "BPA";
-      case Scheme::Uo:
-        return "UO";
-    }
-    return "?";
-}
-
 std::vector<UserProfile>
 samplePopulation(std::size_t n, std::uint64_t seed,
                  double baseline_accuracy)

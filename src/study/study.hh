@@ -24,8 +24,6 @@ namespace study {
 /** The four schemes compared in Fig. 18 (replay order is randomised). */
 enum class Scheme { Baseline, Ao, Bpa, Uo };
 
-const char *toString(Scheme s);
-
 /** One synthetic participant. */
 struct UserProfile
 {

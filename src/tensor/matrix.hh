@@ -139,12 +139,6 @@ class Matrix
     std::vector<float> data_;
 };
 
-/**
- * Vertically concatenate matrices that share a column count. Used to build
- * the united weight matrices U_{f,i,c,o} and W_{f,i,c,o} of Section II-C.
- */
-Matrix vconcat(const std::vector<const Matrix *> &parts);
-
 } // namespace tensor
 } // namespace mflstm
 

@@ -128,16 +128,6 @@ rowAbsSums(const Matrix &a)
     return d;
 }
 
-float
-dot(std::span<const float> a, std::span<const float> b)
-{
-    assert(a.size() == b.size());
-    float acc = 0.0f;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        acc += a[i] * b[i];
-    return acc;
-}
-
 std::size_t
 argmax(std::span<const float> a)
 {

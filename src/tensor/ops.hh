@@ -42,9 +42,6 @@ float sumAbs(std::span<const float> a);
 /** Per-row sum of absolute values: D[r] = sum_c |A[r][c]|. */
 Vector rowAbsSums(const Matrix &a);
 
-/** Dot product. */
-float dot(std::span<const float> a, std::span<const float> b);
-
 /** Index of the maximum element (first on ties). */
 std::size_t argmax(std::span<const float> a);
 

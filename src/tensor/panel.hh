@@ -22,8 +22,8 @@ namespace mflstm {
 namespace tensor {
 
 /**
- * One or more matrices that share a column count, stacked as vconcat
- * would stack them and packed in panels of kPanelRows rows. Element
+ * One or more matrices that share a column count, stacked vertically in
+ * order and packed in panels of kPanelRows rows. Element
  * (r, c) lives at panel r / kPanelRows, offset c * kPanelRows +
  * r % kPanelRows; the last panel's missing rows are zero.
  */

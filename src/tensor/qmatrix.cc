@@ -93,15 +93,5 @@ QuantizedMatrix::code(std::size_t r, std::size_t c) const
     return (c & 1) == 0 ? lowNibble(row[c / 2]) : highNibble(row[c / 2]);
 }
 
-Matrix
-QuantizedMatrix::dequantize() const
-{
-    Matrix out(rows_, cols_);
-    for (std::size_t r = 0; r < rows_; ++r)
-        for (std::size_t c = 0; c < cols_; ++c)
-            out.at(r, c) = dequant(r, c);
-    return out;
-}
-
 } // namespace tensor
 } // namespace mflstm

@@ -48,9 +48,6 @@ class QuantizedMatrix
         return scales_[r] * static_cast<float>(code(r, c));
     }
 
-    /** Full dequantized copy. */
-    Matrix dequantize() const;
-
     /**
      * Packed payload: rows*cols int8 codes, or rows*ceil(cols/2) bytes
      * for int4 (low nibble = even column; a trailing odd column leaves

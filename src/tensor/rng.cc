@@ -34,14 +34,6 @@ Rng::chance(double p)
 }
 
 void
-Rng::fillNormal(Vector &v, float mean, float stddev)
-{
-    std::normal_distribution<float> dist(mean, stddev);
-    for (std::size_t i = 0; i < v.size(); ++i)
-        v[i] = dist(engine_);
-}
-
-void
 Rng::fillNormal(Matrix &m, float mean, float stddev)
 {
     std::normal_distribution<float> dist(mean, stddev);
@@ -63,12 +55,6 @@ Rng::fillXavier(Matrix &m, std::size_t fan_in, std::size_t fan_out)
     const float bound =
         std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
     fillUniform(m, -bound, bound);
-}
-
-Rng
-Rng::fork()
-{
-    return Rng(engine_());
 }
 
 } // namespace tensor

@@ -35,9 +35,6 @@ class Rng
     /** Bernoulli draw. */
     bool chance(double p);
 
-    /** Fill a vector with N(mean, stddev). */
-    void fillNormal(Vector &v, float mean, float stddev);
-
     /** Fill a matrix with N(mean, stddev). */
     void fillNormal(Matrix &m, float mean, float stddev);
 
@@ -51,9 +48,6 @@ class Rng
      * relevance analysis of Section IV-A meaningful.
      */
     void fillXavier(Matrix &m, std::size_t fan_in, std::size_t fan_out);
-
-    /** Derive an independent child generator (for parallel components). */
-    Rng fork();
 
     std::mt19937_64 &engine() { return engine_; }
 

@@ -40,7 +40,6 @@ TEST(Router, AffinityPinsAndSticks)
 
     const std::size_t first = router.route("session-a", snaps);
     ASSERT_LT(first, 3u);
-    EXPECT_EQ(router.pinned("session-a"), first);
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(router.route("session-a", snaps), first);
     EXPECT_EQ(router.sessionFailovers(), 0u);
@@ -57,7 +56,6 @@ TEST(Router, AffinityRePinsWhenReplicaGoesDown)
     const std::size_t second = router.route("session-a", snaps);
     ASSERT_LT(second, 3u);
     EXPECT_NE(second, first);
-    EXPECT_EQ(router.pinned("session-a"), second);
     EXPECT_EQ(router.sessionFailovers(), 1u);
 
     // The new pin sticks even after the old replica recovers: warm

@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include "gpu/cache.hh"
+#include "support/cache.hh"
 
 namespace {
 
 using namespace mflstm::gpu;
+using mflstm::test::SetAssocCache;
 
 TEST(SetAssocCache, HitsOnRepeatedAccess)
 {

@@ -1,18 +1,22 @@
 /**
  * @file
  * Tests for the CTA-reorganization module (Section V-B, Fig. 12): DTID
- * decoding, prefix-sum STID -> HTID compaction, pipeline timing, and the
- * GMU routing that decides which kernels pass through it.
+ * decoding and prefix-sum STID -> HTID compaction (the functional pass
+ * in the test support library), pipeline timing of the priced pass, and
+ * the GMU routing that decides which kernels pass through it.
  */
 
 #include <gtest/gtest.h>
 
 #include "gpu/crm.hh"
 #include "gpu/gmu.hh"
+#include "support/crm.hh"
 
 namespace {
 
 using namespace mflstm::gpu;
+using mflstm::test::CrmRemap;
+using mflstm::test::reorganize;
 
 class CrmTest : public ::testing::Test
 {
@@ -21,9 +25,19 @@ class CrmTest : public ::testing::Test
     CtaReorgModule crm{cfg};
 };
 
+/** The disable mask a pass decoded: the STIDs it left without an HTID. */
+std::vector<bool>
+disabledMask(const CrmRemap &res)
+{
+    std::vector<bool> mask;
+    for (std::uint32_t htid : res.htidOf)
+        mask.push_back(htid == CrmRemap::kDisabled);
+    return mask;
+}
+
 TEST_F(CrmTest, DecodeDisabledOneThreadPerRow)
 {
-    const auto mask = crm.decodeDisabled({1, 3}, 1, 6);
+    const auto mask = disabledMask(reorganize({1, 3}, 1, 6));
     const std::vector<bool> expect = {false, true, false, true, false,
                                       false};
     EXPECT_EQ(mask, expect);
@@ -31,7 +45,7 @@ TEST_F(CrmTest, DecodeDisabledOneThreadPerRow)
 
 TEST_F(CrmTest, DecodeDisabledMultipleThreadsPerRow)
 {
-    const auto mask = crm.decodeDisabled({1}, 4, 12);
+    const auto mask = disabledMask(reorganize({1}, 4, 12));
     for (std::uint32_t t = 0; t < 12; ++t) {
         EXPECT_EQ(mask[t], t >= 4 && t < 8) << "thread " << t;
     }
@@ -39,19 +53,19 @@ TEST_F(CrmTest, DecodeDisabledMultipleThreadsPerRow)
 
 TEST_F(CrmTest, DecodeRejectsZeroThreadsPerRow)
 {
-    EXPECT_THROW(crm.decodeDisabled({0}, 0, 4), std::invalid_argument);
+    EXPECT_THROW(reorganize({0}, 0, 4), std::invalid_argument);
 }
 
 TEST_F(CrmTest, ReorganizeCompactsHtids)
 {
     // Rows 0 and 2 trivial out of 5 single-thread rows.
-    const CrmResult res = crm.reorganize({0, 2}, 1, 5);
+    const CrmRemap res = reorganize({0, 2}, 1, 5);
     EXPECT_EQ(res.activeThreads, 3u);
     EXPECT_EQ(res.disabledThreads, 2u);
 
-    EXPECT_EQ(res.htidOf[0], CrmResult::kDisabled);
+    EXPECT_EQ(res.htidOf[0], CrmRemap::kDisabled);
     EXPECT_EQ(res.htidOf[1], 0u);
-    EXPECT_EQ(res.htidOf[2], CrmResult::kDisabled);
+    EXPECT_EQ(res.htidOf[2], CrmRemap::kDisabled);
     EXPECT_EQ(res.htidOf[3], 1u);
     EXPECT_EQ(res.htidOf[4], 2u);
 }
@@ -59,11 +73,10 @@ TEST_F(CrmTest, ReorganizeCompactsHtids)
 TEST_F(CrmTest, CompactionIsDenseAndOrderPreserving)
 {
     // Arbitrary skip set: surviving HTIDs must be 0..k-1 in STID order.
-    const CrmResult res = crm.reorganize({3, 4, 5, 10, 31, 32, 63}, 1,
-                                         128);
+    const CrmRemap res = reorganize({3, 4, 5, 10, 31, 32, 63}, 1, 128);
     std::uint32_t expect = 0;
     for (std::uint32_t stid = 0; stid < 128; ++stid) {
-        if (res.htidOf[stid] == CrmResult::kDisabled)
+        if (res.htidOf[stid] == CrmRemap::kDisabled)
             continue;
         EXPECT_EQ(res.htidOf[stid], expect++);
     }
@@ -78,11 +91,11 @@ TEST_F(CrmTest, FullWarpsAfterCompaction)
     std::vector<std::uint32_t> rows;
     for (std::uint32_t r = 0; r < 64; r += 2)
         rows.push_back(r);
-    const CrmResult res = crm.reorganize(rows, 1, 64);
+    const CrmRemap res = reorganize(rows, 1, 64);
     EXPECT_EQ(res.activeThreads, 32u);
     // Every surviving HTID is below 32: one fully populated warp.
     for (std::uint32_t stid = 0; stid < 64; ++stid) {
-        if (res.htidOf[stid] != CrmResult::kDisabled) {
+        if (res.htidOf[stid] != CrmRemap::kDisabled) {
             EXPECT_LT(res.htidOf[stid], 32u);
         }
     }
@@ -98,11 +111,13 @@ TEST_F(CrmTest, PipelineCyclesScaleWithThreads)
 
 TEST_F(CrmTest, SummaryMatchesFullPass)
 {
-    const CrmResult full = crm.reorganize({1, 2, 3}, 1, 100);
-    const CrmResult sum = crm.reorganizeSummary(3, 100);
+    // The priced pass, fed the functional pass's disabled count, keeps
+    // exactly the threads the remap kept.
+    const CrmRemap full = reorganize({1, 2, 3}, 1, 100);
+    const CrmResult sum = crm.reorganizeSummary(full.disabledThreads, 100);
+    EXPECT_EQ(full.disabledThreads, 3u);
     EXPECT_EQ(full.activeThreads, sum.activeThreads);
-    EXPECT_DOUBLE_EQ(full.cycles, sum.cycles);
-    EXPECT_DOUBLE_EQ(full.energyJ, sum.energyJ);
+    EXPECT_DOUBLE_EQ(sum.cycles, crm.pipelineCycles(100));
 }
 
 TEST_F(CrmTest, EnergyProportionalToThreads)

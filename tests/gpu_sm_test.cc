@@ -9,6 +9,7 @@
 #include "gpu/energy.hh"
 #include "gpu/simulator.hh"
 #include "gpu/sm.hh"
+#include "support/trace.hh"
 
 namespace {
 
@@ -168,8 +169,8 @@ TEST(Energy, NoCrmNoStaticAdder)
 TEST(Simulator, TraceAggregatesKernels)
 {
     Simulator sim(GpuConfig::tegraX1());
-    KernelTrace trace = {memoryBoundKernel(), computeBoundKernel(),
-                         memoryBoundKernel()};
+    const KernelTrace trace = mflstm::test::traceOf(
+        {memoryBoundKernel(), computeBoundKernel(), memoryBoundKernel()});
     const TraceResult res = sim.runTrace(trace);
 
     EXPECT_EQ(res.kernelCount, 3u);

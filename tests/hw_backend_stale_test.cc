@@ -24,6 +24,7 @@
 #include "sched/persist.hh"
 #include "serve/engine.hh"
 #include "serve/persist.hh"
+#include "support/metrics.hh"
 #include "tensor/rng.hh"
 
 namespace {
@@ -206,19 +207,17 @@ TEST(TwinRebuild, MixedQuantLadderWalkIsCountedAndTimed)
         f.get();
     engine.shutdown();
 
-    const obs::Counter *switches =
-        engine.observer().metrics().findCounter(
-            "serve.precision_switch_total");
+    const std::optional<double> switches = test::dumpedCounter(
+        engine.observer().metrics(), "serve.precision_switch_total");
     const obs::Histogram *rebuilds =
         engine.observer().metrics().findHistogram(
             "serve.twin_rebuild_ms");
-    ASSERT_NE(switches, nullptr);
+    ASSERT_TRUE(switches.has_value());
     ASSERT_NE(rebuilds, nullptr);
     // The ladder walked across the int8 edge at least once, and every
     // counted switch has a matching timed rebuild.
-    EXPECT_GE(switches->value(), 1.0);
-    EXPECT_EQ(static_cast<double>(rebuilds->count()),
-              switches->value());
+    EXPECT_GE(*switches, 1.0);
+    EXPECT_EQ(static_cast<double>(rebuilds->snapshot().count), *switches);
 }
 
 TEST(TwinRebuild, MetricsPreRegisteredAtZero)
@@ -245,7 +244,7 @@ TEST(TwinRebuild, MetricsPreRegisteredAtZero)
         engine.observer().metrics().findHistogram(
             "serve.twin_rebuild_ms");
     ASSERT_NE(rebuilds, nullptr);
-    EXPECT_EQ(rebuilds->count(), 0u);
+    EXPECT_EQ(rebuilds->snapshot().count, 0u);
 }
 
 } // namespace

@@ -76,13 +76,14 @@ TEST_F(ArtifactTest, RoundTripPreservesChunks)
     EXPECT_EQ(r.schemaKind(), kSchemaModel);
     EXPECT_EQ(r.schemaVersion(), 7u);
     ASSERT_EQ(r.chunks().size(), 2u);
-    EXPECT_TRUE(r.has(fourcc('A', 'A', 'A', 'A')));
-    EXPECT_FALSE(r.has(fourcc('Z', 'Z', 'Z', 'Z')));
+    EXPECT_EQ(r.chunks()[0].tag, fourcc('A', 'A', 'A', 'A'));
+    EXPECT_THROW(r.chunk(fourcc('Z', 'Z', 'Z', 'Z')), ArtifactError);
 
     ByteReader a = r.chunk(fourcc('A', 'A', 'A', 'A'));
     EXPECT_EQ(a.u32(), 42u);
     EXPECT_EQ(a.f64(), 3.25);
-    const std::vector<float> weights = a.f32Array();
+    std::vector<float> weights;
+    a(weights);
     ASSERT_EQ(weights.size(), 3u);
     EXPECT_EQ(weights[1], -2.0f);
     a.expectEnd();
@@ -385,7 +386,8 @@ TEST_F(ArtifactTest, TightenedLimitsRejectBeforeAllocation)
     a.u32();
     a.f64();
     try {
-        a.f32Array();  // declares 3 elements
+        std::vector<float> weights;
+        a(weights);  // declares 3 elements
         FAIL() << "array over maxElements allocated";
     } catch (const ArtifactError &e) {
         EXPECT_EQ(e.kind(), ErrorKind::LimitExceeded);
@@ -401,7 +403,8 @@ TEST_F(ArtifactTest, ReaderArrayCountBoundedByPayload)
     writeBytes(w.serialize());
     const ArtifactReader r(path_, kSchemaModel, 1);
     ByteReader huge = r.chunk(fourcc('H', 'U', 'G', 'E'));
-    EXPECT_THROW(huge.f32Array(), ArtifactError);
+    std::vector<float> values;
+    EXPECT_THROW(huge(values), ArtifactError);
 }
 
 TEST_F(ArtifactTest, ByteReaderExpectEndCatchesTrailingBytes)
@@ -485,7 +488,7 @@ TEST_F(ArtifactTest, AtomicCommitSurvivesStrayTempAndReplaces)
     v2.commit(path_);
 
     const ArtifactReader r(path_, kSchemaModel, 1);
-    EXPECT_FALSE(r.has(fourcc('G', 'E', 'N', '1')));
+    EXPECT_THROW(r.chunk(fourcc('G', 'E', 'N', '1')), ArtifactError);
     ByteReader g2 = r.chunk(fourcc('G', 'E', 'N', '2'));
     EXPECT_EQ(g2.u32(), 2u);
 }

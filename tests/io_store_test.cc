@@ -4,14 +4,12 @@
  * per-artifact write lock is exclusive (O_CREAT|O_EXCL sidecar —
  * second acquisition throws ArtifactError(Io)), released exactly when
  * the RAII WriteLock dies, and a stale lock left by a crashed writer
- * is never silently stolen — only breakLock() removes it. Artifact
- * names must not escape the store directory, and list() hides the
- * lock/quarantine sidecars.
+ * is never silently stolen — only an operator removing the sidecar by
+ * hand clears it. Artifact names must not escape the store directory.
  */
 
 #include <filesystem>
 #include <fstream>
-#include <optional>
 
 #include <unistd.h>
 
@@ -42,6 +40,13 @@ class StoreTest : public ::testing::Test
     std::filesystem::path dir_;
 };
 
+/** Is the write lock of @p name held: does its sidecar exist? */
+bool
+lockHeld(const ArtifactStore &store, const std::string &name)
+{
+    return std::filesystem::exists(store.path(name) + ".lock");
+}
+
 TEST_F(StoreTest, CreatesDirectoryAndResolvesPaths)
 {
     const std::string sub = (dir_ / "nested" / "store").string();
@@ -69,44 +74,31 @@ TEST_F(StoreTest, RejectsNamesThatEscapeTheDirectory)
 TEST_F(StoreTest, WriteLockIsExclusive)
 {
     ArtifactStore store(dir_.string());
-    std::optional<ArtifactStore::WriteLock> lock(
-        store.lockForWrite("state.bin"));
-    EXPECT_TRUE(store.locked("state.bin"));
-
-    // A second writer (same or another process — the sidecar is the
-    // only state) must fail with a typed Io error, not block or steal.
-    try {
-        store.lockForWrite("state.bin");
-        FAIL() << "double acquisition succeeded";
-    } catch (const ArtifactError &e) {
-        EXPECT_EQ(e.kind(), ErrorKind::Io);
-        EXPECT_NE(std::string(e.what()).find("state.bin.lock"),
-                  std::string::npos);
-    }
-
-    // Unrelated artifacts lock independently.
-    const ArtifactStore::WriteLock other =
-        store.lockForWrite("other.bin");
-    EXPECT_TRUE(store.locked("other.bin"));
-
-    lock.reset();  // RAII release
-    EXPECT_FALSE(store.locked("state.bin"));
-    EXPECT_NO_THROW(store.lockForWrite("state.bin"));
-}
-
-TEST_F(StoreTest, MovedFromLockDoesNotDoubleRelease)
-{
-    ArtifactStore store(dir_.string());
-    std::optional<ArtifactStore::WriteLock> outer;
     {
-        ArtifactStore::WriteLock inner =
+        const ArtifactStore::WriteLock lock =
             store.lockForWrite("state.bin");
-        outer.emplace(std::move(inner));
-        // inner's destructor runs here; the lock must survive.
-    }
-    EXPECT_TRUE(store.locked("state.bin"));
-    outer.reset();
-    EXPECT_FALSE(store.locked("state.bin"));
+        EXPECT_TRUE(lockHeld(store, "state.bin"));
+
+        // A second writer (same or another process — the sidecar is
+        // the only state) must fail with a typed Io error, not block
+        // or steal.
+        try {
+            store.lockForWrite("state.bin");
+            FAIL() << "double acquisition succeeded";
+        } catch (const ArtifactError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::Io);
+            EXPECT_NE(std::string(e.what()).find("state.bin.lock"),
+                      std::string::npos);
+        }
+
+        // Unrelated artifacts lock independently.
+        const ArtifactStore::WriteLock other =
+            store.lockForWrite("other.bin");
+        EXPECT_TRUE(lockHeld(store, "other.bin"));
+    }  // RAII release
+    EXPECT_FALSE(lockHeld(store, "state.bin"));
+    EXPECT_FALSE(lockHeld(store, "other.bin"));
+    EXPECT_NO_THROW(store.lockForWrite("state.bin"));
 }
 
 TEST_F(StoreTest, StaleLockSurfacesUntilBroken)
@@ -114,30 +106,12 @@ TEST_F(StoreTest, StaleLockSurfacesUntilBroken)
     ArtifactStore store(dir_.string());
     // Simulate a crashed writer: the sidecar exists with no owner.
     std::ofstream(store.path("state.bin") + ".lock").put('\n');
-    EXPECT_TRUE(store.locked("state.bin"));
     EXPECT_THROW(store.lockForWrite("state.bin"), ArtifactError);
+    EXPECT_TRUE(lockHeld(store, "state.bin"));  // a writer never steals
 
-    // Deliberate recovery removes it; a normal writer never does.
-    EXPECT_TRUE(store.breakLock("state.bin"));
-    EXPECT_FALSE(store.locked("state.bin"));
-    EXPECT_FALSE(store.breakLock("state.bin"));  // nothing left
+    // Recovery is an operator removing the sidecar by hand.
+    std::filesystem::remove(store.path("state.bin") + ".lock");
     EXPECT_NO_THROW(store.lockForWrite("state.bin"));
-}
-
-TEST_F(StoreTest, ListHidesSidecars)
-{
-    ArtifactStore store(dir_.string());
-    std::ofstream(store.path("b.bin")).put('x');
-    std::ofstream(store.path("a.bin")).put('x');
-    std::ofstream(store.path("a.bin") + ".corrupt").put('x');
-    const ArtifactStore::WriteLock lock = store.lockForWrite("b.bin");
-
-    const std::vector<std::string> names = store.list();
-    ASSERT_EQ(names.size(), 2u);
-    EXPECT_EQ(names[0], "a.bin");  // sorted
-    EXPECT_EQ(names[1], "b.bin");
-    EXPECT_TRUE(store.exists("a.bin"));
-    EXPECT_TRUE(store.exists("b.bin"));
 }
 
 } // namespace

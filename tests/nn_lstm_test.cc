@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "nn/lstm.hh"
+#include "support/reference.hh"
 #include "tensor/activations.hh"
 #include "tensor/ops.hh"
 #include "tensor/rng.hh"
@@ -152,7 +153,7 @@ TEST(LstmLayer, ProjectInputsMatchesUnitedGemv)
     ASSERT_EQ(projs.rows(), 3u);
     ASSERT_EQ(projs.cols(), 16u);
 
-    const tensor::Matrix w = tensor::vconcat({&p.wf, &p.wi, &p.wc, &p.wo});
+    const tensor::Matrix w = test::vconcat({&p.wf, &p.wi, &p.wc, &p.wo});
     for (std::size_t t = 0; t < 3; ++t) {
         tensor::Vector expect;
         tensor::gemv(w, xs[t], expect);

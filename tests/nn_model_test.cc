@@ -156,21 +156,6 @@ TEST(LstmModel, DifferentSeedsDifferentOutputs)
     EXPECT_NE(a.classify(toks), b.classify(toks));
 }
 
-TEST(LstmModel, ParameterCountMatchesFormula)
-{
-    const ModelConfig cfg = smallClassifier();
-    const LstmModel m(cfg, 3);
-    const std::size_t e = cfg.vocab * cfg.embedSize;
-    const std::size_t l0 =
-        4 * (cfg.hiddenSize * cfg.embedSize +
-             cfg.hiddenSize * cfg.hiddenSize + cfg.hiddenSize);
-    const std::size_t l1 =
-        4 * (2 * cfg.hiddenSize * cfg.hiddenSize + cfg.hiddenSize);
-    const std::size_t head =
-        cfg.numClasses * cfg.hiddenSize + cfg.numClasses;
-    EXPECT_EQ(m.parameterCount(), e + l0 + l1 + head);
-}
-
 TEST(LstmModel, RunLayersTracesPerLayer)
 {
     const LstmModel m(smallClassifier(), 42);

@@ -16,6 +16,7 @@
 #include "obs/json.hh"
 #include "obs/observer.hh"
 #include "runtime/executor.hh"
+#include "support/metrics.hh"
 
 namespace {
 
@@ -59,30 +60,30 @@ TEST(Observer, RunRecordsAcceptanceMetrics)
     ASSERT_GT(r.result.kernelCount, 0u);
 
     const auto &m = obs.metrics();
+    using mflstm::test::dumpedCounter;
+    using mflstm::test::dumpedGauge;
     // DRS skip counts.
-    ASSERT_NE(m.findCounter("drs.rows_skipped"), nullptr);
-    EXPECT_GT(m.findCounter("drs.rows_skipped")->value(), 0.0);
-    ASSERT_NE(m.findCounter("drs.kernels_with_skip"), nullptr);
+    EXPECT_GT(dumpedCounter(m, "drs.rows_skipped").value_or(0.0), 0.0);
+    EXPECT_TRUE(dumpedCounter(m, "drs.kernels_with_skip").has_value());
     // CRM compaction ratio (HW plan routes through the CRM).
-    ASSERT_NE(m.findGauge("crm.compaction_ratio"), nullptr);
-    const double ratio = m.findGauge("crm.compaction_ratio")->value();
-    EXPECT_GT(ratio, 0.0);
-    EXPECT_LE(ratio, 1.0);
-    ASSERT_NE(m.findCounter("crm.passes"), nullptr);
-    EXPECT_GT(m.findCounter("crm.passes")->value(), 0.0);
+    const std::optional<double> ratio =
+        dumpedGauge(m, "crm.compaction_ratio");
+    ASSERT_TRUE(ratio.has_value());
+    EXPECT_GT(*ratio, 0.0);
+    EXPECT_LE(*ratio, 1.0);
+    EXPECT_GT(dumpedCounter(m, "crm.passes").value_or(0.0), 0.0);
     // Cache hit rate.
-    ASSERT_NE(m.findGauge("cache.l2_hit_rate"), nullptr);
+    EXPECT_TRUE(dumpedGauge(m, "cache.l2_hit_rate").has_value());
     // Per-class stall-cycle histograms exist for the classes that ran.
     ASSERT_NE(m.findHistogram("sim.stall_cycles_hist.Sgemv"), nullptr);
-    EXPECT_GT(m.findHistogram("sim.stall_cycles_hist.Sgemv")->count(),
-              0u);
+    EXPECT_GT(
+        m.findHistogram("sim.stall_cycles_hist.Sgemv")->snapshot().count,
+        0u);
     // Kernel counters agree with the report.
-    ASSERT_NE(m.findCounter("sim.kernels"), nullptr);
-    EXPECT_DOUBLE_EQ(m.findCounter("sim.kernels")->value(),
-                     static_cast<double>(r.result.kernelCount));
-    ASSERT_NE(m.findCounter("gmu.kernels_through_crm"), nullptr);
-    EXPECT_DOUBLE_EQ(m.findCounter("gmu.kernels_through_crm")->value(),
-                     static_cast<double>(r.result.kernelsThroughCrm));
+    EXPECT_EQ(dumpedCounter(m, "sim.kernels"),
+              static_cast<double>(r.result.kernelCount));
+    EXPECT_EQ(dumpedCounter(m, "gmu.kernels_through_crm"),
+              static_cast<double>(r.result.kernelsThroughCrm));
 }
 
 TEST(Observer, TraceHasPerSmTracksAndMonotonicTimestamps)

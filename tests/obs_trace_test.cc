@@ -36,7 +36,7 @@ gpuSpan(const std::string &name, int tid, double start, double dur)
 TEST(Trace, RecordsSpansInOrder)
 {
     SpanTracer t;
-    EXPECT_TRUE(t.empty());
+    EXPECT_TRUE(t.spans().empty());
     t.record(gpuSpan("a", 0, 0.0, 1.0));
     t.record(gpuSpan("b", 0, 1.0, 2.0));
     ASSERT_EQ(t.spans().size(), 2u);

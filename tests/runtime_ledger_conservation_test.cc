@@ -279,12 +279,17 @@ TEST(LedgerConservation, LedgerAccumulatesAcrossRunsAndResets)
                 r1.result.dramBytes + r2.result.dramBytes,
                 1e-12 * ledger.attributedDramBytes());
 
-    ledger.reset();
-    EXPECT_EQ(ledger.samples(), 0u);
+    // A fresh ledger attached to the same executor accounts for the
+    // next run alone, bit-exactly.
+    obs::TrafficLedger fresh;
+    ex.setLedger(&fresh);
     const auto r3 = ex.run(runtime::RunRequest::network(
         shape, planFor(PlanKind::Baseline, shape, quant::QuantMode::Fp32),
         1));
-    EXPECT_TRUE(ledger.verifyConservation(r3.result.dramBytes).empty());
+    EXPECT_TRUE(fresh.verifyConservation(r3.result.dramBytes).empty());
+    EXPECT_NEAR(ledger.attributedDramBytes(),
+                r1.result.dramBytes + r2.result.dramBytes,
+                1e-12 * ledger.attributedDramBytes());
 }
 
 } // namespace

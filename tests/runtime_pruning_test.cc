@@ -24,29 +24,12 @@ randomMatrix(std::size_t n, std::uint64_t seed)
     return m;
 }
 
-TEST(Pruning, ThresholdHitsTargetFraction)
-{
-    const tensor::Matrix m = randomMatrix(64, 1);
-    const double thr = magnitudeThreshold(m, 0.37);
-    tensor::Matrix copy = m;
-    const double pruned = pruneBelow(copy, thr);
-    EXPECT_NEAR(pruned, 0.37, 0.02);
-}
-
 TEST(Pruning, ZeroFractionPrunesNothing)
 {
     tensor::Matrix m = randomMatrix(16, 2);
     const tensor::Matrix before = m;
-    EXPECT_DOUBLE_EQ(magnitudeThreshold(m, 0.0), 0.0);
     EXPECT_DOUBLE_EQ(pruneBelow(m, 0.0), 0.0);
     EXPECT_EQ(m, before);
-}
-
-TEST(Pruning, RejectsBadFraction)
-{
-    const tensor::Matrix m = randomMatrix(4, 3);
-    EXPECT_THROW(magnitudeThreshold(m, -0.1), std::invalid_argument);
-    EXPECT_THROW(magnitudeThreshold(m, 1.1), std::invalid_argument);
 }
 
 TEST(Pruning, PrunesSmallestMagnitudesFirst)
@@ -57,8 +40,7 @@ TEST(Pruning, PrunesSmallestMagnitudesFirst)
     m(1, 0) = 1.0f;
     m(1, 1) = -2.0f;
 
-    const double thr = magnitudeThreshold(m, 0.5);
-    pruneBelow(m, thr);
+    EXPECT_DOUBLE_EQ(pruneBelow(m, 0.5), 0.5);
     EXPECT_FLOAT_EQ(m(0, 0), 0.0f);
     EXPECT_FLOAT_EQ(m(0, 1), 0.0f);
     EXPECT_FLOAT_EQ(m(1, 0), 1.0f);

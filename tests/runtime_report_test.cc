@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/json.hh"
 #include "runtime/report.hh"
 
 namespace {
@@ -126,37 +125,6 @@ TEST(Report, TraceCsvEscapesKernelNames)
     // Kernel names contain commas ("Sgemm(W_fico, x)"): rows must
     // quote them so every row keeps the header's column count.
     EXPECT_NE(os.str().find("\"Sgemm(W_fico, x)\""), std::string::npos);
-}
-
-TEST(Report, JsonMatchesCsvNumbers)
-{
-    const RunReport r = someRun();
-    const std::string json = runReportJson("unit", r);
-    const auto doc = obs::parseJson(json);
-    ASSERT_TRUE(doc.has_value());
-    ASSERT_EQ(doc->kind, obs::JsonValue::Kind::Object);
-
-    EXPECT_EQ(doc->find("label")->str, "unit");
-    EXPECT_EQ(doc->find("plan")->str, "baseline");
-    EXPECT_DOUBLE_EQ(doc->find("time_us")->number, r.result.timeUs);
-    EXPECT_DOUBLE_EQ(doc->find("kernels")->number,
-                     static_cast<double>(r.result.kernelCount));
-    EXPECT_DOUBLE_EQ(doc->find("dram_bytes")->number,
-                     r.result.dramBytes);
-    EXPECT_DOUBLE_EQ(doc->find("flops")->number, r.result.flops);
-    const obs::JsonValue *energy = doc->find("energy_j");
-    ASSERT_NE(energy, nullptr);
-    EXPECT_DOUBLE_EQ(energy->find("total")->number,
-                     r.result.energy.totalJ());
-    EXPECT_DOUBLE_EQ(energy->find("static")->number,
-                     r.result.energy.staticJ);
-    const obs::JsonValue *stalls = doc->find("stall_cycles");
-    ASSERT_NE(stalls, nullptr);
-    EXPECT_DOUBLE_EQ(stalls->find("offchip_memory")->number,
-                     r.result.stalls.offChipMemory);
-    const obs::JsonValue *per_class = doc->find("time_per_class_us");
-    ASSERT_NE(per_class, nullptr);
-    EXPECT_FALSE(per_class->members.empty());
 }
 
 } // namespace

@@ -116,8 +116,10 @@ TEST(ScheduleMatrix, EveryCombinationValidatesOrRejectsAsDocumented)
 
         const std::string label =
             std::string(tissue.empty() ? "dense" : "tissues") + "/" +
-            toString(path) + "/f" + std::to_string(skip) + "/" +
-            toString(fusion) + "/" + quant::toString(qm) +
+            "skip" + std::to_string(static_cast<int>(path)) + "/f" +
+            std::to_string(skip) + "/fusion" +
+            std::to_string(static_cast<int>(fusion)) + "/" +
+            quant::toString(qm) +
             (csr ? "/csr" : "") + "/p" + std::to_string(prune) + "/" +
             toString(res);
         SCOPED_TRACE(label);

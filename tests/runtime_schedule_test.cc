@@ -52,24 +52,6 @@ TEST(PlanKindParse, RejectsUnknownSpellings)
     EXPECT_FALSE(planKindFromString("turbo").has_value());
 }
 
-TEST(ScheduleEnumParse, RoundTripsSkipPathAndFlagFusion)
-{
-    for (SkipPath p :
-         {SkipPath::Off, SkipPath::Software, SkipPath::HwCrm}) {
-        const auto parsed = parseSkipPath(toString(p));
-        ASSERT_TRUE(parsed.has_value()) << toString(p);
-        EXPECT_EQ(*parsed, p);
-    }
-    for (FlagFusion f :
-         {FlagFusion::Standalone, FlagFusion::FusedEpilogue}) {
-        const auto parsed = parseFlagFusion(toString(f));
-        ASSERT_TRUE(parsed.has_value()) << toString(f);
-        EXPECT_EQ(*parsed, f);
-    }
-    EXPECT_FALSE(parseSkipPath("warp").has_value());
-    EXPECT_FALSE(parseFlagFusion("inline").has_value());
-}
-
 // ---------------------------------------------------------------------
 // Validation rules
 

@@ -13,6 +13,7 @@
 #include "obs/observer.hh"
 #include "runtime/executor.hh"
 #include "sched/tuner.hh"
+#include "support/metrics.hh"
 
 namespace mflstm {
 namespace sched {
@@ -163,10 +164,8 @@ TEST(Tune, RunsTheCombinedMtsSweepOnce)
     // 7 presets + one 12-probe Combined MTS sweep + 2 layers x 4
     // byte-prune survivors + 2 composed candidates. A second sweep
     // (re-deriving the Combined tissues for step 2) would make it 41.
-    const obs::Counter *runs =
-        observer.metrics().findCounter("executor.runs");
-    ASSERT_NE(runs, nullptr);
-    EXPECT_EQ(runs->value(), 7.0 + 12.0 + 2.0 * 4.0 + 2.0);
+    EXPECT_EQ(test::dumpedCounter(observer.metrics(), "executor.runs"),
+              7.0 + 12.0 + 2.0 * 4.0 + 2.0);
 }
 
 TEST(Tune, PresetPlansScoreIdenticallyToCandidates)
@@ -177,7 +176,10 @@ TEST(Tune, PresetPlansScoreIdenticallyToCandidates)
 
     const runtime::ExecutionPlan baseline =
         presetPlan(exec, req, runtime::PlanKind::Baseline);
-    const double t = simulatedTimeUs(exec, req, baseline);
+    const double t =
+        exec.run(runtime::RunRequest::network(req.shape, baseline,
+                                              req.batch))
+            .result.timeUs;
     for (const Candidate &c : res.candidates) {
         if (c.label == "preset:baseline") {
             EXPECT_EQ(c.timeUs, t);

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "serve/engine.hh"
+#include "support/metrics.hh"
 #include "tensor/rng.hh"
 
 namespace {
@@ -134,13 +135,11 @@ TEST_F(EngineTest, TimingRunSimulatedOncePerRungAndBatch)
     serve::InferenceEngine engine(mf, opts);
     const obs::MetricsRegistry &m = observer.metrics();
     const auto count = [&m](const char *name) {
-        const obs::Counter *c = m.findCounter(name);
-        return c ? c->value() : 0.0;
+        return test::dumpedCounter(m, name).value_or(0.0);
     };
     // Planning in the constructor may already have run the executor.
     const double runs_at_start = count("executor.runs");
-    ASSERT_NE(m.findCounter("serve.timing_sims"), nullptr);
-    EXPECT_EQ(count("serve.timing_sims"), 0.0);
+    EXPECT_EQ(test::dumpedCounter(m, "serve.timing_sims"), 0.0);
 
     // Bursts of mixed sizes, each drained before the next, so batch
     // sizes repeat: more batches than there are (rung, batch) pairs.
@@ -275,6 +274,20 @@ TEST_F(EngineTest, ImpossibleDeadlineIsReportedMissed)
     // The miss is either shed before execution or a late completion —
     // the two buckets partition deadlineMisses exactly.
     EXPECT_EQ(st.shedBeforeRun + st.lateCompletions, st.deadlineMisses);
+}
+
+TEST_F(EngineTest, ExpiredRequestIsShedBeforeItsBatchRuns)
+{
+    // Deadline shedding happens when the worker forms a batch: an
+    // expired request never occupies a batch slot, so a lone expired
+    // request leaves no batch (and no timing run) behind.
+    serve::InferenceEngine engine(mf, engineOptions());
+    const serve::Response r =
+        engine.session().infer(seqs(1, 10, 62).front(), 1e-9).get();
+    EXPECT_EQ(r.status, serve::Status::ShedDeadline);
+    const auto st = engine.stats();
+    EXPECT_EQ(st.shedBeforeRun, 1u);
+    EXPECT_EQ(st.batches, 0u);
 }
 
 TEST_F(EngineTest, RejectNewAdmissionResolvesRejectedCapacity)

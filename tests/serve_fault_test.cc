@@ -1,7 +1,7 @@
 /**
  * @file
- * Fault-injection tests for the serving engine (DESIGN.md §10). A
- * ScriptedFaultInjector fails chosen requests / batches for their
+ * Fault-injection tests for the serving engine (DESIGN.md §10). The
+ * test support library's ScriptedFaultInjector fails chosen requests / batches for their
  * first N attempts, so every retry path is deterministic:
  *
  *   - a fault budgeted under maxRetries is retried and the successful
@@ -21,6 +21,8 @@
 #include <vector>
 
 #include "serve/engine.hh"
+#include "support/fault.hh"
+#include "support/metrics.hh"
 #include "tensor/rng.hh"
 
 namespace {
@@ -93,7 +95,7 @@ TEST_F(FaultTest, SuccessfulRetryIsBitIdenticalToFaultFreeRun)
 
     // Request ids are assigned 1.. in submit order; fail id 3's first
     // two attempts — under budget (maxRetries = 2), so it must recover.
-    serve::ScriptedFaultInjector inj;
+    test::ScriptedFaultInjector inj;
     inj.failRequest(3, 2);
 
     serve::InferenceEngine engine(mf, faultOptions(inj, 2));
@@ -128,7 +130,7 @@ TEST_F(FaultTest, ExhaustedRetriesFailWithoutStallingSiblings)
 
     // Fail id 2 for more attempts than the engine will ever make:
     // 1 initial + maxRetries(1) = 2 attempts, scripted to fail 5.
-    serve::ScriptedFaultInjector inj;
+    test::ScriptedFaultInjector inj;
     inj.failRequest(2, 5);
 
     serve::InferenceEngine engine(mf, faultOptions(inj, 1));
@@ -160,7 +162,7 @@ TEST_F(FaultTest, ExhaustedRetriesFailWithoutStallingSiblings)
 
 TEST_F(FaultTest, BatchTimingFaultIsRetried)
 {
-    serve::ScriptedFaultInjector inj;
+    test::ScriptedFaultInjector inj;
     inj.failBatch(0, 2);  // first batch: fail 2 timing attempts
 
     serve::InferenceEngine engine(mf, faultOptions(inj, 2));
@@ -174,7 +176,7 @@ TEST_F(FaultTest, BatchTimingFaultIsRetried)
 
 TEST_F(FaultTest, BatchTimingFaultOnATimingTableHitIsRetried)
 {
-    serve::ScriptedFaultInjector inj;
+    test::ScriptedFaultInjector inj;
     serve::InferenceEngine engine(mf, faultOptions(inj, 2));
     serve::Session session = engine.session();
     const auto inputs = seqs(2, 10, 43);
@@ -193,15 +195,14 @@ TEST_F(FaultTest, BatchTimingFaultOnATimingTableHitIsRetried)
     EXPECT_EQ(second.simBatchMs, first.simBatchMs);
     EXPECT_EQ(inj.injected(), 2u);
     EXPECT_EQ(engine.stats().retries, 2u);
-    const obs::Counter *sims =
-        engine.observer().metrics().findCounter("serve.timing_sims");
-    ASSERT_NE(sims, nullptr);
-    EXPECT_EQ(sims->value(), 1.0);
+    EXPECT_EQ(test::dumpedCounter(engine.observer().metrics(),
+                                  "serve.timing_sims"),
+              1.0);
 }
 
 TEST_F(FaultTest, ExhaustedBatchRetriesFailTheBatchButNotTheEngine)
 {
-    serve::ScriptedFaultInjector inj;
+    test::ScriptedFaultInjector inj;
     inj.failBatch(0, 10);  // beyond any budget: batch 0 always fails
 
     serve::InferenceEngine engine(mf, faultOptions(inj, 1));

@@ -116,7 +116,7 @@ TEST_F(LifecycleTest, ObserverExposesStageHistograms)
           "serve.exec_ms"}) {
         const obs::Histogram *h = m.findHistogram(name);
         ASSERT_NE(h, nullptr) << name;
-        EXPECT_GE(h->count(), n) << name;
+        EXPECT_GE(h->snapshot().count, n) << name;
         EXPECT_GE(h->quantile(0.95), h->quantile(0.50)) << name;
     }
 }
@@ -175,7 +175,7 @@ TEST_F(LifecycleTest, PrivateObserverHoldsNoServeSpans)
     const obs::Histogram *h =
         engine.observer().metrics().findHistogram("serve.exec_ms");
     ASSERT_NE(h, nullptr);
-    EXPECT_GE(h->count(), n);
+    EXPECT_GE(h->snapshot().count, n);
 }
 
 TEST_F(LifecycleTest, SharedObserverReceivesLifecycle)
@@ -191,7 +191,7 @@ TEST_F(LifecycleTest, SharedObserverReceivesLifecycle)
     const obs::Histogram *h =
         obs.metrics().findHistogram("serve.exec_ms");
     ASSERT_NE(h, nullptr);
-    EXPECT_GE(h->count(), 6u);
+    EXPECT_GE(h->snapshot().count, 6u);
     EXPECT_EQ(&engine.observer(), &obs);
 }
 

@@ -1,14 +1,14 @@
 /**
  * @file
  * Property-based tests for the bounded RequestQueue (DESIGN.md §10).
- * A seeded random op-mix (push / popWait / drain / shedExpired) runs
+ * A seeded random op-mix (push / popWait / drain) runs
  * against a reference model under every admission policy, checking the
  * structural invariants the engine's exactly-once promise contract
  * rests on:
  *
  *   - the queue never holds more than its capacity;
  *   - every pushed item leaves the queue through exactly one exit
- *     (pop, drain, shed, bounce, eviction, or the final close drain);
+ *     (pop, drain, bounce, eviction, or the final close drain);
  *   - pops come out priority-descending with FIFO ties;
  *   - the backpressure counters reconcile with the observed exits.
  */
@@ -28,12 +28,11 @@ using namespace mflstm;
 using namespace mflstm::serve;
 
 QueuedRequest
-makeItem(std::uint64_t seq, int priority, double deadline_ms = 0.0)
+makeItem(std::uint64_t seq, int priority)
 {
     QueuedRequest item;
     item.request.tokens = {1};
     item.request.priority = priority;
-    item.request.deadlineMs = deadline_ms;
     item.id = seq + 1;
     item.seq = seq;
     item.enqueued = std::chrono::steady_clock::now();
@@ -45,7 +44,6 @@ enum class Exit
 {
     Popped,
     Drained,
-    Shed,
     Bounced,   // push rejected, the new item came back
     Evicted,   // DropOldest victim, came back through bounced
 };
@@ -80,16 +78,11 @@ runRandomOps(AdmissionPolicy policy, std::uint64_t seed, RandomRun &run)
         if (roll < 6) {  // push (the majority, to exercise overload)
             const std::uint64_t seq = next_seq++;
             const int priority = static_cast<int>(rng() % 4);
-            // ~1 in 8 items is born expired so shedExpired has prey.
-            const bool expired = (rng() % 8) == 0;
-            QueuedRequest item =
-                makeItem(seq, priority, expired ? 1e-9 : 0.0);
-            if (expired)
-                item.enqueued -= std::chrono::milliseconds(1);
             ++run.pushed;
 
             std::vector<QueuedRequest> bounced;
-            const auto outcome = q.push(std::move(item), &bounced);
+            const auto outcome =
+                q.push(makeItem(seq, priority), &bounced);
             ASSERT_NE(outcome, RequestQueue::PushOutcome::Closed);
             if (outcome == RequestQueue::PushOutcome::RejectedCapacity) {
                 ASSERT_EQ(bounced.size(), 1u);
@@ -108,7 +101,7 @@ runRandomOps(AdmissionPolicy policy, std::uint64_t seed, RandomRun &run)
             QueuedRequest out;
             ASSERT_TRUE(q.popWait(out));
             run.record(out.seq, Exit::Popped);
-        } else if (roll < 9) {  // drain a few
+        } else {  // drain a few
             std::vector<QueuedRequest> out;
             const std::size_t want = 1 + rng() % 4;
             const std::size_t got = q.drain(out, want);
@@ -117,11 +110,6 @@ runRandomOps(AdmissionPolicy policy, std::uint64_t seed, RandomRun &run)
             for (QueuedRequest &item : out) {
                 run.record(item.seq, Exit::Drained);
             }
-        } else {  // shed expired
-            std::vector<QueuedRequest> out;
-            q.shedExpired(std::chrono::steady_clock::now(), out);
-            for (QueuedRequest &item : out)
-                run.record(item.seq, Exit::Shed);
         }
     }
 
@@ -146,7 +134,6 @@ runRandomOps(AdmissionPolicy policy, std::uint64_t seed, RandomRun &run)
         ++tally[e];
     EXPECT_EQ(c.rejected, tally[Exit::Bounced]);
     EXPECT_EQ(c.evicted, tally[Exit::Evicted]);
-    EXPECT_EQ(c.shed, tally[Exit::Shed]);
     EXPECT_EQ(c.admitted, run.pushed - tally[Exit::Bounced]);
     EXPECT_LE(c.highWater, kCapacity);
 }

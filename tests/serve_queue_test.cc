@@ -101,7 +101,6 @@ TEST(RequestQueue, CloseRejectsPushesButDrainsRemainder)
     RequestQueue q;
     ASSERT_TRUE(admitted(q, makeItem(0)));
     q.close();
-    EXPECT_TRUE(q.closed());
     EXPECT_FALSE(admitted(q, makeItem(1)));
 
     QueuedRequest out;
@@ -217,35 +216,6 @@ TEST(BoundedQueue, CloseWakesBlockedProducer)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     q.close();
     producer.join();
-}
-
-TEST(BoundedQueue, ShedExpiredRemovesOnlyPastDeadlineItems)
-{
-    RequestQueue q;
-    QueuedRequest stale = makeItem(0);
-    stale.request.deadlineMs = 0.5;
-    stale.enqueued = std::chrono::steady_clock::now() -
-                     std::chrono::milliseconds(10);
-    QueuedRequest fresh = makeItem(1);
-    fresh.request.deadlineMs = 60'000.0;
-    QueuedRequest no_deadline = makeItem(2);  // deadlineMs = 0: exempt
-    ASSERT_TRUE(admitted(q, std::move(stale)));
-    ASSERT_TRUE(admitted(q, std::move(fresh)));
-    ASSERT_TRUE(admitted(q, std::move(no_deadline)));
-
-    std::vector<QueuedRequest> shed;
-    EXPECT_EQ(q.shedExpired(std::chrono::steady_clock::now(), shed), 1u);
-    ASSERT_EQ(shed.size(), 1u);
-    EXPECT_EQ(shed[0].seq, 0u);
-    EXPECT_EQ(q.size(), 2u);
-    EXPECT_EQ(q.counters().shed, 1u);
-
-    // The survivors still pop in order after the heap repair.
-    QueuedRequest out;
-    ASSERT_TRUE(q.popWait(out));
-    EXPECT_EQ(out.seq, 1u);
-    ASSERT_TRUE(q.popWait(out));
-    EXPECT_EQ(out.seq, 2u);
 }
 
 TEST(DynamicBatcher, RejectsZeroBound)

@@ -125,12 +125,4 @@ TEST(UserStudy, ValidatesInputs)
     EXPECT_THROW(runUserStudy(pts, 0.9, 99, 0), std::out_of_range);
 }
 
-TEST(UserStudy, SchemeNames)
-{
-    EXPECT_STREQ(toString(Scheme::Baseline), "Baseline");
-    EXPECT_STREQ(toString(Scheme::Ao), "AO");
-    EXPECT_STREQ(toString(Scheme::Bpa), "BPA");
-    EXPECT_STREQ(toString(Scheme::Uo), "UO");
-}
-
 } // namespace

@@ -5,13 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include "support/reference.hh"
 #include "tensor/matrix.hh"
 
 namespace {
 
 using mflstm::tensor::Matrix;
 using mflstm::tensor::Vector;
-using mflstm::tensor::vconcat;
+using mflstm::test::vconcat;
 
 TEST(Vector, ConstructsZeroed)
 {

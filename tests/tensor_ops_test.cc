@@ -134,14 +134,10 @@ TEST(Elementwise, Add)
     EXPECT_FLOAT_EQ(out[1], 7.0f);
 }
 
-TEST(Reductions, SumAbsDotArgmax)
+TEST(Reductions, SumAbsArgmax)
 {
     Vector a{-1.0f, 2.0f, -3.0f};
     EXPECT_FLOAT_EQ(sumAbs(a.span()), 6.0f);
-
-    Vector b{1.0f, 1.0f, 1.0f};
-    EXPECT_FLOAT_EQ(dot(a.span(), b.span()), -2.0f);
-
     EXPECT_EQ(argmax(a.span()), 1u);
 }
 

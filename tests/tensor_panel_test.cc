@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/reference.hh"
 #include "tensor/matrix.hh"
 #include "tensor/ops.hh"
 #include "tensor/panel.hh"
@@ -134,7 +135,7 @@ TEST(PanelGemv, SeveralMatricesPackLikeVconcat)
     ASSERT_EQ(packed.rows(), 120u);
 
     Vector want, got;
-    gemv(vconcat({&f, &i, &c}), x, want);
+    gemv(mflstm::test::vconcat({&f, &i, &c}), x, want);
     gemv(packed, x, got);
     EXPECT_TRUE(sameBytes(got, want));
 }

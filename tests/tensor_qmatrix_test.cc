@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/reference.hh"
 #include "tensor/qmatrix.hh"
 
 namespace {
@@ -124,9 +125,9 @@ TEST(QuantizedMatrix, QuantizeIsIdempotent)
     const Matrix m = patternMatrix(7, 9);
     for (const QuantMode mode : {QuantMode::Int8, QuantMode::Int4}) {
         const Matrix once =
-            QuantizedMatrix::quantize(m, mode).dequantize();
+            test::dequantize(QuantizedMatrix::quantize(m, mode));
         const Matrix twice =
-            QuantizedMatrix::quantize(once, mode).dequantize();
+            test::dequantize(QuantizedMatrix::quantize(once, mode));
         EXPECT_EQ(once, twice);
     }
 }

@@ -118,15 +118,4 @@ TEST(Rng, IntegerInRangeInclusive)
     EXPECT_TRUE(saw_hi);
 }
 
-TEST(Rng, ForkProducesIndependentStream)
-{
-    Rng a(42);
-    Rng child = a.fork();
-    // The fork must not replay the parent's stream.
-    Rng parent_clone(42);
-    parent_clone.fork();
-    EXPECT_FLOAT_EQ(child.uniform(0.0f, 1.0f),
-                    Rng(42).fork().uniform(0.0f, 1.0f));
-}
-
 } // namespace
