@@ -7,18 +7,18 @@ namespace mflstm {
 namespace core {
 
 UserOrientedController::UserOrientedController(
-    std::vector<ThresholdSet> ladder, double preferred_accuracy,
+    std::size_t rungs, double preferred_accuracy,
     const ControllerConfig &cfg)
-    : ladder_(std::move(ladder)), preferred_(preferred_accuracy),
-      cfg_(cfg), index_(cfg.initialIndex)
+    : rungs_(rungs), preferred_(preferred_accuracy), cfg_(cfg),
+      index_(cfg.initialIndex)
 {
-    if (ladder_.empty())
+    if (rungs_ == 0)
         throw std::invalid_argument(
             "UserOrientedController: empty ladder");
     if (preferred_ < 0.0 || preferred_ > 1.0)
         throw std::invalid_argument(
             "UserOrientedController: preference out of [0,1]");
-    index_ = std::min(index_, ladder_.size() - 1);
+    index_ = std::min(index_, rungs_ - 1);
 }
 
 std::size_t
@@ -48,7 +48,7 @@ UserOrientedController::observe(double accuracy)
     }
 
     if (ema_ >= preferred_ + cfg_.climbMargin &&
-        index_ + 1 < ladder_.size()) {
+        index_ + 1 < rungs_) {
         ++index_;
         emaValid_ = false;
     }

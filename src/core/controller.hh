@@ -18,9 +18,6 @@
 #define MFLSTM_CORE_CONTROLLER_HH
 
 #include <cstddef>
-#include <vector>
-
-#include "core/thresholds.hh"
 
 namespace mflstm {
 namespace core {
@@ -45,11 +42,10 @@ class UserOrientedController
 {
   public:
     /**
-     * @param ladder          the application's threshold ladder.
+     * @param rungs           rungs of the application's threshold ladder.
      * @param preferred_accuracy the user's accuracy floor, [0,1].
      */
-    UserOrientedController(std::vector<ThresholdSet> ladder,
-                           double preferred_accuracy,
+    UserOrientedController(std::size_t rungs, double preferred_accuracy,
                            const ControllerConfig &cfg = {});
 
     /** Ladder rung of the threshold set for the next execution. */
@@ -69,7 +65,7 @@ class UserOrientedController
     double preferredAccuracy() const { return preferred_; }
 
   private:
-    std::vector<ThresholdSet> ladder_;
+    std::size_t rungs_;
     double preferred_;
     ControllerConfig cfg_;
     std::size_t index_;

@@ -27,8 +27,24 @@ ready(const std::future<serve::Response> &fut)
 
 } // anonymous namespace
 
+Fleet::Instruments::Instruments(obs::MetricsRegistry &m)
+    : submitted(m.counter("fleet.submitted_total")),
+      completed(m.counter("fleet.completed_total")),
+      ok(m.counter("fleet.ok_total")),
+      failed(m.counter("fleet.failed_total")),
+      failovers(m.counter("fleet.failover_total")),
+      hedges(m.counter("fleet.hedge_total")),
+      hedgeWins(m.counter("fleet.hedge_win_total")),
+      parked(m.counter("fleet.parked_total")),
+      chaosApplied(m.counter("fleet.chaos_applied_total"))
+{}
+
 Fleet::Fleet(const core::MemoryFriendlyLstm &mf, FleetOptions opts)
-    : opts_(std::move(opts)), mf_(&mf)
+    : opts_(std::move(opts)), mf_(&mf),
+      ownedObs_(opts_.observer ? nullptr
+                               : std::make_unique<obs::Observer>()),
+      obs_(opts_.observer ? opts_.observer : ownedObs_.get()),
+      m_(obs_->metrics())
 {
     if (opts_.replicas == 0)
         throw std::invalid_argument("Fleet: replicas == 0");
@@ -37,19 +53,9 @@ Fleet::Fleet(const core::MemoryFriendlyLstm &mf, FleetOptions opts)
     if (opts_.maxAttempts < 1)
         throw std::invalid_argument("Fleet: maxAttempts < 1");
 
-    if (opts_.observer) {
-        obs_ = opts_.observer;
-    } else {
-        ownedObs_ = std::make_unique<obs::Observer>();
-        obs_ = ownedObs_.get();
-    }
     store_ = std::make_unique<io::ArtifactStore>(opts_.storeDir);
     router_ =
         std::make_unique<Router>(opts_.policy, opts_.slos, obs_);
-
-    // Touch the headline counters so dumps show them even at zero.
-    obs_->metrics().counter("fleet.failover_total");
-    obs_->metrics().counter("fleet.hedge_total");
 
     // Replica 0 seeds the store (cold build + save under the write
     // lock when no valid artifact exists); later replicas warm-boot
@@ -67,7 +73,11 @@ Fleet::Fleet(const core::MemoryFriendlyLstm &mf, FleetOptions opts)
         rc.breakerTripAfter = opts_.breakerTripAfter;
         rc.breakerCooldownTicks = opts_.breakerCooldownTicks;
         replicas_.push_back(std::make_unique<Replica>(
-            i, mf, *store_, std::move(rc), obs_));
+            i, mf, *store_, std::move(rc), *obs_));
+        const obs::Labels label = {{"replica", replicas_.back()->name()}};
+        replicaSeries_.push_back(
+            {obs_->metrics().counter("fleet.dispatch_total", label),
+             obs_->metrics().counter("fleet.responses_total", label)});
     }
     obs_->metrics()
         .gauge("fleet.replicas")
@@ -120,10 +130,7 @@ Fleet::dispatch(Pending &p, std::size_t avoid)
     p.replica = idx;
     p.fut = std::move(fut);
     p.dispatched = std::chrono::steady_clock::now();
-    obs_->metrics()
-        .counter("fleet.dispatch_total",
-                 {{"replica", replicas_[idx]->name()}})
-        .add();
+    replicaSeries_[idx].dispatched.add();
     return true;
 }
 
@@ -143,8 +150,7 @@ Fleet::submit(FleetRequest req)
     p.req = std::move(req);
     p.fleetId = nextFleetId_++;
 
-    ++stats_.submitted;
-    obs_->metrics().counter("fleet.submitted_total").add();
+    m_.submitted.add();
 
     if (!dispatch(p, Router::kNoReplica)) {
         if (!opts_.failover) {
@@ -157,8 +163,7 @@ Fleet::submit(FleetRequest req)
             complete(r, p.replica);
             return id;
         }
-        ++stats_.parked;
-        obs_->metrics().counter("fleet.parked_total").add();
+        m_.parked.add();
     }
     const std::uint64_t id = p.fleetId;
     pending_.push_back(std::move(p));
@@ -168,19 +173,13 @@ Fleet::submit(FleetRequest req)
 void
 Fleet::complete(const serve::Response &r, std::size_t replica)
 {
-    ++stats_.completed;
-    obs_->metrics().counter("fleet.completed_total").add();
-    if (r.status == serve::Status::Ok) {
-        ++stats_.ok;
-    } else if (r.status == serve::Status::Failed) {
-        ++stats_.failed;
-        obs_->metrics().counter("fleet.failed_total").add();
-    }
+    m_.completed.add();
+    if (r.status == serve::Status::Ok)
+        m_.ok.add();
+    else if (r.status == serve::Status::Failed)
+        m_.failed.add();
     if (replica < replicas_.size())
-        obs_->metrics()
-            .counter("fleet.responses_total",
-                     {{"replica", replicas_[replica]->name()}})
-            .add();
+        replicaSeries_[replica].responses.add();
 }
 
 void
@@ -224,8 +223,7 @@ Fleet::pump()
                 // Hedged or stranded-on-a-dead-replica re-dispatch:
                 // idempotent by construction, the functional run is a
                 // pure re-simulation of the same tokens.
-                ++stats_.failovers;
-                obs_->metrics().counter("fleet.failover_total").add();
+                m_.failovers.add();
                 if (p.hedgeFut.valid()) {
                     // The hedge twin is already racing: promote it.
                     p.fut = std::move(p.hedgeFut);
@@ -234,8 +232,7 @@ Fleet::pump()
                 } else if (!dispatch(p, from)) {
                     p.fut = {};
                     p.replica = Router::kNoReplica;
-                    ++stats_.parked;
-                    obs_->metrics().counter("fleet.parked_total").add();
+                    m_.parked.add();
                 }
             } else {
                 if (p.hedgeFut.valid())
@@ -249,7 +246,7 @@ Fleet::pump()
                 // Hedge won the race; the primary's eventual result
                 // is discarded.
                 replicas_[p.hedgeReplica]->breaker().onSuccess();
-                ++stats_.hedgeWins;
+                m_.hedgeWins.add();
                 discarded_.push_back(std::move(p.fut));
                 complete(r, p.hedgeReplica);
                 done = true;
@@ -277,8 +274,7 @@ Fleet::pump()
                     p.hedged = true;
                     p.hedgeReplica = idx;
                     p.hedgeFut = std::move(fut);
-                    ++stats_.hedges;
-                    obs_->metrics().counter("fleet.hedge_total").add();
+                    m_.hedges.add();
                 }
             }
         }
@@ -294,7 +290,7 @@ Fleet::pump()
 void
 Fleet::applyChaosEvent(const ChaosEvent &e, TickReport &report)
 {
-    obs_->metrics().counter("fleet.chaos_applied_total").add();
+    m_.chaosApplied.add();
     report.applied.push_back(e);
     switch (e.kind) {
     case ChaosEvent::Kind::Crash:
@@ -440,13 +436,24 @@ Fleet::shutdown()
             r->engine()->shutdown();
 }
 
+Fleet::Stats
+Fleet::stats() const
+{
+    const auto count = [](const obs::Counter &c) {
+        return static_cast<std::uint64_t>(c.value());
+    };
+    return Stats{count(m_.submitted), count(m_.completed), count(m_.ok),
+                 count(m_.failed),    count(m_.failovers), count(m_.hedges),
+                 count(m_.hedgeWins), count(m_.parked)};
+}
+
 double
 Fleet::availability() const
 {
-    if (stats_.completed == 0)
+    const Stats s = stats();
+    if (s.completed == 0)
         return 1.0;
-    return static_cast<double>(stats_.ok) /
-           static_cast<double>(stats_.completed);
+    return static_cast<double>(s.ok) / static_cast<double>(s.completed);
 }
 
 } // namespace fleet

@@ -24,9 +24,9 @@
  *    request is never silently dropped.
  *
  * Every accepted request reaches exactly one terminal response, counted
- * in stats(): drain() pumps until the pending set is empty (engines
- * resolve all futures terminally, so this converges), and shutdown()
- * drains before stopping the replicas.
+ * in the fleet.* series that stats() reads: drain() pumps until the
+ * pending set is empty (engines resolve all futures terminally, so
+ * this converges), and shutdown() drains before stopping the replicas.
  *
  * Thread safety: submit/tick/pump/drain are driven from one control
  * thread; the engines' worker pools run concurrently underneath.
@@ -147,6 +147,8 @@ class Fleet
     obs::Observer &observer() { return *obs_; }
     const FleetOptions &options() const { return opts_; }
 
+    /** Read from the fleet.*_total series: submitted, completed, ok,
+     *  failed, failover, hedge, hedge_win and parked. */
     struct Stats
     {
         std::uint64_t submitted = 0;
@@ -158,12 +160,26 @@ class Fleet
         std::uint64_t hedgeWins = 0;  ///< hedges that produced the result
         std::uint64_t parked = 0;     ///< waits with no eligible replica
     };
-    const Stats &stats() const { return stats_; }
+    Stats stats() const;
 
     /** Ok share of completed requests (1.0 when none completed). */
     double availability() const;
 
   private:
+    /// the fleet's counters, bound once at construction
+    struct Instruments
+    {
+        explicit Instruments(obs::MetricsRegistry &m);
+
+        obs::Counter &submitted, &completed, &ok, &failed, &failovers,
+            &hedges, &hedgeWins, &parked, &chaosApplied;
+    };
+    /// fleet.dispatch_total and fleet.responses_total of one replica
+    struct ReplicaSeries
+    {
+        obs::Counter &dispatched, &responses;
+    };
+
     struct Pending
     {
         FleetRequest req;
@@ -190,10 +206,13 @@ class Fleet
     FleetOptions opts_;
     const core::MemoryFriendlyLstm *mf_;
     std::unique_ptr<obs::Observer> ownedObs_;
-    obs::Observer *obs_ = nullptr;
+    obs::Observer *obs_;
+    const Instruments m_;
     std::unique_ptr<io::ArtifactStore> store_;
     std::unique_ptr<Router> router_;
     std::vector<std::unique_ptr<Replica>> replicas_;
+    /// index-aligned with replicas_
+    std::vector<ReplicaSeries> replicaSeries_;
 
     ChaosPlan chaos_;
     std::uint64_t tickNow_ = 0;
@@ -205,7 +224,6 @@ class Fleet
     /// losing hedge futures: polled until they resolve, then dropped
     /// (execution is pure, so the duplicate result is just discarded)
     std::vector<std::future<serve::Response>> discarded_;
-    Stats stats_;
     bool shutdown_ = false;
 };
 

@@ -16,11 +16,24 @@ constexpr int kProbePriority = 1 << 20;
 
 } // anonymous namespace
 
+Replica::Instruments::Instruments(obs::MetricsRegistry &m,
+                                  const std::string &name)
+    : kills(m.counter("fleet.killed_total", {{"replica", name}})),
+      restarts(m.counter("fleet.restart_total", {{"replica", name}})),
+      coldRecoveries(
+          m.counter("fleet.cold_recovery_total", {{"replica", name}})),
+      heartbeatMisses(
+          m.counter("fleet.heartbeat_miss_total", {{"replica", name}})),
+      stateChanges(
+          m.counter("fleet.state_change_total", {{"replica", name}})),
+      state(m.gauge("fleet.state", {{"replica", name}}))
+{}
+
 Replica::Replica(std::size_t index, const core::MemoryFriendlyLstm &mf,
                  io::ArtifactStore &store, ReplicaConfig cfg,
-                 obs::Observer *obs)
+                 obs::Observer &obs)
     : index_(index), mf_(&mf), store_(&store), cfg_(std::move(cfg)),
-      obs_(obs)
+      obs_(obs), m_(obs.metrics(), cfg_.name)
 {
     breaker_.tripAfter = cfg_.breakerTripAfter;
     breaker_.cooldownTicks = cfg_.breakerCooldownTicks;
@@ -29,6 +42,16 @@ Replica::Replica(std::size_t index, const core::MemoryFriendlyLstm &mf,
 }
 
 Replica::~Replica() = default;
+
+Replica::Counters
+Replica::counters() const
+{
+    const auto count = [](const obs::Counter &c) {
+        return static_cast<std::uint64_t>(c.value());
+    };
+    return Counters{count(m_.kills), count(m_.restarts),
+                    count(m_.coldRecoveries), count(m_.heartbeatMisses)};
+}
 
 bool
 Replica::alive() const
@@ -76,11 +99,7 @@ Replica::kill(bool corrupt_state)
         setState(ReplicaState::Down, "kill");
         return;
     }
-    ++counters_.kills;
-    if (obs_)
-        obs_->metrics()
-            .counter("fleet.killed_total", {{"replica", cfg_.name}})
-            .add();
+    m_.kills.add();
     engine_->kill();
     setState(ReplicaState::Down, "kill");
 }
@@ -124,7 +143,7 @@ Replica::rebuildEngine()
     if (store_->exists(kEngineStateArtifact)) {
         try {
             const serve::EngineWarmState warm =
-                serve::loadEngineState(path, {}, obs_);
+                serve::loadEngineState(path, {}, &obs_);
             engine_ = std::make_unique<serve::InferenceEngine>(
                 *mf_, cfg_.engine, warm);
             warm_ok = true;
@@ -132,13 +151,8 @@ Replica::rebuildEngine()
             // Quarantine-and-recompute (DESIGN.md §11): move the
             // damaged artifact aside and fall through to a cold boot.
             io::quarantine(path);
-            io::recordRejection(obs_, e.kind());
-            ++counters_.coldRecoveries;
-            if (obs_)
-                obs_->metrics()
-                    .counter("fleet.cold_recovery_total",
-                             {{"replica", cfg_.name}})
-                    .add();
+            io::recordRejection(&obs_, e.kind());
+            m_.coldRecoveries.add();
         }
     }
     if (!warm_ok) {
@@ -166,11 +180,7 @@ Replica::restart()
         corruptStoredState();
         corruptNextRestart_ = false;
     }
-    ++counters_.restarts;
-    if (obs_)
-        obs_->metrics()
-            .counter("fleet.restart_total", {{"replica", cfg_.name}})
-            .add();
+    m_.restarts.add();
     rebuildEngine();
     missStreak_ = 0;
     okStreak_ = 0;
@@ -210,12 +220,7 @@ Replica::heartbeat()
 
     okStreak_ = 0;
     ++missStreak_;
-    ++counters_.heartbeatMisses;
-    if (obs_)
-        obs_->metrics()
-            .counter("fleet.heartbeat_miss_total",
-                     {{"replica", cfg_.name}})
-            .add();
+    m_.heartbeatMisses.add();
     if (!alive() || missStreak_ >= cfg_.downAfter) {
         if (state_ != ReplicaState::Down)
             setState(ReplicaState::Down, "probe misses");
@@ -230,16 +235,10 @@ Replica::setState(ReplicaState next, const char *why)
 {
     const ReplicaState prev = state_;
     state_ = next;
-    if (!obs_)
-        return;
-    obs_->metrics()
-        .gauge("fleet.state", {{"replica", cfg_.name}})
-        .set(static_cast<double>(next));
+    m_.state.set(static_cast<double>(next));
     if (prev == next)
         return;
-    obs_->metrics()
-        .counter("fleet.state_change_total", {{"replica", cfg_.name}})
-        .add();
+    m_.stateChanges.add();
 
     // Lifecycle span: zero-length marker on the fleet track.
     obs::TraceSpan span;
@@ -248,10 +247,10 @@ Replica::setState(ReplicaState next, const char *why)
     span.category = "fleet";
     span.pid = obs::SpanTracer::kHostPid;
     span.tid = static_cast<int>(index_);
-    span.startUs = obs_->wallNowUs();
+    span.startUs = obs_.wallNowUs();
     span.durUs = 0.0;
     span.strArgs = {{"why", why}};
-    obs_->tracer().record(std::move(span));
+    obs_.tracer().record(std::move(span));
 }
 
 } // namespace fleet

@@ -107,11 +107,12 @@ class Replica
      * Builds the engine immediately: warm from @p store's
      * engine-state artifact when present and valid, else cold (and
      * the cold boot heals/seeds the store under the write lock).
-     * @p mf, @p store and @p obs must outlive the replica.
+     * @p mf, @p store and @p obs must outlive the replica; @p obs
+     * receives the replica's fleet.*{replica=<name>} series.
      */
     Replica(std::size_t index, const core::MemoryFriendlyLstm &mf,
             io::ArtifactStore &store, ReplicaConfig cfg,
-            obs::Observer *obs);
+            obs::Observer &obs);
 
     ~Replica();
     Replica(const Replica &) = delete;
@@ -170,9 +171,21 @@ class Replica
         std::uint64_t coldRecoveries = 0;
         std::uint64_t heartbeatMisses = 0;
     };
-    const Counters &counters() const { return counters_; }
+    /** Read from this replica's fleet.{killed,restart,cold_recovery,
+     *  heartbeat_miss}_total{replica=<name>} series. */
+    Counters counters() const;
 
   private:
+    /// the replica's labelled series, bound once at construction
+    struct Instruments
+    {
+        Instruments(obs::MetricsRegistry &m, const std::string &name);
+
+        obs::Counter &kills, &restarts, &coldRecoveries,
+            &heartbeatMisses, &stateChanges;
+        obs::Gauge &state;
+    };
+
     void rebuildEngine();
     void setState(ReplicaState next, const char *why);
     void corruptStoredState();
@@ -181,7 +194,8 @@ class Replica
     const core::MemoryFriendlyLstm *mf_;
     io::ArtifactStore *store_;
     ReplicaConfig cfg_;
-    obs::Observer *obs_;
+    obs::Observer &obs_;
+    const Instruments m_;
 
     std::unique_ptr<serve::InferenceEngine> engine_;
     ReplicaState state_ = ReplicaState::Healthy;
@@ -189,7 +203,6 @@ class Replica
     bool corruptNextRestart_ = false;
     int missStreak_ = 0;
     int okStreak_ = 0;
-    Counters counters_;
 };
 
 } // namespace fleet

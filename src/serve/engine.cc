@@ -34,6 +34,17 @@ wallMsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
+/** @p opts, once the checks both engine constructors share pass. */
+const InferenceEngine::Options &
+validated(const InferenceEngine::Options &opts)
+{
+    if (opts.workers == 0)
+        throw std::invalid_argument("InferenceEngine: workers == 0");
+    if (opts.maxRetries < 0)
+        throw std::invalid_argument("InferenceEngine: maxRetries < 0");
+    return opts;
+}
+
 /** Shared edges for every serve-side millisecond histogram. */
 std::vector<double>
 serveMsEdges()
@@ -100,21 +111,51 @@ recordLifecycle(obs::Observer *obs, int track, const Response &r)
 
 } // anonymous namespace
 
+InferenceEngine::Instruments::Instruments(obs::MetricsRegistry &m,
+                                          std::size_t max_batch)
+    : requests(m.counter("serve.requests")),
+      responses(m.counter("serve.responses")),
+      ok(m.counter("serve.ok")),
+      shedDeadline(m.counter("serve.shed_deadline")),
+      lateCompletions(m.counter("serve.late_completions")),
+      deadlineMisses(m.counter("serve.deadline_misses")),
+      rejected(m.counter("serve.rejected_capacity")),
+      evicted(m.counter("serve.evicted")),
+      failed(m.counter("serve.failed")),
+      retries(m.counter("serve.retries")),
+      faultsInjected(m.counter("serve.faults_injected")),
+      workerRestarts(m.counter("serve.worker_restarts")),
+      batches(m.counter("serve.batches")),
+      timingSims(m.counter("serve.timing_sims")),
+      precisionSwitches(m.counter("serve.precision_switch_total")),
+      killed(m.counter("serve.killed")),
+      latencyMs(m.histogram("serve.latency_ms", serveMsEdges())),
+      queueMs(m.histogram("serve.queue_ms", serveMsEdges())),
+      batchWaitMs(m.histogram("serve.batch_wait_ms", serveMsEdges())),
+      execMs(m.histogram("serve.exec_ms", serveMsEdges())),
+      batchSize(m.histogram("serve.batch_size", batchSizeEdges(max_batch))),
+      twinRebuildMs(m.histogram("serve.twin_rebuild_ms", serveMsEdges())),
+      weightDramBytesPerSeq(m.gauge("serve.weight_dram_bytes_per_seq")),
+      rung(m.gauge("serve.rung")), queueDepth(m.gauge("serve.queue_depth"))
+{}
+
 InferenceEngine::InferenceEngine(const core::MemoryFriendlyLstm &mf,
-                                 const Options &opts)
-    : opts_(opts), shape_(mf.config().timingShape),
+                                 const Options &opts, Preamble)
+    : opts_(validated(opts)), shape_(mf.config().timingShape),
       task_(mf.runner().model().config().task),
       queue_(QueueOptions{opts.queueCapacity, opts.admission,
                           opts.admitTimeoutMs}),
-      batcher_(queue_, opts.maxBatch)
+      batcher_(queue_, opts.maxBatch),
+      ownedObs_(opts.observer ? nullptr
+                              : std::make_unique<obs::Observer>()),
+      obs_(opts.observer ? opts.observer : ownedObs_.get()),
+      m_(obs_->metrics(), opts.maxBatch)
+{}
+
+InferenceEngine::InferenceEngine(const core::MemoryFriendlyLstm &mf,
+                                 const Options &opts)
+    : InferenceEngine(mf, opts, Preamble{})
 {
-    if (opts_.workers == 0)
-        throw std::invalid_argument("InferenceEngine: workers == 0");
-    if (opts_.maxRetries < 0)
-        throw std::invalid_argument("InferenceEngine: maxRetries < 0");
-
-    initObserver();
-
     core::TimingOptions topt;
     topt.kind = opts_.plan;
     topt.pruneFraction = opts_.pruneFraction;
@@ -181,21 +222,10 @@ InferenceEngine::InferenceEngine(const core::MemoryFriendlyLstm &mf,
 InferenceEngine::InferenceEngine(const core::MemoryFriendlyLstm &mf,
                                  const Options &opts,
                                  const EngineWarmState &warm)
-    : opts_(opts), shape_(mf.config().timingShape),
-      task_(mf.runner().model().config().task),
-      queue_(QueueOptions{opts.queueCapacity, opts.admission,
-                          opts.admitTimeoutMs}),
-      batcher_(queue_, opts.maxBatch)
+    : InferenceEngine(mf, opts, Preamble{})
 {
     using io::ArtifactError;
     using io::ErrorKind;
-
-    if (opts_.workers == 0)
-        throw std::invalid_argument("InferenceEngine: workers == 0");
-    if (opts_.maxRetries < 0)
-        throw std::invalid_argument("InferenceEngine: maxRetries < 0");
-
-    initObserver();
 
     if (warm.ladder.empty() || warm.ladder.size() != warm.plans.size())
         throw ArtifactError(
@@ -261,17 +291,6 @@ InferenceEngine::InferenceEngine(const core::MemoryFriendlyLstm &mf,
 }
 
 void
-InferenceEngine::initObserver()
-{
-    if (opts_.observer) {
-        obs_ = opts_.observer;
-    } else {
-        ownedObs_ = std::make_unique<obs::Observer>();
-        obs_ = ownedObs_.get();
-    }
-}
-
-void
 InferenceEngine::finishInit(const core::MemoryFriendlyLstm &mf,
                             std::vector<core::ApproxRunner> base_runners)
 {
@@ -285,18 +304,6 @@ InferenceEngine::finishInit(const core::MemoryFriendlyLstm &mf,
     executor_ = std::make_unique<runtime::NetworkExecutor>(
         mf.config().gpu, obs_);
     timing_.resize(ladder_.size() * opts_.maxBatch);
-
-    // Touch the instruments once so quantile queries work even before
-    // the first request completes.
-    obs_->metrics().histogram("serve.latency_ms", serveMsEdges());
-    obs_->metrics().histogram("serve.queue_ms", serveMsEdges());
-    obs_->metrics().histogram("serve.batch_wait_ms", serveMsEdges());
-    obs_->metrics().histogram("serve.exec_ms", serveMsEdges());
-    obs_->metrics().histogram("serve.batch_size",
-                              batchSizeEdges(opts_.maxBatch));
-    obs_->metrics().histogram("serve.twin_rebuild_ms", serveMsEdges());
-    obs_->metrics().counter("serve.precision_switch_total");
-    obs_->metrics().counter("serve.timing_sims");
 
     for (std::size_t w = 0; w < opts_.workers; ++w)
         obs_->tracer().setTrackName(obs::SpanTracer::kServePid,
@@ -342,21 +349,15 @@ InferenceEngine::submit(Request req)
         throw std::runtime_error(
             "InferenceEngine::submit: engine is shut down");
 
-    submitted_.fetch_add(1, std::memory_order_relaxed);
-    obs_->metrics().counter("serve.requests").add();
+    m_.requests.add();
 
     // Admission control resolves every bounced promise right here with
     // a terminal status: the new item under RejectNew / a block
     // timeout, or the evicted victims under DropOldest.
-    if (outcome == RequestQueue::PushOutcome::RejectedCapacity) {
-        for (QueuedRequest &b : bounced)
-            resolveUnserved(std::move(b), Status::RejectedCapacity);
-    } else if (!bounced.empty()) {
-        for (QueuedRequest &b : bounced) {
-            evicted_.fetch_add(1, std::memory_order_relaxed);
-            obs_->metrics().counter("serve.evicted").add();
-            resolveUnserved(std::move(b), Status::RejectedCapacity);
-        }
+    for (QueuedRequest &b : bounced) {
+        if (outcome == RequestQueue::PushOutcome::Admitted)
+            m_.evicted.add();
+        resolveUnserved(std::move(b), Status::RejectedCapacity);
     }
     return fut;
 }
@@ -381,7 +382,7 @@ void
 InferenceEngine::kill()
 {
     killed_.store(true, std::memory_order_release);
-    obs_->metrics().counter("serve.killed").add();
+    m_.killed.add();
     shutdown();
 }
 
@@ -426,78 +427,85 @@ InferenceEngine::drainAndSaveState(const std::string &path)
 InferenceEngine::Stats
 InferenceEngine::stats() const
 {
+    const auto count = [](const obs::Counter &c) {
+        return static_cast<std::uint64_t>(c.value());
+    };
     Stats s;
-    s.submitted = submitted_.load(std::memory_order_relaxed);
-    s.completed = completed_.load(std::memory_order_relaxed);
-    s.ok = ok_.load(std::memory_order_relaxed);
-    s.batches = batches_.load(std::memory_order_relaxed);
-    s.deadlineMisses = deadlineMisses_.load(std::memory_order_relaxed);
-    s.shedBeforeRun = shedBeforeRun_.load(std::memory_order_relaxed);
-    s.lateCompletions =
-        lateCompletions_.load(std::memory_order_relaxed);
-    s.rejected = rejected_.load(std::memory_order_relaxed);
-    s.evicted = evicted_.load(std::memory_order_relaxed);
-    s.failed = failed_.load(std::memory_order_relaxed);
-    s.retries = retries_.load(std::memory_order_relaxed);
-    s.workerRestarts = workerRestarts_.load(std::memory_order_relaxed);
+    s.submitted = count(m_.requests);
+    s.completed = count(m_.responses);
+    s.ok = count(m_.ok);
+    s.batches = count(m_.batches);
+    s.deadlineMisses = count(m_.deadlineMisses);
+    s.shedBeforeRun = count(m_.shedDeadline);
+    s.lateCompletions = count(m_.lateCompletions);
+    s.rejected = count(m_.rejected);
+    s.evicted = count(m_.evicted);
+    s.failed = count(m_.failed);
+    s.retries = count(m_.retries);
+    s.workerRestarts = count(m_.workerRestarts);
     if (governor_) {
         const AdaptiveThresholdGovernor::Stats g = governor_->stats();
         s.governorStepsUp = g.stepsUp;
         s.governorStepsDown = g.stepsDown;
     }
-    s.queueHighWater = queue_.counters().highWater;
-    s.maxBatchObserved =
-        maxBatchObserved_.load(std::memory_order_relaxed);
-    const std::uint64_t seqs =
-        batchSeqSum_.load(std::memory_order_relaxed);
-    s.meanBatchSize = s.batches ? static_cast<double>(seqs) /
-                                      static_cast<double>(s.batches)
-                                : 0.0;
+    s.queueHighWater = queue_.highWater();
+    const obs::Histogram::Snapshot sizes = m_.batchSize.snapshot();
+    s.maxBatchObserved = static_cast<std::size_t>(sizes.max);
+    s.meanBatchSize = sizes.count ? sizes.sum /
+                                        static_cast<double>(sizes.count)
+                                  : 0.0;
     return s;
 }
 
 double
 InferenceEngine::latencyQuantileMs(double q) const
 {
-    const obs::Histogram *h =
-        obs_->metrics().findHistogram("serve.latency_ms");
-    return h ? h->quantile(q) : 0.0;
+    return m_.latencyMs.quantile(q);
+}
+
+void
+InferenceEngine::finish(QueuedRequest &item, Response r, Reached reached,
+                        std::size_t track)
+{
+    switch (r.status) {
+    case Status::Ok:
+        m_.ok.add();
+        break;
+    case Status::ShedDeadline:
+        (reached == Reached::Run ? m_.lateCompletions : m_.shedDeadline)
+            .add();
+        m_.deadlineMisses.add();
+        break;
+    case Status::RejectedCapacity:
+        m_.rejected.add();
+        break;
+    case Status::Failed:
+        m_.failed.add();
+        break;
+    }
+    m_.responses.add();
+    m_.queueMs.observe(r.queueMs);
+    if (reached != Reached::Queue)
+        m_.batchWaitMs.observe(r.batchWaitMs);
+    if (reached == Reached::Run) {
+        m_.execMs.observe(r.execMs);
+        m_.latencyMs.observe(r.latencyMs);
+    }
+    if (!ownedObs_)
+        recordLifecycle(obs_, static_cast<int>(track), r);
+    item.promise.set_value(std::move(r));
 }
 
 void
 InferenceEngine::resolveUnserved(QueuedRequest item, Status status,
                                  const std::string &error)
 {
-    obs::MetricsRegistry &m = obs_->metrics();
     Response r;
     r.id = item.id;
     r.status = status;
     r.error = error;
     r.queueMs = r.latencyMs = wallMsSince(item.enqueued);
-    switch (status) {
-    case Status::ShedDeadline:
-        shedBeforeRun_.fetch_add(1, std::memory_order_relaxed);
-        deadlineMisses_.fetch_add(1, std::memory_order_relaxed);
-        m.counter("serve.shed_deadline").add();
-        m.counter("serve.deadline_misses").add();
-        break;
-    case Status::RejectedCapacity:
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        m.counter("serve.rejected_capacity").add();
-        break;
-    case Status::Failed:
-        failed_.fetch_add(1, std::memory_order_relaxed);
-        m.counter("serve.failed").add();
-        break;
-    case Status::Ok:
-        break;  // unreachable: Ok always comes from serveBatch
-    }
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    m.counter("serve.responses").add();
-    m.histogram("serve.queue_ms", serveMsEdges()).observe(r.queueMs);
-    if (!ownedObs_)
-        recordLifecycle(obs_, static_cast<int>(opts_.workers), r);
-    item.promise.set_value(std::move(r));
+    finish(item, std::move(r), Reached::Queue, opts_.workers);
 }
 
 std::vector<QueuedRequest>
@@ -515,15 +523,35 @@ InferenceEngine::shedExpired(std::vector<QueuedRequest> batch)
     return live;
 }
 
-void
-InferenceEngine::backoff(int attempt) const
+template <class Body>
+std::optional<std::string>
+InferenceEngine::withRetries(FaultSite site, int &retries, Body &&body)
 {
-    if (opts_.retryBackoffMs <= 0.0)
-        return;
-    const double ms =
-        opts_.retryBackoffMs * static_cast<double>(1 << std::min(attempt, 10));
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(ms));
+    FaultInjector *inj = opts_.faultInjector;
+    for (;; ++site.attempt) {
+        try {
+            if (!inj || !inj->shouldFail(site)) {
+                body();
+                return std::nullopt;
+            }
+        } catch (const std::exception &e) {
+            return std::string(e.what());
+        }
+        m_.faultsInjected.add();
+        if (site.attempt >= opts_.maxRetries) {
+            if (site.kind == FaultSite::Kind::RequestRun)
+                return std::string(
+                    "transient faults exhausted the retry budget");
+            return "injected batch-timing fault (batch " +
+                   std::to_string(site.batchOrdinal) + ", attempt " +
+                   std::to_string(site.attempt) + ")";
+        }
+        ++retries;
+        m_.retries.add();
+        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+            opts_.retryBackoffMs *
+            static_cast<double>(1 << std::min(site.attempt, 10))));
+    }
 }
 
 runtime::RunReport
@@ -538,7 +566,7 @@ InferenceEngine::timingRun(std::size_t rung, std::size_t b)
     if (!slot) {
         slot = executor_->run(
             runtime::RunRequest::network(shape_, plans_[rung], b));
-        obs_->metrics().counter("serve.timing_sims").add();
+        m_.timingSims.add();
     }
     return *slot;
 }
@@ -583,8 +611,7 @@ InferenceEngine::workerLoop(std::size_t worker_index)
             // promise resolves, so whatever is still in the batch here
             // is exactly the unresolved remainder — flush it Failed
             // instead of stranding the futures.
-            workerRestarts_.fetch_add(1, std::memory_order_relaxed);
-            obs_->metrics().counter("serve.worker_restarts").add();
+            m_.workerRestarts.add();
             for (QueuedRequest &item : live)
                 resolveUnserved(std::move(item), Status::Failed,
                                 "batch aborted by an unexpected error");
@@ -613,16 +640,8 @@ InferenceEngine::serveBatch(std::vector<QueuedRequest> &batch,
             const auto t0 = std::chrono::steady_clock::now();
             runner.setQuantMode(quant::QuantMode::Fp32);
             runner.setQuantMode(rq);
-            const double ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-            obs_->metrics()
-                .counter("serve.precision_switch_total")
-                .add();
-            obs_->metrics()
-                .histogram("serve.twin_rebuild_ms", serveMsEdges())
-                .observe(ms);
+            m_.precisionSwitches.add();
+            m_.twinRebuildMs.observe(wallMsSince(t0));
         }
         lastServedQuant_[worker_index] = static_cast<int>(rq);
     }
@@ -630,8 +649,21 @@ InferenceEngine::serveBatch(std::vector<QueuedRequest> &batch,
         batchOrdinal_.fetch_add(1, std::memory_order_relaxed);
     const auto batch_start = std::chrono::steady_clock::now();
     auto ph = obs::Observer::phase(obs_, "serve.batch");
-    obs::MetricsRegistry &m = obs_->metrics();
-    FaultInjector *inj = opts_.faultInjector;
+    const auto next = [&batch] {
+        QueuedRequest item = std::move(batch.front());
+        batch.erase(batch.begin());
+        return item;
+    };
+    const auto batch_response = [&](const QueuedRequest &item) {
+        Response r;
+        r.id = item.id;
+        r.batch = b;
+        r.rung = rung;
+        r.queueMs = std::chrono::duration<double, std::milli>(
+                        batch_start - item.enqueued)
+                        .count();
+        return r;
+    };
 
     // Simulated brownout (fleet chaos): a degraded replica serves
     // every batch slower, which the health checks then observe.
@@ -644,82 +676,34 @@ InferenceEngine::serveBatch(std::vector<QueuedRequest> &batch,
     // Timing side: one batched lowering, weights charged once, looked
     // up in the timing table. The injector is consulted before every
     // lookup, hit or miss, so a transient fault is retried with backoff
-    // exactly as on a fresh run; an exhausted budget (or a
-    // non-transient error) fails the batch.
+    // exactly as on a fresh run; an exhausted budget (or any other
+    // error) fails the batch.
     runtime::RunReport report;
-    bool timing_ok = false;
-    std::string timing_err;
-    for (int attempt = 0; attempt <= opts_.maxRetries; ++attempt) {
-        try {
-            if (inj && inj->shouldFail(FaultSite{FaultSite::Kind::BatchRun,
-                                                 ordinal, 0, attempt})) {
-                m.counter("serve.faults_injected").add();
-                throw TransientFault(
-                    "injected batch-timing fault (batch " +
-                    std::to_string(ordinal) + ", attempt " +
-                    std::to_string(attempt) + ")");
-            }
-            report = timingRun(rung, b);
-            timing_ok = true;
-            break;
-        } catch (const TransientFault &e) {
-            timing_err = e.what();
-            if (attempt < opts_.maxRetries) {
-                retries_.fetch_add(1, std::memory_order_relaxed);
-                m.counter("serve.retries").add();
-                backoff(attempt);
-            }
-        } catch (const std::exception &e) {
-            timing_err = e.what();  // non-transient: no retry
-            break;
-        }
-    }
-    if (!timing_ok) {
+    int timing_retries = 0;
+    const std::optional<std::string> timing_err =
+        withRetries(FaultSite{FaultSite::Kind::BatchRun, ordinal, 0, 0},
+                    timing_retries,
+                    [&] { report = timingRun(rung, b); });
+    if (timing_err) {
         while (!batch.empty()) {
-            QueuedRequest item = std::move(batch.front());
-            batch.erase(batch.begin());
-            Response r;
-            r.id = item.id;
+            QueuedRequest item = next();
+            Response r = batch_response(item);
             r.status = Status::Failed;
-            r.error = "batch timing run failed: " + timing_err;
-            r.batch = b;
-            r.rung = rung;
-            r.queueMs = std::chrono::duration<double, std::milli>(
-                            batch_start - item.enqueued)
-                            .count();
+            r.error = "batch timing run failed: " + *timing_err;
             r.latencyMs = wallMsSince(item.enqueued);
             // The whole post-queue wait went to the failed timing run.
             r.batchWaitMs = std::max(0.0, r.latencyMs - r.queueMs);
-            failed_.fetch_add(1, std::memory_order_relaxed);
-            m.counter("serve.failed").add();
-            completed_.fetch_add(1, std::memory_order_relaxed);
-            m.counter("serve.responses").add();
-            m.histogram("serve.queue_ms", serveMsEdges())
-                .observe(r.queueMs);
-            m.histogram("serve.batch_wait_ms", serveMsEdges())
-                .observe(r.batchWaitMs);
-            if (!ownedObs_)
-                recordLifecycle(obs_, static_cast<int>(worker_index), r);
-            item.promise.set_value(std::move(r));
+            finish(item, std::move(r), Reached::Batch, worker_index);
         }
         return;
     }
 
     const double sim_ms = report.result.timeUs / 1e3;
     const double weight_per_seq = report.weightDramBytesPerSequence();
-
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    batchSeqSum_.fetch_add(b, std::memory_order_relaxed);
-    std::size_t seen = maxBatchObserved_.load(std::memory_order_relaxed);
-    while (b > seen &&
-           !maxBatchObserved_.compare_exchange_weak(
-               seen, b, std::memory_order_relaxed))
-        ;
-    m.counter("serve.batches").add();
-    m.histogram("serve.batch_size", batchSizeEdges(opts_.maxBatch))
-        .observe(static_cast<double>(b));
-    m.gauge("serve.weight_dram_bytes_per_seq").set(weight_per_seq);
-    m.gauge("serve.rung").set(static_cast<double>(rung));
+    m_.batches.add();
+    m_.batchSize.observe(static_cast<double>(b));
+    m_.weightDramBytesPerSeq.set(weight_per_seq);
+    m_.rung.set(static_cast<double>(rung));
 
     // Functional side: per sequence, bit-identical to a solo run at
     // this rung's thresholds. Transient per-request faults retry with
@@ -727,8 +711,7 @@ InferenceEngine::serveBatch(std::vector<QueuedRequest> &batch,
     // leave the batch as their promises resolve so an exception never
     // strands an already-resolved (or still-pending) future.
     while (!batch.empty()) {
-        QueuedRequest item = std::move(batch.front());
-        batch.erase(batch.begin());
+        QueuedRequest item = next();
         // Deadlines can expire while earlier siblings run — shed
         // before spending functional compute.
         if (item.expired(std::chrono::steady_clock::now())) {
@@ -736,91 +719,46 @@ InferenceEngine::serveBatch(std::vector<QueuedRequest> &batch,
             continue;
         }
 
-        Response r;
-        r.id = item.id;
-        r.batch = b;
-        r.rung = rung;
+        Response r = batch_response(item);
         r.simBatchMs = sim_ms;
         r.weightDramBytesPerSeq = weight_per_seq;
-        r.queueMs = std::chrono::duration<double, std::milli>(
-                        batch_start - item.enqueued)
-                        .count();
         const auto func_start = std::chrono::steady_clock::now();
         r.batchWaitMs = std::chrono::duration<double, std::milli>(
                             func_start - batch_start)
                             .count();
 
-        bool run_failed = false;
-        for (int attempt = 0; attempt <= opts_.maxRetries; ++attempt) {
-            if (inj &&
-                inj->shouldFail(FaultSite{FaultSite::Kind::RequestRun,
-                                          ordinal, item.id, attempt})) {
-                m.counter("serve.faults_injected").add();
-                if (attempt == opts_.maxRetries) {
-                    run_failed = true;
-                    r.error = "transient faults exhausted the retry "
-                              "budget";
-                    break;
-                }
-                r.retries = attempt + 1;
-                retries_.fetch_add(1, std::memory_order_relaxed);
-                m.counter("serve.retries").add();
-                backoff(attempt);
-                continue;
-            }
-            try {
+        const std::optional<std::string> run_err = withRetries(
+            FaultSite{FaultSite::Kind::RequestRun, ordinal, item.id, 0},
+            r.retries, [&] {
                 if (task_ == nn::TaskKind::LanguageModel)
                     r.stepLogits = runner.lmLogits(item.request.tokens);
                 else
                     r.logits = runner.classify(item.request.tokens);
                 r.executed = true;
-            } catch (const std::exception &e) {
-                run_failed = true;
-                r.error = e.what();
-            }
-            break;
-        }
+            });
 
         r.execMs = wallMsSince(func_start);
         r.latencyMs = wallMsSince(item.enqueued);
-        if (run_failed) {
+        if (run_err) {
             r.status = Status::Failed;
-            failed_.fetch_add(1, std::memory_order_relaxed);
-            m.counter("serve.failed").add();
+            r.error = *run_err;
         } else if (item.request.deadlineMs > 0.0 &&
                    r.latencyMs > item.request.deadlineMs) {
             // The §10 unification of the old latent bug: an executed
             // request that finished late is a deadline miss by status,
             // not a silent success (outputs stay populated).
             r.status = Status::ShedDeadline;
-            lateCompletions_.fetch_add(1, std::memory_order_relaxed);
-            deadlineMisses_.fetch_add(1, std::memory_order_relaxed);
-            m.counter("serve.late_completions").add();
-            m.counter("serve.deadline_misses").add();
         } else {
             r.status = Status::Ok;
-            ok_.fetch_add(1, std::memory_order_relaxed);
         }
-
-        m.histogram("serve.latency_ms", serveMsEdges())
-            .observe(r.latencyMs);
-        m.histogram("serve.queue_ms", serveMsEdges()).observe(r.queueMs);
-        m.histogram("serve.batch_wait_ms", serveMsEdges())
-            .observe(r.batchWaitMs);
-        m.histogram("serve.exec_ms", serveMsEdges()).observe(r.execMs);
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        m.counter("serve.responses").add();
-        if (!ownedObs_)
-            recordLifecycle(obs_, static_cast<int>(worker_index), r);
-        item.promise.set_value(std::move(r));
+        finish(item, std::move(r), Reached::Run, worker_index);
     }
 
-    // One governor tick per batch: queue pressure + cumulative p95.
+    // One governor tick per batch, on queue pressure.
     if (governor_) {
-        m.gauge("serve.queue_depth")
-            .set(static_cast<double>(queue_.size()));
-        governor_->observe(queue_.size(), opts_.workers,
-                           latencyQuantileMs(0.95));
+        const std::size_t depth = queue_.size();
+        m_.queueDepth.set(static_cast<double>(depth));
+        governor_->observe(depth, opts_.workers);
     }
 }
 

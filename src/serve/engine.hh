@@ -26,6 +26,13 @@
  * completes a promise twice, never leaks one, and never surfaces an
  * exception through a future.
  *
+ * Bookkeeping: the observer's metrics registry is the engine's only
+ * tally. Every response (served, late, shed, rejected, evicted, failed
+ * or flushed by kill() or a worker restart) resolves through one
+ * terminal path that counts its status in its serve.* series, observes
+ * the stage histograms the request reached and records its lifecycle
+ * spans; stats() reads those series back.
+ *
  * Thread safety: submit() is safe from any thread; workers record
  * through the (thread-safe) obs sinks; each worker owns a private copy
  * of the calibrated ApproxRunner per ladder rung, so functional runs
@@ -121,9 +128,9 @@ class InferenceEngine
         /**
          * Observability sink (latency histograms, batch spans, sim
          * counters, per-request lifecycle spans). nullptr: the engine
-         * owns a private Observer so latency percentiles still work; it
-         * records no lifecycle spans, which would grow with every
-         * request served and which nothing exports.
+         * owns a private Observer so stats() and the latency
+         * percentiles still work; it records no lifecycle spans, which
+         * would grow with every request served and nothing exports.
          */
         obs::Observer *observer = nullptr;
 
@@ -159,7 +166,11 @@ class InferenceEngine
         AdaptiveThresholdGovernor::Config governor;
     };
 
-    /** Aggregate serving statistics (monotonic, thread-safe reads). */
+    /**
+     * Serving statistics, read from the serve.* series (DESIGN.md §10
+     * maps fields to series) bar the governor steps and the queue
+     * high-water mark. Monotonic; thread-safe reads.
+     */
     struct Stats
     {
         std::uint64_t submitted = 0;
@@ -167,6 +178,7 @@ class InferenceEngine
         std::uint64_t completed = 0;
         /// subset of completed that resolved Status::Ok
         std::uint64_t ok = 0;
+        /// batches that got their timing run
         std::uint64_t batches = 0;
         /// ShedDeadline resolutions (shedBeforeRun + lateCompletions)
         std::uint64_t deadlineMisses = 0;
@@ -188,6 +200,7 @@ class InferenceEngine
         std::uint64_t governorStepsDown = 0;
         /// deepest queue depth ever observed
         std::size_t queueHighWater = 0;
+        /// largest and mean batch, from the serve.batch_size histogram
         std::size_t maxBatchObserved = 0;
         double meanBatchSize = 0.0;
     };
@@ -304,6 +317,11 @@ class InferenceEngine
      */
     void drainAndSaveState(const std::string &path);
 
+    /**
+     * Like latencyQuantileMs(), reads the engine's observer: engines
+     * sharing one (a fleet's replicas) each report the sums over all
+     * of them, apart from their own governor steps and high-water mark.
+     */
     Stats stats() const;
 
     /**
@@ -335,9 +353,34 @@ class InferenceEngine
     obs::Observer &observer() { return *obs_; }
 
   private:
-    void initObserver();
+    /// both constructors' preamble: validates workers/maxRetries,
+    /// picks the observer, binds the instruments; starts nothing
+    struct Preamble
+    {};
+    InferenceEngine(const core::MemoryFriendlyLstm &mf, const Options &opts,
+                    Preamble);
+
+    /// counters, histograms and per-batch gauges, looked up once:
+    /// registry references never move, so no request searches by name
+    struct Instruments
+    {
+        Instruments(obs::MetricsRegistry &m, std::size_t max_batch);
+
+        obs::Counter &requests, &responses, &ok, &shedDeadline,
+            &lateCompletions, &deadlineMisses, &rejected, &evicted,
+            &failed, &retries, &faultsInjected, &workerRestarts,
+            &batches, &timingSims, &precisionSwitches, &killed;
+        obs::Histogram &latencyMs, &queueMs, &batchWaitMs, &execMs,
+            &batchSize, &twinRebuildMs;
+        obs::Gauge &weightDramBytesPerSeq, &rung, &queueDepth;
+    };
+
+    /// How far a request got before it resolved; each stage adds its
+    /// histograms (queue, then batch wait, then run time and latency).
+    enum class Reached : std::uint8_t { Queue, Batch, Run };
+
     /// shared tail of both constructors: governor, executor, empty
-    /// timing table, instruments, per-worker runner copies, workers
+    /// timing table, per-worker runner copies, workers
     void finishInit(const core::MemoryFriendlyLstm &mf,
                     std::vector<core::ApproxRunner> base_runners);
     void workerLoop(std::size_t worker_index);
@@ -345,13 +388,28 @@ class InferenceEngine
     /// a caller catching an exception can flush the leftovers.
     void serveBatch(std::vector<QueuedRequest> &batch,
                     std::size_t worker_index);
-    /// complete @p item without execution; counts per @p status
+    /**
+     * The one terminal path: count @p r's status, observe the stage
+     * histograms up to @p reached, record the lifecycle spans on
+     * @p track, then resolve @p item's promise with @p r.
+     */
+    void finish(QueuedRequest &item, Response r, Reached reached,
+                std::size_t track);
+    /// finish @p item without execution, on the "unserved" track
     void resolveUnserved(QueuedRequest item, Status status,
                          const std::string &error = {});
     /// shed expired items from @p batch, resolving their futures
     std::vector<QueuedRequest>
     shedExpired(std::vector<QueuedRequest> batch);
-    void backoff(int attempt) const;
+    /**
+     * Run @p body, consulting the injector at @p site before each
+     * attempt: an injected fault retries after an exponential backoff
+     * while the budget lasts (counting into @p retries); any exception
+     * fails at once. @return the final error; nullopt on success.
+     */
+    template <class Body>
+    std::optional<std::string> withRetries(FaultSite site, int &retries,
+                                           Body &&body);
     /// the timing run of plans_[rung] at batch @p b: simulated on the
     /// first call for that pair, copied from the table afterwards
     runtime::RunReport timingRun(std::size_t rung, std::size_t b);
@@ -359,9 +417,12 @@ class InferenceEngine
     Options opts_;
     runtime::NetworkShape shape_;
     nn::TaskKind task_;
+    RequestQueue queue_;
+    DynamicBatcher batcher_;
 
     std::unique_ptr<obs::Observer> ownedObs_;
-    obs::Observer *obs_ = nullptr;
+    obs::Observer *obs_;
+    const Instruments m_;
 
     std::unique_ptr<runtime::NetworkExecutor> executor_;
     /// the threshold set of each rung (size >= 1; single entry
@@ -391,28 +452,12 @@ class InferenceEngine
     std::vector<int> lastServedQuant_;
     std::unique_ptr<AdaptiveThresholdGovernor> governor_;
 
-    RequestQueue queue_;
-    DynamicBatcher batcher_;
     std::vector<std::thread> workers_;
     std::mutex shutdownMu_;
 
     std::atomic<std::uint64_t> nextId_{1};
     std::atomic<std::uint64_t> nextSeq_{0};
     std::atomic<std::uint64_t> batchOrdinal_{0};
-    std::atomic<std::uint64_t> submitted_{0};
-    std::atomic<std::uint64_t> completed_{0};
-    std::atomic<std::uint64_t> ok_{0};
-    std::atomic<std::uint64_t> batches_{0};
-    std::atomic<std::uint64_t> batchSeqSum_{0};
-    std::atomic<std::uint64_t> deadlineMisses_{0};
-    std::atomic<std::uint64_t> shedBeforeRun_{0};
-    std::atomic<std::uint64_t> lateCompletions_{0};
-    std::atomic<std::uint64_t> rejected_{0};
-    std::atomic<std::uint64_t> evicted_{0};
-    std::atomic<std::uint64_t> failed_{0};
-    std::atomic<std::uint64_t> retries_{0};
-    std::atomic<std::uint64_t> workerRestarts_{0};
-    std::atomic<std::size_t> maxBatchObserved_{0};
     std::atomic<bool> killed_{false};
     std::atomic<double> brownoutMs_{0.0};
 };

@@ -24,8 +24,6 @@
 #include <cstdint>
 #include <mutex>
 #include <random>
-#include <stdexcept>
-#include <string>
 
 #include "serve/request.hh"
 
@@ -50,15 +48,6 @@ struct FaultSite
     RequestId requestId = 0;
     /// 0-based attempt; attempts > 0 are retries
     int attempt = 0;
-};
-
-/** Thrown at the batch-timing site to model a transient device fault. */
-class TransientFault : public std::runtime_error
-{
-  public:
-    explicit TransientFault(const std::string &what)
-        : std::runtime_error(what)
-    {}
 };
 
 class FaultInjector

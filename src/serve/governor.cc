@@ -26,7 +26,7 @@ AdaptiveThresholdGovernor::AdaptiveThresholdGovernor(const Config &cfg,
 
 void
 AdaptiveThresholdGovernor::observe(std::size_t queue_depth,
-                                   std::size_t workers, double p95_ms)
+                                   std::size_t workers)
 {
     std::lock_guard<std::mutex> lock(mu_);
     ++ticksSinceTransition_;
@@ -34,9 +34,7 @@ AdaptiveThresholdGovernor::observe(std::size_t queue_depth,
     const double per_worker =
         static_cast<double>(queue_depth) /
         static_cast<double>(std::max<std::size_t>(workers, 1));
-    const bool pressure =
-        per_worker >= cfg_.highQueuePerWorker ||
-        (cfg_.targetP95Ms > 0.0 && p95_ms > cfg_.targetP95Ms);
+    const bool pressure = per_worker >= cfg_.highQueuePerWorker;
     const bool calm = per_worker <= cfg_.lowQueuePerWorker;
 
     const std::size_t cur = rung_.load(std::memory_order_relaxed);
@@ -62,7 +60,7 @@ AdaptiveThresholdGovernor::observe(std::size_t queue_depth,
         ticksSinceTransition_ = 0;
         ++stats_.stepsUp;
         recordTransition(true, cur + 1);
-    } else if (calm && !pressure && cur > floor) {
+    } else if (calm && cur > floor) {
         rung_.store(cur - 1, std::memory_order_release);
         ticksSinceTransition_ = 0;
         ++stats_.stepsDown;

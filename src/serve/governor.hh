@@ -3,9 +3,9 @@
  * Adaptive threshold governor (DESIGN.md §10): walks the engine's
  * active ThresholdSet along a configured AO→BPA ladder (the paper's
  * Sec. V / Table II operating points) as load changes. Under pressure
- * — deep queue per worker, or p95 latency over target — it steps one
- * rung toward BPA so batches serve faster at a small accuracy cost;
- * when the queue drains it steps back toward AO.
+ * — a deep queue per worker — it steps one rung toward BPA so batches
+ * serve faster at a small accuracy cost; when the queue drains it
+ * steps back toward AO.
  *
  * Hysteresis comes from two mechanisms: the escalate threshold is
  * strictly above the relax threshold (a depth band where the rung
@@ -43,10 +43,6 @@ class AdaptiveThresholdGovernor
         /// step toward AO when queued requests per worker fall below
         /// this; must be < highQueuePerWorker for the hysteresis band
         double lowQueuePerWorker = 2.0;
-        /// escalate when p95 wall latency exceeds this (ms); 0 disables
-        /// the latency signal (the cumulative histogram never forgets,
-        /// so relaxation is always queue-depth-driven)
-        double targetP95Ms = 0.0;
         /// minimum observe() calls between two transitions
         std::uint64_t dwellTicks = 8;
     };
@@ -78,10 +74,8 @@ class AdaptiveThresholdGovernor
      * One control tick, called by a worker after each batch completes.
      * @param queue_depth current queued requests
      * @param workers     engine worker count (>= 1)
-     * @param p95_ms      cumulative p95 wall latency, ms (0 = unknown)
      */
-    void observe(std::size_t queue_depth, std::size_t workers,
-                 double p95_ms);
+    void observe(std::size_t queue_depth, std::size_t workers);
 
     /**
      * Fleet overload redistribution (DESIGN.md §16): forbid serving

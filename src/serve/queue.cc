@@ -58,8 +58,7 @@ RequestQueue::admitLocked(QueuedRequest item)
 {
     heap_.push_back(std::move(item));
     std::push_heap(heap_.begin(), heap_.end(), heapLess);
-    ++counters_.admitted;
-    counters_.highWater = std::max(counters_.highWater, heap_.size());
+    highWater_ = std::max(highWater_, heap_.size());
 }
 
 RequestQueue::PushOutcome
@@ -75,7 +74,6 @@ RequestQueue::push(QueuedRequest item, std::vector<QueuedRequest> *bounced)
     if (fullLocked()) {
         switch (opt_.policy) {
         case AdmissionPolicy::RejectNew:
-            ++counters_.rejected;
             if (bounced)
                 bounced->push_back(std::move(item));
             return PushOutcome::RejectedCapacity;
@@ -92,7 +90,6 @@ RequestQueue::push(QueuedRequest item, std::vector<QueuedRequest> *bounced)
                 bounced->push_back(std::move(*victim));
             heap_.erase(victim);
             std::make_heap(heap_.begin(), heap_.end(), heapLess);
-            ++counters_.evicted;
             break;
         }
 
@@ -112,7 +109,6 @@ RequestQueue::push(QueuedRequest item, std::vector<QueuedRequest> *bounced)
                 return PushOutcome::Closed;
             }
             if (fullLocked()) {  // timed out, still full
-                ++counters_.rejected;
                 if (bounced)
                     bounced->push_back(std::move(item));
                 return PushOutcome::RejectedCapacity;
@@ -178,11 +174,11 @@ RequestQueue::size() const
     return heap_.size();
 }
 
-RequestQueue::Counters
-RequestQueue::counters() const
+std::size_t
+RequestQueue::highWater() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return counters_;
+    return highWater_;
 }
 
 } // namespace serve

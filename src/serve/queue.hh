@@ -67,18 +67,6 @@ class RequestQueue
         Closed,
     };
 
-    /** Backpressure statistics (monotonic; snapshot under the lock). */
-    struct Counters
-    {
-        std::uint64_t admitted = 0;
-        /// pushes bounced by RejectNew or a BlockWithTimeout timeout
-        std::uint64_t rejected = 0;
-        /// queued items evicted by DropOldest admissions
-        std::uint64_t evicted = 0;
-        /// deepest queue depth ever observed
-        std::size_t highWater = 0;
-    };
-
     RequestQueue() = default;
     explicit RequestQueue(const QueueOptions &opt) : opt_(opt) {}
 
@@ -110,7 +98,8 @@ class RequestQueue
     std::size_t size() const;
     std::size_t capacity() const { return opt_.capacity; }
     const QueueOptions &options() const { return opt_; }
-    Counters counters() const;
+    /// deepest queue depth ever observed
+    std::size_t highWater() const;
 
   private:
     bool fullLocked() const
@@ -124,7 +113,7 @@ class RequestQueue
     std::condition_variable cv_;       ///< consumers: items available
     std::condition_variable spaceCv_;  ///< producers: space available
     std::vector<QueuedRequest> heap_;
-    Counters counters_;
+    std::size_t highWater_ = 0;
     bool closed_ = false;
 };
 

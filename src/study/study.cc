@@ -65,12 +65,6 @@ runUserStudy(const std::vector<core::OperatingPoint> &points,
     std::array<double, 4> sums{};
     std::array<std::size_t, 4> counts{};
 
-    // The ladder the UO controller walks (thresholds per rung).
-    std::vector<core::ThresholdSet> ladder;
-    ladder.reserve(points.size());
-    for (const core::OperatingPoint &pt : points)
-        ladder.push_back(pt.set);
-
     for (const UserProfile &user : users) {
         tensor::Rng noise_rng(user.seed);
 
@@ -106,7 +100,7 @@ runUserStudy(const std::vector<core::OperatingPoint> &points,
             ctrl_cfg.initialIndex =
                 core::selectForPreference(points, preferred);
             core::UserOrientedController controller(
-                ladder, preferred, ctrl_cfg);
+                points.size(), preferred, ctrl_cfg);
 
             if (scheme == Scheme::Uo) {
                 // Unrated warm-up: the controller converges before the

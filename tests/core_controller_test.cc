@@ -15,32 +15,25 @@ namespace {
 using namespace mflstm;
 using namespace mflstm::core;
 
-std::vector<ThresholdSet>
-someLadder(std::size_t n = 11)
-{
-    std::vector<ThresholdSet> ladder;
-    for (std::size_t i = 0; i < n; ++i)
-        ladder.push_back({static_cast<double>(i),
-                          static_cast<double>(i) / 20.0});
-    return ladder;
-}
+/// rungs of the threshold ladder the tests walk
+constexpr std::size_t kRungs = 11;
 
 TEST(Controller, ConstructionValidates)
 {
-    EXPECT_THROW(UserOrientedController({}, 0.9),
+    EXPECT_THROW(UserOrientedController(0, 0.9),
                  std::invalid_argument);
-    EXPECT_THROW(UserOrientedController(someLadder(), 1.5),
+    EXPECT_THROW(UserOrientedController(kRungs, 1.5),
                  std::invalid_argument);
 
     ControllerConfig cfg;
     cfg.initialIndex = 99;  // clamped to the top rung
-    UserOrientedController c(someLadder(), 0.9, cfg);
+    UserOrientedController c(kRungs, 0.9, cfg);
     EXPECT_EQ(c.currentIndex(), 10u);
 }
 
 TEST(Controller, ClimbsWhileAccuracyHasSlack)
 {
-    UserOrientedController c(someLadder(), 0.90);
+    UserOrientedController c(kRungs, 0.90);
     EXPECT_EQ(c.currentIndex(), 0u);
     for (int i = 0; i < 5; ++i)
         c.observe(0.95);  // comfortably above the preference
@@ -49,7 +42,7 @@ TEST(Controller, ClimbsWhileAccuracyHasSlack)
 
 TEST(Controller, StopsAtTheTopRung)
 {
-    UserOrientedController c(someLadder(3), 0.5);
+    UserOrientedController c(3, 0.5);
     for (int i = 0; i < 10; ++i)
         c.observe(0.99);
     EXPECT_EQ(c.currentIndex(), 2u);
@@ -59,7 +52,7 @@ TEST(Controller, BacksOffOnViolation)
 {
     ControllerConfig cfg;
     cfg.initialIndex = 6;
-    UserOrientedController c(someLadder(), 0.90, cfg);
+    UserOrientedController c(kRungs, 0.90, cfg);
     c.observe(0.80);  // user unhappy
     EXPECT_EQ(c.currentIndex(), 5u);
 }
@@ -69,7 +62,7 @@ TEST(Controller, CooldownPreventsOscillation)
     ControllerConfig cfg;
     cfg.initialIndex = 5;
     cfg.cooldown = 3;
-    UserOrientedController c(someLadder(), 0.90, cfg);
+    UserOrientedController c(kRungs, 0.90, cfg);
 
     c.observe(0.50);  // back off to 4, start cooldown
     EXPECT_EQ(c.currentIndex(), 4u);
@@ -88,7 +81,7 @@ TEST(Controller, HoldsInsideTheDeadband)
     ControllerConfig cfg;
     cfg.initialIndex = 4;
     cfg.climbMargin = 0.02;
-    UserOrientedController c(someLadder(), 0.90, cfg);
+    UserOrientedController c(kRungs, 0.90, cfg);
     // Accuracy meets the preference but without climbing slack.
     for (int i = 0; i < 6; ++i)
         c.observe(0.905);
@@ -97,7 +90,7 @@ TEST(Controller, HoldsInsideTheDeadband)
 
 TEST(Controller, FloorsAtBaseline)
 {
-    UserOrientedController c(someLadder(), 0.99);
+    UserOrientedController c(kRungs, 0.99);
     for (int i = 0; i < 5; ++i)
         c.observe(0.10);
     EXPECT_EQ(c.currentIndex(), 0u);
@@ -114,7 +107,7 @@ TEST(Controller, ConvergesToTheUsersBestRung)
 
     ControllerConfig cfg;
     cfg.climbMargin = 0.005;
-    UserOrientedController c(someLadder(), 0.915, cfg);
+    UserOrientedController c(kRungs, 0.915, cfg);
     for (int step = 0; step < 200; ++step) {
         const double noisy =
             accuracy_at(c.currentIndex()) + rng.normal(0.0f, 0.004f);
@@ -127,7 +120,7 @@ TEST(Controller, ConvergesToTheUsersBestRung)
 
 TEST(Controller, EstimateTracksEma)
 {
-    UserOrientedController c(someLadder(), 0.5);
+    UserOrientedController c(kRungs, 0.5);
     c.observe(0.8);
     EXPECT_DOUBLE_EQ(c.estimate(), 0.8);
     EXPECT_EQ(c.observations(), 1u);

@@ -20,6 +20,7 @@
 #include <unistd.h>
 
 #include "fleet/fleet.hh"
+#include "support/metrics.hh"
 #include "tensor/rng.hh"
 
 namespace {
@@ -416,6 +417,37 @@ TEST_F(FleetTest, StandardChaosPlanCompletesEverythingSubmitted)
             .counter("fleet.cold_recovery_total", {{"replica", "r1"}})
             .value();
     EXPECT_GE(cold, 1.0);
+
+    // stats() and the per-replica counts equal the series the metrics
+    // sink dumps.
+    const obs::MetricsRegistry &m = fleet.observer().metrics();
+    const auto series = [&m](const std::string &name) {
+        return test::dumpedCounter(m, name);
+    };
+    const fleet::Fleet::Stats st = fleet.stats();
+    EXPECT_EQ(series("fleet.submitted_total"), st.submitted);
+    EXPECT_EQ(series("fleet.completed_total"), st.completed);
+    EXPECT_EQ(series("fleet.ok_total"), st.ok);
+    EXPECT_EQ(series("fleet.failed_total"), st.failed);
+    EXPECT_EQ(series("fleet.failover_total"), st.failovers);
+    EXPECT_EQ(series("fleet.hedge_total"), st.hedges);
+    EXPECT_EQ(series("fleet.hedge_win_total"), st.hedgeWins);
+    EXPECT_EQ(series("fleet.parked_total"), st.parked);
+    EXPECT_EQ(st.ok, next);
+    std::uint64_t kills = 0;
+    for (std::size_t i = 0; i < fleet.replicaCount(); ++i) {
+        fleet::Replica &r = fleet.replica(i);
+        const fleet::Replica::Counters c = r.counters();
+        const std::string label = "{replica=\"" + r.name() + "\"}";
+        EXPECT_EQ(series("fleet.killed_total" + label), c.kills);
+        EXPECT_EQ(series("fleet.restart_total" + label), c.restarts);
+        EXPECT_EQ(series("fleet.cold_recovery_total" + label),
+                  c.coldRecoveries);
+        EXPECT_EQ(series("fleet.heartbeat_miss_total" + label),
+                  c.heartbeatMisses);
+        kills += c.kills;
+    }
+    EXPECT_EQ(kills, 2u);  // the crash and the corrupt restart
 }
 
 } // namespace

@@ -10,12 +10,18 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <future>
+#include <mutex>
+#include <optional>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "serve/engine.hh"
+#include "support/fault.hh"
 #include "support/metrics.hh"
 #include "tensor/rng.hh"
 
@@ -45,6 +51,128 @@ seqs(std::size_t n, std::size_t len, std::uint64_t seed)
         for (std::size_t t = 0; t < len; ++t)
             s.push_back(static_cast<std::int32_t>(rng.integer(0, 19)));
     return out;
+}
+
+/**
+ * Scripted faults plus two hooks that make a one-worker engine's
+ * schedule deterministic: the worker parks at the timing site of the
+ * batch passed to holdBatch() until release(), and the first
+ * functional attempt of the request passed to sleepOnRun() sleeps
+ * (after both of its deadline checks have passed).
+ */
+class HoldingInjector : public test::ScriptedFaultInjector
+{
+  public:
+    void holdBatch(std::uint64_t ordinal)
+    {
+        std::lock_guard<std::mutex> lock(gateMu_);
+        hold_ = ordinal;
+        held_ = false;
+    }
+
+    /** Block until the worker parks at the held batch. */
+    void waitHeld()
+    {
+        std::unique_lock<std::mutex> lock(gateMu_);
+        gateCv_.wait(lock, [&] { return held_; });
+    }
+
+    void release()
+    {
+        {
+            std::lock_guard<std::mutex> lock(gateMu_);
+            hold_.reset();
+        }
+        gateCv_.notify_all();
+    }
+
+    void sleepOnRun(serve::RequestId id, double ms)
+    {
+        std::lock_guard<std::mutex> lock(gateMu_);
+        sleepId_ = id;
+        sleepMs_ = ms;
+    }
+
+    bool shouldFail(const serve::FaultSite &site) override
+    {
+        using Kind = serve::FaultSite::Kind;
+        double sleep_ms = 0.0;
+        {
+            std::unique_lock<std::mutex> lock(gateMu_);
+            if (site.kind == Kind::BatchRun && site.attempt == 0 &&
+                hold_ == site.batchOrdinal) {
+                held_ = true;
+                gateCv_.notify_all();
+                gateCv_.wait(lock, [&] { return !hold_; });
+            }
+            if (site.kind == Kind::RequestRun && site.attempt == 0 &&
+                site.requestId == sleepId_)
+                sleep_ms = sleepMs_;
+        }
+        if (sleep_ms > 0.0)
+            std::this_thread::sleep_for(
+                std::chrono::duration<double, std::milli>(sleep_ms));
+        return ScriptedFaultInjector::shouldFail(site);
+    }
+
+  private:
+    std::mutex gateMu_;
+    std::condition_variable gateCv_;
+    std::optional<std::uint64_t> hold_;
+    bool held_ = false;
+    serve::RequestId sleepId_ = 0;
+    double sleepMs_ = 0.0;
+};
+
+/**
+ * Every Stats field equals its series in @p m's JSON dump (a series
+ * the dump lacks reads 0); the batch fields come from the
+ * serve.batch_size histogram, and Ok responses are what completed
+ * leaves after the other three statuses.
+ */
+void
+expectStatsMatchDump(const serve::InferenceEngine::Stats &st,
+                     const obs::MetricsRegistry &m)
+{
+    const auto series = [&m](const char *name) {
+        return test::dumpedCounter(m, name).value_or(0.0);
+    };
+    const auto as_double = [](std::uint64_t v) {
+        return static_cast<double>(v);
+    };
+    EXPECT_EQ(as_double(st.submitted), series("serve.requests"));
+    EXPECT_EQ(as_double(st.completed), series("serve.responses"));
+    EXPECT_EQ(as_double(st.ok),
+              series("serve.responses") - series("serve.deadline_misses") -
+                  series("serve.rejected_capacity") -
+                  series("serve.failed"));
+    EXPECT_EQ(as_double(st.batches), series("serve.batches"));
+    EXPECT_EQ(as_double(st.deadlineMisses),
+              series("serve.deadline_misses"));
+    EXPECT_EQ(as_double(st.shedBeforeRun), series("serve.shed_deadline"));
+    EXPECT_EQ(as_double(st.lateCompletions),
+              series("serve.late_completions"));
+    EXPECT_EQ(as_double(st.rejected), series("serve.rejected_capacity"));
+    EXPECT_EQ(as_double(st.evicted), series("serve.evicted"));
+    EXPECT_EQ(as_double(st.failed), series("serve.failed"));
+    EXPECT_EQ(as_double(st.retries), series("serve.retries"));
+    EXPECT_EQ(as_double(st.workerRestarts),
+              series("serve.worker_restarts"));
+    const auto sizes = test::dumpedHistogram(m, "serve.batch_size");
+    ASSERT_TRUE(sizes.has_value());
+    EXPECT_EQ(st.batches, sizes->count);
+    EXPECT_EQ(static_cast<double>(st.maxBatchObserved), sizes->max);
+    EXPECT_DOUBLE_EQ(st.meanBatchSize,
+                     sizes->count ? sizes->sum / as_double(sizes->count)
+                                  : 0.0);
+}
+
+/** Observations in histogram @p name of @p m's dump. */
+std::uint64_t
+histogramCount(const obs::MetricsRegistry &m, const char *name)
+{
+    const auto h = test::dumpedHistogram(m, name);
+    return h ? h->count : 0;
 }
 
 class EngineTest : public ::testing::Test
@@ -358,6 +486,170 @@ TEST_F(EngineTest, GovernorLadderServesEveryRungBitIdentical)
         EXPECT_EQ(r.logits, solo.classify(inputs[i])) << "request " << i;
     }
     EXPECT_EQ(engine.stats().governorStepsUp, 0u);
+}
+
+TEST_F(EngineTest, StatsEqualTheirSeriesOnEveryTerminalPath)
+{
+    // One worker and a gate at the timing site make the schedule
+    // exact: every terminal path resolves a known number of requests,
+    // and the stage histograms count exactly the stages each reached.
+    HoldingInjector inj;
+    obs::Observer observer;
+    auto opts = engineOptions();
+    opts.workers = 1;
+    opts.maxBatch = 4;
+    opts.queueCapacity = 2;
+    opts.admission = serve::AdmissionPolicy::RejectNew;
+    opts.maxRetries = 1;
+    opts.retryBackoffMs = 0.0;
+    opts.faultInjector = &inj;
+    opts.observer = &observer;
+    serve::InferenceEngine engine(mf, opts);
+    const auto in = seqs(9, 10, 91);
+    std::vector<std::future<serve::Response>> futs;
+    const auto submit = [&](double deadline_ms) {
+        futs.push_back(
+            engine.submit({in[futs.size()], 0, deadline_ms}));
+    };
+
+    // Batch 0 (id 1) parks at its timing site while id 2 arrives
+    // already expired, id 3 fills the queue and id 4 finds it full.
+    // Both timing attempts of batch 0 fault (id 1 fails after one
+    // retry); both functional attempts of id 3 fault (it fails too).
+    inj.failBatch(0, 2);
+    inj.failRequest(3, 2);
+    inj.holdBatch(0);
+    submit(0.0);
+    inj.waitHeld();
+    submit(1e-9);
+    submit(0.0);
+    submit(0.0);
+    inj.release();
+    for (std::size_t i = 0; i < 4; ++i)
+        futs[i].wait();
+
+    // Id 5 is served; id 6 passes both deadline checks, then its run
+    // outlasts the deadline: a late completion.
+    submit(0.0);
+    futs.back().wait();
+    inj.sleepOnRun(6, 250.0);
+    submit(200.0);
+    futs.back().wait();
+
+    // Kill while batch 4 (id 7) is in its timing run with ids 8 and 9
+    // queued: the in-flight batch finishes, the queued pair is flushed.
+    inj.holdBatch(4);
+    submit(0.0);
+    inj.waitHeld();
+    submit(0.0);
+    submit(0.0);
+    std::thread killer([&] { engine.kill(); });
+    while (!engine.killed())
+        std::this_thread::yield();
+    inj.release();
+    killer.join();
+
+    std::vector<serve::Response> r;
+    for (auto &f : futs)
+        r.push_back(f.get());
+    using serve::Status;
+    EXPECT_EQ(r[0].status, Status::Failed);
+    EXPECT_EQ(r[0].error.rfind("batch timing run failed", 0), 0u);
+    EXPECT_EQ(r[1].status, Status::ShedDeadline);
+    EXPECT_FALSE(r[1].executed);
+    EXPECT_EQ(r[2].status, Status::Failed);
+    EXPECT_EQ(r[2].retries, 1);
+    EXPECT_EQ(r[3].status, Status::RejectedCapacity);
+    EXPECT_EQ(r[4].status, Status::Ok);
+    EXPECT_EQ(r[5].status, Status::ShedDeadline);
+    EXPECT_TRUE(r[5].executed);
+    EXPECT_EQ(r[6].status, Status::Ok);
+    for (std::size_t i : {7, 8}) {
+        EXPECT_EQ(r[i].status, Status::Failed);
+        EXPECT_EQ(r[i].error, serve::kEngineKilledError);
+    }
+
+    const serve::InferenceEngine::Stats st = engine.stats();
+    EXPECT_EQ(st.submitted, 9u);
+    EXPECT_EQ(st.completed, 9u);
+    EXPECT_EQ(st.ok, 2u);
+    EXPECT_EQ(st.batches, 4u);  // batch 0 never got its timing run
+    EXPECT_EQ(st.deadlineMisses, 2u);
+    EXPECT_EQ(st.shedBeforeRun, 1u);
+    EXPECT_EQ(st.lateCompletions, 1u);
+    EXPECT_EQ(st.rejected, 1u);
+    EXPECT_EQ(st.evicted, 0u);
+    EXPECT_EQ(st.failed, 4u);
+    EXPECT_EQ(st.retries, 2u);
+    EXPECT_EQ(st.workerRestarts, 0u);
+    EXPECT_EQ(st.governorStepsUp + st.governorStepsDown, 0u);
+    EXPECT_EQ(st.queueHighWater, 2u);
+    EXPECT_EQ(st.maxBatchObserved, 1u);
+    EXPECT_DOUBLE_EQ(st.meanBatchSize, 1.0);
+    expectStatsMatchDump(st, observer.metrics());
+
+    // Queue time for every response; batch wait once a request reached
+    // a batch (ids 1, 3, 5, 6, 7); run time and end-to-end latency
+    // once its functional run was attempted (ids 3, 5, 6, 7).
+    const obs::MetricsRegistry &m = observer.metrics();
+    EXPECT_EQ(histogramCount(m, "serve.queue_ms"), 9u);
+    EXPECT_EQ(histogramCount(m, "serve.batch_wait_ms"), 5u);
+    EXPECT_EQ(histogramCount(m, "serve.exec_ms"), 4u);
+    EXPECT_EQ(histogramCount(m, "serve.latency_ms"), 4u);
+    EXPECT_EQ(histogramCount(m, "serve.batch_size"), 4u);
+    EXPECT_EQ(histogramCount(m, "serve.twin_rebuild_ms"), 0u);
+    EXPECT_EQ(test::dumpedCounter(m, "serve.timing_sims"), 1.0);
+    EXPECT_EQ(test::dumpedCounter(m, "serve.faults_injected"),
+              static_cast<double>(inj.injected()));
+    EXPECT_EQ(inj.injected(), 4u);
+
+    // One completion marker per response: requests that never reached
+    // a batch (ids 2, 4, 8, 9) on the "unserved" track, the rest on
+    // the worker's.
+    std::size_t on_worker = 0, unserved = 0;
+    for (const obs::TraceSpan &s : observer.tracer().spans()) {
+        if (s.pid != obs::SpanTracer::kServePid || s.name != "complete")
+            continue;
+        ++(s.tid == 0 ? on_worker : unserved);
+    }
+    EXPECT_EQ(on_worker, 5u);
+    EXPECT_EQ(unserved, 4u);
+
+    // DropOldest: with batch 0 (id 1) parked, id 3 evicts id 2.
+    HoldingInjector gate;
+    obs::Observer drop_observer;
+    opts.queueCapacity = 1;
+    opts.admission = serve::AdmissionPolicy::DropOldest;
+    opts.faultInjector = &gate;
+    opts.observer = &drop_observer;
+    serve::InferenceEngine drop(mf, opts);
+    gate.holdBatch(0);
+    auto first = drop.submit({in[0], 0, 0.0});
+    gate.waitHeld();
+    auto victim = drop.submit({in[1], 0, 0.0});
+    auto last = drop.submit({in[2], 0, 0.0});
+    EXPECT_EQ(victim.get().status, Status::RejectedCapacity);
+    gate.release();
+    EXPECT_EQ(first.get().status, Status::Ok);
+    EXPECT_EQ(last.get().status, Status::Ok);
+    drop.shutdown();
+
+    const serve::InferenceEngine::Stats ds = drop.stats();
+    EXPECT_EQ(ds.submitted, 3u);
+    EXPECT_EQ(ds.completed, 3u);
+    EXPECT_EQ(ds.ok, 2u);
+    EXPECT_EQ(ds.batches, 2u);
+    EXPECT_EQ(ds.rejected, 1u);
+    EXPECT_EQ(ds.evicted, 1u);
+    EXPECT_EQ(ds.deadlineMisses + ds.failed + ds.retries, 0u);
+    EXPECT_EQ(ds.queueHighWater, 1u);
+    expectStatsMatchDump(ds, drop_observer.metrics());
+    const obs::MetricsRegistry &dm = drop_observer.metrics();
+    EXPECT_EQ(histogramCount(dm, "serve.queue_ms"), 3u);
+    EXPECT_EQ(histogramCount(dm, "serve.batch_wait_ms"), 2u);
+    EXPECT_EQ(histogramCount(dm, "serve.exec_ms"), 2u);
+    EXPECT_EQ(histogramCount(dm, "serve.latency_ms"), 2u);
+    EXPECT_EQ(histogramCount(dm, "serve.batch_size"), 2u);
 }
 
 } // namespace

@@ -55,7 +55,7 @@ TEST(GovernorHammer, ConcurrentObserveKeepsTheLadderInvariant)
             for (int i = 0; i < 4000; ++i) {
                 const std::size_t depth =
                     ((i >> 5) + w) % 2 == 0 ? 100 : 0;
-                gov.observe(depth, 2, 0.0);
+                gov.observe(depth, 2);
             }
         });
 
@@ -83,7 +83,7 @@ TEST(GovernorHammer, ConcurrentObserveKeepsTheLadderInvariant)
     gov.setRungFloor(cfg.rungCount - 1);
     std::size_t prev = gov.rung();
     while (gov.rung() < cfg.rungCount - 1) {
-        gov.observe(0, 2, 0.0);
+        gov.observe(0, 2);
         EXPECT_LE(gov.rung(), prev + 1);
         ASSERT_GE(gov.rung(), prev);  // bounded loop: monotone climb
         prev = gov.rung();

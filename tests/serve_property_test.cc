@@ -10,7 +10,7 @@
  *   - every pushed item leaves the queue through exactly one exit
  *     (pop, drain, bounce, eviction, or the final close drain);
  *   - pops come out priority-descending with FIFO ties;
- *   - the backpressure counters reconcile with the observed exits.
+ *   - the high-water mark never exceeds the capacity.
  */
 
 #include <gtest/gtest.h>
@@ -127,15 +127,7 @@ runRandomOps(AdmissionPolicy policy, std::uint64_t seed, RandomRun &run)
     // Conservation: every pushed seq exited exactly once.
     ASSERT_EQ(run.exits.size(), run.pushed);
 
-    // Counter reconciliation.
-    const RequestQueue::Counters c = q.counters();
-    std::map<Exit, std::uint64_t> tally;
-    for (const auto &[seq, e] : run.exits)
-        ++tally[e];
-    EXPECT_EQ(c.rejected, tally[Exit::Bounced]);
-    EXPECT_EQ(c.evicted, tally[Exit::Evicted]);
-    EXPECT_EQ(c.admitted, run.pushed - tally[Exit::Bounced]);
-    EXPECT_LE(c.highWater, kCapacity);
+    EXPECT_LE(q.highWater(), kCapacity);
 }
 
 class QueueProperty

@@ -1,6 +1,6 @@
 /**
  * @file
- * Reads counters and gauges back the way a consumer of the metrics
+ * Reads counters, gauges and histograms back the way a consumer of the metrics
  * sink does: from MetricsRegistry::writeJson, parsed with
  * obs::parseJson.
  */
@@ -27,6 +27,11 @@ std::optional<double> dumpedCounter(const obs::MetricsRegistry &reg,
 /** As dumpedCounter, for a gauge series. */
 std::optional<double> dumpedGauge(const obs::MetricsRegistry &reg,
                                   const std::string &series);
+
+/** As dumpedCounter, for a histogram series (count, sum, min, max). */
+std::optional<obs::Histogram::Snapshot>
+dumpedHistogram(const obs::MetricsRegistry &reg,
+                const std::string &series);
 
 } // namespace test
 } // namespace mflstm

@@ -1188,7 +1188,7 @@ cmdFleet(const Options &opt)
                     f.router().sessionFailovers()));
     for (std::size_t i = 0; i < f.replicaCount(); ++i) {
         fleet::Replica &r = f.replica(i);
-        const fleet::Replica::Counters &c = r.counters();
+        const fleet::Replica::Counters c = r.counters();
         std::printf("  %-4s %-10s kills %llu, restarts %llu "
                     "(cold %llu), heartbeat misses %llu, breaker "
                     "trips %llu\n",
