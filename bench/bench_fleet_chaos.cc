@@ -4,8 +4,8 @@
  * serving fleet through the standard seeded chaos schedule — one
  * crash, one brownout, one corrupt warm-state restart, one flash
  * crowd — across a matrix of scenarios x routing policies x replica
- * counts, with the failover machinery on and (as the control arm)
- * off. Exit 1 unless:
+ * counts, with the fleet's two robustness moves (failover re-dispatch
+ * and parking) on and, as the control arm, off. Exit 1 unless:
  *
  *  - zero requests are lost in EVERY run: everything submitted
  *    reaches a terminal response, failover on or off;
@@ -67,9 +67,7 @@ runOne(const core::MemoryFriendlyLstm &mf, const AppContext &app,
     fo.storeDir = store_dir;
     // Serialise each replica (one worker, singleton batches) so a
     // crash always finds queued work to strand / fail over — the
-    // difference the two arms of the gate measure. Hedging stays off
-    // and the heartbeat latency criterion disabled: wall-clock noise
-    // must not move the terminal counts.
+    // difference the two arms of the gate measure.
     fo.engine.maxBatch = 1;
     fo.engine.workers = 1;
     fo.slos.push_back(fleet::SloClass{"interactive", 10, 0.0});
@@ -233,7 +231,6 @@ main(int argc, char **argv)
         rep.metric(key + ".availability", r.availability);
         rep.metric(key + ".failovers",
                    static_cast<double>(r.stats.failovers));
-        rep.metric(key + ".hedges", static_cast<double>(r.stats.hedges));
         rep.metric(key + ".parked", static_cast<double>(r.stats.parked));
         rep.metric(key + ".replay_ok", r.replayOk ? 1.0 : 0.0);
 

@@ -1,6 +1,7 @@
 #include "fleet/fleet.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -10,13 +11,12 @@ namespace fleet {
 
 namespace {
 
-double
-ageMs(std::chrono::steady_clock::time_point since)
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - since)
-        .count();
-}
+/// dispatches per request: the first plus up to two failovers
+constexpr int kMaxAttempts = 3;
+/// a chaos-killed replica restarts this many ticks after going down
+constexpr std::uint64_t kRestartAfterTicks = 2;
+/// pumps without progress after which drain() fails what is parked
+constexpr int kDrainStallPumps = 2000;
 
 bool
 ready(const std::future<serve::Response> &fut)
@@ -33,8 +33,6 @@ Fleet::Instruments::Instruments(obs::MetricsRegistry &m)
       ok(m.counter("fleet.ok_total")),
       failed(m.counter("fleet.failed_total")),
       failovers(m.counter("fleet.failover_total")),
-      hedges(m.counter("fleet.hedge_total")),
-      hedgeWins(m.counter("fleet.hedge_win_total")),
       parked(m.counter("fleet.parked_total")),
       chaosApplied(m.counter("fleet.chaos_applied_total"))
 {}
@@ -50,8 +48,6 @@ Fleet::Fleet(const core::MemoryFriendlyLstm &mf, FleetOptions opts)
         throw std::invalid_argument("Fleet: replicas == 0");
     if (opts_.storeDir.empty())
         throw std::invalid_argument("Fleet: storeDir is required");
-    if (opts_.maxAttempts < 1)
-        throw std::invalid_argument("Fleet: maxAttempts < 1");
 
     store_ = std::make_unique<io::ArtifactStore>(opts_.storeDir);
     router_ =
@@ -61,19 +57,8 @@ Fleet::Fleet(const core::MemoryFriendlyLstm &mf, FleetOptions opts)
     // lock when no valid artifact exists); later replicas warm-boot
     // from the shared artifact instead of re-planning every rung.
     for (std::size_t i = 0; i < opts_.replicas; ++i) {
-        ReplicaConfig rc;
-        rc.name = 'r' + std::to_string(i);
-        rc.engine = opts_.engine;
-        rc.engine.observer = obs_;
-        rc.degradedAfter = opts_.degradedAfter;
-        rc.downAfter = opts_.downAfter;
-        rc.recoverAfter = opts_.recoverAfter;
-        rc.heartbeatSloMs = opts_.heartbeatSloMs;
-        rc.probeTokens = opts_.probeTokens;
-        rc.breakerTripAfter = opts_.breakerTripAfter;
-        rc.breakerCooldownTicks = opts_.breakerCooldownTicks;
         replicas_.push_back(std::make_unique<Replica>(
-            i, mf, *store_, std::move(rc), *obs_));
+            i, mf, *store_, opts_.engine, *obs_));
         const obs::Labels label = {{"replica", replicas_.back()->name()}};
         replicaSeries_.push_back(
             {obs_->metrics().counter("fleet.dispatch_total", label),
@@ -115,7 +100,7 @@ bool
 Fleet::dispatch(Pending &p, std::size_t avoid)
 {
     const std::size_t idx =
-        router_->route(p.req.sessionId, snapshots(), avoid);
+        router_->route(p.sessionId, snapshots(), avoid);
     if (idx == Router::kNoReplica)
         return false;
     std::future<serve::Response> fut =
@@ -129,7 +114,6 @@ Fleet::dispatch(Pending &p, std::size_t avoid)
     ++p.attempts;
     p.replica = idx;
     p.fut = std::move(fut);
-    p.dispatched = std::chrono::steady_clock::now();
     replicaSeries_[idx].dispatched.add();
     return true;
 }
@@ -144,39 +128,33 @@ Fleet::submit(FleetRequest req)
 
     Pending p;
     const SloClass &slo = router_->sloFor(req.tenant);
-    p.built.tokens = req.tokens;
+    p.sessionId = std::move(req.sessionId);
+    p.built.tokens = std::move(req.tokens);
     p.built.priority = slo.priority;
     p.built.deadlineMs = slo.deadlineMs;
-    p.req = std::move(req);
-    p.fleetId = nextFleetId_++;
 
     m_.submitted.add();
 
+    const std::uint64_t id = nextFleetId_++;
     if (!dispatch(p, Router::kNoReplica)) {
         if (!opts_.failover) {
-            // No robustness machinery: an unroutable request is a
-            // terminal failure right away.
-            serve::Response r;
-            r.status = serve::Status::Failed;
-            r.error = "no eligible replica";
-            const std::uint64_t id = p.fleetId;
-            complete(r, p.replica);
+            // No parking: an unroutable request fails right away.
+            complete(serve::Status::Failed, Router::kNoReplica);
             return id;
         }
         m_.parked.add();
     }
-    const std::uint64_t id = p.fleetId;
     pending_.push_back(std::move(p));
     return id;
 }
 
 void
-Fleet::complete(const serve::Response &r, std::size_t replica)
+Fleet::complete(serve::Status status, std::size_t replica)
 {
     m_.completed.add();
-    if (r.status == serve::Status::Ok)
+    if (status == serve::Status::Ok)
         m_.ok.add();
-    else if (r.status == serve::Status::Failed)
+    else if (status == serve::Status::Failed)
         m_.failed.add();
     if (replica < replicas_.size())
         replicaSeries_[replica].responses.add();
@@ -185,97 +163,38 @@ Fleet::complete(const serve::Response &r, std::size_t replica)
 void
 Fleet::pump()
 {
-    // Losing hedge twins resolve on their own schedule; drop the
-    // results as they land (re-simulation is pure — the duplicate
-    // carries no side effect worth keeping).
-    discarded_.erase(
-        std::remove_if(discarded_.begin(), discarded_.end(),
-                       [](std::future<serve::Response> &f) {
-                           if (!ready(f))
-                               return false;
-                           f.get();
-                           return true;
-                       }),
-        discarded_.end());
-
     std::size_t i = 0;
     while (i < pending_.size()) {
         Pending &p = pending_[i];
         bool done = false;
 
         if (!p.fut.valid()) {
-            // Parked: retry while the request still has attempts and
-            // failover is on (parking never happens with it off).
+            // Parked: re-dispatch once a replica is eligible again.
             dispatch(p, Router::kNoReplica);
         } else if (ready(p.fut)) {
-            serve::Response r = p.fut.get();
+            const serve::Status status = p.fut.get().status;
             const std::size_t from = p.replica;
             const bool infra_failure =
-                r.status == serve::Status::Failed ||
-                r.status == serve::Status::RejectedCapacity;
+                status == serve::Status::Failed ||
+                status == serve::Status::RejectedCapacity;
             if (infra_failure)
                 replicas_[from]->breaker().onFailure();
             else
                 replicas_[from]->breaker().onSuccess();
 
             if (infra_failure && opts_.failover &&
-                p.attempts < opts_.maxAttempts) {
-                // Hedged or stranded-on-a-dead-replica re-dispatch:
-                // idempotent by construction, the functional run is a
+                p.attempts < kMaxAttempts) {
+                // Idempotent by construction: the functional run is a
                 // pure re-simulation of the same tokens.
                 m_.failovers.add();
-                if (p.hedgeFut.valid()) {
-                    // The hedge twin is already racing: promote it.
-                    p.fut = std::move(p.hedgeFut);
-                    p.replica = p.hedgeReplica;
-                    p.hedgeReplica = Router::kNoReplica;
-                } else if (!dispatch(p, from)) {
+                if (!dispatch(p, from)) {
                     p.fut = {};
                     p.replica = Router::kNoReplica;
                     m_.parked.add();
                 }
             } else {
-                if (p.hedgeFut.valid())
-                    discarded_.push_back(std::move(p.hedgeFut));
-                complete(r, from);
+                complete(status, from);
                 done = true;
-            }
-        } else if (ready(p.hedgeFut)) {
-            serve::Response r = p.hedgeFut.get();
-            if (r.status == serve::Status::Ok) {
-                // Hedge won the race; the primary's eventual result
-                // is discarded.
-                replicas_[p.hedgeReplica]->breaker().onSuccess();
-                m_.hedgeWins.add();
-                discarded_.push_back(std::move(p.fut));
-                complete(r, p.hedgeReplica);
-                done = true;
-            } else {
-                if (r.status == serve::Status::Failed ||
-                    r.status == serve::Status::RejectedCapacity)
-                    replicas_[p.hedgeReplica]->breaker().onFailure();
-                p.hedgeReplica = Router::kNoReplica;
-                p.hedgeFut = {};
-            }
-        } else if (!p.hedged && opts_.failover &&
-                   opts_.hedgeAfterMs > 0.0 && p.fut.valid() &&
-                   p.replica < replicas_.size() &&
-                   replicas_[p.replica]->state() ==
-                       ReplicaState::Degraded &&
-                   ageMs(p.dispatched) >= opts_.hedgeAfterMs) {
-            // Latency hedging: a request stuck on a Degraded replica
-            // gets a secondary dispatch; first Ok wins.
-            const std::size_t idx = router_->route(
-                p.req.sessionId + "#hedge", snapshots(), p.replica);
-            if (idx != Router::kNoReplica && idx != p.replica) {
-                std::future<serve::Response> fut =
-                    replicas_[idx]->submit(p.built);
-                if (fut.valid()) {
-                    p.hedged = true;
-                    p.hedgeReplica = idx;
-                    p.hedgeFut = std::move(fut);
-                    m_.hedges.add();
-                }
             }
         }
 
@@ -295,12 +214,12 @@ Fleet::applyChaosEvent(const ChaosEvent &e, TickReport &report)
     switch (e.kind) {
     case ChaosEvent::Kind::Crash:
         replicas_.at(e.replica)->kill(/*corrupt_state=*/false);
-        restartsDue_.emplace_back(tickNow_ + opts_.restartAfterTicks,
+        restartsDue_.emplace_back(tickNow_ + kRestartAfterTicks,
                                   e.replica);
         break;
     case ChaosEvent::Kind::CorruptRestart:
         replicas_.at(e.replica)->kill(/*corrupt_state=*/true);
-        restartsDue_.emplace_back(tickNow_ + opts_.restartAfterTicks,
+        restartsDue_.emplace_back(tickNow_ + kRestartAfterTicks,
                                   e.replica);
         break;
     case ChaosEvent::Kind::Brownout:
@@ -392,36 +311,20 @@ Fleet::drain()
     std::size_t last_pending = pending_.size() + 1;
     while (!pending_.empty()) {
         pump();
-        if (pending_.size() == last_pending)
-            ++stalled;
-        else
-            stalled = 0;
+        stalled = pending_.size() == last_pending ? stalled + 1 : 0;
         last_pending = pending_.size();
-        if (stalled > 2000) {
-            for (Pending &p : pending_) {
-                if (p.fut.valid())
-                    continue;  // still owed a terminal resolution
-                serve::Response r;
-                r.status = serve::Status::Failed;
-                r.error = "no eligible replica";
-                complete(r, p.replica);
-                p.fleetId = 0;  // mark resolved
-            }
-            pending_.erase(
-                std::remove_if(pending_.begin(), pending_.end(),
-                               [](const Pending &p) {
-                                   return p.fleetId == 0;
-                               }),
-                pending_.end());
+        if (stalled > kDrainStallPumps) {
+            const auto parked = std::remove_if(
+                pending_.begin(), pending_.end(),
+                [](const Pending &p) { return !p.fut.valid(); });
+            for (auto it = parked; it != pending_.end(); ++it)
+                complete(serve::Status::Failed, Router::kNoReplica);
+            pending_.erase(parked, pending_.end());
             stalled = 0;
         }
         if (!pending_.empty())
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    for (std::future<serve::Response> &f : discarded_)
-        if (f.valid())
-            f.get();
-    discarded_.clear();
 }
 
 void
@@ -442,9 +345,9 @@ Fleet::stats() const
     const auto count = [](const obs::Counter &c) {
         return static_cast<std::uint64_t>(c.value());
     };
-    return Stats{count(m_.submitted), count(m_.completed), count(m_.ok),
-                 count(m_.failed),    count(m_.failovers), count(m_.hedges),
-                 count(m_.hedgeWins), count(m_.parked)};
+    return Stats{count(m_.submitted), count(m_.completed),
+                 count(m_.ok),        count(m_.failed),
+                 count(m_.failovers), count(m_.parked)};
 }
 
 double

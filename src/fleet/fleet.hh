@@ -10,23 +10,23 @@
  * restarts and brownout expiries, heartbeats every replica through
  * the health-state machine, advances the circuit breakers,
  * redistributes the AO->BPA governor ladder over the survivors, and
- * pumps the pending set. The pump is where robustness lives:
+ * pumps the pending set. The pump is where robustness lives, and
+ * FleetOptions::failover switches both of its moves:
  *
  *  - failover: a request that came back Failed / RejectedCapacity
  *    (e.g. stranded on a killed replica) is re-dispatched to another
- *    eligible replica while attempts remain — idempotent by
- *    construction, re-simulation is pure (fleet.failover_total);
- *  - hedging: a request pending on a Degraded replica past
- *    hedgeAfterMs gets a secondary dispatch; the first Ok wins and
- *    the loser is discarded (fleet.hedge_total);
- *  - parking: with failover on and no eligible replica, the request
- *    waits and is re-dispatched when one recovers, so an accepted
- *    request is never silently dropped.
+ *    eligible replica while it has made fewer than kMaxAttempts (3)
+ *    dispatches — idempotent by construction, re-simulation is pure
+ *    (fleet.failover_total);
+ *  - parking: with no eligible replica, the request waits and is
+ *    re-dispatched when one recovers, so an accepted request is never
+ *    silently dropped (fleet.parked_total).
  *
  * Every accepted request reaches exactly one terminal response, counted
  * in the fleet.* series that stats() reads: drain() pumps until the
  * pending set is empty (engines resolve all futures terminally, so
- * this converges), and shutdown() drains before stopping the replicas.
+ * this converges; requests parked with every replica gone for good
+ * resolve Failed), and shutdown() drains before stopping the replicas.
  *
  * Thread safety: submit/tick/pump/drain are driven from one control
  * thread; the engines' worker pools run concurrently underneath.
@@ -35,7 +35,6 @@
 #ifndef MFLSTM_FLEET_FLEET_HH
 #define MFLSTM_FLEET_FLEET_HH
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -55,27 +54,9 @@ struct FleetOptions
     RoutingPolicy policy = RoutingPolicy::SessionAffinity;
     std::vector<SloClass> slos;
 
-    /// master switch for the robustness machinery: failover
-    /// re-dispatch, hedging and parking. Off = a failure is terminal.
+    /// the robustness moves: failover re-dispatch and parking. Off =
+    /// a failure, or a request with no eligible replica, is terminal.
     bool failover = true;
-    /// dispatch attempts per request (1 = no failover re-dispatch)
-    int maxAttempts = 3;
-    /// hedge a request pending on a Degraded replica after this long
-    /// (wall ms); 0 disables hedging
-    double hedgeAfterMs = 0.0;
-    /// a killed replica restarts this many ticks after going down
-    std::uint64_t restartAfterTicks = 2;
-
-    // --- health checks ---
-    int degradedAfter = 1;
-    int downAfter = 2;
-    int recoverAfter = 1;
-    double heartbeatSloMs = 0.0;
-    std::vector<std::int32_t> probeTokens = {1, 2, 3};
-
-    // --- circuit breaker ---
-    int breakerTripAfter = 3;
-    std::uint64_t breakerCooldownTicks = 2;
 
     /// shared model-artifact store directory (required)
     std::string storeDir;
@@ -129,7 +110,7 @@ class Fleet
      */
     TickReport tick();
 
-    /** Poll pending work: completions, failover, hedging, parking. */
+    /** Poll pending work: completions, failover, parking. */
     void pump();
 
     /** Pump until every accepted request has a terminal response. */
@@ -148,7 +129,7 @@ class Fleet
     const FleetOptions &options() const { return opts_; }
 
     /** Read from the fleet.*_total series: submitted, completed, ok,
-     *  failed, failover, hedge, hedge_win and parked. */
+     *  failed, failover and parked. */
     struct Stats
     {
         std::uint64_t submitted = 0;
@@ -156,8 +137,6 @@ class Fleet
         std::uint64_t ok = 0;
         std::uint64_t failed = 0;
         std::uint64_t failovers = 0;  ///< re-dispatches off a failure
-        std::uint64_t hedges = 0;     ///< secondary dispatches
-        std::uint64_t hedgeWins = 0;  ///< hedges that produced the result
         std::uint64_t parked = 0;     ///< waits with no eligible replica
     };
     Stats stats() const;
@@ -172,7 +151,7 @@ class Fleet
         explicit Instruments(obs::MetricsRegistry &m);
 
         obs::Counter &submitted, &completed, &ok, &failed, &failovers,
-            &hedges, &hedgeWins, &parked, &chaosApplied;
+            &parked, &chaosApplied;
     };
     /// fleet.dispatch_total and fleet.responses_total of one replica
     struct ReplicaSeries
@@ -182,16 +161,11 @@ class Fleet
 
     struct Pending
     {
-        FleetRequest req;
+        std::string sessionId;
         serve::Request built;  ///< tokens + SLO hints, ready to send
-        std::uint64_t fleetId = 0;
         int attempts = 0;
-        bool hedged = false;
         std::size_t replica = Router::kNoReplica;
         std::future<serve::Response> fut;  ///< invalid while parked
-        std::size_t hedgeReplica = Router::kNoReplica;
-        std::future<serve::Response> hedgeFut;
-        std::chrono::steady_clock::time_point dispatched{};
     };
 
     std::vector<ReplicaSnapshot> snapshots() const;
@@ -199,7 +173,8 @@ class Fleet
     /// engine race)
     bool dispatch(Pending &p, std::size_t avoid);
     /// count one terminal response produced by @p replica
-    void complete(const serve::Response &r, std::size_t replica);
+    /// (Router::kNoReplica: the fleet failed it itself)
+    void complete(serve::Status status, std::size_t replica);
     void applyChaosEvent(const ChaosEvent &e, TickReport &report);
     void redistributeGovernor();
 
@@ -221,9 +196,6 @@ class Fleet
 
     std::uint64_t nextFleetId_ = 1;
     std::vector<Pending> pending_;
-    /// losing hedge futures: polled until they resolve, then dropped
-    /// (execution is pure, so the duplicate result is just discarded)
-    std::vector<std::future<serve::Response>> discarded_;
     bool shutdown_ = false;
 };
 

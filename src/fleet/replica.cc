@@ -13,6 +13,8 @@ namespace {
 
 /** Heartbeat probes jump every tenant's queue. */
 constexpr int kProbePriority = 1 << 20;
+/** The heartbeat probe's tokens (valid ids of every model). */
+const std::vector<std::int32_t> kProbeTokens = {1, 2, 3};
 
 } // anonymous namespace
 
@@ -30,13 +32,13 @@ Replica::Instruments::Instruments(obs::MetricsRegistry &m,
 {}
 
 Replica::Replica(std::size_t index, const core::MemoryFriendlyLstm &mf,
-                 io::ArtifactStore &store, ReplicaConfig cfg,
-                 obs::Observer &obs)
-    : index_(index), mf_(&mf), store_(&store), cfg_(std::move(cfg)),
-      obs_(obs), m_(obs.metrics(), cfg_.name)
+                 io::ArtifactStore &store,
+                 serve::InferenceEngine::Options engine, obs::Observer &obs)
+    : index_(index), mf_(&mf), store_(&store),
+      name_('r' + std::to_string(index)), engineOpts_(std::move(engine)),
+      obs_(obs), m_(obs.metrics(), name_)
 {
-    breaker_.tripAfter = cfg_.breakerTripAfter;
-    breaker_.cooldownTicks = cfg_.breakerCooldownTicks;
+    engineOpts_.observer = &obs_;
     rebuildEngine();
     setState(ReplicaState::Healthy, "boot");
 }
@@ -145,19 +147,20 @@ Replica::rebuildEngine()
             const serve::EngineWarmState warm =
                 serve::loadEngineState(path, {}, &obs_);
             engine_ = std::make_unique<serve::InferenceEngine>(
-                *mf_, cfg_.engine, warm);
+                *mf_, engineOpts_, warm);
             warm_ok = true;
-        } catch (const io::ArtifactError &e) {
+        } catch (const io::ArtifactError &) {
             // Quarantine-and-recompute (DESIGN.md §11): move the
             // damaged artifact aside and fall through to a cold boot.
+            // The loader or the warm constructor already counted the
+            // rejection.
             io::quarantine(path);
-            io::recordRejection(&obs_, e.kind());
             m_.coldRecoveries.add();
         }
     }
     if (!warm_ok) {
         engine_ =
-            std::make_unique<serve::InferenceEngine>(*mf_, cfg_.engine);
+            std::make_unique<serve::InferenceEngine>(*mf_, engineOpts_);
         // Heal (or seed) the shared store so the next sibling can warm
         // boot. The single-writer lock keeps two replicas recovering
         // at once from interleaving the save; losing the race just
@@ -183,7 +186,6 @@ Replica::restart()
     m_.restarts.add();
     rebuildEngine();
     missStreak_ = 0;
-    okStreak_ = 0;
     breaker_.onSuccess();
     setState(ReplicaState::Recovering, "restart");
 }
@@ -194,40 +196,29 @@ Replica::heartbeat()
     bool ok = false;
     if (alive()) {
         serve::Request probe;
-        probe.tokens = cfg_.probeTokens;
+        probe.tokens = kProbeTokens;
         probe.priority = kProbePriority;
         std::future<serve::Response> fut = submit(std::move(probe));
-        if (fut.valid()) {
-            // Engines resolve every future terminally, so this wait
-            // is bounded by the (possibly browned-out) batch time.
-            const serve::Response r = fut.get();
-            ok = r.status == serve::Status::Ok &&
-                 (cfg_.heartbeatSloMs <= 0.0 ||
-                  r.latencyMs <= cfg_.heartbeatSloMs);
-        }
+        // Engines resolve every future terminally, so this wait is
+        // bounded by the (possibly browned-out) batch time.
+        ok = fut.valid() && fut.get().status == serve::Status::Ok;
     }
 
     if (ok) {
+        // Also returns a live replica that missed its way Down (say,
+        // probes turned away by a full queue): restart() is a no-op
+        // while the engine runs, so nothing else would.
         missStreak_ = 0;
-        ++okStreak_;
-        if (state_ == ReplicaState::Degraded)
-            setState(ReplicaState::Healthy, "probe ok");
-        else if (state_ == ReplicaState::Recovering &&
-                 okStreak_ >= cfg_.recoverAfter)
+        if (state_ != ReplicaState::Healthy)
             setState(ReplicaState::Healthy, "recovered");
         return;
     }
 
-    okStreak_ = 0;
     ++missStreak_;
     m_.heartbeatMisses.add();
-    if (!alive() || missStreak_ >= cfg_.downAfter) {
-        if (state_ != ReplicaState::Down)
-            setState(ReplicaState::Down, "probe misses");
-    } else if (missStreak_ >= cfg_.degradedAfter &&
-               state_ == ReplicaState::Healthy) {
-        setState(ReplicaState::Degraded, "probe misses");
-    }
+    if ((!alive() || missStreak_ >= kDownAfterMisses) &&
+        state_ != ReplicaState::Down)
+        setState(ReplicaState::Down, "probe misses");
 }
 
 void
@@ -242,7 +233,7 @@ Replica::setState(ReplicaState next, const char *why)
 
     // Lifecycle span: zero-length marker on the fleet track.
     obs::TraceSpan span;
-    span.name = cfg_.name + ":" + toString(prev) + "->" +
+    span.name = name_ + ":" + toString(prev) + "->" +
                 toString(next);
     span.category = "fleet";
     span.pid = obs::SpanTracer::kHostPid;

@@ -34,16 +34,19 @@ namespace fleet {
 /** Shared warm-state artifact name inside the fleet store. */
 inline constexpr const char *kEngineStateArtifact = "engine_state.bin";
 
+/** Consecutive missed heartbeats that take a live replica Down. */
+inline constexpr int kDownAfterMisses = 2;
+
 /**
- * Per-replica circuit breaker: opens after tripAfter consecutive
- * dispatch failures, holds for cooldownTicks fleet ticks, then
+ * Per-replica circuit breaker: opens after kTripAfter consecutive
+ * dispatch failures, holds for kCooldownTicks fleet ticks, then
  * half-opens — one more failure re-trips immediately, one success
  * closes it fully.
  */
 struct CircuitBreaker
 {
-    int tripAfter = 3;
-    std::uint64_t cooldownTicks = 2;
+    static constexpr int kTripAfter = 3;
+    static constexpr std::uint64_t kCooldownTicks = 2;
 
     bool open = false;
     int consecutiveFailures = 0;
@@ -59,9 +62,9 @@ struct CircuitBreaker
 
     void onFailure()
     {
-        if (++consecutiveFailures >= tripAfter && !open) {
+        if (++consecutiveFailures >= kTripAfter && !open) {
             open = true;
-            cooldownRemaining = cooldownTicks;
+            cooldownRemaining = kCooldownTicks;
             ++trips;
         }
     }
@@ -73,31 +76,9 @@ struct CircuitBreaker
             open = false;
             // Half-open: the next failure re-trips without needing a
             // fresh streak; the next success closes fully.
-            consecutiveFailures = tripAfter - 1;
+            consecutiveFailures = kTripAfter - 1;
         }
     }
-};
-
-/** Everything one replica needs besides the shared model facade. */
-struct ReplicaConfig
-{
-    std::string name;  ///< metrics label + trace track ("r0", ...)
-    serve::InferenceEngine::Options engine;
-
-    /// consecutive heartbeat misses before Healthy -> Degraded
-    int degradedAfter = 1;
-    /// consecutive heartbeat misses before -> Down
-    int downAfter = 2;
-    /// consecutive heartbeat successes before Recovering -> Healthy
-    int recoverAfter = 1;
-    /// a probe slower than this is a miss (ms); 0 disables the
-    /// latency criterion (only hard failures count)
-    double heartbeatSloMs = 0.0;
-    /// token sequence of the heartbeat probe (must be valid ids)
-    std::vector<std::int32_t> probeTokens = {1, 2, 3};
-
-    int breakerTripAfter = 3;
-    std::uint64_t breakerCooldownTicks = 2;
 };
 
 class Replica
@@ -107,11 +88,13 @@ class Replica
      * Builds the engine immediately: warm from @p store's
      * engine-state artifact when present and valid, else cold (and
      * the cold boot heals/seeds the store under the write lock).
-     * @p mf, @p store and @p obs must outlive the replica; @p obs
-     * receives the replica's fleet.*{replica=<name>} series.
+     * Every engine the replica builds runs @p engine with its
+     * observer set to @p obs. @p mf, @p store and @p obs must outlive
+     * the replica; @p obs receives the replica's
+     * fleet.*{replica=<name>} series.
      */
     Replica(std::size_t index, const core::MemoryFriendlyLstm &mf,
-            io::ArtifactStore &store, ReplicaConfig cfg,
+            io::ArtifactStore &store, serve::InferenceEngine::Options engine,
             obs::Observer &obs);
 
     ~Replica();
@@ -119,7 +102,7 @@ class Replica
     Replica &operator=(const Replica &) = delete;
 
     std::size_t index() const { return index_; }
-    const std::string &name() const { return cfg_.name; }
+    const std::string &name() const { return name_; }
     ReplicaState state() const { return state_; }
     CircuitBreaker &breaker() { return breaker_; }
 
@@ -159,7 +142,7 @@ class Replica
     /**
      * One heartbeat: probe the engine and walk the health-state
      * machine. A dead engine is an immediate miss; a live probe
-     * misses when it fails or exceeds heartbeatSloMs.
+     * misses when it does not come back Ok.
      */
     void heartbeat();
 
@@ -193,7 +176,8 @@ class Replica
     std::size_t index_;
     const core::MemoryFriendlyLstm *mf_;
     io::ArtifactStore *store_;
-    ReplicaConfig cfg_;
+    std::string name_;  ///< "r<index>": metrics label + trace track
+    serve::InferenceEngine::Options engineOpts_;
     obs::Observer &obs_;
     const Instruments m_;
 
@@ -202,7 +186,6 @@ class Replica
     CircuitBreaker breaker_;
     bool corruptNextRestart_ = false;
     int missStreak_ = 0;
-    int okStreak_ = 0;
 };
 
 } // namespace fleet

@@ -11,7 +11,6 @@ toString(ReplicaState s)
 {
     switch (s) {
     case ReplicaState::Healthy: return "healthy";
-    case ReplicaState::Degraded: return "degraded";
     case ReplicaState::Down: return "down";
     case ReplicaState::Recovering: return "recovering";
     }

@@ -1,8 +1,8 @@
 /**
  * @file
- * Value types of the fleet layer (DESIGN.md §16): replica health
- * states, per-tenant SLO classes, routing policies, and the request
- * envelope that rides through the Router to an engine replica.
+ * Value types of the fleet layer (DESIGN.md §16): the three replica
+ * health states, per-tenant SLO classes, routing policies, and the
+ * request envelope that rides through the Router to an engine replica.
  */
 
 #ifndef MFLSTM_FLEET_TYPES_HH
@@ -19,19 +19,16 @@ namespace fleet {
 /**
  * Health-state machine of one replica (DESIGN.md §16):
  *
- *   Healthy --misses>=degradedAfter--> Degraded
- *   Degraded --misses>=downAfter--> Down
- *   Degraded --probe ok--> Healthy
+ *   Healthy | Recovering --kill, or kDownAfterMisses misses--> Down
  *   Down --restart()--> Recovering
- *   Recovering --ok streak>=recoverAfter--> Healthy
+ *   Recovering | Down with a live engine --one ok heartbeat--> Healthy
  *
- * Down replicas are ineligible for routing; Degraded replicas stay
- * eligible but their in-flight requests become hedging candidates.
+ * Down replicas are ineligible for routing. The enumerator values are
+ * what the fleet.state{replica=...} gauge reads: 0, 1, 2.
  */
 enum class ReplicaState : std::uint8_t
 {
     Healthy = 0,
-    Degraded,
     Down,
     Recovering,
 };

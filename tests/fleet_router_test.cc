@@ -5,8 +5,8 @@
  * are candidates; a pinned session stays on its replica while it is
  * eligible and is re-pinned (counted as a session failover) when it
  * goes Down; round-robin cycles and least-loaded picks the shallowest
- * queue. The breaker contract: trips after tripAfter consecutive
- * failures, holds for cooldownTicks, then half-opens — one failure
+ * queue. The breaker contract: trips after kTripAfter consecutive
+ * failures, holds for kCooldownTicks, then half-opens — one failure
  * re-trips immediately, one success closes fully.
  */
 
@@ -114,8 +114,8 @@ TEST(Router, DownAndOpenBreakerAreIneligible)
     for (int i = 0; i < 4; ++i)
         EXPECT_EQ(router.route("s", snaps), 2u);
 
-    // Degraded and Recovering replicas still route.
-    snaps[0].state = ReplicaState::Degraded;
+    // Healthy and Recovering replicas route.
+    snaps[0].state = ReplicaState::Healthy;
     snaps[1].breakerOpen = false;
     snaps[1].state = ReplicaState::Recovering;
     std::set<std::size_t> seen;
@@ -151,9 +151,8 @@ TEST(Router, SloLookupFallsBackToDefault)
 
 TEST(CircuitBreaker, TripsAfterConsecutiveFailures)
 {
+    static_assert(CircuitBreaker::kTripAfter == 3);
     CircuitBreaker b;
-    b.tripAfter = 3;
-    b.cooldownTicks = 2;
 
     b.onFailure();
     b.onFailure();
@@ -166,7 +165,6 @@ TEST(CircuitBreaker, TripsAfterConsecutiveFailures)
 TEST(CircuitBreaker, SuccessResetsTheStreak)
 {
     CircuitBreaker b;
-    b.tripAfter = 3;
     b.onFailure();
     b.onFailure();
     b.onSuccess();
@@ -175,13 +173,20 @@ TEST(CircuitBreaker, SuccessResetsTheStreak)
     EXPECT_FALSE(b.open);
 }
 
-TEST(CircuitBreaker, CooldownHalfOpensThenRetripsOnFailure)
+/** A breaker tripped by kTripAfter consecutive failures. */
+CircuitBreaker
+trippedBreaker()
 {
     CircuitBreaker b;
-    b.tripAfter = 2;
-    b.cooldownTicks = 2;
-    b.onFailure();
-    b.onFailure();
+    for (int i = 0; i < CircuitBreaker::kTripAfter; ++i)
+        b.onFailure();
+    return b;
+}
+
+TEST(CircuitBreaker, CooldownHalfOpensThenRetripsOnFailure)
+{
+    static_assert(CircuitBreaker::kCooldownTicks == 2);
+    CircuitBreaker b = trippedBreaker();
     ASSERT_TRUE(b.open);
 
     b.tick();
@@ -197,12 +202,9 @@ TEST(CircuitBreaker, CooldownHalfOpensThenRetripsOnFailure)
 
 TEST(CircuitBreaker, CooldownHalfOpensThenClosesOnSuccess)
 {
-    CircuitBreaker b;
-    b.tripAfter = 2;
-    b.cooldownTicks = 1;
-    b.onFailure();
-    b.onFailure();
-    b.tick();
+    CircuitBreaker b = trippedBreaker();
+    for (std::uint64_t t = 0; t < CircuitBreaker::kCooldownTicks; ++t)
+        b.tick();
     ASSERT_FALSE(b.open);
 
     b.onSuccess();
@@ -215,7 +217,6 @@ TEST(CircuitBreaker, CooldownHalfOpensThenClosesOnSuccess)
 TEST(ReplicaState, ToStringCoversEveryState)
 {
     EXPECT_STREQ(toString(ReplicaState::Healthy), "healthy");
-    EXPECT_STREQ(toString(ReplicaState::Degraded), "degraded");
     EXPECT_STREQ(toString(ReplicaState::Down), "down");
     EXPECT_STREQ(toString(ReplicaState::Recovering), "recovering");
 }

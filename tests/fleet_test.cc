@@ -4,15 +4,19 @@
  * seeds the shared artifact store and siblings warm-boot from it with
  * bit-identical outputs; a crash fails queued work over to a survivor
  * with zero lost requests; a corrupt warm-state restart quarantines
- * the artifact and cold-rebuilds; a Degraded replica gets hedged;
- * the governor ladder redistributes over survivors one rung at a
- * time; and a full ChaosPlan::standard run completes every submitted
- * request.
+ * the artifact, counts one rejection and cold-rebuilds; a request with
+ * no eligible replica parks until one recovers, and drain() fails it
+ * when none ever does; an open breaker moves a pinned session to a
+ * sibling; a live replica whose probes were turned away returns on an
+ * ok probe; the governor ladder redistributes over survivors one rung
+ * at a time; and a full ChaosPlan::standard run completes every
+ * submitted request.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -256,9 +260,16 @@ TEST_F(FleetTest, CorruptRestartQuarantinesAndColdRebuilds)
                            {{"replica", "r0"}})
                   .value(),
               1.0);
+    // The checksum failure is one rejection, counted where the loader
+    // detected it.
+    EXPECT_EQ(fleet.observer()
+                  .metrics()
+                  .counter("artifact_load_rejected_total")
+                  .value(),
+              1.0);
 
-    // One clean probe brings it back (recoverAfter = 1), and the
-    // cold-rebuilt replica still serves bit-identical outputs.
+    // One clean probe brings it back, and the cold-rebuilt replica
+    // still serves bit-identical outputs.
     fleet.replica(0).heartbeat();
     EXPECT_EQ(fleet.replica(0).state(), fleet::ReplicaState::Healthy);
 
@@ -269,46 +280,100 @@ TEST_F(FleetTest, CorruptRestartQuarantinesAndColdRebuilds)
     EXPECT_EQ(r.logits, solo.classify(input));
 }
 
-TEST_F(FleetTest, DegradedReplicaGetsHedged)
+TEST_F(FleetTest, UnroutableRequestParksUntilAReplicaRecovers)
 {
-    auto opts = fleetOptions();
-    opts.hedgeAfterMs = 0.5;
-    // Impossible probe SLO: every heartbeat misses on latency, so the
-    // replicas degrade (but never go Down — misses stay below
-    // downAfter) and hedging becomes legal.
-    opts.heartbeatSloMs = 1e-9;
-    opts.degradedAfter = 1;
-    opts.downAfter = 1000000;
-    fleet::Fleet fleet(mf, opts);
+    fleet::Fleet fleet(mf, fleetOptions());
+    fleet.replica(0).kill(/*corrupt_state=*/false);
+    fleet.replica(1).kill(/*corrupt_state=*/false);
 
-    const auto on_r0 = sessionsPinnedTo(fleet, 0, 1);
-    ASSERT_EQ(on_r0.size(), 1u);
+    // No eligible replica: the request is accepted and parked, not
+    // failed.
+    fleet.submit({seqs(1, 10, 61).front(), "session-0", ""});
+    EXPECT_EQ(fleet.stats().parked, 1u);
+    EXPECT_EQ(fleet.stats().completed, 0u);
+    EXPECT_EQ(fleet.pendingCount(), 1u);
 
-    fleet.replica(0).setBrownout(150.0);
-    fleet.replica(0).heartbeat();  // one miss: Healthy -> Degraded
-    ASSERT_EQ(fleet.replica(0).state(), fleet::ReplicaState::Degraded);
-
-    fleet::FleetRequest req;
-    req.tokens = seqs(1, 10, 43).front();
-    req.sessionId = on_r0.front();
-    fleet.submit(req);
-
-    // The primary sits in the 150 ms brownout; the pump must hedge it
-    // to the other replica once the request ages past hedgeAfterMs.
-    for (int i = 0; i < 2000 && fleet.stats().hedges == 0; ++i) {
-        fleet.pump();
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_GE(fleet.stats().hedges, 1u);
-    EXPECT_GE(fleet.observer()
-                  .metrics()
-                  .counter("fleet.hedge_total")
-                  .value(),
-              1.0);
-
+    // A recovered replica picks it up on the next pump.
+    fleet.replica(0).restart();
     fleet.drain();
     EXPECT_EQ(fleet.stats().completed, 1u);
     EXPECT_EQ(fleet.stats().ok, 1u);
+    EXPECT_EQ(fleet.stats().failed, 0u);
+}
+
+TEST_F(FleetTest, DrainFailsParkedRequestsWhenNoReplicaReturns)
+{
+    fleet::Fleet fleet(mf, fleetOptions());
+    fleet.replica(0).kill(/*corrupt_state=*/false);
+    fleet.replica(1).kill(/*corrupt_state=*/false);
+
+    fleet.submit({seqs(1, 10, 67).front(), "session-0", ""});
+    ASSERT_EQ(fleet.stats().parked, 1u);
+
+    // Nothing ever restarts: the stall guard resolves the parked
+    // request Failed, so drain() returns with nothing lost.
+    fleet.drain();
+    EXPECT_EQ(fleet.pendingCount(), 0u);
+    EXPECT_EQ(fleet.stats().completed, fleet.stats().submitted);
+    EXPECT_EQ(fleet.stats().failed, 1u);
+    EXPECT_EQ(fleet.stats().ok, 0u);
+}
+
+TEST_F(FleetTest, OpenBreakerMovesPinnedSessionToSibling)
+{
+    fleet::Fleet fleet(mf, fleetOptions());
+    const auto on_r0 = sessionsPinnedTo(fleet, 0, 1);
+    ASSERT_EQ(on_r0.size(), 1u);
+
+    // r0 stays alive and Healthy; only its breaker is open.
+    for (int i = 0; i < fleet::CircuitBreaker::kTripAfter; ++i)
+        fleet.replica(0).breaker().onFailure();
+    ASSERT_TRUE(fleet.replica(0).breaker().open);
+    ASSERT_EQ(fleet.replica(0).state(), fleet::ReplicaState::Healthy);
+
+    fleet.submit({seqs(1, 10, 71).front(), on_r0.front(), ""});
+    fleet.drain();
+
+    obs::MetricsRegistry &m = fleet.observer().metrics();
+    EXPECT_EQ(m.counter("fleet.dispatch_total", {{"replica", "r0"}})
+                  .value(),
+              0.0);
+    EXPECT_EQ(m.counter("fleet.dispatch_total", {{"replica", "r1"}})
+                  .value(),
+              1.0);
+    EXPECT_EQ(fleet.router().sessionFailovers(), 1u);
+    EXPECT_EQ(fleet.stats().ok, 1u);
+}
+
+TEST_F(FleetTest, LiveReplicaThatMissedItsWayDownReturnsOnAnOkProbe)
+{
+    auto opts = fleetOptions();
+    opts.engine.maxBatch = 1;
+    opts.engine.queueCapacity = 1;
+    opts.engine.admission = serve::AdmissionPolicy::RejectNew;
+    fleet::Fleet fleet(mf, opts);
+
+    // A browned-out r0 holds one request in service and one queued, so
+    // its single queue slot is taken and both probes are turned away.
+    fleet.replica(0).setBrownout(100.0);
+    serve::Request req;
+    req.tokens = seqs(1, 10, 73).front();
+    std::future<serve::Response> a = fleet.replica(0).submit(req);
+    while (fleet.replica(0).queueDepth() != 0)
+        std::this_thread::yield();  // the worker has taken a
+    std::future<serve::Response> b = fleet.replica(0).submit(req);
+    for (int i = 0; i < fleet::kDownAfterMisses; ++i)
+        fleet.replica(0).heartbeat();
+    ASSERT_EQ(fleet.replica(0).state(), fleet::ReplicaState::Down);
+    ASSERT_TRUE(fleet.replica(0).alive());
+
+    // The engine never died, so no restart is coming: the first probe
+    // that comes back Ok returns it to service.
+    a.get();
+    b.get();
+    fleet.replica(0).setBrownout(0.0);
+    fleet.replica(0).heartbeat();
+    EXPECT_EQ(fleet.replica(0).state(), fleet::ReplicaState::Healthy);
 }
 
 TEST_F(FleetTest, GovernorFloorRedistributesOverSurvivors)
@@ -364,9 +429,7 @@ TEST_F(FleetTest, GovernorFloorRedistributesOverSurvivors)
 
 TEST_F(FleetTest, StandardChaosPlanCompletesEverythingSubmitted)
 {
-    auto opts = fleetOptions();
-    opts.restartAfterTicks = 1;
-    fleet::Fleet fleet(mf, opts);
+    fleet::Fleet fleet(mf, fleetOptions());
     fleet.setChaosPlan(fleet::ChaosPlan::standard(9, 2, 16));
 
     // Replay check: regenerating from the recorded seed is
@@ -430,8 +493,6 @@ TEST_F(FleetTest, StandardChaosPlanCompletesEverythingSubmitted)
     EXPECT_EQ(series("fleet.ok_total"), st.ok);
     EXPECT_EQ(series("fleet.failed_total"), st.failed);
     EXPECT_EQ(series("fleet.failover_total"), st.failovers);
-    EXPECT_EQ(series("fleet.hedge_total"), st.hedges);
-    EXPECT_EQ(series("fleet.hedge_win_total"), st.hedgeWins);
     EXPECT_EQ(series("fleet.parked_total"), st.parked);
     EXPECT_EQ(st.ok, next);
     std::uint64_t kills = 0;

@@ -418,6 +418,43 @@ TEST_F(EngineTest, ExpiredRequestIsShedBeforeItsBatchRuns)
     EXPECT_EQ(st.batches, 0u);
 }
 
+TEST_F(EngineTest, RequestExpiringInsideItsBatchIsShedUnexecuted)
+{
+    // The second shed site: a request still live when its batch forms
+    // expires while an earlier sibling runs, and is shed before it
+    // spends functional compute.
+    HoldingInjector inj;
+    auto opts = engineOptions();
+    opts.workers = 1;
+    opts.faultInjector = &inj;
+    serve::InferenceEngine engine(mf, opts);
+    const auto inputs = seqs(3, 10, 64);
+
+    // Park the worker on batch 0 so ids 2 and 3 queue up together and
+    // form batch 1; id 2 then runs for 400 ms, past id 3's 200 ms
+    // deadline.
+    inj.holdBatch(0);
+    std::future<serve::Response> first = engine.submit({inputs[0], 0, 0.0});
+    inj.waitHeld();
+    std::future<serve::Response> slow = engine.submit({inputs[1], 0, 0.0});
+    std::future<serve::Response> expiring =
+        engine.submit({inputs[2], 0, 200.0});
+    inj.sleepOnRun(2, 400.0);
+    inj.release();
+
+    EXPECT_EQ(first.get().status, serve::Status::Ok);
+    const serve::Response s = slow.get();
+    EXPECT_EQ(s.status, serve::Status::Ok);
+    EXPECT_EQ(s.batch, 2u);
+    const serve::Response r = expiring.get();
+    EXPECT_EQ(r.status, serve::Status::ShedDeadline);
+    EXPECT_FALSE(r.executed);
+    const auto st = engine.stats();
+    EXPECT_EQ(st.shedBeforeRun, 1u);
+    EXPECT_EQ(st.lateCompletions, 0u);
+    EXPECT_EQ(st.batches, 2u);
+}
+
 TEST_F(EngineTest, RejectNewAdmissionResolvesRejectedCapacity)
 {
     auto opts = engineOptions();

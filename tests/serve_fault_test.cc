@@ -12,7 +12,9 @@
  *   - batch-timing faults retry the whole timing run, whether it is
  *     simulated or copied from the engine's timing table, and
  *     exhausting them fails the whole batch while later batches still
- *     serve.
+ *     serve;
+ *   - an error no retry site catches restarts the worker loop, which
+ *     fails only the batch it was serving.
  */
 
 #include <gtest/gtest.h>
@@ -224,6 +226,45 @@ TEST_F(FaultTest, ExhaustedBatchRetriesFailTheBatchButNotTheEngine)
     EXPECT_EQ(st.ok, 1u);
     EXPECT_EQ(st.completed, 2u);
     EXPECT_EQ(st.workerRestarts, 0u);  // handled, not restarted
+}
+
+/**
+ * Throws a non-std exception at batch 0's timing site: withRetries
+ * catches only std::exception, so this is the error that reaches the
+ * worker loop's restart handler.
+ */
+class NonStandardThrowInjector : public serve::FaultInjector
+{
+  public:
+    bool shouldFail(const serve::FaultSite &site) override
+    {
+        if (site.kind == serve::FaultSite::Kind::BatchRun &&
+            site.batchOrdinal == 0)
+            throw 42;
+        return false;
+    }
+};
+
+TEST_F(FaultTest, UnexpectedErrorRestartsTheWorkerAndFailsOnlyItsBatch)
+{
+    NonStandardThrowInjector inj;
+    serve::InferenceEngine engine(mf, faultOptions(inj, 1));
+    serve::Session session = engine.session();
+
+    const auto inputs = seqs(2, 10, 57);
+    const serve::Response first = session.infer(inputs[0]).get();
+    EXPECT_EQ(first.status, serve::Status::Failed);
+    EXPECT_FALSE(first.executed);
+    EXPECT_EQ(first.error, "batch aborted by an unexpected error");
+
+    // The worker loop survived and serves the next batch.
+    const serve::Response second = session.infer(inputs[1]).get();
+    EXPECT_EQ(second.status, serve::Status::Ok);
+
+    const auto st = engine.stats();
+    EXPECT_EQ(st.workerRestarts, 1u);
+    EXPECT_EQ(st.failed, 1u);
+    EXPECT_EQ(st.ok, 1u);
 }
 
 TEST_F(FaultTest, ProbabilisticInjectorRespectsCapAndEngineDrains)

@@ -4,7 +4,7 @@
  * from persisted warm state must serve bit-identically to the engine
  * that saved it — same ladder, same plans, same logits — and warm
  * state recorded against different weights or options must be rejected
- * as stale rather than silently adopted.
+ * as stale rather than silently adopted, and counted once.
  */
 
 #include <cstdio>
@@ -205,16 +205,29 @@ TEST_F(WarmRestartTest, StateForDifferentOptionsRejected)
         serve::InferenceEngine engine(mf, engineOptions());
         serve::saveEngineState(engine, path_);
     }
-    const serve::EngineWarmState warm = serve::loadEngineState(path_);
+    // The load itself is clean; the warm constructor detects the
+    // staleness and counts it, once, on the engine's observer.
+    obs::Observer obs;
+    const serve::EngineWarmState warm =
+        serve::loadEngineState(path_, io::ArtifactLimits{}, &obs);
 
     serve::InferenceEngine::Options opts = engineOptions();
     opts.plan = runtime::PlanKind::InterCell;
+    opts.observer = &obs;
     try {
         serve::InferenceEngine engine(mf, opts, warm);
         FAIL() << "warm state for different plan kind accepted";
     } catch (const io::ArtifactError &e) {
         EXPECT_EQ(e.kind(), io::ErrorKind::Stale);
     }
+    EXPECT_EQ(obs.metrics()
+                  .counter("artifact_load_rejected_total")
+                  .value(),
+              1.0);
+    EXPECT_EQ(obs.metrics()
+                  .counter("artifact_load_rejected_total{reason=stale}")
+                  .value(),
+              1.0);
 }
 
 TEST_F(WarmRestartTest, CorruptStateFileRejectedAndCounted)

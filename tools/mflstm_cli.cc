@@ -90,8 +90,9 @@
  *                      crowd in disjoint quarters of the horizon
  *   --chaos-seed N     chaos plan seed (default 1); recorded in the
  *                      output so any run replays bit-identically
- *   --no-failover      disable failover/hedging/parking — a failure
- *                      is terminal (the bench gate's control arm)
+ *   --no-failover      disable failover and parking — a failed or
+ *                      unroutable request is terminal (the bench
+ *                      gate's control arm)
  *   --ticks N          control ticks to drive (default 16)
  *   --store-dir DIR    shared warm-state artifact store (default
  *                      mflstm_fleet_store); replica 0 seeds it, the
@@ -1178,11 +1179,9 @@ cmdFleet(const Options &opt)
                 static_cast<unsigned long long>(st.ok),
                 static_cast<unsigned long long>(st.failed),
                 avail * 100.0);
-    std::printf("failover re-dispatches %llu, hedges %llu (wins %llu), "
-                "parked %llu, session failovers %llu\n",
+    std::printf("failover re-dispatches %llu, parked %llu, session "
+                "failovers %llu\n",
                 static_cast<unsigned long long>(st.failovers),
-                static_cast<unsigned long long>(st.hedges),
-                static_cast<unsigned long long>(st.hedgeWins),
                 static_cast<unsigned long long>(st.parked),
                 static_cast<unsigned long long>(
                     f.router().sessionFailovers()));
@@ -1301,7 +1300,9 @@ printUsage(std::FILE *to)
         "  --chaos            run the standard seeded chaos plan\n"
         "  --chaos-seed N     chaos plan seed (default 1; recorded,\n"
         "                     replays bit-identically)\n"
-        "  --no-failover      failures are terminal (control arm)\n"
+        "  --no-failover      no failover or parking: a failed or\n"
+        "                     unroutable request is terminal\n"
+        "                     (control arm)\n"
         "  --ticks N          control ticks to drive (default 16)\n"
         "  --store-dir DIR    shared warm-state store (default\n"
         "                     mflstm_fleet_store)\n"
