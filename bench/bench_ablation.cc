@@ -135,8 +135,8 @@ main()
     mf->runner().resetStats();
     mf->runner().setThresholds(0.0, ladder[ao].alphaIntra);
     evalAccuracy(*mf, app);
-    const auto hw_out = mf->evaluateTiming(runtime::PlanKind::IntraCellHw);
-    const auto sw_out = mf->evaluateTiming(runtime::PlanKind::IntraCellSw);
+    const auto hw_out = mf->evaluateTiming({runtime::PlanKind::IntraCellHw});
+    const auto sw_out = mf->evaluateTiming({runtime::PlanKind::IntraCellSw});
     std::printf("4. CTA-reorganization hardware (same skip decisions)\n");
     std::printf("   software row-skip: %.2fx speedup\n", sw_out.speedup);
     std::printf("   with CRM:          %.2fx speedup (+%.1f%%)\n",

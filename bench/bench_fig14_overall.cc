@@ -142,7 +142,7 @@ main(int argc, char **argv)
                                    ladder[cd].alphaIntra, qm});
                 ac = evalAccuracy(*mf, app);
                 const core::TimingOutcome out =
-                    mf->evaluateTiming(runtime::PlanKind::Combined);
+                    mf->evaluateTiming({runtime::PlanKind::Combined});
                 sc = out.speedup;
                 ec = out.energySavingPct;
                 if (app.baselineAccuracy - ac <= 0.02 + 1e-9 ||
@@ -166,7 +166,7 @@ main(int argc, char **argv)
         mf->setThresholds({0.0, 0.0, quant::QuantMode::Int8});
         const double a8 = evalAccuracy(*mf, app);
         const core::TimingOutcome q8 =
-            mf->evaluateTiming(runtime::PlanKind::Baseline);
+            mf->evaluateTiming({runtime::PlanKind::Baseline});
 
         // INT8 composed with the combined scheme.
         const auto [sc8, ec8, ac8] =

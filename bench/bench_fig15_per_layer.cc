@@ -41,7 +41,7 @@ main()
         evalAccuracy(*mf, app);
 
         const core::TimingOutcome outcome =
-            mf->evaluateTiming(runtime::PlanKind::InterCell);
+            mf->evaluateTiming({runtime::PlanKind::InterCell});
 
         runtime::ExecutionPlan base;
         for (std::size_t l = 0; l < app.spec.numLayers; ++l) {

@@ -23,8 +23,6 @@ main()
     using namespace mflstm;
     using namespace mflstm::bench;
 
-    constexpr double kPruneFraction = 0.37;  // the comparator's level
-
     std::printf("Fig. 16: weight compression / speedup / energy of "
                 "zero-pruning vs DRS\n");
     rule('=');
@@ -63,9 +61,10 @@ main()
         // compression it achieves on these weights, then time it.
         nn::LstmModel pruned = *app.model;
         const runtime::PruningResult pr =
-            runtime::applyZeroPruning(pruned, kPruneFraction);
+            runtime::applyZeroPruning(pruned,
+                                      runtime::kZeroPruningFraction);
         const core::TimingOutcome zp = mf->evaluateTiming(
-            runtime::PlanKind::ZeroPruning, pr.prunedFraction);
+            {runtime::PlanKind::ZeroPruning, pr.prunedFraction});
 
         // DRS software and hardware at the AO set of the HW scheme (the
         // skip decisions are identical; only the execution differs).
@@ -79,9 +78,9 @@ main()
         evalAccuracy(*mf, app);
 
         const core::TimingOutcome hw =
-            mf->evaluateTiming(runtime::PlanKind::IntraCellHw);
+            mf->evaluateTiming({runtime::PlanKind::IntraCellHw});
         const core::TimingOutcome sw =
-            mf->evaluateTiming(runtime::PlanKind::IntraCellSw);
+            mf->evaluateTiming({runtime::PlanKind::IntraCellSw});
 
         // DRS compression ratio: skipped rows of U_{f,i,c} relative to
         // the whole united weight matrix (U_o is never skipped).
@@ -125,7 +124,7 @@ main()
         mf->setThresholds({0.0, 0.0, quant::QuantMode::Int8});
         const double q8_acc = evalAccuracy(*mf, app);
         const core::TimingOutcome q8 =
-            mf->evaluateTiming(runtime::PlanKind::Baseline);
+            mf->evaluateTiming({runtime::PlanKind::Baseline});
         qr.q8Compr =
             base_weight_bytes / q8.report.result.weightDramBytes;
         qr.q8Speed = q8.speedup;

@@ -128,7 +128,6 @@ main()
                                      governor_ladder.front()};
         o.planningSequences = planning;
         o.governor.highQueuePerWorker = 8.0;
-        o.governor.lowQueuePerWorker = 2.0;
         o.governor.dwellTicks = 2;
         serve::InferenceEngine e(*mf, o);
         serve::Session s = e.session();

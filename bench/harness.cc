@@ -206,7 +206,7 @@ evaluateScheme(core::MemoryFriendlyLstm &mf, const AppContext &app,
         pt.set = ladder[i];
         pt.accuracy = evalAccuracy(mf, app);
 
-        const core::TimingOutcome outcome = mf.evaluateTiming(kind);
+        const core::TimingOutcome outcome = mf.evaluateTiming({kind});
         pt.speedup = outcome.speedup;
 
         curve.points.push_back(pt);

@@ -36,7 +36,7 @@ runOn(const gpu::GpuConfig &cfg, const workloads::BenchmarkSpec &spec,
         pt.accuracy = core::approxLmNextTokenAccuracy(mf.runner(),
                                                       data.lm.test);
         pt.speedup =
-            mf.evaluateTiming(runtime::PlanKind::Combined).speedup;
+            mf.evaluateTiming({runtime::PlanKind::Combined}).speedup;
         points.push_back(pt);
     }
     const std::size_t ao = core::selectAo(points, base_acc, 2.0);
@@ -78,7 +78,7 @@ main()
         // the MTS there, which is exactly the scaling effect at issue.
         mf.setThresholds(ladder[3]);
         core::approxLmNextTokenAccuracy(mf.runner(), data.lm.test);
-        const auto out = mf.evaluateTiming(runtime::PlanKind::Combined);
+        const auto out = mf.evaluateTiming({runtime::PlanKind::Combined});
         std::printf("  length %4zu: baseline %8.2f ms -> %8.2f ms "
                     "(%.2fx, %6.1f ms saved)\n",
                     length, mf.baseline().result.timeUs / 1e3,

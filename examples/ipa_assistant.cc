@@ -48,7 +48,7 @@ main()
         pt.accuracy = core::approxClassificationAccuracy(
             mf.runner(), data.cls.test);
         pt.speedup =
-            mf.evaluateTiming(runtime::PlanKind::Combined).speedup;
+            mf.evaluateTiming({runtime::PlanKind::Combined}).speedup;
         points.push_back(pt);
     }
 

@@ -56,7 +56,7 @@ main()
         pt.accuracy = core::approxClassificationAccuracy(
             mf.runner(), data.cls.test);
         pt.speedup =
-            mf.evaluateTiming(runtime::PlanKind::Combined).speedup;
+            mf.evaluateTiming({runtime::PlanKind::Combined}).speedup;
         points.push_back(pt);
     }
     const std::size_t ao = core::selectAo(points, base_acc, 2.0);
@@ -66,7 +66,7 @@ main()
     const double acc = core::approxClassificationAccuracy(
         mf.runner(), data.cls.test);
     const core::TimingOutcome out =
-        mf.evaluateTiming(runtime::PlanKind::Combined);
+        mf.evaluateTiming({runtime::PlanKind::Combined});
 
     std::printf("\nAO operating point (threshold set %zu):\n", ao);
     std::printf("  speedup        %.2fx (%.2f ms -> %.2f ms)\n",

@@ -55,7 +55,7 @@ main()
             pt.index = i;
             pt.accuracy = core::approxLmNextTokenAccuracy(
                 mf.runner(), data.lm.test);
-            pt.speedup = mf.evaluateTiming(kind).speedup;
+            pt.speedup = mf.evaluateTiming({kind}).speedup;
             points.push_back(pt);
             if (i % 2 == 0)
                 std::printf("  %4.2fx/%4.1f%%", pt.speedup,

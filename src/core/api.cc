@@ -179,15 +179,5 @@ MemoryFriendlyLstm::snapshotRung(
     return snap;
 }
 
-TimingOutcome
-MemoryFriendlyLstm::evaluateTiming(runtime::PlanKind kind,
-                                   double prune_fraction) const
-{
-    TimingOptions opts;
-    opts.kind = kind;
-    opts.pruneFraction = prune_fraction;
-    return evaluateTiming(opts);
-}
-
 } // namespace core
 } // namespace mflstm

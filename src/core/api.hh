@@ -53,9 +53,10 @@ struct TimingOutcome
 struct TimingOptions
 {
     runtime::PlanKind kind = runtime::PlanKind::Combined;
-    /// element fraction pruned by the ZeroPruning comparator ([31]'s
-    /// reported LSTM sparsity); ignored by every other kind
-    double pruneFraction = 0.37;
+    /// element fraction the ZeroPruning comparator prunes: [31]'s level,
+    /// or the fraction a pruning pass measured; ignored by every other
+    /// kind
+    double pruneFraction = runtime::kZeroPruningFraction;
     /**
      * Observability sink for this evaluation only, overriding (not
      * merging with) Config::observer. nullptr keeps the configured
@@ -180,13 +181,6 @@ class MemoryFriendlyLstm
     snapshotRung(const ThresholdSet &set,
                  const std::vector<std::vector<std::int32_t>> &eval_seqs,
                  const TimingOptions &opts) const;
-
-    /**
-     * @deprecated Positional form kept for source compatibility;
-     * delegates to evaluateTiming(const TimingOptions&).
-     */
-    TimingOutcome evaluateTiming(runtime::PlanKind kind,
-                                 double prune_fraction = 0.37) const;
 
   private:
     runtime::ExecutionPlan

@@ -15,8 +15,6 @@ namespace {
 constexpr int kMaxAttempts = 3;
 /// a chaos-killed replica restarts this many ticks after going down
 constexpr std::uint64_t kRestartAfterTicks = 2;
-/// pumps without progress after which drain() fails what is parked
-constexpr int kDrainStallPumps = 2000;
 
 bool
 ready(const std::future<serve::Response> &fut)
@@ -303,27 +301,27 @@ Fleet::tick()
 void
 Fleet::drain()
 {
-    // Engines resolve every dispatched future terminally, so this
-    // converges; the stall guard only fires for requests parked with
-    // every replica permanently gone, which then resolve Failed —
+    // Engines resolve every dispatched future terminally, so in-flight
+    // work converges. Parked work can only leave through a replica
+    // that becomes eligible, and that takes a tick, which drain() never
+    // runs: once a pump over nothing but parked requests dispatches
+    // none of them, no later pump will. They resolve Failed then —
     // terminal either way, an accepted request is never lost.
-    int stalled = 0;
-    std::size_t last_pending = pending_.size() + 1;
+    const auto parked_only = [this] {
+        return std::none_of(
+            pending_.begin(), pending_.end(),
+            [](const Pending &p) { return p.fut.valid(); });
+    };
     while (!pending_.empty()) {
+        const bool stalled = parked_only();
         pump();
-        stalled = pending_.size() == last_pending ? stalled + 1 : 0;
-        last_pending = pending_.size();
-        if (stalled > kDrainStallPumps) {
-            const auto parked = std::remove_if(
-                pending_.begin(), pending_.end(),
-                [](const Pending &p) { return !p.fut.valid(); });
-            for (auto it = parked; it != pending_.end(); ++it)
+        if (stalled && parked_only()) {
+            for (std::size_t i = 0; i < pending_.size(); ++i)
                 complete(serve::Status::Failed, Router::kNoReplica);
-            pending_.erase(parked, pending_.end());
-            stalled = 0;
-        }
-        if (!pending_.empty())
+            pending_.clear();
+        } else if (!pending_.empty()) {
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
     }
 }
 

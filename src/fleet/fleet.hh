@@ -25,8 +25,9 @@
  * Every accepted request reaches exactly one terminal response, counted
  * in the fleet.* series that stats() reads: drain() pumps until the
  * pending set is empty (engines resolve all futures terminally, so
- * this converges; requests parked with every replica gone for good
- * resolve Failed), and shutdown() drains before stopping the replicas.
+ * this converges; drain() runs no tick, so requests left parked by a
+ * pump that dispatches none of them resolve Failed at once), and
+ * shutdown() drains before stopping the replicas.
  *
  * Thread safety: submit/tick/pump/drain are driven from one control
  * thread; the engines' worker pools run concurrently underneath.

@@ -36,18 +36,21 @@ namespace obs {
 class Counter
 {
   public:
+    /// A release: a value() that reads this add sees every write made
+    /// before it, other counters' adds included.
     void add(double delta = 1.0)
     {
         // CAS loop: atomic<double>::fetch_add is C++20 but not yet
         // reliably lock-free across the toolchains CI builds with.
         double cur = value_.load(std::memory_order_relaxed);
         while (!value_.compare_exchange_weak(cur, cur + delta,
+                                             std::memory_order_release,
                                              std::memory_order_relaxed))
             ;
     }
     double value() const
     {
-        return value_.load(std::memory_order_relaxed);
+        return value_.load(std::memory_order_acquire);
     }
 
   private:

@@ -590,11 +590,9 @@ Lowering::lowerLayer(const LstmLayerShape &shape,
     // of DESIGN.md §14.
     LayerSchedule ls = plan.layerSchedule(layer_index);
     ls.validate();
-    const std::size_t eff_batch = ls.batch ? ls.batch : batch;
-    checkedBatch(eff_batch);
 
     const quant::QuantMode qm = ls.quant;
-    const KernelBuildCtx ctx{eff_batch, qm, false};
+    const KernelBuildCtx ctx{batch, qm, false};
     const double h = static_cast<double>(shape.hiddenSize);
     const double n = static_cast<double>(shape.length);
     // The U footprint that actually crosses the bus: quantized layers
@@ -671,10 +669,10 @@ Lowering::lowerLayer(const LstmLayerShape &shape,
         const double traffic = layerWeightTraffic(u_bytes, tissues);
         std::string uo_name = "Sgemm(U_o, H_t)+flags";
         tagQuant(uo_name, qm);
-        tagBatch(uo_name, eff_batch);
+        tagBatch(uo_name, batch);
         std::string fic_name = "Sgemm(U_fic, H_t, R)";
         tagQuant(fic_name, qm);
-        tagBatch(fic_name, eff_batch);
+        tagBatch(fic_name, batch);
 
         // The kernels of one tissue depend on the layer and the tissue
         // size alone; a group is stored as group_size consecutive
@@ -689,7 +687,7 @@ Lowering::lowerLayer(const LstmLayerShape &shape,
                 // compacts them in hardware), then the row-skipped
                 // U_fic Sgemm.
                 const double flag_elems =
-                    h * static_cast<double>(tissue * eff_batch);
+                    h * static_cast<double>(tissue * batch);
                 gpu::KernelDesc uo =
                     tissueSgemm(shape, tissue, 0.0, 0.0, ctx);
                 uo.name = uo_name;

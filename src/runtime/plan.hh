@@ -41,6 +41,14 @@ enum class PlanKind {
 const char *toString(PlanKind kind);
 
 /**
+ * Element fraction the ZeroPruning comparator prunes: the LSTM
+ * sparsity Han et al. [31] report, the one level the paper compares
+ * against (Sec. VI-B2). Every serve, sched and facade default takes
+ * it from here.
+ */
+inline constexpr double kZeroPruningFraction = 0.37;
+
+/**
  * Parse a plan-kind spelling; nullopt on anything unknown. Accepts the
  * canonical toString() names plus the historical CLI short forms
  * ("inter", "intra-sw", "intra-hw") so reports and flags round-trip.

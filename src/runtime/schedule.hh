@@ -14,8 +14,7 @@
  *     independently, a searchable point on the software path);
  *   - weight precision for this layer's kernels (per-layer mixed
  *     precision falls out of making this a layer decision);
- *   - the zero-pruning CSR comparator flow (Section VI-B2);
- *   - an optional batch override (0 inherits the RunRequest batch).
+ *   - the zero-pruning CSR comparator flow (Section VI-B2).
  *
  * The PlanKind presets are canonical points of this space
  * (ExecutionPlan::preset builds them), and the lowering consumes only
@@ -83,10 +82,6 @@ struct LayerSchedule
     bool prunedCsr = false;
     /// element fraction pruned by the comparator (prunedCsr only)
     double pruneFraction = 0.0;
-
-    /// batch override for this layer's kernels; 0 = inherit the
-    /// RunRequest batch (the only value presets ever produce)
-    std::size_t batch = 0;
 
     /**
      * Persistent on-chip weight residency: lower this layer into one

@@ -13,7 +13,7 @@ namespace {
  * The one schema version this build reads and writes. Files of any
  * other version are rejected BadVersion and re-tuned (DESIGN.md §11).
  */
-constexpr std::uint32_t kVersion = 3;
+constexpr std::uint32_t kVersion = 4;
 
 const std::uint32_t kChunkFingerprint = io::fourcc('T', 'F', 'P', 'R');
 const std::uint32_t kChunkGpu = io::fourcc('T', 'G', 'P', 'U');
@@ -39,8 +39,8 @@ template <typename Codec>
 void
 fields(Codec &c, io::FieldRef<Codec, TunedPlanFingerprint> fp)
 {
-    c(fp.weightsCrc, fp.statsCrc, fp.quant, fp.pruneFraction, fp.batch,
-      fp.mts, fp.modelHidden, fp.backendId);
+    c(fp.weightsCrc, fp.statsCrc, fp.quant, fp.batch, fp.mts,
+      fp.modelHidden, fp.backendId);
 }
 
 /** The GpuConfig chunk, also the staleness key (serializeGpuConfig). */
@@ -80,7 +80,7 @@ fields(Codec &c, io::FieldRef<Codec, runtime::LayerSchedule> ls)
       ls.skipFraction,
       io::upTo<runtime::FlagFusion::FusedEpilogue>(ls.flagFusion),
       io::upTo<quant::QuantMode::Int4>(ls.quant), ls.prunedCsr,
-      ls.pruneFraction, ls.batch,
+      ls.pruneFraction,
       io::upTo<runtime::WeightResidency::Regfile>(ls.residency));
 }
 
@@ -114,7 +114,6 @@ fingerprintOf(const TuneRequest &req, std::uint32_t weights_crc)
     fp.weightsCrc = weights_crc;
     fp.statsCrc = statsCrc(req.stats);
     fp.quant = static_cast<std::uint32_t>(req.quant);
-    fp.pruneFraction = req.pruneFraction;
     fp.batch = req.batch;
     fp.mts = req.mts;
     fp.modelHidden = req.modelHidden;
@@ -280,7 +279,6 @@ readDecisions(io::ByteReader &r)
         fields(r, ls);
         for (std::size_t t : ls.tissueSizes)
             checkDim(r, t, true, "tissue size");
-        checkDim(r, ls.batch, true, "layer batch");
     }
     try {
         decisions.validate();

@@ -38,7 +38,6 @@ struct TunedPlanFingerprint
     std::uint32_t weightsCrc = 0;  ///< core::modelWeightsCrc
     std::uint32_t statsCrc = 0;    ///< statsCrc() over TuneRequest::stats
     std::uint32_t quant = 0;       ///< quant::QuantMode underlying value
-    double pruneFraction = 0.0;
     std::uint64_t batch = 1;
     std::uint64_t mts = 1;
     std::uint64_t modelHidden = 0;
@@ -107,9 +106,9 @@ void writeDecisions(io::ByteWriter &w,
 /**
  * Read what writeDecisions wrote, trusting nothing: the layer count is
  * bounded as in readShape, enum tags must be known, fractions finite,
- * tissue sizes and batch overrides within the reader's maxDim, and the
- * result must pass ScheduleDecisions::validate(). The caller checks the
- * end of its chunk. @throws io::ArtifactError (Malformed, NonFinite or
+ * tissue sizes within the reader's maxDim, and the result must pass
+ * ScheduleDecisions::validate(). The caller checks the end of its
+ * chunk. @throws io::ArtifactError (Malformed, NonFinite or
  * LimitExceeded).
  */
 runtime::ScheduleDecisions readDecisions(io::ByteReader &r);

@@ -43,12 +43,6 @@ TuneRequest::validate() const
         throw std::invalid_argument("TuneRequest: zero mts");
     if (!batch)
         throw std::invalid_argument("TuneRequest: zero batch");
-    if (!maxLayerCandidates)
-        throw std::invalid_argument(
-            "TuneRequest: zero maxLayerCandidates");
-    if (pruneFraction < 0.0 || pruneFraction > 1.0)
-        throw std::invalid_argument(
-            "TuneRequest: pruneFraction outside [0, 1]");
 }
 
 std::vector<LayerOption>
@@ -136,10 +130,10 @@ enumerateLayerOptions(const TuneRequest &req, std::size_t layer_index,
         add("tissues+skip", both);
     }
 
-    if (req.pruneFraction > 0.0 && req.pruneFraction < 1.0) {
+    {
         runtime::LayerSchedule csr;  // comparator stays fp32
         csr.prunedCsr = true;
-        csr.pruneFraction = req.pruneFraction;
+        csr.pruneFraction = runtime::kZeroPruningFraction;
         add("pruned-csr", csr);
     }
 

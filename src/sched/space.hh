@@ -48,16 +48,15 @@ struct TuneRequest
     std::size_t modelHidden = 0;
     /// weight precision being tuned for
     quant::QuantMode quant = quant::QuantMode::Fp32;
-    /// comparator fraction for the zero-pruning candidates ([31])
-    double pruneFraction = 0.37;
     /// concurrent sequences per kernel during scoring runs
     std::size_t batch = 1;
-    /// per-layer candidates surviving the byte-estimate prune
-    std::size_t maxLayerCandidates = 4;
 
     /** @throws std::invalid_argument on an inconsistent request. */
     void validate() const;
 };
+
+/// per-layer candidates surviving the tuner's byte-estimate prune
+inline constexpr std::size_t kMaxLayerCandidates = 4;
 
 /** One per-layer schedule option, labelled for the candidate table. */
 struct LayerOption
@@ -77,7 +76,7 @@ struct LayerOption
  * persistent residency points (dense layers pinned to the shared and
  * register-file tiers, plus tissues+regfile so the Persistent preset's
  * exact per-layer point is always in the search), and the zero-pruning
- * CSR point when req.pruneFraction is meaningful.
+ * CSR point at runtime::kZeroPruningFraction.
  *
  * The rule set is per-backend (@p cfg, DESIGN.md §17): on parts with
  * int8 dot-product units an int8 request also enumerates int4 twins of

@@ -69,7 +69,7 @@ presetPlan(const runtime::NetworkExecutor &exec, const TuneRequest &req,
         kind == runtime::PlanKind::ZeroPruning)
         return runtime::ExecutionPlan::preset(
             kind, req.shape.layers.size(), req.quant, {}, {},
-            req.pruneFraction);
+            runtime::kZeroPruningFraction);
 
     const std::size_t mts =
         core::presetMts(exec, kind, req.stats, req.shape.layers.front(),
@@ -133,15 +133,15 @@ tune(const runtime::NetworkExecutor &exec, const TuneRequest &req)
             scored.push_back(std::move(so));
         }
 
-        // Keep the maxLayerCandidates cheapest byte estimates (ties by
+        // Keep the kMaxLayerCandidates cheapest byte estimates (ties by
         // enumeration order — stable_sort keeps this deterministic);
         // the dense point always survives via the preset candidates.
         std::stable_sort(scored.begin(), scored.end(),
                          [](const ScoredOption &a, const ScoredOption &b) {
                              return a.estBytes < b.estBytes;
                          });
-        if (scored.size() > req.maxLayerCandidates)
-            scored.resize(req.maxLayerCandidates);
+        if (scored.size() > kMaxLayerCandidates)
+            scored.resize(kMaxLayerCandidates);
 
         for (ScoredOption &so : scored) {
             const runtime::RunReport rep = exec.run(

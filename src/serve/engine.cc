@@ -40,8 +40,6 @@ validated(const InferenceEngine::Options &opts)
 {
     if (opts.workers == 0)
         throw std::invalid_argument("InferenceEngine: workers == 0");
-    if (opts.maxRetries < 0)
-        throw std::invalid_argument("InferenceEngine: maxRetries < 0");
     return opts;
 }
 
@@ -144,7 +142,7 @@ InferenceEngine::InferenceEngine(const core::MemoryFriendlyLstm &mf,
     : opts_(validated(opts)), shape_(mf.config().timingShape),
       task_(mf.runner().model().config().task),
       queue_(QueueOptions{opts.queueCapacity, opts.admission,
-                          opts.admitTimeoutMs}),
+                          kAdmitTimeoutMs}),
       batcher_(queue_, opts.maxBatch),
       ownedObs_(opts.observer ? nullptr
                               : std::make_unique<obs::Observer>()),
@@ -158,7 +156,6 @@ InferenceEngine::InferenceEngine(const core::MemoryFriendlyLstm &mf,
 {
     core::TimingOptions topt;
     topt.kind = opts_.plan;
-    topt.pruneFraction = opts_.pruneFraction;
     topt.observer = obs_;
 
     // Rung snapshots: plan + base runner per threshold set. Without a
@@ -201,7 +198,6 @@ InferenceEngine::InferenceEngine(const core::MemoryFriendlyLstm &mf,
             treq.mts = mf.calibration().mts;
             treq.modelHidden = mf.runner().model().config().hiddenSize;
             treq.quant = ladder_[r].quant;
-            treq.pruneFraction = opts_.pruneFraction;
             treq.batch = opts_.maxBatch;
             treq.backendId = opts_.backendId;
             const sched::TuneResult tuned =
@@ -246,13 +242,18 @@ InferenceEngine::InferenceEngine(const core::MemoryFriendlyLstm &mf,
             ErrorKind::Stale,
             "InferenceEngine: warm state was saved for a different "
             "timing shape");
-    if (warm.plan != opts_.plan ||
-        warm.pruneFraction != opts_.pruneFraction)
+    if (warm.plan != opts_.plan)
         throw reject(
             ErrorKind::Stale,
-            "InferenceEngine: warm state was saved under different "
-            "plan options");
-    if (warm.tunedPlans != opts_.tunePlans)
+            "InferenceEngine: warm state was saved under a different "
+            "plan kind");
+    // A tuned plan is labelled Tuned and a preset never is, so the
+    // plans themselves say which tuning mode saved them.
+    if (std::any_of(warm.plans.begin(), warm.plans.end(),
+                    [this](const runtime::ExecutionPlan &p) {
+                        return (p.kind == runtime::PlanKind::Tuned) !=
+                               opts_.tunePlans;
+                    }))
         throw reject(
             ErrorKind::Stale,
             "InferenceEngine: warm state tuning mode does not match "
@@ -298,12 +299,9 @@ void
 InferenceEngine::finishInit(const core::MemoryFriendlyLstm &mf,
                             std::vector<core::ApproxRunner> base_runners)
 {
-    if (ladder_.size() > 1) {
-        AdaptiveThresholdGovernor::Config gcfg = opts_.governor;
-        gcfg.rungCount = ladder_.size();
-        governor_ =
-            std::make_unique<AdaptiveThresholdGovernor>(gcfg, obs_);
-    }
+    if (ladder_.size() > 1)
+        governor_ = std::make_unique<AdaptiveThresholdGovernor>(
+            ladder_.size(), opts_.governor, obs_);
 
     executor_ = std::make_unique<runtime::NetworkExecutor>(
         mf.config().gpu, obs_);
@@ -346,14 +344,15 @@ InferenceEngine::submit(Request req)
     item.enqueued = std::chrono::steady_clock::now();
     std::future<Response> fut = item.promise.get_future();
 
+    // The request is counted under the queue lock, before a worker
+    // can pop and resolve it, so serve.responses never runs ahead of
+    // serve.requests; a push the closed queue refuses counts nothing.
     std::vector<QueuedRequest> bounced;
-    const RequestQueue::PushOutcome outcome =
-        queue_.push(std::move(item), &bounced);
+    const RequestQueue::PushOutcome outcome = queue_.push(
+        std::move(item), &bounced, [this] { m_.requests.add(); });
     if (outcome == RequestQueue::PushOutcome::Closed)
         throw std::runtime_error(
             "InferenceEngine::submit: engine is shut down");
-
-    m_.requests.add();
 
     // Admission control resolves every bounced promise right here with
     // a terminal status: the new item under RejectNew / a block
@@ -410,11 +409,9 @@ InferenceEngine::exportWarmState() const
 {
     EngineWarmState s;
     s.plan = opts_.plan;
-    s.pruneFraction = opts_.pruneFraction;
     s.shape = shape_;
     s.modelWeightsCrc =
         core::modelWeightsCrc(runners_.front().front().model());
-    s.tunedPlans = opts_.tunePlans;
     s.backendId = opts_.backendId;
     s.ladder = ladder_;
     s.plans = plans_;
@@ -435,8 +432,10 @@ InferenceEngine::stats() const
         return static_cast<std::uint64_t>(c.value());
     };
     Stats s;
-    s.submitted = count(m_.requests);
+    // Responses first: each request is counted before its response
+    // can be, so this order never reads completed > submitted.
     s.completed = count(m_.responses);
+    s.submitted = count(m_.requests);
     s.ok = count(m_.ok);
     s.batches = count(m_.batches);
     s.deadlineMisses = count(m_.deadlineMisses);
@@ -542,7 +541,7 @@ InferenceEngine::withRetries(FaultSite site, int &retries, Body &&body)
             return std::string(e.what());
         }
         m_.faultsInjected.add();
-        if (site.attempt >= opts_.maxRetries) {
+        if (site.attempt >= kMaxRetries) {
             if (site.kind == FaultSite::Kind::RequestRun)
                 return std::string(
                     "transient faults exhausted the retry budget");
@@ -553,8 +552,7 @@ InferenceEngine::withRetries(FaultSite site, int &retries, Body &&body)
         ++retries;
         m_.retries.add();
         std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-            opts_.retryBackoffMs *
-            static_cast<double>(1 << std::min(site.attempt, 10))));
+            kRetryBackoffMs * static_cast<double>(1 << site.attempt)));
     }
 }
 

@@ -68,25 +68,30 @@ class Session;
 /** Error string on futures resolved Failed by InferenceEngine::kill(). */
 inline constexpr const char *kEngineKilledError = "engine killed";
 
+/// extra attempts after a transient fault, per site (total = 1 + this)
+inline constexpr int kMaxRetries = 2;
+/// base backoff before a retry, doubled per attempt, wall ms
+inline constexpr double kRetryBackoffMs = 0.2;
+/// producer wait bound of the BlockWithTimeout admission, wall ms
+inline constexpr double kAdmitTimeoutMs = 5.0;
+
 /**
  * Everything a warm restart needs to rebuild an engine without
  * re-running the expensive per-rung snapshots (plan building + planning
  * sequence replay): the plan/ladder pair plus a fingerprint tying the
- * state to the exact model and options it was computed for. Persisted
- * via serve/persist.hh.
+ * state to the exact model and options it was computed for. Whether
+ * the plans came from the sched tuner is read off their labels (a
+ * tuned plan is labelled PlanKind::Tuned, a preset never is).
+ * Persisted via serve/persist.hh.
  */
 struct EngineWarmState
 {
     runtime::PlanKind plan = runtime::PlanKind::Combined;
     /// hw registry backend id the plans were built under
     std::string backendId;
-    double pruneFraction = 0.37;
     runtime::NetworkShape shape;
     /// core::modelWeightsCrc of the model the state was computed on
     std::uint32_t modelWeightsCrc = 0;
-    /// whether the saved plans came from the sched tuner (Options::
-    /// tunePlans); a mismatch with the restarting engine is Stale
-    bool tunedPlans = false;
     std::vector<core::ThresholdSet> ladder;
     std::vector<runtime::ExecutionPlan> plans;
 };
@@ -102,8 +107,6 @@ class InferenceEngine
         std::size_t workers = 2;
         /// scheme simulated for the timing side of every batch
         runtime::PlanKind plan = runtime::PlanKind::Combined;
-        /// forwarded to plan building (ZeroPruning only)
-        double pruneFraction = 0.37;
         /**
          * hw registry id of the backend this engine simulates on
          * (DESIGN.md §17). Recorded in tuned-plan fingerprints and the
@@ -137,18 +140,14 @@ class InferenceEngine
         // --- admission control (§10) ---
         /// bound on queued requests; 0 = unbounded
         std::size_t queueCapacity = 0;
+        /// BlockWithTimeout waits kAdmitTimeoutMs
         AdmissionPolicy admission = AdmissionPolicy::RejectNew;
-        /// producer wait bound for BlockWithTimeout, wall ms
-        double admitTimeoutMs = 5.0;
 
         // --- fault tolerance (§10) ---
         /// optional injector consulted at the batch-timing and
-        /// per-request sites; nullptr disables injection
+        /// per-request sites, each retried kMaxRetries times; nullptr
+        /// disables injection
         FaultInjector *faultInjector = nullptr;
-        /// extra attempts after a transient fault (total = 1 + retries)
-        int maxRetries = 2;
-        /// base backoff before a retry, doubled per attempt, wall ms
-        double retryBackoffMs = 0.2;
 
         // --- adaptive threshold governor (§10) ---
         /**
@@ -162,7 +161,7 @@ class InferenceEngine
         /// sequences replayed per rung to measure the division/skip
         /// statistics its plan projects (required with a ladder)
         std::vector<std::vector<std::int32_t>> planningSequences;
-        /// pressure thresholds + hysteresis (rungCount is overwritten)
+        /// escalate threshold + dwell of the ladder's governor
         AdaptiveThresholdGovernor::Config governor;
     };
 
@@ -355,8 +354,8 @@ class InferenceEngine
     obs::Observer &observer() { return *obs_; }
 
   private:
-    /// both constructors' preamble: validates workers/maxRetries,
-    /// picks the observer, binds the instruments; starts nothing
+    /// both constructors' preamble: validates workers, picks the
+    /// observer, binds the instruments; starts nothing
     struct Preamble
     {};
     InferenceEngine(const core::MemoryFriendlyLstm &mf, const Options &opts,

@@ -7,19 +7,19 @@
 namespace mflstm {
 namespace serve {
 
-AdaptiveThresholdGovernor::AdaptiveThresholdGovernor(const Config &cfg,
-                                                     obs::Observer *obs)
-    : cfg_(cfg), obs_(obs),
+AdaptiveThresholdGovernor::AdaptiveThresholdGovernor(
+    std::size_t rung_count, const Config &cfg, obs::Observer *obs)
+    : rungCount_(rung_count), cfg_(cfg), obs_(obs),
       // Allow an immediate first escalation once pressure appears.
       ticksSinceTransition_(cfg.dwellTicks)
 {
-    if (cfg_.rungCount == 0)
+    if (rungCount_ == 0)
         throw std::invalid_argument(
-            "AdaptiveThresholdGovernor: rungCount == 0");
-    if (cfg_.lowQueuePerWorker >= cfg_.highQueuePerWorker)
+            "AdaptiveThresholdGovernor: rung_count == 0");
+    if (kLowQueuePerWorker >= cfg_.highQueuePerWorker)
         throw std::invalid_argument(
             "AdaptiveThresholdGovernor: hysteresis band inverted "
-            "(lowQueuePerWorker must be < highQueuePerWorker)");
+            "(highQueuePerWorker must be > kLowQueuePerWorker)");
     if (obs_)
         obs_->metrics().gauge("serve.governor.rung").set(0.0);
 }
@@ -35,7 +35,7 @@ AdaptiveThresholdGovernor::observe(std::size_t queue_depth,
         static_cast<double>(queue_depth) /
         static_cast<double>(std::max<std::size_t>(workers, 1));
     const bool pressure = per_worker >= cfg_.highQueuePerWorker;
-    const bool calm = per_worker <= cfg_.lowQueuePerWorker;
+    const bool calm = per_worker <= kLowQueuePerWorker;
 
     const std::size_t cur = rung_.load(std::memory_order_relaxed);
     const std::size_t floor =
@@ -55,7 +55,7 @@ AdaptiveThresholdGovernor::observe(std::size_t queue_depth,
     if (ticksSinceTransition_ < cfg_.dwellTicks)
         return;
 
-    if (pressure && cur + 1 < cfg_.rungCount) {
+    if (pressure && cur + 1 < rungCount_) {
         rung_.store(cur + 1, std::memory_order_release);
         ticksSinceTransition_ = 0;
         ++stats_.stepsUp;
@@ -72,7 +72,7 @@ void
 AdaptiveThresholdGovernor::setRungFloor(std::size_t rung)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    const std::size_t floor = std::min(rung, cfg_.rungCount - 1);
+    const std::size_t floor = std::min(rung, rungCount_ - 1);
     rungFloor_.store(floor, std::memory_order_release);
 
     // Take the first convergence step immediately so a floor raised

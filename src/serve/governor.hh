@@ -34,15 +34,14 @@ namespace serve {
 class AdaptiveThresholdGovernor
 {
   public:
+    /// step toward AO when queued requests per worker fall to this
+    static constexpr double kLowQueuePerWorker = 2.0;
+
     struct Config
     {
-        /// ladder rungs available (rung 0 = most accurate / AO end)
-        std::size_t rungCount = 1;
-        /// step toward BPA when queued requests per worker exceed this
+        /// step toward BPA when queued requests per worker reach this;
+        /// must be > kLowQueuePerWorker for the hysteresis band
         double highQueuePerWorker = 16.0;
-        /// step toward AO when queued requests per worker fall below
-        /// this; must be < highQueuePerWorker for the hysteresis band
-        double lowQueuePerWorker = 2.0;
         /// minimum observe() calls between two transitions
         std::uint64_t dwellTicks = 8;
     };
@@ -54,21 +53,20 @@ class AdaptiveThresholdGovernor
     };
 
     /**
+     * @param rung_count ladder rungs available (rung 0 = most accurate
+     *        / AO end).
      * @param obs optional sink for transition counters/trace spans.
-     * @throws std::invalid_argument on rungCount == 0 or an inverted
+     * @throws std::invalid_argument on rung_count == 0 or an inverted
      *         hysteresis band.
      */
-    explicit AdaptiveThresholdGovernor(const Config &cfg,
-                                       obs::Observer *obs = nullptr);
+    AdaptiveThresholdGovernor(std::size_t rung_count, const Config &cfg,
+                              obs::Observer *obs = nullptr);
 
     /** The rung workers should serve the next batch at (atomic). */
     std::size_t rung() const
     {
         return rung_.load(std::memory_order_acquire);
     }
-
-    std::size_t rungCount() const { return cfg_.rungCount; }
-    const Config &config() const { return cfg_; }
 
     /**
      * One control tick, called by a worker after each batch completes.
@@ -95,6 +93,7 @@ class AdaptiveThresholdGovernor
   private:
     void recordTransition(bool up, std::size_t to_rung);
 
+    std::size_t rungCount_;
     Config cfg_;
     obs::Observer *obs_;
     std::atomic<std::size_t> rung_{0};

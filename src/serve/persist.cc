@@ -18,7 +18,7 @@ using io::ErrorKind;
  * other version are rejected BadVersion; the serve CLI and the fleet
  * replica quarantine them and rebuild cold (DESIGN.md §11).
  */
-constexpr std::uint32_t kEngineSchemaVersion = 6;
+constexpr std::uint32_t kEngineSchemaVersion = 7;
 
 constexpr std::uint32_t kChunkFingerprint = io::fourcc('E', 'F', 'P', 'R');
 constexpr std::uint32_t kChunkShape = io::fourcc('E', 'S', 'H', 'P');
@@ -37,8 +37,7 @@ template <typename Codec>
 void
 fingerprintFields(Codec &c, io::FieldRef<Codec, EngineWarmState> s)
 {
-    c(s.modelWeightsCrc, io::upTo<kLastPlanKind>(s.plan), s.pruneFraction,
-      s.tunedPlans, s.backendId);
+    c(s.modelWeightsCrc, io::upTo<kLastPlanKind>(s.plan), s.backendId);
 }
 
 /** One governor-ladder rung. */

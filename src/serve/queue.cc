@@ -62,21 +62,16 @@ RequestQueue::admitLocked(QueuedRequest item)
 }
 
 RequestQueue::PushOutcome
-RequestQueue::push(QueuedRequest item, std::vector<QueuedRequest> *bounced)
+RequestQueue::push(QueuedRequest item, std::vector<QueuedRequest> *bounced,
+                   const std::function<void()> &on_accept)
 {
     std::unique_lock<std::mutex> lock(mu_);
-    if (closed_) {
-        if (bounced)
-            bounced->push_back(std::move(item));
-        return PushOutcome::Closed;
-    }
-
-    if (fullLocked()) {
+    PushOutcome outcome = PushOutcome::Admitted;
+    if (!closed_ && fullLocked()) {
         switch (opt_.policy) {
         case AdmissionPolicy::RejectNew:
-            if (bounced)
-                bounced->push_back(std::move(item));
-            return PushOutcome::RejectedCapacity;
+            outcome = PushOutcome::RejectedCapacity;
+            break;
 
         case AdmissionPolicy::DropOldest: {
             // Victim: the globally oldest admission (minimum seq) —
@@ -103,25 +98,26 @@ RequestQueue::push(QueuedRequest item, std::vector<QueuedRequest> *bounced)
             spaceCv_.wait_until(lock, deadline, [&] {
                 return closed_ || !fullLocked();
             });
-            if (closed_) {
-                if (bounced)
-                    bounced->push_back(std::move(item));
-                return PushOutcome::Closed;
-            }
-            if (fullLocked()) {  // timed out, still full
-                if (bounced)
-                    bounced->push_back(std::move(item));
-                return PushOutcome::RejectedCapacity;
-            }
+            if (fullLocked())  // timed out, still full
+                outcome = PushOutcome::RejectedCapacity;
             break;
         }
         }
     }
 
+    if (closed_)
+        outcome = PushOutcome::Closed;
+    else if (on_accept)
+        on_accept();  // still under the lock: no consumer has the item
+    if (outcome != PushOutcome::Admitted) {
+        if (bounced)
+            bounced->push_back(std::move(item));
+        return outcome;
+    }
     admitLocked(std::move(item));
     lock.unlock();
     cv_.notify_one();
-    return PushOutcome::Admitted;
+    return outcome;
 }
 
 bool

@@ -24,6 +24,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <vector>
 
@@ -75,9 +76,12 @@ class RequestQueue
      * Closed the item itself is appended to @p bounced; a DropOldest
      * admission appends the evicted victim instead. The caller must
      * complete every bounced promise with a terminal status.
+     * @p on_accept, when set, runs under the queue lock on every
+     * outcome but Closed, before any consumer can pop the item.
      */
     PushOutcome push(QueuedRequest item,
-                     std::vector<QueuedRequest> *bounced = nullptr);
+                     std::vector<QueuedRequest> *bounced = nullptr,
+                     const std::function<void()> &on_accept = {});
 
     /**
      * Block until an item is available or the queue is closed and

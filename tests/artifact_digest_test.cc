@@ -72,7 +72,6 @@ decisions()
     tissues.skipFraction = 0.25;
     tissues.flagFusion = runtime::FlagFusion::FusedEpilogue;
     tissues.quant = quant::QuantMode::Int8;
-    tissues.batch = 4;
     d.layers.push_back(tissues);
     runtime::LayerSchedule resident;
     resident.tissueSizes = {4, 4};
@@ -156,10 +155,8 @@ TEST_F(ArtifactDigest, EngineState)
     serve::EngineWarmState state;
     state.plan = runtime::PlanKind::Persistent;
     state.backendId = "dp4a";
-    state.pruneFraction = 0.125;
     state.shape = runtime::NetworkShape::stacked(16, 24, 3, 8);
     state.modelWeightsCrc = 0x5eed1234u;
-    state.tunedPlans = true;
     state.ladder = {{0.0, 0.0, quant::QuantMode::Fp32},
                     {0.5, 0.25, quant::QuantMode::Int4}};
     state.plans.push_back(runtime::ExecutionPlan::preset(
@@ -176,7 +173,6 @@ TEST_F(ArtifactDigest, TunedPlan)
     art.fingerprint.weightsCrc = 0xdeadbeefu;
     art.fingerprint.statsCrc = 0x0badf00du;
     art.fingerprint.quant = 2;
-    art.fingerprint.pruneFraction = 0.375;
     art.fingerprint.batch = 3;
     art.fingerprint.mts = 4;
     art.fingerprint.modelHidden = 24;

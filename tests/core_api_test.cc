@@ -78,7 +78,7 @@ TEST_F(ApiTest, CalibrationRequiredBeforeUse)
 {
     EXPECT_FALSE(mf.calibrated());
     EXPECT_THROW(mf.calibration(), std::logic_error);
-    EXPECT_THROW(mf.evaluateTiming(runtime::PlanKind::InterCell),
+    EXPECT_THROW(mf.evaluateTiming({runtime::PlanKind::InterCell}),
                  std::logic_error);
 
     mf.calibrate(seqs(4, 8, 5));
@@ -90,7 +90,7 @@ TEST_F(ApiTest, CalibrationRequiredBeforeUse)
 TEST_F(ApiTest, BaselineEvaluationIsIdentity)
 {
     const TimingOutcome out =
-        mf.evaluateTiming(runtime::PlanKind::Baseline);
+        mf.evaluateTiming({runtime::PlanKind::Baseline});
     EXPECT_DOUBLE_EQ(out.speedup, 1.0);
     EXPECT_DOUBLE_EQ(out.energySavingPct, 0.0);
 }
@@ -98,10 +98,10 @@ TEST_F(ApiTest, BaselineEvaluationIsIdentity)
 TEST_F(ApiTest, ZeroPruningNeedsNoCalibration)
 {
     const TimingOutcome out =
-        mf.evaluateTiming(runtime::PlanKind::ZeroPruning, 0.37);
+        mf.evaluateTiming({runtime::PlanKind::ZeroPruning});
     EXPECT_LT(out.speedup, 1.0);  // Fig. 16: pruning degrades GPU perf
     for (const runtime::LayerSchedule &ls : out.plan.decisions.layers)
-        EXPECT_DOUBLE_EQ(ls.pruneFraction, 0.37);
+        EXPECT_DOUBLE_EQ(ls.pruneFraction, runtime::kZeroPruningFraction);
 }
 
 TEST_F(ApiTest, IntraCellTimingImprovesWithSkips)
@@ -115,9 +115,9 @@ TEST_F(ApiTest, IntraCellTimingImprovesWithSkips)
     const double skip =
         mf.runner().stats()[0].skipFraction(modelConfig().hiddenSize);
     const TimingOutcome hw =
-        mf.evaluateTiming(runtime::PlanKind::IntraCellHw);
+        mf.evaluateTiming({runtime::PlanKind::IntraCellHw});
     const TimingOutcome sw =
-        mf.evaluateTiming(runtime::PlanKind::IntraCellSw);
+        mf.evaluateTiming({runtime::PlanKind::IntraCellSw});
 
     if (skip > 0.1) {
         EXPECT_GT(hw.speedup, 1.1);
@@ -139,7 +139,7 @@ TEST_F(ApiTest, InterCellTimingUsesAlignedTissues)
         mf.runner().classify(s);
 
     const TimingOutcome out =
-        mf.evaluateTiming(runtime::PlanKind::InterCell);
+        mf.evaluateTiming({runtime::PlanKind::InterCell});
     ASSERT_EQ(out.plan.decisions.layers.size(), 2u);
     for (const runtime::LayerSchedule &ls : out.plan.decisions.layers) {
         const std::vector<std::size_t> &t = ls.tissueSizes;
@@ -162,7 +162,7 @@ TEST_F(ApiTest, CombinedAtZeroThresholdsIsNearBaseline)
         mf.runner().classify(s);
 
     const TimingOutcome out =
-        mf.evaluateTiming(runtime::PlanKind::Combined);
+        mf.evaluateTiming({runtime::PlanKind::Combined});
     // No divisions, no skips: the plan degenerates to per-cell flow and
     // only pays small bookkeeping overheads.
     EXPECT_NEAR(out.speedup, 1.0, 0.05);
@@ -210,7 +210,7 @@ TEST_F(ApiTest, QuantizedBaselineTimingIsNotShortCircuited)
 
     // fp32 Baseline is the identity by definition...
     const TimingOutcome fp32 =
-        mf.evaluateTiming(runtime::PlanKind::Baseline);
+        mf.evaluateTiming({runtime::PlanKind::Baseline});
     EXPECT_DOUBLE_EQ(fp32.speedup, 1.0);
     EXPECT_EQ(fp32.plan.layerSchedule(0).quant, quant::QuantMode::Fp32);
 
@@ -219,7 +219,7 @@ TEST_F(ApiTest, QuantizedBaselineTimingIsNotShortCircuited)
     // "INT8 alone" mechanism).
     mf.setThresholds({0.0, 0.0, quant::QuantMode::Int8});
     const TimingOutcome q8 =
-        mf.evaluateTiming(runtime::PlanKind::Baseline);
+        mf.evaluateTiming({runtime::PlanKind::Baseline});
     EXPECT_EQ(q8.plan.layerSchedule(0).quant, quant::QuantMode::Int8);
     EXPECT_GT(q8.speedup, 1.0);
     EXPECT_LT(q8.report.result.weightDramBytes,
@@ -241,14 +241,14 @@ TEST_F(ApiTest, QuantModeReachesBuiltCombinedPlan)
     for (const auto &s : seqs(5, 10, 6))
         mf.runner().classify(s);
     const TimingOutcome comb =
-        mf.evaluateTiming(runtime::PlanKind::Combined);
+        mf.evaluateTiming({runtime::PlanKind::Combined});
     EXPECT_GT(comb.speedup, 1.5);
 
     mf.setThresholds({1e9, 0.4, quant::QuantMode::Int8});
     for (const auto &s : seqs(5, 10, 6))
         mf.runner().classify(s);
     const TimingOutcome comb_q8 =
-        mf.evaluateTiming(runtime::PlanKind::Combined);
+        mf.evaluateTiming({runtime::PlanKind::Combined});
 
     EXPECT_EQ(comb_q8.plan.layerSchedule(0).quant,
               quant::QuantMode::Int8);
@@ -262,12 +262,12 @@ TEST_F(ApiTest, ZeroPruningPlanStaysFp32EvenWhenQuantRequested)
 {
     mf.setThresholds({0.0, 0.0, quant::QuantMode::Int8});
     const TimingOutcome zp =
-        mf.evaluateTiming(runtime::PlanKind::ZeroPruning, 0.37);
+        mf.evaluateTiming({runtime::PlanKind::ZeroPruning});
     // The plan carries the mode, but the lowering defines the CSR
     // comparator at fp32 — same traffic as an unstamped pruning plan.
     mf.setThresholds({});
     const TimingOutcome zp_fp32 =
-        mf.evaluateTiming(runtime::PlanKind::ZeroPruning, 0.37);
+        mf.evaluateTiming({runtime::PlanKind::ZeroPruning});
     EXPECT_DOUBLE_EQ(zp.report.result.weightDramBytes,
                      zp_fp32.report.result.weightDramBytes);
 }

@@ -134,9 +134,9 @@ TEST_F(PersistTest, RoundTripRestoresPredictorsBitIdentically)
     calibrated.setThresholds(ladder[1]);
     restored.setThresholds(ladder[1]);
     const TimingOutcome a =
-        calibrated.evaluateTiming(runtime::PlanKind::Combined);
+        calibrated.evaluateTiming({runtime::PlanKind::Combined});
     const TimingOutcome b =
-        restored.evaluateTiming(runtime::PlanKind::Combined);
+        restored.evaluateTiming({runtime::PlanKind::Combined});
     EXPECT_EQ(a.speedup, b.speedup);
 }
 

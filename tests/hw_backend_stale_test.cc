@@ -190,11 +190,10 @@ TEST(TwinRebuild, MixedQuantLadderWalkIsCountedAndTimed)
     opts.workers = 1;
     opts.governorLadder = ladder;
     opts.planningSequences = seqs(2, 8, 5);
-    // A hair-trigger governor: any queue at all steps the ladder, so
-    // the single worker is guaranteed to cross the precision edge
-    // while the backlog drains.
-    opts.governor.highQueuePerWorker = 0.5;
-    opts.governor.lowQueuePerWorker = 0.1;
+    // A hair-trigger governor: three queued requests step the ladder
+    // on every batch, so the single worker is guaranteed to cross the
+    // precision edge while the 60-request backlog drains.
+    opts.governor.highQueuePerWorker = 3.0;
     opts.governor.dwellTicks = 1;
     serve::InferenceEngine engine(mf, opts);
 

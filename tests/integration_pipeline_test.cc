@@ -92,7 +92,7 @@ TEST_F(PipelineTest, AoDeliversSpeedupWithinLossBudget)
         pt.accuracy = core::approxClassificationAccuracy(
             mf_->runner(), data_->cls.test);
         pt.speedup =
-            mf_->evaluateTiming(runtime::PlanKind::Combined).speedup;
+            mf_->evaluateTiming({runtime::PlanKind::Combined}).speedup;
         points.push_back(pt);
     }
 
@@ -124,7 +124,7 @@ TEST_F(PipelineTest, PlansAreInternallyConsistent)
     core::approxClassificationAccuracy(mf_->runner(), data_->cls.test);
 
     const core::TimingOutcome out =
-        mf_->evaluateTiming(runtime::PlanKind::Combined);
+        mf_->evaluateTiming({runtime::PlanKind::Combined});
     const auto &shape = mf_->config().timingShape;
     ASSERT_EQ(out.plan.decisions.layers.size(), shape.layers.size());
     for (std::size_t l = 0; l < shape.layers.size(); ++l) {
@@ -151,19 +151,19 @@ TEST_F(PipelineTest, SchemeOrderingHolds)
     core::approxClassificationAccuracy(mf_->runner(), data_->cls.test);
 
     const double comb =
-        mf_->evaluateTiming(runtime::PlanKind::Combined).speedup;
+        mf_->evaluateTiming({runtime::PlanKind::Combined}).speedup;
     const double inter =
-        mf_->evaluateTiming(runtime::PlanKind::InterCell).speedup;
+        mf_->evaluateTiming({runtime::PlanKind::InterCell}).speedup;
     const double hw =
-        mf_->evaluateTiming(runtime::PlanKind::IntraCellHw).speedup;
+        mf_->evaluateTiming({runtime::PlanKind::IntraCellHw}).speedup;
     const double sw =
-        mf_->evaluateTiming(runtime::PlanKind::IntraCellSw).speedup;
+        mf_->evaluateTiming({runtime::PlanKind::IntraCellSw}).speedup;
 
     EXPECT_GE(comb, inter * 0.95);
     EXPECT_GE(comb, hw * 0.95);
     EXPECT_GE(hw, sw);
     EXPECT_LT(
-        mf_->evaluateTiming(runtime::PlanKind::ZeroPruning).speedup,
+        mf_->evaluateTiming({runtime::PlanKind::ZeroPruning}).speedup,
         1.0);
 }
 

@@ -255,25 +255,6 @@ TEST(ScheduleNewPoints, SoftwareSkipWithFusedEpilogueDropsScanKernel)
     EXPECT_TRUE(saw_divergent);
 }
 
-TEST(ScheduleNewPoints, PerLayerBatchOverrideInheritsWhenZero)
-{
-    const gpu::GpuConfig cfg = gpu::GpuConfig::tegraX1();
-    const Lowering lowering(cfg);
-    const NetworkShape shape = NetworkShape::stacked(32, 64, 1, 4);
-
-    ScheduleDecisions d;
-    d.layers.resize(1);
-    d.layers[0].batch = 2;
-    const ExecutionPlan pinned = ExecutionPlan::fromDecisions(d);
-
-    ExecutionPlan inherit;
-    inherit.kind = PlanKind::Baseline;
-
-    // batch=2 pinned in the decision == batch=2 via the run request.
-    expectTraceEqual(lowering.lower(shape, pinned, 1),
-                     lowering.lower(shape, inherit, 2));
-}
-
 // ---------------------------------------------------------------------
 // Persistent residency
 

@@ -251,7 +251,7 @@ TEST_F(SchedPersistTest, NonBinaryGpuFlagRejected)
 
     std::vector<char> bytes = slurp(path("t.bin"));
     const io::ArtifactReader reader(path("t.bin"), io::kSchemaTunedPlan,
-                                    3);
+                                    4);
     std::size_t entry = 0;
     while (reader.chunks()[entry].tag != io::fourcc('T', 'G', 'P', 'U'))
         ++entry;
@@ -282,6 +282,28 @@ TEST_F(SchedPersistTest, NonBinaryGpuFlagRejected)
     } catch (const io::ArtifactError &e) {
         EXPECT_EQ(e.kind(), io::ErrorKind::Malformed) << e.what();
     }
+}
+
+TEST_F(SchedPersistTest, RetiredSchemaVersionRejected)
+{
+    // v3 carried the comparator's prune fraction in the fingerprint and
+    // a per-layer batch override; this build reads v4 only, and the
+    // cached path re-tunes over the retired file.
+    const runtime::NetworkExecutor exec(gpu::GpuConfig::tegraX1());
+    const TuneRequest req = request();
+    io::ArtifactWriter w(io::kSchemaTunedPlan, 3);
+    io::ByteWriter &f = w.chunk(io::fourcc('T', 'F', 'P', 'R'));
+    f(kWeightsCrc, statsCrc(req.stats),
+      static_cast<std::uint32_t>(req.quant), 0.37);
+    w.commit(path("t.bin"));
+    try {
+        loadTunedPlan(path("t.bin"), exec.config(), req, kWeightsCrc);
+        FAIL() << "schema version 3 accepted";
+    } catch (const io::ArtifactError &e) {
+        EXPECT_EQ(e.kind(), io::ErrorKind::BadVersion) << e.what();
+    }
+    EXPECT_FALSE(tuneCached(exec, req, kWeightsCrc, path("t.bin")).fromCache);
+    EXPECT_TRUE(fs::exists(path("t.bin") + ".corrupt"));
 }
 
 TEST_F(SchedPersistTest, TuneCachedMissSavesThenHitsSkippingSearch)

@@ -48,10 +48,6 @@ TEST(TuneRequestValidate, RejectsInconsistentRequests)
     EXPECT_THROW(req.validate(), std::invalid_argument);
 
     req = smallRequest();
-    req.pruneFraction = 1.5;
-    EXPECT_THROW(req.validate(), std::invalid_argument);
-
-    req = smallRequest();
     req.batch = 0;
     EXPECT_THROW(req.validate(), std::invalid_argument);
 

@@ -384,6 +384,9 @@ TEST_F(EngineTest, ShutdownDrainsThenRejects)
     EXPECT_NO_THROW(fut.get());
     EXPECT_THROW(engine.submit({seqs(1, 10, 52).front(), 0, 0.0}),
                  std::runtime_error);
+    // The refused submit counted nothing.
+    EXPECT_EQ(engine.stats().submitted, 1u);
+    EXPECT_EQ(engine.stats().completed, 1u);
     engine.shutdown();  // idempotent
 }
 
@@ -537,8 +540,6 @@ TEST_F(EngineTest, StatsEqualTheirSeriesOnEveryTerminalPath)
     opts.maxBatch = 4;
     opts.queueCapacity = 2;
     opts.admission = serve::AdmissionPolicy::RejectNew;
-    opts.maxRetries = 1;
-    opts.retryBackoffMs = 0.0;
     opts.faultInjector = &inj;
     opts.observer = &observer;
     serve::InferenceEngine engine(mf, opts);
@@ -551,10 +552,10 @@ TEST_F(EngineTest, StatsEqualTheirSeriesOnEveryTerminalPath)
 
     // Batch 0 (id 1) parks at its timing site while id 2 arrives
     // already expired, id 3 fills the queue and id 4 finds it full.
-    // Both timing attempts of batch 0 fault (id 1 fails after one
-    // retry); both functional attempts of id 3 fault (it fails too).
-    inj.failBatch(0, 2);
-    inj.failRequest(3, 2);
+    // All 1 + kMaxRetries timing attempts of batch 0 fault (id 1
+    // fails after its retries); so do all functional attempts of id 3.
+    inj.failBatch(0, 1 + serve::kMaxRetries);
+    inj.failRequest(3, 1 + serve::kMaxRetries);
     inj.holdBatch(0);
     submit(0.0);
     inj.waitHeld();
@@ -595,7 +596,7 @@ TEST_F(EngineTest, StatsEqualTheirSeriesOnEveryTerminalPath)
     EXPECT_EQ(r[1].status, Status::ShedDeadline);
     EXPECT_FALSE(r[1].executed);
     EXPECT_EQ(r[2].status, Status::Failed);
-    EXPECT_EQ(r[2].retries, 1);
+    EXPECT_EQ(r[2].retries, serve::kMaxRetries);
     EXPECT_EQ(r[3].status, Status::RejectedCapacity);
     EXPECT_EQ(r[4].status, Status::Ok);
     EXPECT_EQ(r[5].status, Status::ShedDeadline);
@@ -617,7 +618,7 @@ TEST_F(EngineTest, StatsEqualTheirSeriesOnEveryTerminalPath)
     EXPECT_EQ(st.rejected, 1u);
     EXPECT_EQ(st.evicted, 0u);
     EXPECT_EQ(st.failed, 4u);
-    EXPECT_EQ(st.retries, 2u);
+    EXPECT_EQ(st.retries, 2u * serve::kMaxRetries);
     EXPECT_EQ(st.workerRestarts, 0u);
     EXPECT_EQ(st.governorStepsUp + st.governorStepsDown, 0u);
     EXPECT_EQ(st.queueHighWater, 2u);
@@ -638,7 +639,7 @@ TEST_F(EngineTest, StatsEqualTheirSeriesOnEveryTerminalPath)
     EXPECT_EQ(test::dumpedCounter(m, "serve.timing_sims"), 1.0);
     EXPECT_EQ(test::dumpedCounter(m, "serve.faults_injected"),
               static_cast<double>(inj.injected()));
-    EXPECT_EQ(inj.injected(), 4u);
+    EXPECT_EQ(inj.injected(), 2u * (1 + serve::kMaxRetries));
 
     // One completion marker per response: requests that never reached
     // a batch (ids 2, 4, 8, 9) on the "unserved" track, the rest on

@@ -4,9 +4,10 @@
  * test support library's ScriptedFaultInjector fails chosen requests / batches for their
  * first N attempts, so every retry path is deterministic:
  *
- *   - a fault budgeted under maxRetries is retried and the successful
+ *   - a fault budgeted under kMaxRetries is retried and the successful
  *     retry's outputs are bit-identical to a fault-free run;
- *   - the retry bound is honoured exactly (attemptsSeen);
+ *   - the retry bound is honoured exactly (attemptsSeen), and every
+ *     retry first backs off for its doubling share of the wait;
  *   - an exhausted budget resolves that request Status::Failed without
  *     stalling its batch siblings;
  *   - batch-timing faults retry the whole timing run, whether it is
@@ -71,15 +72,13 @@ class FaultTest : public ::testing::Test
     }
 
     serve::InferenceEngine::Options
-    faultOptions(serve::FaultInjector &inj, int max_retries) const
+    faultOptions(serve::FaultInjector &inj) const
     {
         serve::InferenceEngine::Options o;
         o.maxBatch = 8;
         o.workers = 1;  // deterministic batch ordinals
         o.plan = runtime::PlanKind::Combined;
         o.faultInjector = &inj;
-        o.maxRetries = max_retries;
-        o.retryBackoffMs = 0.01;  // keep tests fast
         return o;
     }
 
@@ -96,11 +95,11 @@ TEST_F(FaultTest, SuccessfulRetryIsBitIdenticalToFaultFreeRun)
         expected.push_back(solo.classify(s));
 
     // Request ids are assigned 1.. in submit order; fail id 3's first
-    // two attempts — under budget (maxRetries = 2), so it must recover.
+    // kMaxRetries attempts — within budget, so it must recover.
     test::ScriptedFaultInjector inj;
-    inj.failRequest(3, 2);
+    inj.failRequest(3, serve::kMaxRetries);
 
-    serve::InferenceEngine engine(mf, faultOptions(inj, 2));
+    serve::InferenceEngine engine(mf, faultOptions(inj));
     serve::Session session = engine.session();
     std::vector<std::future<serve::Response>> futures;
     for (const auto &s : inputs)
@@ -111,13 +110,14 @@ TEST_F(FaultTest, SuccessfulRetryIsBitIdenticalToFaultFreeRun)
         ASSERT_EQ(r.status, serve::Status::Ok) << "request " << i;
         EXPECT_TRUE(r.executed);
         EXPECT_EQ(r.logits, expected[i]) << "request " << i;
-        EXPECT_EQ(r.retries, r.id == 3 ? 2 : 0);
+        EXPECT_EQ(r.retries, r.id == 3 ? serve::kMaxRetries : 0);
     }
-    EXPECT_EQ(inj.injected(), 2u);
-    EXPECT_EQ(inj.attemptsSeen(3), 3);  // 2 faulted + 1 success
+    EXPECT_EQ(inj.injected(), std::uint64_t{serve::kMaxRetries});
+    // kMaxRetries faulted + 1 success
+    EXPECT_EQ(inj.attemptsSeen(3), serve::kMaxRetries + 1);
 
     const auto st = engine.stats();
-    EXPECT_EQ(st.retries, 2u);
+    EXPECT_EQ(st.retries, std::uint64_t{serve::kMaxRetries});
     EXPECT_EQ(st.failed, 0u);
     EXPECT_EQ(st.ok, inputs.size());
 }
@@ -131,11 +131,11 @@ TEST_F(FaultTest, ExhaustedRetriesFailWithoutStallingSiblings)
         expected.push_back(solo.classify(s));
 
     // Fail id 2 for more attempts than the engine will ever make:
-    // 1 initial + maxRetries(1) = 2 attempts, scripted to fail 5.
+    // 1 initial + kMaxRetries attempts, scripted to fail 5.
     test::ScriptedFaultInjector inj;
     inj.failRequest(2, 5);
 
-    serve::InferenceEngine engine(mf, faultOptions(inj, 1));
+    serve::InferenceEngine engine(mf, faultOptions(inj));
     serve::Session session = engine.session();
     std::vector<std::future<serve::Response>> futures;
     for (const auto &s : inputs)
@@ -153,33 +153,34 @@ TEST_F(FaultTest, ExhaustedRetriesFailWithoutStallingSiblings)
             EXPECT_EQ(r.logits, expected[i]) << "request " << i;
         }
     }
-    // The retry bound was honoured exactly: attempts 0 and 1, no more.
-    EXPECT_EQ(inj.attemptsSeen(2), 2);
+    // The retry bound was honoured exactly: attempts 0..kMaxRetries.
+    EXPECT_EQ(inj.attemptsSeen(2), serve::kMaxRetries + 1);
 
     const auto st = engine.stats();
     EXPECT_EQ(st.failed, 1u);
-    EXPECT_EQ(st.retries, 1u);
+    EXPECT_EQ(st.retries, std::uint64_t{serve::kMaxRetries});
     EXPECT_EQ(st.completed, inputs.size());
 }
 
 TEST_F(FaultTest, BatchTimingFaultIsRetried)
 {
     test::ScriptedFaultInjector inj;
-    inj.failBatch(0, 2);  // first batch: fail 2 timing attempts
+    // First batch: fail every timing attempt the budget retries.
+    inj.failBatch(0, serve::kMaxRetries);
 
-    serve::InferenceEngine engine(mf, faultOptions(inj, 2));
+    serve::InferenceEngine engine(mf, faultOptions(inj));
     const serve::Response r =
         engine.session().infer(seqs(1, 10, 41).front()).get();
     EXPECT_EQ(r.status, serve::Status::Ok);
     EXPECT_GT(r.simBatchMs, 0.0);  // the retried timing run completed
-    EXPECT_EQ(inj.injected(), 2u);
-    EXPECT_EQ(engine.stats().retries, 2u);
+    EXPECT_EQ(inj.injected(), std::uint64_t{serve::kMaxRetries});
+    EXPECT_EQ(engine.stats().retries, std::uint64_t{serve::kMaxRetries});
 }
 
 TEST_F(FaultTest, BatchTimingFaultOnATimingTableHitIsRetried)
 {
     test::ScriptedFaultInjector inj;
-    serve::InferenceEngine engine(mf, faultOptions(inj, 2));
+    serve::InferenceEngine engine(mf, faultOptions(inj));
     serve::Session session = engine.session();
     const auto inputs = seqs(2, 10, 43);
 
@@ -190,13 +191,13 @@ TEST_F(FaultTest, BatchTimingFaultOnATimingTableHitIsRetried)
 
     // Batch 1 has the same size, so its timing run is a table hit; the
     // injector is still consulted before the lookup on every attempt.
-    inj.failBatch(1, 2);
+    inj.failBatch(1, serve::kMaxRetries);
     const serve::Response second = session.infer(inputs[1]).get();
     EXPECT_EQ(second.status, serve::Status::Ok);
     EXPECT_EQ(second.batch, first.batch);
     EXPECT_EQ(second.simBatchMs, first.simBatchMs);
-    EXPECT_EQ(inj.injected(), 2u);
-    EXPECT_EQ(engine.stats().retries, 2u);
+    EXPECT_EQ(inj.injected(), std::uint64_t{serve::kMaxRetries});
+    EXPECT_EQ(engine.stats().retries, std::uint64_t{serve::kMaxRetries});
     EXPECT_EQ(test::dumpedCounter(engine.observer().metrics(),
                                   "serve.timing_sims"),
               1.0);
@@ -205,9 +206,9 @@ TEST_F(FaultTest, BatchTimingFaultOnATimingTableHitIsRetried)
 TEST_F(FaultTest, ExhaustedBatchRetriesFailTheBatchButNotTheEngine)
 {
     test::ScriptedFaultInjector inj;
-    inj.failBatch(0, 10);  // beyond any budget: batch 0 always fails
+    inj.failBatch(0, 10);  // beyond the budget: batch 0 always fails
 
-    serve::InferenceEngine engine(mf, faultOptions(inj, 1));
+    serve::InferenceEngine engine(mf, faultOptions(inj));
     serve::Session session = engine.session();
 
     const auto inputs = seqs(2, 10, 51);
@@ -248,7 +249,7 @@ class NonStandardThrowInjector : public serve::FaultInjector
 TEST_F(FaultTest, UnexpectedErrorRestartsTheWorkerAndFailsOnlyItsBatch)
 {
     NonStandardThrowInjector inj;
-    serve::InferenceEngine engine(mf, faultOptions(inj, 1));
+    serve::InferenceEngine engine(mf, faultOptions(inj));
     serve::Session session = engine.session();
 
     const auto inputs = seqs(2, 10, 57);
@@ -269,12 +270,13 @@ TEST_F(FaultTest, UnexpectedErrorRestartsTheWorkerAndFailsOnlyItsBatch)
 
 TEST_F(FaultTest, ProbabilisticInjectorRespectsCapAndEngineDrains)
 {
-    // Rate 1.0 capped at 3 injections: the first requests burn the
-    // budget through retries, then everything completes cleanly.
-    serve::ProbabilisticFaultInjector inj(1.0, /*seed=*/7,
-                                          /*max_faults=*/3);
+    // Rate 1.0 capped at kMaxRetries injections: the first batch's
+    // timing site absorbs them all through retries, then everything
+    // runs clean.
+    serve::ProbabilisticFaultInjector inj(
+        1.0, /*seed=*/7, /*max_faults=*/serve::kMaxRetries);
 
-    serve::InferenceEngine engine(mf, faultOptions(inj, 3));
+    serve::InferenceEngine engine(mf, faultOptions(inj));
     serve::Session session = engine.session();
     const auto inputs = seqs(8, 10, 61);
     std::vector<std::future<serve::Response>> futures;
@@ -288,10 +290,34 @@ TEST_F(FaultTest, ProbabilisticInjectorRespectsCapAndEngineDrains)
         (r.status == serve::Status::Ok ? ok : failed) += 1;
     }
     EXPECT_EQ(ok + failed, inputs.size());
-    EXPECT_EQ(inj.injected(), 3u);
-    // With budget 3 retries per site, a 3-fault cap cannot exhaust
-    // any single request's budget plus its batch's budget at once.
-    EXPECT_GE(ok, 1u);
+    EXPECT_EQ(inj.injected(), std::uint64_t{serve::kMaxRetries});
+    // A cap of kMaxRetries faults cannot exhaust any site's budget.
+    EXPECT_EQ(ok, inputs.size());
+}
+
+TEST_F(FaultTest, RetriesBackOffExponentially)
+{
+    // Retry k waits kRetryBackoffMs * 2^k first, so a site that
+    // faults on every retry the budget allows waits at least the sum
+    // of those waits: at the request site inside execMs, at the
+    // timing site (a table hit, so no simulation hides in the wait)
+    // inside batchWaitMs.
+    test::ScriptedFaultInjector inj;
+    serve::InferenceEngine engine(mf, faultOptions(inj));
+    serve::Session session = engine.session();
+    const auto inputs = seqs(2, 10, 47);
+    ASSERT_EQ(session.infer(inputs[0]).get().status, serve::Status::Ok);
+
+    double backoff_ms = 0.0;
+    for (int k = 0; k < serve::kMaxRetries; ++k)
+        backoff_ms += serve::kRetryBackoffMs * (1 << k);
+    inj.failBatch(1, serve::kMaxRetries);
+    inj.failRequest(2, serve::kMaxRetries);
+    const serve::Response r = session.infer(inputs[1]).get();
+    ASSERT_EQ(r.status, serve::Status::Ok);
+    EXPECT_EQ(r.retries, serve::kMaxRetries);
+    EXPECT_GE(r.batchWaitMs, backoff_ms);
+    EXPECT_GE(r.execMs, backoff_ms);
 }
 
 } // namespace

@@ -28,12 +28,11 @@ using namespace mflstm;
 
 TEST(GovernorHammer, ConcurrentObserveKeepsTheLadderInvariant)
 {
+    constexpr std::size_t kRungs = 5;
     serve::AdaptiveThresholdGovernor::Config cfg;
-    cfg.rungCount = 5;
     cfg.highQueuePerWorker = 8.0;
-    cfg.lowQueuePerWorker = 2.0;
     cfg.dwellTicks = 2;
-    serve::AdaptiveThresholdGovernor gov(cfg);
+    serve::AdaptiveThresholdGovernor gov(kRungs, cfg);
 
     std::atomic<bool> stop{false};
     std::atomic<bool> violated{false};
@@ -43,7 +42,7 @@ TEST(GovernorHammer, ConcurrentObserveKeepsTheLadderInvariant)
     for (int r = 0; r < 2; ++r)
         threads.emplace_back([&] {
             while (!stop.load()) {
-                if (gov.rung() >= cfg.rungCount)
+                if (gov.rung() >= kRungs)
                     violated.store(true);
             }
         });
@@ -62,7 +61,7 @@ TEST(GovernorHammer, ConcurrentObserveKeepsTheLadderInvariant)
     // A floor writer mimics the fleet redistributing over survivors.
     threads.emplace_back([&] {
         for (int i = 0; i < 1000; ++i)
-            gov.setRungFloor(static_cast<std::size_t>(i) % cfg.rungCount);
+            gov.setRungFloor(static_cast<std::size_t>(i) % kRungs);
     });
 
     for (std::size_t i = 2; i < threads.size(); ++i)
@@ -77,18 +76,18 @@ TEST(GovernorHammer, ConcurrentObserveKeepsTheLadderInvariant)
     const serve::AdaptiveThresholdGovernor::Stats st = gov.stats();
     EXPECT_EQ(st.stepsUp - st.stepsDown,
               static_cast<std::uint64_t>(gov.rung()));
-    EXPECT_LT(gov.rung(), cfg.rungCount);
+    EXPECT_LT(gov.rung(), kRungs);
 
     // Raising the floor converges one rung per call, never a jump.
-    gov.setRungFloor(cfg.rungCount - 1);
+    gov.setRungFloor(kRungs - 1);
     std::size_t prev = gov.rung();
-    while (gov.rung() < cfg.rungCount - 1) {
+    while (gov.rung() < kRungs - 1) {
         gov.observe(0, 2);
         EXPECT_LE(gov.rung(), prev + 1);
         ASSERT_GE(gov.rung(), prev);  // bounded loop: monotone climb
         prev = gov.rung();
     }
-    EXPECT_EQ(gov.rungFloor(), cfg.rungCount - 1);
+    EXPECT_EQ(gov.rungFloor(), kRungs - 1);
     const serve::AdaptiveThresholdGovernor::Stats end = gov.stats();
     EXPECT_EQ(end.stepsUp - end.stepsDown,
               static_cast<std::uint64_t>(gov.rung()));
@@ -151,7 +150,6 @@ TEST(GovernorHammer, SnapshotRungsStayConsistentUnderSubmitAndShed)
     // A twitchy governor: tiny hysteresis band and no dwell to force
     // many transitions while the flood runs.
     opts.governor.highQueuePerWorker = 3.0;
-    opts.governor.lowQueuePerWorker = 1.0;
     opts.governor.dwellTicks = 1;
     serve::InferenceEngine engine(mf, opts);
 

@@ -209,8 +209,6 @@ TEST_F(StressTest, DropOldestOverloadKeepsDrainingUnderFaults)
     opts.queueCapacity = 8;
     opts.admission = serve::AdmissionPolicy::DropOldest;
     opts.faultInjector = &inj;
-    opts.maxRetries = 2;
-    opts.retryBackoffMs = 0.01;
     serve::InferenceEngine engine(mf, opts);
     serve::Session session = engine.session();
 
@@ -239,7 +237,6 @@ TEST_F(StressTest, BlockWithTimeoutOverloadNeverDeadlocks)
     opts.plan = runtime::PlanKind::Combined;
     opts.queueCapacity = 4;
     opts.admission = serve::AdmissionPolicy::BlockWithTimeout;
-    opts.admitTimeoutMs = 1.0;
     serve::InferenceEngine engine(mf, opts);
 
     const auto inputs = seqs(20, 10, 51);
@@ -275,7 +272,6 @@ TEST_F(StressTest, GovernorEscalatesUnderLoadAndRelaxesAfter)
     opts.planningSequences = seqs(4, 8, 11);
     // Aggressive control so a short burst exercises both directions.
     opts.governor.highQueuePerWorker = 4.0;
-    opts.governor.lowQueuePerWorker = 1.0;
     opts.governor.dwellTicks = 2;
     serve::InferenceEngine engine(mf, opts);
     serve::Session session = engine.session();

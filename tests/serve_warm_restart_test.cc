@@ -304,12 +304,12 @@ TEST_F(WarmRestartTest, QuantModesSurviveSaveLoad)
 
 TEST_F(WarmRestartTest, TunedPlansAndDecisionsSurviveSaveLoad)
 {
-    // The tuning-mode flag and a searched plan's per-layer
-    // ScheduleDecisions round-trip.
+    // A searched plan's Tuned label (what tells a restarting engine
+    // the plans were tuned) and its per-layer ScheduleDecisions
+    // round-trip.
     serve::EngineWarmState state;
     state.modelWeightsCrc = 0x5678u;
     state.plan = runtime::PlanKind::Combined;
-    state.tunedPlans = true;
     state.shape.layers.push_back({8, 8, 4});
     state.ladder.push_back({0.1, 0.2, quant::QuantMode::Int8});
 
@@ -325,7 +325,6 @@ TEST_F(WarmRestartTest, TunedPlansAndDecisionsSurviveSaveLoad)
 
     const serve::EngineWarmState loaded =
         serve::loadEngineState(path_);
-    EXPECT_TRUE(loaded.tunedPlans);
     ASSERT_EQ(loaded.plans.size(), 1u);
     EXPECT_EQ(loaded.plans[0].kind, runtime::PlanKind::Tuned);
     EXPECT_EQ(loaded.plans[0].decisions.layers, d.layers);
@@ -340,18 +339,31 @@ TEST_F(WarmRestartTest, TuningModeMismatchRejectedAsStale)
         serve::saveEngineState(engine, path_);
     }
     const serve::EngineWarmState warm = serve::loadEngineState(path_);
-    EXPECT_FALSE(warm.tunedPlans);
+    for (const runtime::ExecutionPlan &plan : warm.plans)
+        EXPECT_NE(plan.kind, runtime::PlanKind::Tuned);
 
-    // Untuned warm state must not be adopted by an engine asked to
-    // serve searched plans (and vice versa): reject as Stale, retune.
+    // The plans' labels carry the tuning mode: untuned warm state must
+    // not be adopted by an engine asked to serve searched plans, nor
+    // tuned plans by one asked for presets. Reject as Stale, retune.
     serve::InferenceEngine::Options opts = engineOptions();
-    opts.tunePlans = true;
-    try {
-        serve::InferenceEngine engine(mf, opts, warm);
-        FAIL() << "tuning-mode mismatch accepted";
-    } catch (const io::ArtifactError &e) {
-        EXPECT_EQ(e.kind(), io::ErrorKind::Stale);
+    serve::EngineWarmState tuned = warm;
+    for (runtime::ExecutionPlan &plan : tuned.plans)
+        plan = runtime::ExecutionPlan::fromDecisions(plan.decisions);
+    for (const auto &[state, tune] :
+         {std::pair{warm, true}, std::pair{tuned, false}}) {
+        SCOPED_TRACE(tune ? "untuned state, tuning engine"
+                          : "tuned state, preset engine");
+        opts.tunePlans = tune;
+        try {
+            serve::InferenceEngine engine(mf, opts, state);
+            FAIL() << "tuning-mode mismatch accepted";
+        } catch (const io::ArtifactError &e) {
+            EXPECT_EQ(e.kind(), io::ErrorKind::Stale);
+        }
     }
+    // The tuned state's own mode is adopted.
+    opts.tunePlans = true;
+    EXPECT_NO_THROW({ serve::InferenceEngine engine(mf, opts, tuned); });
 }
 
 TEST_F(WarmRestartTest, FutureSchemaVersionRejected)
@@ -361,16 +373,19 @@ TEST_F(WarmRestartTest, FutureSchemaVersionRejected)
         serve::saveEngineState(engine, path_);
     }
     // Re-wrap the valid fingerprint under a version this build predates
-    // (one past the current v6) and under the retired v5: this build
-    // reads exactly one version.
+    // (one past the current v7) and under the retired v6, whose
+    // fingerprint still carried the prune fraction and a tuned flag:
+    // this build reads exactly one version.
     const serve::EngineWarmState good = serve::loadEngineState(path_);
-    for (std::uint32_t version : {7u, 5u}) {
+    for (std::uint32_t version : {8u, 6u}) {
         SCOPED_TRACE("version " + std::to_string(version));
         io::ArtifactWriter w(io::kSchemaEngineState, version);
         io::ByteWriter &f = w.chunk(io::fourcc('E', 'F', 'P', 'R'));
         f.u32(good.modelWeightsCrc);
         f.u32(static_cast<std::uint32_t>(good.plan));
-        f.f64(good.pruneFraction);
+        f.f64(0.37);
+        f.u32(0);
+        f.str(good.backendId);
         w.commit(path_);
         try {
             (void)serve::loadEngineState(path_);
@@ -394,12 +409,10 @@ TEST_F(WarmRestartTest, UnknownQuantModeRejected)
     ASSERT_NO_THROW(serve::loadEngineState(path_));
 
     // Rewrite with an out-of-range mode in the ladder rung.
-    io::ArtifactWriter w(io::kSchemaEngineState, 6);
+    io::ArtifactWriter w(io::kSchemaEngineState, 7);
     io::ByteWriter &f = w.chunk(io::fourcc('E', 'F', 'P', 'R'));
     f.u32(1);
     f.u32(static_cast<std::uint32_t>(runtime::PlanKind::Baseline));
-    f.f64(0.0);
-    f.u32(0);                       // not tuned
     f.str("");                      // no backend id
     io::ByteWriter &s = w.chunk(io::fourcc('E', 'S', 'H', 'P'));
     s.u64(1);

@@ -67,12 +67,12 @@
  *                      (default 200; 0 = submit everything at once)
  *   --deadline-ms X    per-request wall deadline (default 0 = none)
  *   --queue-capacity N bound the request queue (default 0 = unbounded)
- *   --admission P      reject | drop-oldest | block (default reject)
- *   --admit-timeout-ms X  producer wait bound for block (default 5)
+ *   --admission P      reject | drop-oldest | block (default reject;
+ *                      block waits up to 5 ms for space)
  *   --fault-rate X     transient-fault injection probability per site
+ *                      (a faulted site is retried up to twice)
  *   --chaos-seed N     seed for the fault injector (default 1); the
  *                      same seed replays the same fault schedule
- *   --retries N        retry budget after a transient fault (default 2)
  *   --governor         degrade thresholds AO->BPA under pressure
  *   --state-dir DIR    persist calibration + engine warm state in DIR
  *                      and restore them on the next start; SIGTERM /
@@ -173,10 +173,8 @@ struct Options
     double deadlineMs = 0.0;
     std::size_t queueCapacity = 0;
     serve::AdmissionPolicy admission = serve::AdmissionPolicy::RejectNew;
-    double admitTimeoutMs = 5.0;
     double faultRate = 0.0;
     std::uint64_t chaosSeed = 1;
-    int retries = 2;
     bool governor = false;
     bool tuned = false;
     std::string stateDir;
@@ -347,7 +345,7 @@ cmdRun(const Options &opt)
         auto ph = obs::Observer::phase(obs, "accuracy-eval");
         acc = evalAccuracy(*mf, app);
     }
-    const core::TimingOutcome out = mf->evaluateTiming(opt.plan);
+    const core::TimingOutcome out = mf->evaluateTiming({opt.plan});
 
     if (!opt.traceCsv.empty()) {
         std::ofstream os(opt.traceCsv);
@@ -496,7 +494,7 @@ cmdProfile(const Options &opt)
         presetThresholds(opt.plan, ladder[rung], opt.quantMode));
     // Populate the division/skip statistics the planner projects.
     evalAccuracy(*mf, app);
-    const core::TimingOutcome out = mf->evaluateTiming(opt.plan);
+    const core::TimingOutcome out = mf->evaluateTiming({opt.plan});
 
     // Re-run the planned trace with the ledger attached: attribution
     // is a pure relabeling, so timing is identical to evaluateTiming.
@@ -881,8 +879,6 @@ cmdServe(const Options &opt)
     eopts.observer = obs;
     eopts.queueCapacity = opt.queueCapacity;
     eopts.admission = opt.admission;
-    eopts.admitTimeoutMs = opt.admitTimeoutMs;
-    eopts.maxRetries = opt.retries;
     eopts.tunePlans = opt.tuned;
     eopts.tuneCacheDir = opt.stateDir;
     eopts.backendId = opt.backend;
@@ -1105,7 +1101,6 @@ cmdFleet(const Options &opt)
     fopts.engine.maxBatch = opt.batch;
     fopts.engine.workers = opt.workers;
     fopts.engine.plan = opt.plan;
-    fopts.engine.maxRetries = opt.retries;
     fopts.engine.backendId = opt.backend;
     if (opt.governor) {
         const SchemeCurve curve =
@@ -1285,11 +1280,10 @@ printUsage(std::FILE *to)
         "                     (default 200; 0 = all at once)\n"
         "  --deadline-ms X    per-request wall deadline (default none)\n"
         "  --queue-capacity N bound the queue (default 0 = unbounded)\n"
-        "  --admission P      reject | drop-oldest | block\n"
-        "  --admit-timeout-ms X  producer wait bound for block\n"
+        "  --admission P      reject | drop-oldest | block (5 ms)\n"
         "  --fault-rate X     transient-fault probability per site\n"
+        "                     (retried up to twice)\n"
         "  --chaos-seed N     fault-injector seed (default 1)\n"
-        "  --retries N        retry budget per transient fault\n"
         "  --governor         degrade thresholds AO->BPA under load\n"
         "  --state-dir DIR    persist/restore calibration + engine\n"
         "                     warm state; SIGTERM drains gracefully\n"
@@ -1475,8 +1469,8 @@ main(int argc, char **argv)
             opt.forceTune = true;
         } else if (arg == "--requests" || arg == "--batch" ||
                    arg == "--workers" || arg == "--arrival-us" ||
-                   arg == "--queue-capacity" || arg == "--retries" ||
-                   arg == "--replicas" || arg == "--ticks") {
+                   arg == "--queue-capacity" || arg == "--replicas" ||
+                   arg == "--ticks") {
             const char *v = next();
             char *end = nullptr;
             const unsigned long n = v ? std::strtoul(v, &end, 10) : 0;
@@ -1500,16 +1494,13 @@ main(int argc, char **argv)
                 opt.workers = n;
             else if (arg == "--queue-capacity")
                 opt.queueCapacity = n;
-            else if (arg == "--retries")
-                opt.retries = static_cast<int>(n);
             else if (arg == "--replicas")
                 opt.replicas = n;
             else if (arg == "--ticks")
                 opt.ticks = n;
             else
                 opt.arrivalUs = n;
-        } else if (arg == "--deadline-ms" || arg == "--admit-timeout-ms" ||
-                   arg == "--fault-rate") {
+        } else if (arg == "--deadline-ms" || arg == "--fault-rate") {
             const char *v = next();
             char *end = nullptr;
             const double x = v ? std::strtod(v, &end) : 0.0;
@@ -1520,8 +1511,6 @@ main(int argc, char **argv)
             }
             if (arg == "--deadline-ms")
                 opt.deadlineMs = x;
-            else if (arg == "--admit-timeout-ms")
-                opt.admitTimeoutMs = x;
             else
                 opt.faultRate = x;
         } else if (arg == "--csv") {
