@@ -114,43 +114,53 @@ benchObserver()
 }
 
 AppContext
-makeApp(const workloads::BenchmarkSpec &spec)
+makeApp(const workloads::BenchmarkSpec &spec, obs::Observer *obs)
 {
     AppContext app;
     app.spec = spec;
     app.data = workloads::makeTask(spec, kTrainSamples, kTestSamples);
 
+    // A damaged cache file must never abort a bench run, only cost the
+    // training time the cache was saving.
     const std::string path = cachePath(spec);
-    if (nn::isModelFile(path)) {
-        // Corruption recovery: a damaged cache file is quarantined and
-        // the model retrained — a bad artifact must never abort a
-        // bench run, only cost the training time the cache was saving.
-        try {
-            app.model = std::make_shared<nn::LstmModel>(
-                nn::loadModel(path, io::ArtifactLimits{},
-                              &benchObserver()));
-        } catch (const io::ArtifactError &e) {
-            const std::string moved = io::quarantine(path);
+    io::loadOrRebuild(
+        path, obs,
+        [&] {
+            app.model =
+                std::make_shared<nn::LstmModel>(nn::loadModel(path));
+        },
+        [&](const io::LoadReport &report) {
+            logRejection("harness", path, report, "retraining");
             std::fprintf(stderr,
-                         "[harness] cache %s rejected (%s): %s\n"
-                         "[harness] quarantined to %s; retraining\n",
-                         path.c_str(), io::toString(e.kind()), e.what(),
-                         moved.empty() ? "(rename failed)"
-                                       : moved.c_str());
-        }
-    }
-    if (!app.model) {
-        std::fprintf(stderr, "[harness] training %s accuracy model...\n",
-                     spec.name.c_str());
-        app.model = std::make_shared<nn::LstmModel>(
-            workloads::trainAccuracyModel(spec, app.data, kTrainEpochs));
-        std::error_code ec;
-        std::filesystem::create_directories(kCacheDir, ec);
-        if (!ec)
-            nn::saveModel(*app.model, path);
-    }
+                         "[harness] training %s accuracy model...\n",
+                         spec.name.c_str());
+            app.model = std::make_shared<nn::LstmModel>(
+                workloads::trainAccuracyModel(spec, app.data,
+                                              kTrainEpochs));
+            std::error_code ec;
+            std::filesystem::create_directories(kCacheDir, ec);
+            if (!ec)
+                nn::saveModel(*app.model, path);
+        });
     app.baselineAccuracy = workloads::exactAccuracy(*app.model, app.data);
     return app;
+}
+
+void
+logRejection(const char *who, const std::string &path,
+             const io::LoadReport &report, const char *action)
+{
+    if (!report.error)
+        return;
+    const char *where =
+        !report.quarantinedTo.empty()
+            ? "quarantined to "
+            : report.error->kind() == io::ErrorKind::Io ? "left in place"
+                                                        : "quarantine failed";
+    std::fprintf(stderr, "[%s] %s rejected (%s): %s; %s%s; %s\n", who,
+                 path.c_str(), io::toString(report.error->kind()),
+                 report.error->what(), where, report.quarantinedTo.c_str(),
+                 action);
 }
 
 std::vector<AppContext>

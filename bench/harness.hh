@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/api.hh"
+#include "io/artifact.hh"
 #include "obs/observer.hh"
 #include "workloads/benchmarks.hh"
 #include "workloads/datagen.hh"
@@ -94,9 +95,19 @@ constexpr std::size_t kCalibrationSeqs = 40;
 /**
  * Build (or load from the on-disk cache) the trained accuracy model and
  * datasets for one benchmark. The cache lives in ./mflstm_model_cache;
- * models are deterministic, so the cache only saves training time.
+ * models are deterministic, so the cache only saves training time. A
+ * rejected cache file is counted on @p obs.
  */
-AppContext makeApp(const workloads::BenchmarkSpec &spec);
+AppContext makeApp(const workloads::BenchmarkSpec &spec,
+                   obs::Observer *obs = &benchObserver());
+
+/**
+ * The stderr line for an io::loadOrRebuild rebuild step: why the
+ * artifact at @p path was rejected, where it went, and @p action, the
+ * recomputation that follows. Prints nothing for an absent file.
+ */
+void logRejection(const char *who, const std::string &path,
+                  const io::LoadReport &report, const char *action);
 
 /** makeApp for every Table II application, in order. */
 std::vector<AppContext> makeAllApps();

@@ -136,28 +136,20 @@ readDistribution(const io::ArtifactReader &reader, std::uint32_t tag)
     return d;
 }
 
-/** readDistribution, whose layout must match the live @p dist. */
-std::vector<std::uint64_t>
-readCounts(const io::ArtifactReader &reader, std::uint32_t tag,
-           const tensor::VectorDistribution &dist, const std::string &path)
+/** Restore @p dist's counts from @p stored, whose layout must match. */
+void
+applyDistribution(tensor::VectorDistribution &dist,
+                  const StoredDistribution &stored, const std::string &path)
 {
-    StoredDistribution d = readDistribution(reader, tag);
-    if (!d.sameLayout(layoutOf(dist)))
+    if (!stored.sameLayout(layoutOf(dist)))
         throw ArtifactError(ErrorKind::Stale,
                             "loadCalibration: " + path +
                                 ": histogram shape does not match this "
                                 "model");
-    return std::move(d.counts);
-}
-
-void
-applyDistribution(tensor::VectorDistribution &dist,
-                  const std::vector<std::uint64_t> &counts)
-{
     const std::size_t bins = dist.dim() ? dist.element(0).bins() : 0;
     for (std::size_t i = 0; i < dist.dim(); ++i)
         dist.restoreElementCounts(
-            i, std::span<const std::uint64_t>(counts)
+            i, std::span<const std::uint64_t>(stored.counts)
                    .subspan(i * bins, bins));
 }
 
@@ -182,6 +174,40 @@ readCalibration(const io::ArtifactReader &reader)
     if (cal.mts == 0)
         r.fail(ErrorKind::Malformed, "mts = 0");
     return cal;
+}
+
+/** A calibration file as stored, before any live model is consulted. */
+struct StoredCalibration
+{
+    ModelFingerprint fingerprint;
+    MemoryFriendlyLstm::Calibration calibration;
+    std::vector<StoredDistribution> h, c;  ///< one of each per layer
+};
+
+/**
+ * The one read path of a calibration file: every chunk parsed, and
+ * every predictor consistent with the fingerprint's layer count and
+ * hidden size.
+ */
+StoredCalibration
+parseCalibration(const std::string &path, const io::ArtifactLimits &limits)
+{
+    const io::ArtifactReader reader(path, io::kSchemaCalibration,
+                                    kCalibrationSchemaVersion, limits);
+    StoredCalibration stored;
+    stored.fingerprint = readFingerprint(reader);
+    stored.calibration = readCalibration(reader);
+    for (std::uint64_t l = 0; l < stored.fingerprint.numLayers; ++l) {
+        stored.h.push_back(readDistribution(reader, predictorHTag(l)));
+        stored.c.push_back(readDistribution(reader, predictorCTag(l)));
+        if (stored.h.back().dim != stored.fingerprint.hiddenSize ||
+            stored.c.back().dim != stored.fingerprint.hiddenSize)
+            throw ArtifactError(ErrorKind::Malformed,
+                                "calibration: " + path +
+                                    ": predictor chunk inconsistent "
+                                    "with fingerprint");
+    }
+    return stored;
 }
 
 } // anonymous namespace
@@ -228,65 +254,32 @@ saveCalibration(const MemoryFriendlyLstm &mf, const std::string &path)
 
 void
 loadCalibration(MemoryFriendlyLstm &mf, const std::string &path,
-                const io::ArtifactLimits &limits, obs::Observer *obs)
+                const io::ArtifactLimits &limits)
 {
-    try {
-        const io::ArtifactReader reader(path, io::kSchemaCalibration,
-                                        kCalibrationSchemaVersion,
-                                        limits);
-        ApproxRunner &runner = mf.runner();
-        if (readFingerprint(reader) != fingerprintOf(runner.model()))
-            throw ArtifactError(
-                ErrorKind::Stale,
-                "loadCalibration: " + path +
-                    ": calibration belongs to a different model "
-                    "(fingerprint mismatch)");
-        const MemoryFriendlyLstm::Calibration cal =
-            readCalibration(reader);
+    const StoredCalibration stored = parseCalibration(path, limits);
+    ApproxRunner &runner = mf.runner();
+    if (stored.fingerprint != fingerprintOf(runner.model()))
+        throw ArtifactError(ErrorKind::Stale,
+                            "loadCalibration: " + path +
+                                ": calibration belongs to a different "
+                                "model (fingerprint mismatch)");
 
-        // Parse + validate every predictor payload before mutating the
-        // runner, so a failure cannot leave it half-restored.
-        std::vector<LinkPredictor> predictors = runner.predictors();
-        std::vector<std::vector<std::uint64_t>> h_counts, c_counts;
-        for (std::size_t l = 0; l < predictors.size(); ++l) {
-            h_counts.push_back(readCounts(reader, predictorHTag(l),
-                                          predictors[l].hDistribution(),
-                                          path));
-            c_counts.push_back(readCounts(reader, predictorCTag(l),
-                                          predictors[l].cDistribution(),
-                                          path));
-        }
-        for (std::size_t l = 0; l < predictors.size(); ++l) {
-            applyDistribution(predictors[l].hDistribution(), h_counts[l]);
-            applyDistribution(predictors[l].cDistribution(), c_counts[l]);
-        }
-        runner.restorePredictors(std::move(predictors));
-        mf.restoreCalibration(cal);
-    } catch (const ArtifactError &e) {
-        io::recordRejection(obs, e.kind());
-        throw;
+    // The fingerprint fixes the layer count. The predictors are a copy,
+    // so a Stale histogram leaves the runner untouched.
+    std::vector<LinkPredictor> predictors = runner.predictors();
+    for (std::size_t l = 0; l < predictors.size(); ++l) {
+        applyDistribution(predictors[l].hDistribution(), stored.h[l], path);
+        applyDistribution(predictors[l].cDistribution(), stored.c[l], path);
     }
+    runner.restorePredictors(std::move(predictors));
+    mf.restoreCalibration(stored.calibration);
 }
 
 void
 verifyCalibrationFile(const std::string &path,
                       const io::ArtifactLimits &limits)
 {
-    const io::ArtifactReader reader(path, io::kSchemaCalibration,
-                                    kCalibrationSchemaVersion, limits);
-    const ModelFingerprint fp = readFingerprint(reader);
-    (void)readCalibration(reader);
-
-    // Every predictor chunk must parse and agree with the fingerprint's
-    // layer count and hidden size.
-    for (std::uint64_t l = 0; l < fp.numLayers; ++l)
-        for (std::uint32_t tag : {predictorHTag(l), predictorCTag(l)})
-            if (readDistribution(reader, tag).dim != fp.hiddenSize)
-                throw ArtifactError(
-                    ErrorKind::Malformed,
-                    "verifyCalibrationFile: " + path +
-                        ": predictor chunk inconsistent with "
-                        "fingerprint");
+    (void)parseCalibration(path, limits);
 }
 
 } // namespace core

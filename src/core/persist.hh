@@ -41,17 +41,16 @@ void saveCalibration(const MemoryFriendlyLstm &mf,
  * Restore a saved calibration into @p mf: predictor bin counts into the
  * runner, the Calibration struct into the facade. Either completes
  * fully or throws io::ArtifactError leaving @p mf uncalibrated
- * (ErrorKind::Stale when the file belongs to a different model). When
- * @p obs is non-null a rejection bumps artifact_load_rejected_total.
+ * (ErrorKind::Stale when the file belongs to a different model).
  */
 void loadCalibration(MemoryFriendlyLstm &mf, const std::string &path,
-                     const io::ArtifactLimits &limits = {},
-                     obs::Observer *obs = nullptr);
+                     const io::ArtifactLimits &limits = {});
 
 /**
- * Structural deep-verification for `mflstm fsck`: parse every chunk and
- * check internal consistency (without a model, staleness cannot be
- * checked). @throws io::ArtifactError on any defect.
+ * Structural deep-verification for `mflstm fsck`: loadCalibration's
+ * parse alone, every chunk and its consistency with the fingerprint
+ * (without a model, staleness cannot be checked).
+ * @throws io::ArtifactError on any defect.
  */
 void verifyCalibrationFile(const std::string &path,
                            const io::ArtifactLimits &limits = {});

@@ -141,37 +141,29 @@ Replica::rebuildEngine()
     engine_.reset();  // joins the old workers first
 
     const std::string path = store_->path(kEngineStateArtifact);
-    bool warm_ok = false;
-    if (store_->exists(kEngineStateArtifact)) {
-        try {
-            const serve::EngineWarmState warm =
-                serve::loadEngineState(path, {}, &obs_);
+    io::loadOrRebuild(
+        path, &obs_,
+        [&] {
             engine_ = std::make_unique<serve::InferenceEngine>(
-                *mf_, engineOpts_, warm);
-            warm_ok = true;
-        } catch (const io::ArtifactError &) {
-            // Quarantine-and-recompute (DESIGN.md §11): move the
-            // damaged artifact aside and fall through to a cold boot.
-            // The loader or the warm constructor already counted the
-            // rejection.
-            io::quarantine(path);
-            m_.coldRecoveries.add();
-        }
-    }
-    if (!warm_ok) {
-        engine_ =
-            std::make_unique<serve::InferenceEngine>(*mf_, engineOpts_);
-        // Heal (or seed) the shared store so the next sibling can warm
-        // boot. The single-writer lock keeps two replicas recovering
-        // at once from interleaving the save; losing the race just
-        // means someone else is already writing an equivalent state.
-        try {
-            const io::ArtifactStore::WriteLock lock =
-                store_->lockForWrite(kEngineStateArtifact);
-            serve::saveEngineState(*engine_, path);
-        } catch (const io::ArtifactError &) {
-        }
-    }
+                *mf_, engineOpts_, serve::loadEngineState(path));
+        },
+        [&](const io::LoadReport &report) {
+            if (report.error)
+                m_.coldRecoveries.add();
+            engine_ = std::make_unique<serve::InferenceEngine>(
+                *mf_, engineOpts_);
+            // Heal (or seed) the shared store so the next sibling can
+            // warm boot. The single-writer lock keeps two replicas
+            // recovering at once from interleaving the save; losing
+            // the race just means someone else is already writing an
+            // equivalent state.
+            try {
+                const io::ArtifactStore::WriteLock lock =
+                    store_->lockForWrite(kEngineStateArtifact);
+                serve::saveEngineState(*engine_, path);
+            } catch (const io::ArtifactError &) {
+            }
+        });
 }
 
 void

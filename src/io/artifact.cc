@@ -609,15 +609,31 @@ isArtifactFile(const std::string &path, std::uint32_t *schema_kind)
 }
 
 void
-recordRejection(obs::Observer *obs, ErrorKind kind)
+loadOrRebuild(const std::string &path, obs::Observer *obs,
+              const std::function<void()> &load,
+              const std::function<void(const LoadReport &)> &rebuild)
 {
-    if (!obs)
-        return;
-    obs->metrics().counter("artifact_load_rejected_total").add();
-    obs->metrics()
-        .counter(std::string("artifact_load_rejected_total{reason=") +
-                 toString(kind) + "}")
-        .add();
+    LoadReport report;
+    std::error_code ec;
+    if (std::filesystem::exists(path, ec)) {
+        try {
+            load();
+            return;
+        } catch (const ArtifactError &e) {
+            report.error = e;
+            if (obs) {
+                obs->metrics().counter("artifact_load_rejected_total").add();
+                obs->metrics()
+                    .counter(std::string("artifact_load_rejected_total"
+                                         "{reason=") +
+                             toString(e.kind()) + "}")
+                    .add();
+            }
+            if (e.kind() != ErrorKind::Io)
+                report.quarantinedTo = quarantine(path);
+        }
+    }
+    rebuild(report);
 }
 
 } // namespace io

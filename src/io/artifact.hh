@@ -20,8 +20,8 @@
  * the target, so a crash at any point leaves either the old file or the
  * new one — never a partial artifact.
  *
- * Failures are typed (ArtifactError::Kind); callers implement the
- * recovery policy (quarantine + recompute) rather than aborting.
+ * Failures are typed (ArtifactError::Kind). Every cache site applies
+ * the one recovery policy, loadOrRebuild: count, quarantine, rebuild.
  */
 
 #ifndef MFLSTM_IO_ARTIFACT_HH
@@ -29,6 +29,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -447,12 +449,32 @@ std::string quarantine(const std::string &path) noexcept;
 bool isArtifactFile(const std::string &path,
                     std::uint32_t *schema_kind = nullptr);
 
+/** Why loadOrRebuild is rebuilding; its rebuild step receives it. */
+struct LoadReport
+{
+    /// the load step's error; empty when the file was absent
+    std::optional<ArtifactError> error;
+    /// where the rejected file went; "" when it stayed in place (an Io
+    /// error, or the rename failed)
+    std::string quarantinedTo;
+};
+
 /**
- * Bump the artifact rejection counters on @p obs (no-op when null):
- * artifact_load_rejected_total and its per-reason sibling
- * artifact_load_rejected_total{reason=<kind>}.
+ * The recovery policy for a cached artifact at @p path (DESIGN.md
+ * §11). A missing file is absent. Otherwise @p load runs; when it
+ * returns, the artifact is loaded and nothing else happens. When it
+ * throws ArtifactError the file is rejected: the rejection is counted
+ * on @p obs (no-op when null) in artifact_load_rejected_total and
+ * artifact_load_rejected_total{reason=<kind>}, and the file is
+ * quarantined unless the error is an Io one (an unreadable file is not
+ * known to be damaged). Absent or rejected, @p rebuild then runs with
+ * the report to recompute and save the artifact. Other exceptions,
+ * from either step, propagate.
  */
-void recordRejection(obs::Observer *obs, ErrorKind kind);
+void loadOrRebuild(
+    const std::string &path, obs::Observer *obs,
+    const std::function<void()> &load,
+    const std::function<void(const LoadReport &)> &rebuild);
 
 } // namespace io
 } // namespace mflstm

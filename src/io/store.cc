@@ -42,13 +42,6 @@ ArtifactStore::path(const std::string &name) const
     return dir_ + "/" + name;
 }
 
-bool
-ArtifactStore::exists(const std::string &name) const
-{
-    std::error_code ec;
-    return fs::is_regular_file(path(name), ec);
-}
-
 std::string
 ArtifactStore::lockPath(const std::string &name) const
 {

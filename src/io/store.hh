@@ -44,9 +44,6 @@ class ArtifactStore
      */
     std::string path(const std::string &name) const;
 
-    /** Does artifact @p name exist (any readable file counts)? */
-    bool exists(const std::string &name) const;
-
     /** Holds the single-writer lock for one artifact until destroyed. */
     class WriteLock
     {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "obs/observer.hh"
-
 namespace mflstm {
 namespace nn {
 
@@ -110,8 +108,10 @@ readTensor(io::ByteReader &r, float *dst, std::size_t expected,
     std::copy(v.begin(), v.end(), dst);
 }
 
+} // anonymous namespace
+
 LstmModel
-readModel(const std::string &path, const io::ArtifactLimits &limits)
+loadModel(const std::string &path, const io::ArtifactLimits &limits)
 {
     const io::ArtifactReader reader(path, io::kSchemaModel,
                                     kModelSchemaVersion, limits);
@@ -151,8 +151,6 @@ readModel(const std::string &path, const io::ArtifactLimits &limits)
     return model;
 }
 
-} // anonymous namespace
-
 void
 saveModel(const LstmModel &model, const std::string &path)
 {
@@ -180,18 +178,6 @@ saveModel(const LstmModel &model, const std::string &path)
     h.f32Array({model.head().b.data(), model.head().b.size()});
 
     w.commit(path);
-}
-
-LstmModel
-loadModel(const std::string &path, const io::ArtifactLimits &limits,
-          obs::Observer *obs)
-{
-    try {
-        return readModel(path, limits);
-    } catch (const ArtifactError &e) {
-        io::recordRejection(obs, e.kind());
-        throw;
-    }
 }
 
 void

@@ -18,10 +18,6 @@
 #include "nn/model.hh"
 
 namespace mflstm {
-namespace obs {
-class Observer;
-} // namespace obs
-
 namespace nn {
 
 /**
@@ -34,13 +30,10 @@ void saveModel(const LstmModel &model, const std::string &path);
  * Read a v2 model artifact from @p path. Either returns a fully
  * validated model or throws io::ArtifactError (a std::runtime_error)
  * with a typed reason; it never allocates from an unvalidated header
- * and never returns a partially-read model. When @p obs is non-null a
- * rejection bumps artifact_load_rejected_total with the reason label
- * before the error propagates.
+ * and never returns a partially-read model.
  */
 LstmModel loadModel(const std::string &path,
-                    const io::ArtifactLimits &limits = {},
-                    obs::Observer *obs = nullptr);
+                    const io::ArtifactLimits &limits = {});
 
 /**
  * loadModel and discard — the deep verification behind `mflstm fsck`.

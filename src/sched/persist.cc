@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
 
 namespace mflstm {
 namespace sched {
@@ -336,26 +335,19 @@ saveTunedPlan(const TunedPlanArtifact &artifact, const std::string &path)
 TunedPlanArtifact
 loadTunedPlan(const std::string &path, const gpu::GpuConfig &gpu,
               const TuneRequest &req, std::uint32_t weights_crc,
-              const io::ArtifactLimits &limits, obs::Observer *obs)
+              const io::ArtifactLimits &limits)
 {
-    try {
-        TunedPlanArtifact art = parse(path, limits);
-        if (!(art.fingerprint == fingerprintOf(req, weights_crc)))
-            fail(io::ErrorKind::Stale,
-                 "fingerprint does not match this model/request");
-        if (serializeGpuConfig(art.gpu) != serializeGpuConfig(gpu))
-            fail(io::ErrorKind::Stale,
-                 "tuned for a different GpuConfig");
-        if (art.shape != req.shape)
-            fail(io::ErrorKind::Stale,
-                 "tuned for a different timing shape");
+    TunedPlanArtifact art = parse(path, limits);
+    if (!(art.fingerprint == fingerprintOf(req, weights_crc)))
+        fail(io::ErrorKind::Stale,
+             "fingerprint does not match this model/request");
+    if (serializeGpuConfig(art.gpu) != serializeGpuConfig(gpu))
+        fail(io::ErrorKind::Stale, "tuned for a different GpuConfig");
+    if (art.shape != req.shape)
+        fail(io::ErrorKind::Stale, "tuned for a different timing shape");
 
-        checkMeasured(art);
-        return art;
-    } catch (const io::ArtifactError &e) {
-        io::recordRejection(obs, e.kind());
-        throw;
-    }
+    checkMeasured(art);
+    return art;
 }
 
 void
@@ -373,24 +365,24 @@ tuneCached(const runtime::NetworkExecutor &exec, const TuneRequest &req,
 {
     req.validate();
 
-    std::error_code ec;
-    if (!force && std::filesystem::exists(path, ec)) {
-        try {
-            return resultFromArtifact(loadTunedPlan(
-                path, exec.config(), req, weights_crc, limits, obs));
-        } catch (const io::ArtifactError &e) {
-            // Rejection already counted by loadTunedPlan; move the bad
-            // file aside and fall through to a fresh search.
-            if (e.kind() != io::ErrorKind::Io)
-                io::quarantine(path);
-        }
-    }
-
-    TuneResult fresh = tune(exec, req);
-    saveTunedPlan(
-        makeTunedPlanArtifact(req, weights_crc, exec.config(), fresh),
-        path);
-    return fresh;
+    TuneResult result;
+    const auto search = [&](const io::LoadReport &) {
+        result = tune(exec, req);
+        saveTunedPlan(
+            makeTunedPlanArtifact(req, weights_crc, exec.config(), result),
+            path);
+    };
+    if (force)
+        search({});
+    else
+        io::loadOrRebuild(
+            path, obs,
+            [&] {
+                result = resultFromArtifact(loadTunedPlan(
+                    path, exec.config(), req, weights_crc, limits));
+            },
+            search);
+    return result;
 }
 
 } // namespace sched

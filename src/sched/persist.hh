@@ -127,14 +127,12 @@ void saveTunedPlan(const TunedPlanArtifact &artifact,
  * Load and fully validate a tuned plan: structure, fingerprint against
  * (@p req, @p weights_crc, @p gpu), decision validity, and measured
  * re-simulation. @throws io::ArtifactError (Stale on any expectation
- * mismatch or score the simulator cannot reproduce). When @p obs is
- * non-null a rejection bumps artifact_load_rejected_total.
+ * mismatch or score the simulator cannot reproduce).
  */
 TunedPlanArtifact
 loadTunedPlan(const std::string &path, const gpu::GpuConfig &gpu,
               const TuneRequest &req, std::uint32_t weights_crc,
-              const io::ArtifactLimits &limits = {},
-              obs::Observer *obs = nullptr);
+              const io::ArtifactLimits &limits = {});
 
 /**
  * Deep verification for `mflstm fsck`: parse every chunk, validate the
@@ -151,9 +149,10 @@ void verifyTunedPlanFile(const std::string &path,
  * return the cached result when @p path holds a valid, fresh tuned
  * plan for this request (result.fromCache = true, search skipped);
  * otherwise run tune(), save the artifact, and return the fresh
- * result. A corrupt or stale cache file is quarantined (*.corrupt) and
- * counted via recordRejection, never trusted and never fatal. With
- * @p force the cache is ignored (but still rewritten).
+ * result. A corrupt or stale cache file goes through
+ * io::loadOrRebuild (counted on @p obs, quarantined, re-tuned), never
+ * trusted and never fatal. With @p force the cache is ignored (but
+ * still rewritten).
  *
  * On a cache hit only the chosen candidate carries a plan; the other
  * table rows are label/score summaries.

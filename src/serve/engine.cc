@@ -220,30 +220,26 @@ InferenceEngine::InferenceEngine(const core::MemoryFriendlyLstm &mf,
                                  const EngineWarmState &warm)
     : InferenceEngine(mf, opts, Preamble{})
 {
+    using io::ArtifactError;
     using io::ErrorKind;
-    // Each rejection is counted here, where it is detected.
-    const auto reject = [this](ErrorKind kind, const std::string &what) {
-        io::recordRejection(obs_, kind);
-        return io::ArtifactError(kind, what);
-    };
 
     if (warm.ladder.empty() || warm.ladder.size() != warm.plans.size())
-        throw reject(
+        throw ArtifactError(
             ErrorKind::Malformed,
             "InferenceEngine: warm state ladder/plan mismatch");
     if (warm.modelWeightsCrc !=
         core::modelWeightsCrc(mf.runner().model()))
-        throw reject(
+        throw ArtifactError(
             ErrorKind::Stale,
             "InferenceEngine: warm state was saved from a different "
             "model (weights CRC mismatch)");
     if (!(warm.shape == shape_))
-        throw reject(
+        throw ArtifactError(
             ErrorKind::Stale,
             "InferenceEngine: warm state was saved for a different "
             "timing shape");
     if (warm.plan != opts_.plan)
-        throw reject(
+        throw ArtifactError(
             ErrorKind::Stale,
             "InferenceEngine: warm state was saved under a different "
             "plan kind");
@@ -254,19 +250,19 @@ InferenceEngine::InferenceEngine(const core::MemoryFriendlyLstm &mf,
                         return (p.kind == runtime::PlanKind::Tuned) !=
                                opts_.tunePlans;
                     }))
-        throw reject(
+        throw ArtifactError(
             ErrorKind::Stale,
             "InferenceEngine: warm state tuning mode does not match "
             "Options::tunePlans");
     if (warm.backendId != opts_.backendId)
-        throw reject(
+        throw ArtifactError(
             ErrorKind::Stale,
             "InferenceEngine: warm state was saved under backend '" +
                 warm.backendId + "' but this engine runs '" +
                 opts_.backendId + "'");
     if (!opts_.governorLadder.empty() &&
         !(warm.ladder == opts_.governorLadder))
-        throw reject(
+        throw ArtifactError(
             ErrorKind::Stale,
             "InferenceEngine: warm state ladder does not match "
             "Options::governorLadder");

@@ -230,9 +230,7 @@ class InferenceEngine
      *
      * @throws io::ArtifactError(ErrorKind::Stale) when @p warm belongs
      *         to a different model, shape or plan configuration;
-     *         ErrorKind::Malformed on an inconsistent state. Either
-     *         rejection first bumps artifact_load_rejected_total on
-     *         the engine's observer.
+     *         ErrorKind::Malformed on an inconsistent state.
      * @throws std::logic_error when the state needs layer division but
      *         @p mf is not calibrated.
      */

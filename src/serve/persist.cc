@@ -15,8 +15,9 @@ using io::ErrorKind;
 
 /**
  * The one schema version this build reads and writes. Files of any
- * other version are rejected BadVersion; the serve CLI and the fleet
- * replica quarantine them and rebuild cold (DESIGN.md §11).
+ * other version are rejected BadVersion; io::loadOrRebuild quarantines
+ * them and the serve CLI or the fleet replica rebuilds cold (DESIGN.md
+ * §11).
  */
 constexpr std::uint32_t kEngineSchemaVersion = 7;
 
@@ -122,17 +123,11 @@ saveEngineState(const InferenceEngine &engine, const std::string &path)
 }
 
 EngineWarmState
-loadEngineState(const std::string &path, const io::ArtifactLimits &limits,
-                obs::Observer *obs)
+loadEngineState(const std::string &path, const io::ArtifactLimits &limits)
 {
-    try {
-        const io::ArtifactReader reader(path, io::kSchemaEngineState,
-                                        kEngineSchemaVersion, limits);
-        return parseState(reader);
-    } catch (const ArtifactError &e) {
-        io::recordRejection(obs, e.kind());
-        throw;
-    }
+    const io::ArtifactReader reader(path, io::kSchemaEngineState,
+                                    kEngineSchemaVersion, limits);
+    return parseState(reader);
 }
 
 } // namespace serve

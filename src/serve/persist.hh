@@ -33,12 +33,10 @@ void saveEngineState(const EngineWarmState &state,
  * Load a warm state. Structural validation only — the model/shape
  * fingerprint is checked by the warm InferenceEngine constructor,
  * which is the first point where the live model is available.
- * @throws io::ArtifactError on any defect; when @p obs is non-null a
- * rejection bumps artifact_load_rejected_total first.
+ * @throws io::ArtifactError on any defect.
  */
 EngineWarmState loadEngineState(const std::string &path,
-                                const io::ArtifactLimits &limits = {},
-                                obs::Observer *obs = nullptr);
+                                const io::ArtifactLimits &limits = {});
 
 } // namespace serve
 } // namespace mflstm

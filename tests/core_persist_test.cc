@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 
 #include <unistd.h>
 
@@ -215,17 +216,25 @@ TEST_F(PersistTest, CorruptCalibrationRejectedAndCounted)
         f.write(&b, 1);
     }
 
+    EXPECT_THROW(verifyCalibrationFile(path_), io::ArtifactError);
+
+    // The serve CLI's warm restart: counted and moved aside by the one
+    // recovery path, and the facade is left for the rebuild step.
     obs::Observer obs;
     MemoryFriendlyLstm fresh(model, mfConfig());
-    EXPECT_THROW(
-        loadCalibration(fresh, path_, io::ArtifactLimits{}, &obs),
-        io::ArtifactError);
+    std::optional<io::LoadReport> report;  // set when rebuilt
+    io::loadOrRebuild(
+        path_, &obs, [&] { loadCalibration(fresh, path_); },
+        [&](const io::LoadReport &seen) { report = seen; });
+    ASSERT_TRUE(report.has_value());
+    ASSERT_TRUE(report->error.has_value());
     EXPECT_FALSE(fresh.calibrated());
+    EXPECT_EQ(report->quarantinedTo, path_ + ".corrupt");
+    std::remove(report->quarantinedTo.c_str());
     EXPECT_EQ(obs.metrics()
                   .counter("artifact_load_rejected_total")
                   .value(),
               1.0);
-    EXPECT_THROW(verifyCalibrationFile(path_), io::ArtifactError);
 }
 
 TEST_F(PersistTest, TruncatedCalibrationRejected)

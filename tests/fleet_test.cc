@@ -140,7 +140,8 @@ TEST_F(FleetTest, BootSeedsStoreAndServesBitIdentically)
 
     // Replica 0 seeded the shared store; replica 1 warm-booted from
     // it (no cold recovery was needed on either side).
-    EXPECT_TRUE(fleet.store().exists(fleet::kEngineStateArtifact));
+    EXPECT_TRUE(std::filesystem::exists(
+        fleet.store().path(fleet::kEngineStateArtifact)));
     EXPECT_EQ(fleet.replica(0).counters().coldRecoveries, 0u);
     EXPECT_EQ(fleet.replica(1).counters().coldRecoveries, 0u);
 
@@ -253,15 +254,16 @@ TEST_F(FleetTest, CorruptRestartQuarantinesAndColdRebuilds)
     const std::string artifact =
         fleet.store().path(fleet::kEngineStateArtifact);
     EXPECT_TRUE(std::filesystem::exists(artifact + ".corrupt"));
-    EXPECT_TRUE(fleet.store().exists(fleet::kEngineStateArtifact));
+    EXPECT_TRUE(std::filesystem::exists(
+        fleet.store().path(fleet::kEngineStateArtifact)));
     EXPECT_GE(fleet.observer()
                   .metrics()
                   .counter("fleet.cold_recovery_total",
                            {{"replica", "r0"}})
                   .value(),
               1.0);
-    // The checksum failure is one rejection, counted where the loader
-    // detected it.
+    // The checksum failure is one rejection, counted once by
+    // io::loadOrRebuild.
     EXPECT_EQ(fleet.observer()
                   .metrics()
                   .counter("artifact_load_rejected_total")

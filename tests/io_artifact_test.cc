@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -505,29 +507,6 @@ TEST_F(ArtifactTest, CommitToUnwritableDirectoryThrowsIo)
     }
 }
 
-TEST_F(ArtifactTest, RecordRejectionBumpsReasonCounter)
-{
-    obs::Observer obs;
-    recordRejection(&obs, ErrorKind::ChecksumMismatch);
-    recordRejection(&obs, ErrorKind::ChecksumMismatch);
-    recordRejection(&obs, ErrorKind::Stale);
-    recordRejection(nullptr, ErrorKind::Io);  // no-op, no crash
-
-    EXPECT_EQ(obs.metrics()
-                  .counter("artifact_load_rejected_total")
-                  .value(),
-              3.0);
-    EXPECT_EQ(obs.metrics()
-                  .counter("artifact_load_rejected_total"
-                           "{reason=checksum_mismatch}")
-                  .value(),
-              2.0);
-    EXPECT_EQ(obs.metrics()
-                  .counter("artifact_load_rejected_total{reason=stale}")
-                  .value(),
-              1.0);
-}
-
 TEST_F(ArtifactTest, Crc32MatchesKnownVector)
 {
     // Standard check value for the IEEE 802.3 polynomial.
@@ -543,6 +522,97 @@ TEST_F(ArtifactTest, ErrorKindLabelsAreStable)
     EXPECT_STREQ(toString(ErrorKind::LimitExceeded), "limit_exceeded");
     EXPECT_STREQ(toString(ErrorKind::NonFinite), "non_finite");
     EXPECT_STREQ(toString(ErrorKind::Stale), "stale");
+}
+
+// The one recovery policy every cache site runs (DESIGN.md §11). The
+// load step reads sampleContainer's schema and treats a first chunk
+// whose u32 is not 42 as built for something else (Stale).
+TEST_F(ArtifactTest, LoadOrRebuildCountsQuarantinesAndRebuilds)
+{
+    std::vector<std::uint8_t> flipped = sampleContainer();
+    flipped[flipped.size() - 3] ^= 0x40;
+    std::vector<std::uint8_t> bad_magic = sampleContainer();
+    bad_magic[0] ^= 0xff;
+    ArtifactWriter stale_writer(kSchemaModel, 7);
+    stale_writer.chunk(fourcc('A', 'A', 'A', 'A')).u32(41);
+
+    struct Row
+    {
+        const char *name;
+        std::function<void()> place;  ///< what sits at path_, if anything
+        bool loads;          ///< the load step succeeds: no rebuild
+        const char *reason;  ///< the reason= counter bumped, if any
+        bool quarantined;
+    };
+    const std::vector<Row> rows = {
+        {"absent", [] {}, false, nullptr, false},
+        {"valid", [&] { writeBytes(sampleContainer()); }, true, nullptr,
+         false},
+        {"checksum flip", [&] { writeBytes(flipped); }, false,
+         "checksum_mismatch", true},
+        {"stale", [&] { writeBytes(stale_writer.serialize()); }, false,
+         "stale", true},
+        {"two bytes", [&] { writeBytes({0x4d, 0x46}); }, false,
+         "truncated", true},
+        {"bad magic", [&] { writeBytes(bad_magic); }, false, "bad_magic",
+         true},
+        // A directory cannot be read: an Io error says nothing about
+        // the bytes, so the path stays where it is.
+        {"io", [&] { std::filesystem::create_directory(path_); }, false,
+         "io_error", false},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.name);
+        std::filesystem::remove_all(dir_);
+        std::filesystem::create_directories(dir_);
+        row.place();
+
+        obs::Observer obs;
+        std::optional<LoadReport> report;  // set when rebuilt
+        loadOrRebuild(
+            path_, &obs,
+            [&] {
+                const ArtifactReader r(path_, kSchemaModel, 7);
+                ByteReader a = r.chunk(fourcc('A', 'A', 'A', 'A'));
+                if (a.u32() != 42)
+                    a.fail(ErrorKind::Stale, "built for another input");
+            },
+            [&](const LoadReport &seen) { report = seen; });
+
+        ASSERT_EQ(report.has_value(), !row.loads);
+        EXPECT_EQ(obs.metrics()
+                      .counter("artifact_load_rejected_total")
+                      .value(),
+                  row.reason ? 1.0 : 0.0);
+        if (report) {
+            ASSERT_EQ(report->error.has_value(), row.reason != nullptr);
+            EXPECT_EQ(report->quarantinedTo,
+                      row.quarantined ? path_ + ".corrupt" : "");
+        }
+        if (row.reason) {
+            EXPECT_STREQ(toString(report->error->kind()), row.reason);
+            EXPECT_EQ(obs.metrics()
+                          .counter(std::string("artifact_load_rejected_"
+                                               "total{reason=") +
+                                   row.reason + "}")
+                          .value(),
+                      1.0);
+        }
+        EXPECT_EQ(std::filesystem::exists(path_ + ".corrupt"),
+                  row.quarantined);
+        EXPECT_EQ(std::filesystem::exists(path_),
+                  row.loads || (row.reason != nullptr && !row.quarantined));
+    }
+
+    // Without an observer nothing is counted; the policy is the same.
+    std::filesystem::remove_all(path_);
+    writeBytes(flipped);
+    std::string quarantinedTo;
+    loadOrRebuild(
+        path_, nullptr,
+        [&] { const ArtifactReader r(path_, kSchemaModel, 7); },
+        [&](const LoadReport &seen) { quarantinedTo = seen.quarantinedTo; });
+    EXPECT_EQ(quarantinedTo, path_ + ".corrupt");
 }
 
 } // namespace

@@ -54,7 +54,7 @@ TEST_F(StoreTest, CreatesDirectoryAndResolvesPaths)
     EXPECT_TRUE(std::filesystem::is_directory(sub));
     EXPECT_EQ(store.path("model.bin"),
               (std::filesystem::path(sub) / "model.bin").string());
-    EXPECT_FALSE(store.exists("model.bin"));
+    EXPECT_FALSE(std::filesystem::exists(store.path("model.bin")));
 }
 
 TEST_F(StoreTest, RejectsNamesThatEscapeTheDirectory)

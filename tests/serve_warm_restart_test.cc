@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <optional>
 #include <vector>
 
 #include <unistd.h>
@@ -206,20 +207,23 @@ TEST_F(WarmRestartTest, StateForDifferentOptionsRejected)
         serve::saveEngineState(engine, path_);
     }
     // The load itself is clean; the warm constructor detects the
-    // staleness and counts it, once, on the engine's observer.
-    obs::Observer obs;
-    const serve::EngineWarmState warm =
-        serve::loadEngineState(path_, io::ArtifactLimits{}, &obs);
-
+    // staleness, and the recovery path counts it once.
     serve::InferenceEngine::Options opts = engineOptions();
     opts.plan = runtime::PlanKind::InterCell;
-    opts.observer = &obs;
-    try {
-        serve::InferenceEngine engine(mf, opts, warm);
-        FAIL() << "warm state for different plan kind accepted";
-    } catch (const io::ArtifactError &e) {
-        EXPECT_EQ(e.kind(), io::ErrorKind::Stale);
-    }
+    obs::Observer obs;
+    std::optional<io::LoadReport> report;  // set when rebuilt
+    io::loadOrRebuild(
+        path_, &obs,
+        [&] {
+            serve::InferenceEngine engine(mf, opts,
+                                          serve::loadEngineState(path_));
+        },
+        [&](const io::LoadReport &seen) { report = seen; });
+    ASSERT_TRUE(report.has_value());
+    ASSERT_TRUE(report->error.has_value());
+    EXPECT_EQ(report->error->kind(), io::ErrorKind::Stale);
+    EXPECT_EQ(report->quarantinedTo, path_ + ".corrupt");
+    std::remove(report->quarantinedTo.c_str());
     EXPECT_EQ(obs.metrics()
                   .counter("artifact_load_rejected_total")
                   .value(),
@@ -249,13 +253,15 @@ TEST_F(WarmRestartTest, CorruptStateFileRejectedAndCounted)
     }
 
     obs::Observer obs;
-    try {
-        (void)serve::loadEngineState(path_, io::ArtifactLimits{},
-                                     &obs);
-        FAIL() << "corrupt engine state loaded";
-    } catch (const io::ArtifactError &e) {
-        EXPECT_EQ(e.kind(), io::ErrorKind::ChecksumMismatch);
-    }
+    std::optional<io::LoadReport> report;  // set when rebuilt
+    io::loadOrRebuild(
+        path_, &obs, [&] { (void)serve::loadEngineState(path_); },
+        [&](const io::LoadReport &seen) { report = seen; });
+    ASSERT_TRUE(report.has_value());
+    ASSERT_TRUE(report->error.has_value());
+    EXPECT_EQ(report->error->kind(), io::ErrorKind::ChecksumMismatch);
+    EXPECT_EQ(report->quarantinedTo, path_ + ".corrupt");
+    std::remove(report->quarantinedTo.c_str());
     EXPECT_EQ(obs.metrics()
                   .counter("artifact_load_rejected_total")
                   .value(),

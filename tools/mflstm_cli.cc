@@ -105,8 +105,10 @@
  *   --quarantine       rename corrupt files to <name>.corrupt
  *   exit status: 0 = everything verified, 1 = corruption found
  *
- * Corrupt cache artifacts never abort a run: they are quarantined
- * (renamed *.corrupt), counted in artifact_load_rejected_total, and
+ * Every cache artifact loads through io::loadOrRebuild, so a rejected
+ * one never aborts a run: it is counted in
+ * artifact_load_rejected_total{reason=...}, quarantined (renamed
+ * *.corrupt; an unreadable file, reason io_error, stays in place) and
  * recomputed.
  *
  * Any unrecognised argument prints usage and exits with status 2.
@@ -312,7 +314,7 @@ cmdRun(const Options &opt)
     AppContext app;
     {
         auto ph = obs::Observer::phase(obs, "app-setup");
-        app = makeApp(workloads::benchmarkByName(opt.app));
+        app = makeApp(workloads::benchmarkByName(opt.app), obs);
     }
     auto mf = std::make_unique<core::MemoryFriendlyLstm>(
         *app.model,
@@ -392,7 +394,7 @@ cmdSweep(const Options &opt)
     AppContext app;
     {
         auto ph = obs::Observer::phase(obs, "app-setup");
-        app = makeApp(workloads::benchmarkByName(opt.app));
+        app = makeApp(workloads::benchmarkByName(opt.app), obs);
     }
     auto mf = std::make_unique<core::MemoryFriendlyLstm>(
         *app.model,
@@ -470,7 +472,7 @@ cmdProfile(const Options &opt)
     AppContext app;
     {
         auto ph = obs::Observer::phase(obs, "app-setup");
-        app = makeApp(workloads::benchmarkByName(opt.app));
+        app = makeApp(workloads::benchmarkByName(opt.app), obs);
     }
     auto mf = std::make_unique<core::MemoryFriendlyLstm>(
         *app.model,
@@ -598,7 +600,7 @@ cmdTune(const Options &opt)
     AppContext app;
     {
         auto ph = obs::Observer::phase(obs, "app-setup");
-        app = makeApp(workloads::benchmarkByName(opt.app));
+        app = makeApp(workloads::benchmarkByName(opt.app), obs);
     }
     auto mf = std::make_unique<core::MemoryFriendlyLstm>(
         *app.model,
@@ -821,7 +823,7 @@ cmdServe(const Options &opt)
     AppContext app;
     {
         auto ph = obs::Observer::phase(obs, "app-setup");
-        app = makeApp(workloads::benchmarkByName(opt.app));
+        app = makeApp(workloads::benchmarkByName(opt.app), obs);
     }
     auto mf = std::make_unique<core::MemoryFriendlyLstm>(
         *app.model,
@@ -832,28 +834,26 @@ cmdServe(const Options &opt)
     const std::string enginePath = opt.stateDir + "/engine_state.bin";
 
     // Warm restart, half 1: a saved calibration skips the offline MTS
-    // sweep + predictor collection. A corrupt or stale file is
-    // quarantined and the cold path recomputes it.
-    bool warmCalibration = false;
-    if (!opt.stateDir.empty() &&
-        std::filesystem::exists(calibPath)) {
-        try {
-            core::loadCalibration(*mf, calibPath, {}, obs);
-            warmCalibration = true;
-            std::fprintf(stderr, "[serve] calibration restored from %s\n",
-                         calibPath.c_str());
-        } catch (const io::ArtifactError &e) {
-            const std::string moved = io::quarantine(calibPath);
-            std::fprintf(stderr,
-                         "[serve] %s rejected (%s); quarantined to %s; "
-                         "recalibrating\n",
-                         calibPath.c_str(), io::toString(e.kind()),
-                         moved.empty() ? "(rename failed)"
-                                       : moved.c_str());
-        }
-    }
-    if (!warmCalibration)
+    // sweep + predictor collection.
+    const auto calibrate = [&] {
         mf->calibrate(app.data.calibrationSequences(kCalibrationSeqs));
+    };
+    if (opt.stateDir.empty())
+        calibrate();
+    else
+        io::loadOrRebuild(
+            calibPath, obs,
+            [&] {
+                core::loadCalibration(*mf, calibPath);
+                std::fprintf(stderr,
+                             "[serve] calibration restored from %s\n",
+                             calibPath.c_str());
+            },
+            [&](const io::LoadReport &report) {
+                logRejection("serve", calibPath, report,
+                             "recalibrating");
+                calibrate();
+            });
     auto ladder = mf->calibration().ladder();
     for (core::ThresholdSet &set : ladder)
         set.quant = opt.quantMode;
@@ -893,28 +893,7 @@ cmdServe(const Options &opt)
     // Warm restart, half 2: a saved engine state skips the per-rung
     // snapshots (and, under --governor, the AO/BPA locating sweep).
     std::unique_ptr<serve::InferenceEngine> engine;
-    if (!opt.stateDir.empty() &&
-        std::filesystem::exists(enginePath)) {
-        try {
-            const serve::EngineWarmState warm =
-                serve::loadEngineState(enginePath, {}, obs);
-            engine = std::make_unique<serve::InferenceEngine>(
-                *mf, eopts, warm);
-            std::fprintf(stderr,
-                         "[serve] engine warm-started from %s "
-                         "(%zu rung(s))\n",
-                         enginePath.c_str(), engine->ladder().size());
-        } catch (const io::ArtifactError &e) {
-            const std::string moved = io::quarantine(enginePath);
-            std::fprintf(stderr,
-                         "[serve] %s rejected (%s); quarantined to %s; "
-                         "cold start\n",
-                         enginePath.c_str(), io::toString(e.kind()),
-                         moved.empty() ? "(rename failed)"
-                                       : moved.c_str());
-        }
-    }
-    if (!engine) {
+    const auto coldStart = [&] {
         if (opt.governor) {
             // Sweep the full ladder once to locate this app's AO and
             // BPA sets, then serve on the AO->BPA slice between them.
@@ -926,7 +905,24 @@ cmdServe(const Options &opt)
                 app.data.calibrationSequences(kCalibrationSeqs);
         }
         engine = std::make_unique<serve::InferenceEngine>(*mf, eopts);
-    }
+    };
+    if (opt.stateDir.empty())
+        coldStart();
+    else
+        io::loadOrRebuild(
+            enginePath, obs,
+            [&] {
+                engine = std::make_unique<serve::InferenceEngine>(
+                    *mf, eopts, serve::loadEngineState(enginePath));
+                std::fprintf(stderr,
+                             "[serve] engine warm-started from %s "
+                             "(%zu rung(s))\n",
+                             enginePath.c_str(), engine->ladder().size());
+            },
+            [&](const io::LoadReport &report) {
+                logRejection("serve", enginePath, report, "cold start");
+                coldStart();
+            });
     serve::Session session = engine->session();
 
     if (!opt.stateDir.empty()) {
@@ -1072,7 +1068,7 @@ cmdFleet(const Options &opt)
     AppContext app;
     {
         auto ph = obs::Observer::phase(obs, "app-setup");
-        app = makeApp(workloads::benchmarkByName(opt.app));
+        app = makeApp(workloads::benchmarkByName(opt.app), obs);
     }
     auto mf = std::make_unique<core::MemoryFriendlyLstm>(
         *app.model,
