@@ -15,6 +15,12 @@
  * enums, flags and every numeric field). A reordered kernel, a wrong
  * layer/timestep/tissue stamp or a mis-tagged batched name changes it.
  *
+ * A third fixture, tests/golden/lowering_path_digests.txt, carries the
+ * same digest for the lowering paths the first two never reach: int4
+ * codes, the dp4a backend (whose int8 dot units fold the scale stream
+ * into the accumulator epilogue) and the shared-memory residency tier,
+ * dense and over tissue waves.
+ *
  * Regenerating after an *intentional* lowering change:
  *
  *     MFLSTM_UPDATE_GOLDEN=1 ctest -R GoldenTrace
@@ -35,6 +41,7 @@
 #include <vector>
 
 #include "gpu/config.hh"
+#include "hw/backend.hh"
 #include "quant/qformat.hh"
 #include "runtime/lowering.hh"
 #include "workloads/benchmarks.hh"
@@ -327,6 +334,79 @@ TEST(GoldenTraceDigest, EveryKernelMatchesFixture)
 {
     expectMatchesFixture(digestFixture(), std::string(MFLSTM_GOLDEN_DIR) +
                                               "/trace_digests.txt");
+}
+
+/** The Persistent preset's tissue waves with U pinned in shared memory
+ *  instead of the register file, or the dense recurrence when
+ *  @p tissues is false. */
+ExecutionPlan
+sharedResidentPlan(const runtime::NetworkShape &shape, quant::QuantMode qm,
+                   bool tissues)
+{
+    runtime::ScheduleDecisions d =
+        planFor(PlanKind::Persistent, shape, qm).decisions;
+    for (runtime::LayerSchedule &ls : d.layers) {
+        ls.residency = gpu::WeightResidency::Shared;
+        if (!tissues)
+            ls.tissueSizes.clear();
+    }
+    return ExecutionPlan::fromDecisions(std::move(d));
+}
+
+/**
+ * Digest fixture body for the paths trace_digests.txt leaves out:
+ * tx1 and dp4a x {fp32, int8, int4} x every plan kind plus the two
+ * shared-residency plans x batch {1, 3}, minus the lines
+ * trace_digests.txt already holds (tx1, fp32/int8, the plan kinds).
+ */
+std::string
+pathDigestFixture()
+{
+    const gpu::GpuConfig tx1 = gpu::GpuConfig::tegraX1();
+    const struct
+    {
+        const char *id;
+        const gpu::GpuConfig &cfg;
+    } backends[] = {{"tx1", tx1}, {"dp4a", hw::registry().get("dp4a").config}};
+    constexpr quant::QuantMode modes[] = {quant::QuantMode::Fp32,
+                                          quant::QuantMode::Int8,
+                                          quant::QuantMode::Int4};
+    std::ostringstream os;
+    for (const workloads::BenchmarkSpec &spec : workloads::tableII()) {
+        const runtime::NetworkShape shape = spec.timingShape();
+        for (const auto &backend : backends) {
+            const runtime::Lowering lowering(backend.cfg);
+            for (quant::QuantMode qm : modes) {
+                const bool covered = std::strcmp(backend.id, "tx1") == 0 &&
+                                     qm != quant::QuantMode::Int4;
+                std::vector<std::pair<std::string, ExecutionPlan>> plans;
+                if (!covered)
+                    for (PlanKind kind : kKinds)
+                        plans.emplace_back(runtime::toString(kind),
+                                           planFor(kind, shape, qm));
+                plans.emplace_back("persistent-shared",
+                                   sharedResidentPlan(shape, qm, true));
+                plans.emplace_back("resident-shared",
+                                   sharedResidentPlan(shape, qm, false));
+                for (const auto &[label, plan] : plans)
+                    for (std::size_t batch : {1u, 3u})
+                        os << spec.name << "/" << backend.id << "/"
+                           << quant::toString(qm) << "/" << label << "/b"
+                           << batch << " "
+                           << traceDigest(
+                                  lowering.lower(shape, plan, batch))
+                           << "\n";
+            }
+        }
+    }
+    return os.str();
+}
+
+TEST(GoldenTraceDigest, UncoveredPathsMatchFixture)
+{
+    expectMatchesFixture(pathDigestFixture(),
+                         std::string(MFLSTM_GOLDEN_DIR) +
+                             "/lowering_path_digests.txt");
 }
 
 } // namespace
