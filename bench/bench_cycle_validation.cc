@@ -8,6 +8,8 @@
  */
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "core/tissue.hh"
 #include "gpu/cycle_sm.hh"
@@ -35,20 +37,37 @@ main()
 
     BenchReport rep("cycle_validation");
     rep.config("gpu", cfg.name);
+    // A one-sweep layer streams U exactly once, so each lowered kernel
+    // carries the full weight footprint: a one-cell baseline layer for
+    // the Sgemv, a single MTS-sized tissue for the tissue Sgemm.
+    const auto recurrent = [&](const runtime::LstmLayerShape &layer,
+                               const runtime::ExecutionPlan &plan,
+                               gpu::KernelClass klass) {
+        for (const gpu::KernelDesc &k :
+             low.lower(runtime::NetworkShape{{layer}}, plan))
+            if (k.weightStream == gpu::WeightStream::U && k.klass == klass)
+                return k;
+        throw std::logic_error(std::string("no recurrent ") +
+                               gpu::toString(klass) + " lowered");
+    };
     for (const workloads::BenchmarkSpec &spec : workloads::tableII()) {
         const runtime::LstmLayerShape layer{
             spec.hiddenSize, spec.hiddenSize, spec.length};
-        const double u_bytes =
-            4.0 * spec.hiddenSize * spec.hiddenSize * 4.0;
 
-        const gpu::KernelDesc sgemv = low.cellSgemv(layer, u_bytes);
+        const gpu::KernelDesc sgemv = recurrent(
+            {spec.hiddenSize, spec.hiddenSize, 1}, runtime::ExecutionPlan{},
+            gpu::KernelClass::Sgemv);
         const gpu::KernelTiming a1 = timeKernel(cfg, sgemv);
         const gpu::CycleSimResult c1 = cycleSimulate(cfg, sgemv);
 
         const std::size_t mts =
             core::findMts(ex, layer, 8).mts;
-        const gpu::KernelDesc tissue =
-            low.tissueSgemm(layer, mts, u_bytes, 0.0);
+        const gpu::KernelDesc tissue = recurrent(
+            {spec.hiddenSize, spec.hiddenSize, mts},
+            runtime::ExecutionPlan::preset(runtime::PlanKind::InterCell, 1,
+                                           quant::QuantMode::Fp32,
+                                           {{mts}}),
+            gpu::KernelClass::Sgemm);
         const gpu::KernelTiming a2 = timeKernel(cfg, tissue);
         const gpu::CycleSimResult c2 = cycleSimulate(cfg, tissue);
 

@@ -344,14 +344,31 @@ TEST(Lowering, CombinedWeightTrafficBelowInterAlone)
     EXPECT_LT(rc.result.flops, ri.result.flops);
 }
 
+/**
+ * The row-skipped Sgemv(U_fic, h, R) of a one-cell H = 512 layer under
+ * preset @p kind: with a single sweep the cache model streams the full
+ * 3H x H slice, so its weight bytes are exactly the fp32 footprint.
+ */
+gpu::KernelDesc
+rowSkipKernel(PlanKind kind, double skip)
+{
+    const Lowering low(kCfg);
+    const NetworkShape shape{{LstmLayerShape{512, 512, 1}}};
+    for (const gpu::KernelDesc &k :
+         low.lower(shape, onePreset(kind, quant::QuantMode::Fp32, {},
+                                    {skip})))
+        if (k.hasRowSkipArg)
+            return k;
+    ADD_FAILURE() << "no row-skip kernel lowered";
+    return {};
+}
+
 TEST(Lowering, HwSkipSavesBandwidthSwBarely)
 {
-    Lowering low(kCfg);
-    const LstmLayerShape shape = layer512();
     const double fic = 3.0 * 512 * 512 * 4;
 
-    const auto hw = low.rowSkipSgemv(shape, fic, 0.6, true);
-    const auto sw = low.rowSkipSgemv(shape, fic, 0.6, false);
+    const auto hw = rowSkipKernel(PlanKind::IntraCellHw, 0.6);
+    const auto sw = rowSkipKernel(PlanKind::IntraCellSw, 0.6);
 
     EXPECT_NEAR(hw.dramReadBytes, fic * 0.4 + 512 * 4, 1.0);
     EXPECT_GT(sw.dramReadBytes, fic * 0.9);       // coalescing waste
@@ -363,8 +380,11 @@ TEST(Lowering, HwSkipSavesBandwidthSwBarely)
 
 TEST(Lowering, RowSkipRejectsBadFraction)
 {
-    Lowering low(kCfg);
-    EXPECT_THROW(low.rowSkipSgemv(layer512(), 1.0, 1.5, true),
+    const Lowering low(kCfg);
+    const NetworkShape shape{{layer512()}};
+    EXPECT_THROW(low.lower(shape, onePreset(PlanKind::IntraCellHw,
+                                            quant::QuantMode::Fp32, {},
+                                            {1.5})),
                  std::invalid_argument);
 }
 

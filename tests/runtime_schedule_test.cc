@@ -301,15 +301,28 @@ TEST(Residency, PersistentLayerLowersToOneWeightKernel)
     EXPECT_EQ(pk.syncsPerCta, shape.layers[0].length);
 }
 
+/** The persistent kernel of the dense one-layer @p shape pinned in
+ *  tier @p residency (one wave per timestep). */
+gpu::KernelDesc
+persistentKernel(const Lowering &lowering, const LstmLayerShape &shape,
+                 WeightResidency residency)
+{
+    ScheduleDecisions d;
+    d.layers.resize(1);
+    d.layers[0].residency = residency;
+    return lowering
+        .lower(NetworkShape{{shape}}, ExecutionPlan::fromDecisions(d), 1)
+        .back();
+}
+
 TEST(Residency, ResidentBytesChargedOncePerSequence)
 {
     const gpu::GpuConfig cfg = gpu::GpuConfig::tegraX1();
     const Lowering lowering(cfg);
     const LstmLayerShape shape{64, 64, 10};
 
-    const gpu::KernelDesc pk = lowering.persistentLayerKernel(
-        shape, gpu::WeightResidency::Regfile, shape.length,
-        KernelBuildCtx{1});
+    const gpu::KernelDesc pk =
+        persistentKernel(lowering, shape, gpu::WeightResidency::Regfile);
     // h=64 fp32 U fits the register-file budget entirely: the weight
     // stream equals the footprint (once), with no reload traffic.
     const double footprint = 4.0 * 64.0 * 64.0 * 4.0;
@@ -328,9 +341,8 @@ TEST(Residency, OversizedFootprintSpillsAndReloads)
     // h=650 fp32: 4h^2*4 = 6.76 MB, far beyond any on-chip tier.
     const LstmLayerShape shape{650, 650, 20};
 
-    const gpu::KernelDesc pk = lowering.persistentLayerKernel(
-        shape, gpu::WeightResidency::Shared, shape.length,
-        KernelBuildCtx{1});
+    const gpu::KernelDesc pk =
+        persistentKernel(lowering, shape, gpu::WeightResidency::Shared);
     const double capacity =
         gpu::residencyCapacityBytes(cfg, gpu::WeightResidency::Shared);
     EXPECT_DOUBLE_EQ(pk.residencyPinnedBytes, capacity);
