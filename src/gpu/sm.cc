@@ -92,7 +92,6 @@ timeKernel(const GpuConfig &cfg, const KernelDesc &desc, bool crm_applied)
     t.computeCycles = (desc.flops / cfg.flopsPerCycle() + dequant_cycles) *
                       divergence * occ;
     t.dequantCycles = dequant_cycles * divergence * occ;
-    t.residencyOccCycles = t.computeCycles * (1.0 - 1.0 / occ);
 
     t.dramBytes =
         (desc.dramReadBytes + desc.dramWriteBytes) * desc.coalescingFactor;

@@ -75,8 +75,6 @@ struct KernelTiming
 
     double crmCycles = 0.0;     ///< CRM pipeline latency charged
     double crmEnergyJ = 0.0;
-    /// extra execution cycles paid for pinned-weight occupancy loss
-    double residencyOccCycles = 0.0;
     unsigned activeThreads = 0;
     unsigned smsUsed = 1;       ///< SMs the grid occupies (for timelines)
     bool reconfigured = false;  ///< shared-BW-driven kernel reconfig hit

@@ -9,6 +9,7 @@
 #include "gpu/energy.hh"
 #include "gpu/simulator.hh"
 #include "gpu/sm.hh"
+#include "hw/backend.hh"
 #include "support/trace.hh"
 
 namespace {
@@ -111,6 +112,30 @@ TEST(SmTiming, CoalescingInflatesDramTraffic)
     k.coalescingFactor = 1.5;
     const KernelTiming t = timeKernel(cfg, k);
     EXPECT_NEAR(t.dramBytes, k.dramReadBytes * 1.5, 1.0);
+}
+
+TEST(SmTiming, DequantConvertChargedOnIssuePipesUnlessDotUnits)
+{
+    // The int8 twin of the H = 512 Sgemv: same work, plus one in-
+    // register convert per weight element.
+    const KernelDesc fp32 = memoryBoundKernel();
+    KernelDesc int8 = fp32;
+    int8.quantWeightElems = 4.0 * 512 * 512;
+
+    // TX1: each convert occupies the issue bandwidth of one FMA.
+    const GpuConfig tx1 = GpuConfig::tegraX1();
+    const double convert_cycles = int8.quantWeightElems * 2.0 /
+                                  tx1.flopsPerCycle();
+    ASSERT_GT(tx1.dequantOpsPerWeight, 0.0);
+    EXPECT_DOUBLE_EQ(timeKernel(tx1, int8).computeCycles -
+                         timeKernel(tx1, fp32).computeCycles,
+                     convert_cycles * tx1.dequantOpsPerWeight);
+
+    // DP4A-class dot units consume packed codes directly: no convert.
+    const GpuConfig &dp4a = mflstm::hw::registry().get("dp4a").config;
+    ASSERT_EQ(dp4a.dequantOpsPerWeight, 0.0);
+    EXPECT_EQ(timeKernel(dp4a, int8).computeCycles,
+              timeKernel(dp4a, fp32).computeCycles);
 }
 
 TEST(SmTiming, LaunchOverheadAlwaysCharged)
