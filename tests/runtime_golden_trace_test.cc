@@ -362,23 +362,17 @@ sharedResidentPlan(const runtime::NetworkShape &shape, quant::QuantMode qm,
 std::string
 pathDigestFixture()
 {
-    const gpu::GpuConfig tx1 = gpu::GpuConfig::tegraX1();
-    const struct
-    {
-        const char *id;
-        const gpu::GpuConfig &cfg;
-    } backends[] = {{"tx1", tx1}, {"dp4a", hw::registry().get("dp4a").config}};
     constexpr quant::QuantMode modes[] = {quant::QuantMode::Fp32,
                                           quant::QuantMode::Int8,
                                           quant::QuantMode::Int4};
     std::ostringstream os;
     for (const workloads::BenchmarkSpec &spec : workloads::tableII()) {
         const runtime::NetworkShape shape = spec.timingShape();
-        for (const auto &backend : backends) {
-            const runtime::Lowering lowering(backend.cfg);
+        for (const std::string id : {"tx1", "dp4a"}) {
+            const runtime::Lowering lowering(hw::registry().get(id).config);
             for (quant::QuantMode qm : modes) {
-                const bool covered = std::strcmp(backend.id, "tx1") == 0 &&
-                                     qm != quant::QuantMode::Int4;
+                const bool covered =
+                    id == "tx1" && qm != quant::QuantMode::Int4;
                 std::vector<std::pair<std::string, ExecutionPlan>> plans;
                 if (!covered)
                     for (PlanKind kind : kKinds)
@@ -390,7 +384,7 @@ pathDigestFixture()
                                    sharedResidentPlan(shape, qm, false));
                 for (const auto &[label, plan] : plans)
                     for (std::size_t batch : {1u, 3u})
-                        os << spec.name << "/" << backend.id << "/"
+                        os << spec.name << "/" << id << "/"
                            << quant::toString(qm) << "/" << label << "/b"
                            << batch << " "
                            << traceDigest(
