@@ -3,13 +3,15 @@
  * google-benchmark microbenchmarks of the CPU-side tensor kernels the
  * accuracy substrate runs on: GEMV/GEMM (plain, transposed, panel-packed,
  * masked), the LSTM cell step (dense and with DRS) and the classification
- * head, plus the host cost of one lower-and-simulate timing run. These
+ * head, plus the host cost of one calibration and of one
+ * lower-and-simulate timing run. These
  * measure the reproduction's own code (wall clock), not the simulated
  * GPU.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "core/approx.hh"
 #include "gpu/simulator.hh"
 #include "harness.hh"
 #include "nn/lstm.hh"
@@ -19,6 +21,7 @@
 #include "tensor/panel.hh"
 #include "tensor/rng.hh"
 #include "workloads/benchmarks.hh"
+#include "workloads/datagen.hh"
 
 namespace {
 
@@ -184,6 +187,29 @@ BENCHMARK_CAPTURE(BM_LinearHead, row_major, false)
     ->Args({2, 40})->Args({3, 48});
 BENCHMARK_CAPTURE(BM_LinearHead, packed, true)
     ->Args({2, 40})->Args({3, 48});
+
+/**
+ * Host cost of one calibration (ApproxRunner::calibrate: the exact
+ * forward that fills the link predictors and the threshold profile,
+ * with its sorts) on a seeded, untrained PTB-shaped accuracy model over
+ * 40 calibration sequences, as a serve or sweep set-up runs it. The
+ * predictor counts keep growing across iterations, which costs nothing
+ * extra.
+ */
+void
+BM_Calibrate(benchmark::State &state)
+{
+    const workloads::BenchmarkSpec &spec = workloads::benchmarkByName("PTB");
+    const nn::LstmModel model(spec.accuracyModelConfig(), 7);
+    const auto seqs =
+        workloads::makeTask(spec, 400, 0).calibrationSequences(40);
+    core::ApproxRunner runner(model);
+    for (auto _ : state) {
+        const auto prof = runner.calibrate(seqs);
+        benchmark::DoNotOptimize(prof.outputGates.data());
+    }
+}
+BENCHMARK(BM_Calibrate)->Unit(benchmark::kMillisecond);
 
 /**
  * Host cost of one timing run, the unit a cold schedule search repeats

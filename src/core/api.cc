@@ -41,16 +41,11 @@ MemoryFriendlyLstm::calibrate(
     }
 
     {
-        // Fig. 10 op 4: link predictors from the training distribution.
-        auto sub = obs::Observer::phase(obs, "predictor-calibration");
-        runner_.calibrate(train_seqs);
-    }
-
-    {
-        // Fig. 10 op 2: threshold upper limits from the exact profile
-        // (runs the relevance scan over the calibration sequences).
-        auto sub = obs::Observer::phase(obs, "relevance-profile");
-        cal.profile = runner_.profile(train_seqs);
+        // Fig. 10 ops 4 and 2: link predictors from the training
+        // distribution, and threshold upper limits from the profile
+        // that the same exact forward collects.
+        auto sub = obs::Observer::phase(obs, "exact-calibration");
+        cal.profile = runner_.calibrate(train_seqs);
         cal.limits = findThresholdLimits(
             cal.profile, cal.mts, cfg_.timingShape.layers.front().length);
     }

@@ -7,6 +7,7 @@
 
 #include "nn/parallel.hh"
 #include "quant/quantize.hh"
+#include "tensor/stats.hh"
 
 namespace mflstm {
 namespace core {
@@ -78,21 +79,6 @@ ApproxRunner::setQuantMode(quant::QuantMode mode)
     // The relevance norms are precomputed from the weight rows, so they
     // must follow the precision of the model actually served.
     rebuildRelevanceContexts();
-}
-
-void
-ApproxRunner::calibrate(
-    const std::vector<std::vector<std::int32_t>> &token_seqs)
-{
-    for (const auto &seq : token_seqs) {
-        if (seq.empty())
-            continue;
-        std::vector<std::vector<nn::LstmCellTrace>> traces;
-        activeModel().runLayers(activeModel().embed(seq), &traces);
-        for (std::size_t l = 0; l < traces.size(); ++l)
-            predictors_[l].observe(traces[l]);
-    }
-    refreshPredictions();
 }
 
 bool
@@ -213,8 +199,8 @@ ApproxRunner::CalibrationProfile::layerBreakFraction(std::size_t l,
 }
 
 ApproxRunner::CalibrationProfile
-ApproxRunner::profile(
-    const std::vector<std::vector<std::int32_t>> &token_seqs) const
+ApproxRunner::calibrate(
+    const std::vector<std::vector<std::int32_t>> &token_seqs)
 {
     const nn::LstmModel &m = activeModel();
     const nn::SigmoidKind sk = m.config().sigmoid;
@@ -240,8 +226,8 @@ ApproxRunner::profile(
                                 std::vector<double>(first_link[n]));
     prof.outputGates.resize(gates_per_step * first_step[n]);
 
-    nn::forEachSequence(n, nn::sequenceWorkers(n),
-                        [&](std::size_t, std::size_t i) {
+    const std::size_t workers = nn::sequenceWorkers(n);
+    nn::forEachSequence(n, workers, [&](std::size_t, std::size_t i) {
         const std::vector<std::int32_t> &seq = token_seqs[i];
         if (seq.empty())
             return;
@@ -264,15 +250,25 @@ ApproxRunner::profile(
             }
 
             acts = nn::lstmLayerForward(p, projs, sk, {}, &traces);
+            // Integer counts, added atomically: exact in any order.
+            predictors_[l].observe(traces);
             for (const nn::LstmCellTrace &tr : traces)
                 gates = std::copy(tr.o.begin(), tr.o.end(), gates);
         }
     });
+    refreshPredictions();
 
     std::sort(prof.relevances.begin(), prof.relevances.end());
     for (auto &xs : prof.layerRelevances)
         std::sort(xs.begin(), xs.end());
-    std::sort(prof.outputGates.begin(), prof.outputGates.end());
+    // Every o_t is a sigmoid, >= +0 and never NaN, so equal values are
+    // bitwise equal and the sorted parts are std::sort's result.
+    const std::vector<std::size_t> bounds =
+        tensor::cutForSort(prof.outputGates, workers);
+    nn::forEachSequence(workers, workers, [&](std::size_t, std::size_t k) {
+        std::sort(prof.outputGates.begin() + bounds[k],
+                  prof.outputGates.begin() + bounds[k + 1]);
+    });
     return prof;
 }
 

@@ -83,10 +83,10 @@ struct LayerApproxStats
 /**
  * Runs a trained model with the approximations enabled and collects the
  * statistics the timing side needs. The const forwards (the overloads
- * that take a caller-owned stats vector, and profile()) may run
- * concurrently on one runner, each thread with its own stats vector;
- * calls that mutate the runner, including the forwards that add to
- * stats(), may not overlap any other call.
+ * that take a caller-owned stats vector) may run concurrently on one
+ * runner, each thread with its own stats vector; calls that mutate the
+ * runner, including the forwards that add to stats(), may not overlap
+ * any other call.
  */
 class ApproxRunner
 {
@@ -94,12 +94,38 @@ class ApproxRunner
     explicit ApproxRunner(const nn::LstmModel &model);
 
     /**
-     * Offline calibration (Fig. 10 op 4): run the exact model over
-     * training sequences and collect the context-link distributions per
-     * layer for the Eq. 6 predictors.
+     * Exact-forward profile of the model on a dataset: the pooled link
+     * relevance values S (all layers) and the output-gate magnitude
+     * distribution. These define the meaningful ranges of the two
+     * thresholds (Fig. 10, offline op 2).
      */
-    void calibrate(
-        const std::vector<std::vector<std::int32_t>> &token_seqs);
+    struct CalibrationProfile
+    {
+        std::vector<double> relevances;  ///< pooled S, sorted ascending
+        /// per-layer S values, sorted ascending (division is per layer)
+        std::vector<std::vector<double>> layerRelevances;
+        std::vector<float> outputGates;  ///< pooled o_t values, sorted
+
+        /// fraction of layer l's links with S < alpha
+        double layerBreakFraction(std::size_t l, double alpha) const;
+
+        /** S quantile: the alpha_inter that breaks fraction q of links. */
+        double relevanceQuantile(double q) const;
+
+        /** o_t quantile: the alpha_intra that skips fraction q of rows. */
+        double outputGateQuantile(double q) const;
+    };
+
+    /**
+     * Offline calibration (Fig. 10 ops 2 and 4), one exact forward per
+     * sequence: add every context link (h_t, c_t) to the per-layer
+     * Eq. 6 predictors and return the threshold profile of these
+     * sequences. Empty sequences are skipped. The sequences run on
+     * every hardware thread (nn/parallel.hh); the predictor counts and
+     * the profile equal a serial scan's bit for bit.
+     */
+    CalibrationProfile
+    calibrate(const std::vector<std::vector<std::int32_t>> &token_seqs);
 
     /** Has calibrate() ingested at least one sequence? */
     bool calibrated() const;
@@ -189,34 +215,6 @@ class ApproxRunner
     void restorePredictors(std::vector<LinkPredictor> predictors);
 
     const nn::LstmModel &model() const { return model_; }
-
-    /**
-     * Exact-forward profile of the model on a dataset: the pooled link
-     * relevance values S (all layers) and the output-gate magnitude
-     * distribution. These define the meaningful ranges of the two
-     * thresholds (Fig. 10, offline op 2). The sequences run on every
-     * hardware thread (nn/parallel.hh); the result equals a serial
-     * scan's bit for bit.
-     */
-    struct CalibrationProfile
-    {
-        std::vector<double> relevances;  ///< pooled S, sorted ascending
-        /// per-layer S values, sorted ascending (division is per layer)
-        std::vector<std::vector<double>> layerRelevances;
-        std::vector<float> outputGates;  ///< pooled o_t values, sorted
-
-        /// fraction of layer l's links with S < alpha
-        double layerBreakFraction(std::size_t l, double alpha) const;
-
-        /** S quantile: the alpha_inter that breaks fraction q of links. */
-        double relevanceQuantile(double q) const;
-
-        /** o_t quantile: the alpha_intra that skips fraction q of rows. */
-        double outputGateQuantile(double q) const;
-    };
-
-    CalibrationProfile
-    profile(const std::vector<std::vector<std::int32_t>> &token_seqs) const;
 
   private:
     void rebuildRelevanceContexts();

@@ -1,6 +1,7 @@
 #include "tensor/stats.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <stdexcept>
 
@@ -21,8 +22,9 @@ Histogram::add(double x)
     auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width_);
     idx = std::clamp<std::ptrdiff_t>(
         idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++samples_;
+    std::atomic_ref(counts_[static_cast<std::size_t>(idx)])
+        .fetch_add(1, std::memory_order_relaxed);
+    std::atomic_ref(samples_).fetch_add(1, std::memory_order_relaxed);
 }
 
 double
@@ -86,7 +88,7 @@ VectorDistribution::observe(const Vector &v)
         throw std::invalid_argument("VectorDistribution: dim mismatch");
     for (std::size_t i = 0; i < v.size(); ++i)
         elements_[i].add(v[i]);
-    ++samples_;
+    std::atomic_ref(samples_).fetch_add(1, std::memory_order_relaxed);
 }
 
 void
@@ -107,6 +109,21 @@ VectorDistribution::expectation() const
     for (std::size_t i = 0; i < elements_.size(); ++i)
         out[i] = static_cast<float>(elements_[i].expectation());
     return out;
+}
+
+std::vector<std::size_t>
+cutForSort(std::span<float> xs, std::size_t parts)
+{
+    parts = std::max<std::size_t>(parts, 1);
+    std::vector<std::size_t> bounds(parts + 1, xs.size());
+    bounds[0] = 0;
+    for (std::size_t k = 1; k < parts; ++k) {
+        bounds[k] = xs.size() * k / parts;
+        // Each cut only searches what the previous cuts left above them.
+        std::nth_element(xs.begin() + bounds[k - 1], xs.begin() + bounds[k],
+                         xs.end());
+    }
+    return bounds;
 }
 
 } // namespace tensor

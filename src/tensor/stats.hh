@@ -4,7 +4,8 @@
  * "Accuracy Recovery") collects the value distribution of every element of
  * h_t over an offline run and predicts lost links with the per-element
  * expectation (Eq. 6); Histogram and VectorDistribution implement exactly
- * that.
+ * that. cutForSort splits the sort of a pooled sample (the output-gate
+ * profile of Fig. 10 op 2) into parts that sort independently.
  */
 
 #ifndef MFLSTM_TENSOR_STATS_HH
@@ -29,6 +30,11 @@ class Histogram
   public:
     Histogram(double lo, double hi, std::size_t bins);
 
+    /**
+     * Count one sample. Calls may run concurrently with each other (the
+     * counts are relaxed atomic increments, exact in any order), but not
+     * with any other member call.
+     */
     void add(double x);
 
     std::size_t samples() const { return samples_; }
@@ -81,6 +87,7 @@ class VectorDistribution
     VectorDistribution(std::size_t dim, double lo, double hi,
                        std::size_t bins);
 
+    /** Count one vector; concurrent calls as for Histogram::add. */
     void observe(const Vector &v);
 
     std::size_t dim() const { return elements_.size(); }
@@ -102,6 +109,17 @@ class VectorDistribution
     std::size_t samples_ = 0;
     std::vector<Histogram> elements_;
 };
+
+/**
+ * Cut @p xs in place into @p parts ranges whose elements are no larger
+ * than any element of the later ranges (std::nth_element at the
+ * boundaries k * n / parts), and return the parts + 1 boundaries.
+ * Sorting every range, in any order or concurrently, then sorts xs.
+ * For values whose equal elements are bitwise equal (no NaN, no -0),
+ * the result is bitwise std::sort's: a multiset has one sorted
+ * sequence. @p parts below one counts as one.
+ */
+std::vector<std::size_t> cutForSort(std::span<float> xs, std::size_t parts);
 
 } // namespace tensor
 } // namespace mflstm

@@ -377,7 +377,8 @@ TEST(ApproxRunner, ProfileIsSortedAndPopulated)
 {
     const nn::LstmModel model(smallConfig(), 27);
     ApproxRunner runner(model);
-    const auto prof = runner.profile(someSequences(3, 7, 13));
+    const auto prof = runner.calibrate(someSequences(3, 7, 13));
+    EXPECT_TRUE(runner.calibrated());
 
     // 3 seqs x 2 layers x 6 links; o gates: 3 x 2 x 7 x 10.
     EXPECT_EQ(prof.relevances.size(), 36u);

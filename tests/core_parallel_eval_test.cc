@@ -3,10 +3,11 @@
  * Tests for sequence-parallel evaluation (DESIGN.md §18): the driver of
  * nn/parallel.hh visits every index exactly once and rethrows the lowest
  * failing index's exception; the parallel accuracy loops (exact and
- * approximate) and the calibration profile equal their serial forms bit
- * for bit, statistics included.
+ * approximate) and the calibration (link-predictor counts and profile)
+ * equal their serial forms bit for bit, statistics included.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <stdexcept>
@@ -17,6 +18,7 @@
 
 #include "core/approx.hh"
 #include "nn/parallel.hh"
+#include "support/reference.hh"
 #include "tensor/ops.hh"
 #include "tensor/rng.hh"
 
@@ -115,9 +117,7 @@ ApproxRunner
 approximatingRunner(const nn::LstmModel &model, quant::QuantMode q)
 {
     ApproxRunner runner(model);
-    const auto calib = sequences(24, 10, 5);
-    runner.calibrate(calib);
-    const auto prof = runner.profile(calib);
+    const auto prof = runner.calibrate(sequences(24, 10, 5));
     runner.setQuantMode(q);
     runner.setThresholds(prof.relevanceQuantile(0.3),
                          prof.outputGateQuantile(0.3));
@@ -306,9 +306,32 @@ TEST(ParallelEval, EmptySequenceThrowsAndLeavesStatsUnchanged)
     }
 }
 
+/** Whole vectors compared byte for byte. */
+template <typename V>
+bool
+sameBytes(const V &a, const V &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0);
+}
+
+void
+expectSameProfile(const ApproxRunner::CalibrationProfile &got,
+                  const ApproxRunner::CalibrationProfile &want)
+{
+    EXPECT_TRUE(sameBytes(got.relevances, want.relevances));
+    ASSERT_EQ(got.layerRelevances.size(), want.layerRelevances.size());
+    for (std::size_t l = 0; l < got.layerRelevances.size(); ++l)
+        EXPECT_TRUE(sameBytes(got.layerRelevances[l],
+                              want.layerRelevances[l]))
+            << "layer " << l;
+    EXPECT_TRUE(sameBytes(got.outputGates, want.outputGates));
+}
+
 TEST(ParallelEval, ProfileEqualsOneWorkerRuns)
 {
-    // Profiling one sequence runs one worker; pooling those single-
+    // Calibrating on one sequence runs one worker; pooling those single-
     // sequence profiles and sorting is the serial scan.
     const nn::LstmModel model = scaledModel(nn::TaskKind::Classification, 36);
     for (const auto q : {quant::QuantMode::Fp32, quant::QuantMode::Int8}) {
@@ -320,7 +343,8 @@ TEST(ParallelEval, ProfileEqualsOneWorkerRuns)
         ApproxRunner::CalibrationProfile want;
         want.layerRelevances.resize(model.layers().size());
         for (const auto &seq : seqs) {
-            const auto one = runner.profile({seq});
+            ApproxRunner scratch = runner;
+            const auto one = scratch.calibrate({seq});
             auto add = [](auto &to, const auto &from) {
                 to.insert(to.end(), from.begin(), from.end());
             };
@@ -334,20 +358,87 @@ TEST(ParallelEval, ProfileEqualsOneWorkerRuns)
             std::sort(xs.begin(), xs.end());
         std::sort(want.outputGates.begin(), want.outputGates.end());
 
-        const auto got = runner.profile(seqs);
-        auto same = [](const auto &a, const auto &b) {
-            return a.size() == b.size() &&
-                   std::memcmp(a.data(), b.data(),
-                               a.size() * sizeof(a[0])) == 0;
-        };
+        const auto got = runner.calibrate(seqs);
         EXPECT_FALSE(got.outputGates.empty());
-        EXPECT_TRUE(same(got.relevances, want.relevances));
-        ASSERT_EQ(got.layerRelevances.size(), want.layerRelevances.size());
-        for (std::size_t l = 0; l < got.layerRelevances.size(); ++l)
-            EXPECT_TRUE(same(got.layerRelevances[l],
-                             want.layerRelevances[l]))
-                << "layer " << l;
-        EXPECT_TRUE(same(got.outputGates, want.outputGates));
+        expectSameProfile(got, want);
+    }
+}
+
+/** Every bin count, sample count and Eq. 6 prediction, layer by layer. */
+void
+expectSamePredictors(const std::vector<LinkPredictor> &got,
+                     const std::vector<LinkPredictor> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t l = 0; l < got.size(); ++l) {
+        EXPECT_EQ(got[l].samples(), want[l].samples()) << "layer " << l;
+        const auto same_counts = [](const tensor::VectorDistribution &a,
+                                    const tensor::VectorDistribution &b) {
+            if (a.dim() != b.dim() || a.samples() != b.samples())
+                return false;
+            for (std::size_t e = 0; e < a.dim(); ++e) {
+                const tensor::Histogram &x = a.element(e), &y = b.element(e);
+                if (x.samples() != y.samples() || x.bins() != y.bins())
+                    return false;
+                for (std::size_t i = 0; i < x.bins(); ++i)
+                    if (x.binCount(i) != y.binCount(i))
+                        return false;
+            }
+            return true;
+        };
+        EXPECT_TRUE(same_counts(got[l].hDistribution(),
+                                want[l].hDistribution()))
+            << "layer " << l << " h";
+        EXPECT_TRUE(same_counts(got[l].cDistribution(),
+                                want[l].cDistribution()))
+            << "layer " << l << " c";
+        EXPECT_TRUE(sameBytes(got[l].predictedH(), want[l].predictedH()))
+            << "layer " << l;
+        EXPECT_TRUE(sameBytes(got[l].predictedC(), want[l].predictedC()))
+            << "layer " << l;
+    }
+}
+
+TEST(ParallelEval, CalibrateEqualsSerialReference)
+{
+    const std::size_t hw = nn::sequenceWorkers(1000);
+    for (const auto task :
+         {nn::TaskKind::Classification, nn::TaskKind::LanguageModel}) {
+        const nn::LstmModel model = scaledModel(task, 37);
+        for (const auto q :
+             {quant::QuantMode::Fp32, quant::QuantMode::Int8}) {
+            ApproxRunner fresh(model);
+            fresh.setQuantMode(q);
+
+            auto many = sequences(29, 12, 15);
+            many[5].clear();  // skipped by both
+            // One worker; fewer sequences than workers; every worker.
+            for (const auto &seqs :
+                 {sequences(1, 12, 16), sequences(hw > 1 ? hw - 1 : 1, 12, 17),
+                  many}) {
+                ApproxRunner runner = fresh;
+                const test::SerialCalibration want =
+                    test::serialCalibrate(runner, seqs);
+                const auto got = runner.calibrate(seqs);
+                EXPECT_TRUE(runner.calibrated());
+                expectSamePredictors(runner.predictors(), want.predictors);
+                expectSameProfile(got, want.profile);
+            }
+
+            // A second calibrate() adds to the counts of the first; its
+            // profile is that of its own sequences.
+            const auto first = sequences(7, 12, 18);
+            auto both = first;
+            both.insert(both.end(), many.begin(), many.end());
+            ApproxRunner runner = fresh;
+            runner.calibrate(first);
+            const auto second = runner.calibrate(many);
+            expectSamePredictors(runner.predictors(),
+                                 test::serialCalibrate(fresh, both)
+                                     .predictors);
+            expectSameProfile(second,
+                              test::serialCalibrate(fresh, many).profile);
+        }
     }
 }
 
