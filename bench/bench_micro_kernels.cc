@@ -2,12 +2,13 @@
  * @file
  * google-benchmark microbenchmarks of the CPU-side tensor kernels the
  * accuracy substrate runs on: GEMV/GEMM (plain, transposed, panel-packed,
- * masked), the LSTM cell step (dense and with DRS) and the classification
- * head, plus the host cost of one calibration and of one
- * lower-and-simulate timing run. These
- * measure the reproduction's own code (wall clock), not the simulated
- * GPU.
+ * masked), the cell's tanh, the LSTM cell step (dense and with DRS) and
+ * the classification head, plus the host cost of one calibration and of
+ * one lower-and-simulate timing run. These measure the reproduction's
+ * own code (wall clock), not the simulated GPU.
  */
+
+#include <cmath>
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +18,7 @@
 #include "nn/lstm.hh"
 #include "nn/model.hh"
 #include "runtime/lowering.hh"
+#include "tensor/activations.hh"
 #include "tensor/ops.hh"
 #include "tensor/panel.hh"
 #include "tensor/rng.hh"
@@ -130,6 +132,36 @@ BM_Gemm(benchmark::State &state)
                             n * n * n);
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
+
+/**
+ * The cell's tanh over H elements: the element-by-element std::tanh loop
+ * the cell step ran before, against tensor::tanh, which returns the same
+ * bits four lanes at a time. Inputs span [-3, 3], where the gate
+ * pre-activations and c_t mostly fall.
+ */
+void
+BM_Tanh(benchmark::State &state, bool lanes)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    Vector in = randomVector(n, 12);
+    for (float &v : in)
+        v *= 3.0f;
+    Vector out(n);
+    for (auto _ : state) {
+        if (lanes) {
+            tensor::tanh(in.span(), out.span());
+        } else {
+            for (std::size_t j = 0; j < n; ++j)
+                out[j] = std::tanh(in[j]);
+        }
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(n));
+}
+BENCHMARK_CAPTURE(BM_Tanh, std_tanh, false)->Arg(48)->Arg(4096);
+BENCHMARK_CAPTURE(BM_Tanh, tensor_tanh, true)->Arg(48)->Arg(4096);
 
 /**
  * One cell step (nn::lstmCellForward) from the same state each

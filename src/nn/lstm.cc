@@ -1,7 +1,6 @@
 #include "nn/lstm.hh"
 
 #include <cassert>
-#include <cmath>
 
 #include "tensor/activations.hh"
 
@@ -102,33 +101,41 @@ lstmCellForward(const PackedRecurrent &u, std::span<const float> x_proj,
     const float *ri = rf + hid;
     const float *rc = ri + hid;
 
-    // Line 8: the element-wise kernel, c_t and h_t in place. Under the
+    // Line 8: the element-wise kernel, c_t and h_t in place, as four
+    // passes over H so that each tanh runs over a whole vector. Under the
     // default policy a skipped row's recurrent products are simply zero,
     // so its gates evaluate on the input projection alone; under
-    // ZeroState the whole element is nulled.
+    // ZeroState the whole element is nulled (f = i = g = 0, c = h = 0).
     const bool zero_skipped =
         skipped && skip.policy == DrsStatePolicy::ZeroState;
-    if (trace)
-        trace->f = trace->i = trace->g = Vector(hid);
+    Vector &f = scratch.f, &i = scratch.i, &g = scratch.g;
+    f.resize(hid);
+    i.resize(hid);
+    g.resize(hid);
     for (std::size_t j = 0; j < hid; ++j) {
         if (zero_skipped && mask[j]) {
-            state.c[j] = 0.0f;
-            state.h[j] = 0.0f;
+            f[j] = i[j] = g[j] = 0.0f;
             continue;
         }
-        const float f = sig(x_proj[j] + rf[j] + p.bf[j]);
-        const float i = sig(x_proj[hid + j] + ri[j] + p.bi[j]);
-        const float g = std::tanh(x_proj[2 * hid + j] + rc[j] + p.bc[j]);
-        state.c[j] = f * state.c[j] + i * g;
-        state.h[j] = o[j] * std::tanh(state.c[j]);
-        if (trace) {
-            trace->f[j] = f;
-            trace->i[j] = i;
-            trace->g[j] = g;
-        }
+        f[j] = sig(x_proj[j] + rf[j] + p.bf[j]);
+        i[j] = sig(x_proj[hid + j] + ri[j] + p.bi[j]);
+        g[j] = x_proj[2 * hid + j] + rc[j] + p.bc[j];
     }
+    tensor::tanh(g.span(), g.span());
+    // A nulled element's c_t = 0 * c + 0 * 0 and h_t = o_t * tanh(c_t)
+    // are +0, as ZeroState requires: c is finite and o_t >= +0.
+    for (std::size_t j = 0; j < hid; ++j)
+        state.c[j] = f[j] * state.c[j] + i[j] * g[j];
+    Vector &tanh_c = scratch.tanhC;
+    tanh_c.resize(hid);
+    tensor::tanh(state.c.span(), tanh_c.span());
+    for (std::size_t j = 0; j < hid; ++j)
+        state.h[j] = o[j] * tanh_c[j];
 
     if (trace) {
+        trace->f = f;
+        trace->i = i;
+        trace->g = g;
         trace->o = o;
         trace->c = state.c;
         trace->h = state.h;

@@ -132,14 +132,19 @@ struct RowSkip
 
 /**
  * The buffers a cell step works in, owned by the caller and reused
- * across timesteps: the recurrent products, o_t and the skip mask. The
- * step resizes them, so any scratch fits any hidden size.
+ * across timesteps: the recurrent products, the gates, tanh(c_t) and
+ * the skip mask. The step resizes them, so any scratch fits any hidden
+ * size.
  */
 struct LstmStepScratch
 {
     Vector ro;    ///< U_o h_{t-1}
     Vector rfic;  ///< U_{f,i,c} h_{t-1}, skipped rows 0
     Vector o;     ///< output gate o_t
+    Vector f;     ///< forget gate f_t
+    Vector i;     ///< input gate i_t
+    Vector g;     ///< candidate pre-activation, then tanh of it
+    Vector tanhC; ///< tanh(c_t)
     std::vector<std::uint8_t> skip;  ///< DRS row mask over U_{f,i,c}
 };
 

@@ -225,15 +225,17 @@ Trainer::computeGradients(const std::vector<std::int32_t> &tokens,
         std::vector<Vector> dx(seq, Vector(in_size));
         Vector dh_next(hid);
         Vector dc_next(hid);
+        Vector tanh_c(hid);
 
         for (std::size_t t = seq; t-- > 0;) {
             const LstmCellTrace &tr = traces[li][t];
             Vector dzf(hid), dzi(hid), dzc(hid), dzo(hid);
             Vector dc(hid);
 
+            tensor::tanh(tr.c.span(), tanh_c.span());
             for (std::size_t j = 0; j < hid; ++j) {
                 const float dh = dh_out[t][j] + dh_next[j];
-                const float tc = std::tanh(tr.c[j]);
+                const float tc = tanh_c[j];
                 const float do_ = dh * tc;
                 dzo[j] = do_ * gateGrad(sk, tr.o[j]);
                 dc[j] = dc_next[j] + dh * tr.o[j] * (1.0f - tc * tc);

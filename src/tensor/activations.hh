@@ -11,6 +11,8 @@
 #ifndef MFLSTM_TENSOR_ACTIVATIONS_HH
 #define MFLSTM_TENSOR_ACTIVATIONS_HH
 
+#include <span>
+
 namespace mflstm {
 namespace tensor {
 
@@ -30,6 +32,16 @@ float sigmoid(float x);
  * Theano-style approximation referenced in Section IV-A.
  */
 float hardSigmoid(float x);
+
+/**
+ * out[j] = tanh(in[j]) for every j, four elements per pass. Bit for bit
+ * the fdlibm tanhf/expm1f that glibc 2.36 ships, with every branch
+ * replaced by a per-lane select, so the forward's tanh bits do not follow
+ * the platform's libm (DESIGN.md §18, "The element-wise pass and the
+ * repo's own tanh"). @p in and @p out have one size and may be the same
+ * span; any other overlap is not allowed.
+ */
+void tanh(std::span<const float> in, std::span<float> out);
 
 /** Derivative of sigmoid expressed in terms of its output s. */
 float sigmoidGradFromOutput(float s);

@@ -48,15 +48,18 @@ someSequences(std::size_t n, std::size_t len, std::uint64_t seed)
 
 /**
  * The oracle for the cell step, dense and row-skipping: Eq. 1-5 and
- * Algorithm 3 written
- * with the row-major tensor::gemv, one matrix per gate. alpha_intra < 0
- * runs the exact cell; otherwise rows with o_t <= alpha_intra lose their
- * U_{f,i,c} products, or their whole element under ZeroState.
+ * Algorithm 3 written element by element with std::tanh and the
+ * row-major tensor::gemv, one matrix per gate. alpha_intra < 0 runs the
+ * exact cell; otherwise rows with o_t <= alpha_intra lose their
+ * U_{f,i,c} products, or their whole element under ZeroState, where the
+ * trace shows f = i = g = 0. @p trace, when set, receives the step's
+ * gates and states.
  */
 nn::LstmState
 referenceCell(const nn::LstmLayerParams &p, const Vector &x_proj,
               const nn::LstmState &prev, nn::SigmoidKind sk,
-              double alpha_intra, nn::DrsStatePolicy policy)
+              double alpha_intra, nn::DrsStatePolicy policy,
+              nn::LstmCellTrace *trace = nullptr)
 {
     auto sig = [sk](float v) {
         return sk == nn::SigmoidKind::Logistic ? tensor::sigmoid(v)
@@ -70,11 +73,14 @@ referenceCell(const nn::LstmLayerParams &p, const Vector &x_proj,
     tensor::gemv(p.uo, prev.h, ro);
 
     nn::LstmState next(hid);
+    nn::LstmCellTrace tr;
+    tr.f = tr.i = tr.g = tr.o = Vector(hid);
     for (std::size_t j = 0; j < hid; ++j) {
         const float o = sig(x_proj[3 * hid + j] + ro[j] + p.bo[j]);
+        tr.o[j] = o;
         const bool skip = alpha_intra >= 0.0 && o <= alpha_intra;
         if (skip && policy == nn::DrsStatePolicy::ZeroState)
-            continue;  // c and h stay 0
+            continue;  // f, i, g, c and h stay 0
         if (skip)
             rf[j] = ri[j] = rc[j] = 0.0f;
         const float f = sig(x_proj[j] + rf[j] + p.bf[j]);
@@ -82,6 +88,16 @@ referenceCell(const nn::LstmLayerParams &p, const Vector &x_proj,
         const float g = std::tanh(x_proj[2 * hid + j] + rc[j] + p.bc[j]);
         next.c[j] = f * prev.c[j] + i * g;
         next.h[j] = o * std::tanh(next.c[j]);
+        tr.f[j] = f;
+        tr.i[j] = i;
+        tr.g[j] = g;
+    }
+    if (trace) {
+        tr.c = next.c;
+        tr.h = next.h;
+        tr.c_prev = prev.c;
+        tr.h_prev = prev.h;
+        *trace = std::move(tr);
     }
     return next;
 }
@@ -217,11 +233,13 @@ TEST(DrsCell, SkippedRowsLoseOnlyRecurrentTerm)
 TEST(DrsCell, PanelCellsBitIdenticalToGemvReference)
 {
     // H = 40 puts the U_f/U_i and U_i/U_c boundaries mid-panel, so DRS
-    // masks give mixed, whole-skipped and clear panels. Every case runs
+    // masks give mixed, whole-skipped and clear panels; H = 41 and 6
+    // leave a partial four-lane tail for tensor::tanh. Every case runs
     // twice: with a fresh scratch per step, and with one scratch shared
     // by every step of every case, so each step inherits the buffers of
     // a different threshold and policy, and H = 40 those last sized for
-    // H = 56.
+    // H = 56. Each step's trace (the gates, f = i = g = 0 on elements
+    // ZeroState nulls) must match the reference's too.
     struct Case
     {
         double alpha;  ///< < 0: the dense cell (no row skip)
@@ -234,7 +252,7 @@ TEST(DrsCell, PanelCellsBitIdenticalToGemvReference)
             cases.push_back({alpha, policy});
 
     nn::LstmStepScratch shared;
-    for (std::size_t hid : {6u, 56u, 40u}) {
+    for (std::size_t hid : {6u, 56u, 40u, 41u}) {
         nn::LstmLayerParams p(7, hid);
         tensor::Rng rng(60 + hid);
         p.init(rng);
@@ -254,17 +272,27 @@ TEST(DrsCell, PanelCellsBitIdenticalToGemvReference)
                         for (float &v : x_proj)
                             v = rng.uniform(-2.0f, 2.0f);
                         nn::LstmStepScratch fresh;
+                        nn::LstmCellTrace got_trace, want_trace;
                         nn::lstmCellForward(packed, x_proj.span(), cell,
                                             reuse ? shared : fresh, sk,
-                                            skip);
+                                            skip, &got_trace);
                         want = referenceCell(p, x_proj, want, sk, c.alpha,
-                                             c.policy);
+                                             c.policy, &want_trace);
                         ASSERT_TRUE(sameBytes(cell.h, want.h))
                             << hid << " alpha " << c.alpha << " reuse "
                             << reuse << " t" << t;
                         ASSERT_TRUE(sameBytes(cell.c, want.c))
                             << hid << " alpha " << c.alpha << " reuse "
                             << reuse << " t" << t;
+                        for (auto field :
+                             {&nn::LstmCellTrace::f, &nn::LstmCellTrace::i,
+                              &nn::LstmCellTrace::g, &nn::LstmCellTrace::o,
+                              &nn::LstmCellTrace::c, &nn::LstmCellTrace::h,
+                              &nn::LstmCellTrace::c_prev,
+                              &nn::LstmCellTrace::h_prev})
+                            ASSERT_TRUE(sameBytes(got_trace.*field,
+                                                  want_trace.*field))
+                                << hid << " alpha " << c.alpha << " t" << t;
                     }
                 }
             }
